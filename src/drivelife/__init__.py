@@ -49,7 +49,6 @@ from .charstats import (
 )
 from .featurize import (
     FeatureMatrix,
-    FeatureSpec,
     LabeledExamples,
     PartitionRule,
     label_lookahead,

@@ -91,10 +91,17 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
         raise ValueError("need at least 2 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         return None
-    rx = rankdata(x, method="average")
-    ry = rankdata(y, method="average")
-    rx -= rx.mean()
-    ry -= ry.mean()
+    return _rank_corr(_centred_ranks(x), _centred_ranks(y))
+
+
+def _centred_ranks(x: np.ndarray) -> np.ndarray:
+    """Average ranks of a non-constant series, minus their mean."""
+    r = rankdata(x, method="average")
+    return r - r.mean()
+
+
+def _rank_corr(rx: np.ndarray, ry: np.ndarray) -> float:
+    """Pearson correlation of two centred rank vectors."""
     return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
 
 
@@ -135,17 +142,14 @@ def spearman_matrix(ds: FleetDataset, features: Sequence[str]) -> CorrelationMat
     for j in range(p):
         col = table[:, j]
         constant.append(col.size == 0 or bool(np.all(col == col[0])))
-        ranks.append(None if constant[j] else rankdata(col, method="average"))
+        ranks.append(None if constant[j] else _centred_ranks(col))
     for i in range(p):
         for j in range(i + 1, p):
             if constant[i] or constant[j]:
                 rho[i, j] = rho[j, i] = np.nan
                 defined[i, j] = defined[j, i] = False
                 continue
-            ri = ranks[i] - ranks[i].mean()
-            rj = ranks[j] - ranks[j].mean()
-            value = float((ri @ rj) / math.sqrt((ri @ ri) * (rj @ rj)))
-            rho[i, j] = rho[j, i] = value
+            rho[i, j] = rho[j, i] = _rank_corr(ranks[i], ranks[j])
     for j in range(p):
         if constant[j]:
             defined[j, j] = False

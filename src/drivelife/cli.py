@@ -23,7 +23,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-
+from typing import Callable
 
 from . import __version__, charstats, evaluation, featurize, learners, lifecycle, synth
 from .ingest import (FleetDataset, SchemaError, filter_hdd, parse_hdd_csv,
@@ -211,15 +211,17 @@ def _lookahead_list(run: _Run) -> list[int]:
     return [int(v) for v in str(raw).split(",")]
 
 
-def _build_examples(run: _Run, ds: FleetDataset, lookahead: int,
-                    partition_attr: str | None = None) -> featurize.LabeledExamples:
+def _example_builder(ds: FleetDataset, partition_attr: str | None = None
+                     ) -> Callable[[int], featurize.LabeledExamples]:
+    """Build failures, periods and features once; label per lookahead N."""
     failures = lifecycle.detect_failures(ds)
     periods = lifecycle.extract_operational_periods(ds, failures)
     feats = featurize.make_features(ds)
     attr = partition_attr or ("hfh" if ds.family == "hdd" else "age")
     model_of = {d: ds.records[d][0].model for d in ds.drives if ds.records[d]}
-    return featurize.label_lookahead(feats, failures, lookahead, periods,
-                                     partition_attr=attr, models=model_of)
+    return lambda lookahead: featurize.label_lookahead(
+        feats, failures, lookahead, periods, partition_attr=attr,
+        models=model_of)
 
 
 def _examples_for(run: _Run, lookahead: int,
@@ -231,7 +233,7 @@ def _examples_for(run: _Run, lookahead: int,
             raise _fail("io", f"examples file not found: {path}", EXIT_IO)
         with path.open() as handle:
             return featurize.read_examples_csv(handle, lookahead)
-    return _build_examples(run, _load_dataset(run), lookahead, partition_attr)
+    return _example_builder(_load_dataset(run), partition_attr)(lookahead)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -431,10 +433,10 @@ def _cmd_characterize(run: _Run) -> None:
 
 def _cmd_featurize(run: _Run) -> None:
     ds = _load_dataset(run)
-    attr = run.opt("partition-attr")
+    build = _example_builder(ds, run.opt("partition-attr"))
     index = {}
     for n in _lookahead_list(run):
-        examples = _build_examples(run, ds, n, attr)
+        examples = build(n)
         name = f"examples_{ds.family}_N{n}.csv"
         run._atomic(name, lambda h, e=examples: featurize.write_examples_csv(
             e, h, header_comment=run.comment()))
@@ -485,9 +487,8 @@ def _cmd_sweep(run: _Run) -> None:
     spec = _model_spec(run)
     k = int(run.opt("folds", 5))
     lookaheads = sorted(_lookahead_list(run))
-    reports = evaluation.lookahead_sweep(
-        lambda n: _build_examples(run, ds, n), lookaheads, spec, k, run.seed,
-        jobs=run.jobs)
+    reports = evaluation.lookahead_sweep(_example_builder(ds), lookaheads, spec,
+                                         k, run.seed, jobs=run.jobs)
     rows = []
     for n, report in reports.items():
         run._atomic(f"eval_report_N{n}.json", lambda h, r=report: h.write(
@@ -501,7 +502,7 @@ def _cmd_sweep(run: _Run) -> None:
 def _cmd_matrix(run: _Run) -> None:
     ds = _load_dataset(run)
     spec = _model_spec(run)
-    examples = _build_examples(run, ds, _lookahead_list(run)[0])
+    examples = _example_builder(ds)(_lookahead_list(run)[0])
     result = evaluation.cross_model_matrix(examples, spec,
                                            int(run.opt("folds", 5)), run.seed,
                                            jobs=run.jobs)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -238,16 +238,9 @@ class ModelSpec:
 
     def config(self) -> dict:
         if self.kind == "rf":
-            p = self.forest
-            params = {"n_trees": p.n_trees, "max_depth": p.max_depth,
-                      "min_samples_leaf": p.min_samples_leaf,
-                      "features_per_split": p.features_per_split,
-                      "bootstrap": p.bootstrap}
+            params = asdict(self.forest)
         elif self.kind == "tree":
-            p = self.tree
-            params = {"max_depth": p.max_depth,
-                      "min_samples_leaf": p.min_samples_leaf,
-                      "features_per_split": p.features_per_split}
+            params = asdict(self.tree)
         else:
             params = {"l2": self.l2, "max_iter": self.max_iter, "tol": self.tol}
         return {"kind": self.kind, "params": params}
@@ -270,7 +263,6 @@ class EvalReport:
     pooled_auroc: float | None
     roc: RocCurve | None
     warnings: list = field(default_factory=list)
-    fold_curves: list = field(default_factory=list)  # RocCurve or None per fold
 
     def to_json(self) -> str:
         doc = {
@@ -301,40 +293,45 @@ def _mean_std(values: list) -> tuple[float | None, float | None]:
     return mean, math.sqrt(var)
 
 
-def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
-            seed: int, config: dict, ratio: float = 1.0, jobs: int = 1,
-            extra_masks: dict | None = None,
-            train_mask_base: np.ndarray | None = None
-            ) -> tuple[EvalReport, dict, np.ndarray, np.ndarray]:
-    """Shared CV engine.
+def _masked_auroc(scores: np.ndarray, y: np.ndarray,
+                  mask: np.ndarray) -> float | None:
+    """AUROC of the masked rows; None when they lack a class."""
+    ys = y[mask]
+    if 0 < ys.sum() < ys.size:
+        return auroc(scores[mask], ys)
+    return None
 
-    ``train_mask_base`` restricts which examples may ever be trained on
-    (cross-model cells train on one drive model while testing another).
-    Returns (report, pooled-AUROC per extra mask, OOF scores, OOF validity
-    mask over example rows).
+
+def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
+            seed: int, ratio: float = 1.0, jobs: int = 1,
+            train_mask: np.ndarray | None = None
+            ) -> tuple[list, list, np.ndarray, np.ndarray]:
+    """The one fold loop: fit once per fold, score that fold's held-out rows.
+
+    Fold f trains on the undersampled rows outside fold f (restricted to
+    ``train_mask`` when given, e.g. one drive model's rows) and scores
+    every row inside it. A fold whose test or training side lacks a class
+    is skipped with a warning. Returns (per-fold AUROC or None, warnings,
+    out-of-fold scores, mask of the rows that were scored).
     """
     fold_of = folds.fold_of(examples.drives)
     oof_scores = np.full(examples.n, np.nan)
     scored = np.zeros(examples.n, dtype=bool)
     fold_auroc: list = []
-    fold_curves: list = []
     warnings: list = []
-    if train_mask_base is None:
-        train_mask_base = np.ones(examples.n, dtype=bool)
+    if train_mask is None:
+        train_mask = np.ones(examples.n, dtype=bool)
 
     for f in range(folds.k):
         test_mask = fold_of == f
-        train_mask = ~test_mask & train_mask_base
         test = examples.subset(test_mask)
-        train = examples.subset(train_mask)
-        if test.n == 0 or test.n_positive == 0 or test.n_positive == test.n:
+        train = examples.subset(~test_mask & train_mask)
+        if test.n_positive in (0, test.n):
             fold_auroc.append(None)
-            fold_curves.append(None)
             warnings.append(f"fold {f}: test side lacks a class; skipped")
             continue
-        if train.n == 0 or train.n_positive == 0 or train.n_positive == train.n:
+        if train.n_positive in (0, train.n):
             fold_auroc.append(None)
-            fold_curves.append(None)
             warnings.append(f"fold {f}: training complement lacks a class; skipped")
             continue
         balanced = undersample(train, ratio, _derived_seed(seed, f, 0))
@@ -342,29 +339,24 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
                            feature_names=examples.names, jobs=jobs)
         scores = learners.predict_proba(model, test.X)
         fold_auroc.append(auroc(scores, test.y))
-        fold_curves.append(roc_curve(scores, test.y))
         oof_scores[test_mask] = scores
         scored[test_mask] = True
+    return fold_auroc, warnings, oof_scores, scored
 
+
+def _eval_report(examples: LabeledExamples, spec: ModelSpec,
+                 folds: FoldAssignment, seed: int, config: dict,
+                 ratio: float = 1.0, jobs: int = 1
+                 ) -> tuple[EvalReport, np.ndarray, np.ndarray]:
+    """Run the CV engine and pool its out-of-fold scores into an EvalReport."""
+    fold_auroc, warnings, oof_scores, scored = _run_cv(
+        examples, spec, folds, seed, ratio, jobs)
     mean, std = _mean_std(fold_auroc)
-    pooled = None
-    curve = None
-    if scored.any():
-        ys = examples.y[scored]
-        if 0 < ys.sum() < ys.size:
-            pooled = auroc(oof_scores[scored], ys)
-            curve = roc_curve(oof_scores[scored], ys)
-    extra = {}
-    for name, mask in (extra_masks or {}).items():
-        m = mask & scored
-        ys = examples.y[m]
-        if m.any() and 0 < ys.sum() < ys.size:
-            extra[name] = auroc(oof_scores[m], ys)
-        else:
-            extra[name] = None
-    report = EvalReport(config, fold_auroc, mean, std, pooled, curve, warnings,
-                        fold_curves)
-    return report, extra, oof_scores, scored
+    pooled = _masked_auroc(oof_scores, examples.y, scored)
+    curve = (roc_curve(oof_scores[scored], examples.y[scored])
+             if pooled is not None else None)
+    report = EvalReport(config, fold_auroc, mean, std, pooled, curve, warnings)
+    return report, oof_scores, scored
 
 
 def cross_validated_eval(examples: LabeledExamples, spec: ModelSpec,
@@ -377,8 +369,7 @@ def cross_validated_eval(examples: LabeledExamples, spec: ModelSpec,
     config = {"model": spec.config(), "k": folds.k, "seed": seed,
               "lookahead": examples.lookahead, "undersample_ratio": ratio,
               "n_examples": examples.n, "n_positive": examples.n_positive}
-    report, _, _, _ = _run_cv(examples, spec, folds, seed, config, ratio, jobs)
-    return report
+    return _eval_report(examples, spec, folds, seed, config, ratio, jobs)[0]
 
 
 def lookahead_sweep(builder: Callable[[int], LabeledExamples],
@@ -405,7 +396,9 @@ def cross_model_matrix(examples: LabeledExamples, spec: ModelSpec,
     One global drive-grouped fold assignment serves every cell: cell
     (i, j) averages, over folds, the AUROC of a model trained on model-i
     examples outside the fold and tested on model-j examples inside it.
-    Cells whose training or testing side lacks a class are None.
+    Each training row runs the CV engine once, so one fit per (training
+    model, fold) scores every column. Cells whose training or testing
+    side lacks a class in every fold are None.
     """
     if examples.models is None:
         raise ValueError("examples lack per-row drive models")
@@ -416,25 +409,14 @@ def cross_model_matrix(examples: LabeledExamples, spec: ModelSpec,
     fold_of = folds.fold_of(examples.drives)
     cells: dict[tuple[str, str], float | None] = {}
     for i in model_names + ["All"]:
-        train_base = (np.ones(examples.n, dtype=bool) if i == "All"
-                      else examples.models == i)
+        train_mask = None if i == "All" else examples.models == i
+        _, _, oof_scores, scored = _run_cv(examples, spec, folds, seed,
+                                           jobs=jobs, train_mask=train_mask)
         for j in model_names:
-            test_base = examples.models == j
-            fold_values = []
-            for f in range(folds.k):
-                train = examples.subset(train_base & (fold_of != f))
-                test = examples.subset(test_base & (fold_of == f))
-                if (train.n == 0 or train.n_positive in (0, train.n)
-                        or test.n == 0 or test.n_positive in (0, test.n)):
-                    continue
-                balanced = undersample(train, 1.0, _derived_seed(seed, f, 0))
-                model = spec.train(balanced.X, balanced.y,
-                                   _derived_seed(seed, f, 1),
-                                   feature_names=examples.names, jobs=jobs)
-                fold_values.append(auroc(learners.predict_proba(model, test.X),
-                                         test.y))
-            cells[(i, j)] = (sum(fold_values) / len(fold_values)
-                             if fold_values else None)
+            test_base = scored & (examples.models == j)
+            cells[(i, j)] = _mean_std(
+                [_masked_auroc(oof_scores, examples.y, test_base & (fold_of == f))
+                 for f in range(folds.k)])[0]
     return {"train_labels": model_names + ["All"], "test_labels": model_names,
             "auroc": cells}
 
@@ -471,8 +453,7 @@ def partitioned_eval(examples: LabeledExamples, rule: PartitionRule,
                   "lookahead": side.lookahead, "partition": tag,
                   "rule": {"attribute": rule.attribute, "threshold": rule.threshold},
                   "n_examples": side.n, "n_positive": side.n_positive}
-        report, _, _, _ = _run_cv(side, spec, folds, seed, config, jobs=jobs)
-        return report
+        return _eval_report(side, spec, folds, seed, config, jobs=jobs)[0]
 
     below_report = side_report(below, "below")
     above_report = side_report(above, "above")
@@ -480,11 +461,12 @@ def partitioned_eval(examples: LabeledExamples, rule: PartitionRule,
               "lookahead": examples.lookahead, "partition": "none",
               "rule": {"attribute": rule.attribute, "threshold": rule.threshold},
               "n_examples": examples.n, "n_positive": examples.n_positive}
-    unsplit, extra, _, _ = _run_cv(
-        examples, spec, folds, seed, config,
-        extra_masks={"below": below_mask, "above": ~below_mask})
-    return PartitionedReport(rule, below_report, above_report, unsplit,
-                             extra["below"], extra["above"])
+    unsplit, oof_scores, scored = _eval_report(examples, spec, folds, seed,
+                                               config, jobs=jobs)
+    return PartitionedReport(
+        rule, below_report, above_report, unsplit,
+        _masked_auroc(oof_scores, examples.y, scored & below_mask),
+        _masked_auroc(oof_scores, examples.y, scored & ~below_mask))
 
 
 def tpr_vs_attribute(examples: LabeledExamples, spec: ModelSpec,
@@ -500,10 +482,7 @@ def tpr_vs_attribute(examples: LabeledExamples, spec: ModelSpec,
     if list(bin_edges) != sorted(bin_edges) or len(bin_edges) < 2:
         raise ValueError("bin_edges must be sorted with at least two edges")
     folds = kfold_by_drive(examples.drives, k, seed)
-    config = {"model": spec.config(), "k": folds.k, "seed": seed,
-              "lookahead": examples.lookahead}
-    _, _, oof_scores, scored = _run_cv(examples, spec, folds, seed, config,
-                                       jobs=jobs)
+    _, _, oof_scores, scored = _run_cv(examples, spec, folds, seed, jobs=jobs)
     result: dict[float, list] = {}
     key = examples.partition_key
     positives = examples.y & scored

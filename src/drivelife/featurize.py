@@ -12,8 +12,7 @@ clamped to a 0 diff and raises the reset flag instead of producing a
 negative spike.
 
 Matrices are columnar (one float64 array per dataset) because fleets run
-to millions of drive-days; `LabeledExamples.row(i)` gives a per-example
-view where object-level access reads better.
+to millions of drive-days.
 """
 
 from __future__ import annotations
@@ -23,17 +22,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import FleetDataset, SSD_ERROR_KINDS
+from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS
 from .lifecycle import FailureEvent, OperationalPeriod, hdd_record_ages
 
 __all__ = [
-    "FeatureSpec",
     "FeatureMatrix",
-    "LabeledExample",
     "LabeledExamples",
     "PartitionRule",
     "HDD_DIFF_IDS",
-    "default_feature_spec",
     "make_features_ssd",
     "make_features_hdd",
     "make_features",
@@ -46,42 +42,21 @@ __all__ = [
 #: SMART ids whose raw counters are cumulative and receive a diff variant.
 HDD_DIFF_IDS = (4, 5, 7, 9, 10, 12, 192, 193, 197, 198, 199, 240, 241, 242)
 
-_HDD_RAW_IDS = (1, 3, 4, 5, 7, 9, 10, 12, 187, 188, 190, 192, 193, 194,
-                197, 198, 199, 240, 241, 242)
-
 _SSD_DAILY = ("read_ops", "write_ops", "erase_ops",
               *(f"err_{kind}" for kind in SSD_ERROR_KINDS))
 
+_SSD_NAMES = (*_SSD_DAILY, *(f"{n}_cum" for n in _SSD_DAILY),
+              "pe_cycles_cum", "bad_blocks_factory_cum", "bad_blocks_new_cum",
+              "age_days")
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Feature vocabulary for one device family."""
+_HDD_NAMES = (*(f"smart_{sid}" for sid in HDD_SMART_IDS),
+              *(f"smart_{sid}_diff" for sid in HDD_DIFF_IDS),
+              "smart_187_cum", "counter_reset")
 
-    family: str
-    names: tuple[str, ...]
-    diff_ids: tuple[int, ...] = ()
-    cumulative_ids: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("feature names must be unique")
-        if not set(self.diff_ids) <= set(HDD_DIFF_IDS):
-            raise ValueError("diff_ids outside the cumulative SMART id set")
-        if self.family == "hdd" and 187 not in self.cumulative_ids:
-            raise ValueError("HDD cumulative_ids must include SMART 187")
-
-
-def default_feature_spec(family: str) -> FeatureSpec:
-    if family == "ssd":
-        names = (*_SSD_DAILY, *(f"{n}_cum" for n in _SSD_DAILY),
-                 "pe_cycles_cum", "bad_blocks_factory_cum", "bad_blocks_new_cum",
-                 "age_days")
-        return FeatureSpec("ssd", names)
-    names = [f"smart_{sid}" for sid in _HDD_RAW_IDS]
-    names += [f"smart_{sid}_diff" for sid in HDD_DIFF_IDS]
-    names += ["smart_187_cum", "counter_reset"]
-    return FeatureSpec("hdd", tuple(names), diff_ids=HDD_DIFF_IDS,
-                       cumulative_ids=(187,))
+#: (SMART id, raw column, diff column or None) for every HDD raw id.
+_HDD_COLUMNS = tuple(
+    (sid, j, _HDD_NAMES.index(f"smart_{sid}_diff") if sid in HDD_DIFF_IDS else None)
+    for j, sid in enumerate(HDD_SMART_IDS))
 
 
 @dataclass
@@ -123,7 +98,6 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     """
     if ds.family != "ssd":
         raise ValueError("make_features_ssd needs an SSD dataset")
-    spec = default_feature_spec("ssd")
     blocks, drive_ids, day_blocks = [], [], []
     for drive in ds.drives:
         seq = ds.records[drive]
@@ -149,9 +123,9 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
         blocks.append(block)
         drive_ids.extend([drive] * n)
         day_blocks.append(days)
-    X = np.vstack(blocks) if blocks else np.empty((0, len(spec.names)))
+    X = np.vstack(blocks) if blocks else np.empty((0, len(_SSD_NAMES)))
     days = np.concatenate(day_blocks) if day_blocks else np.empty(0, dtype=np.int64)
-    return FeatureMatrix("ssd", spec.names, X, np.array(drive_ids, dtype=object), days)
+    return FeatureMatrix("ssd", _SSD_NAMES, X, np.array(drive_ids, dtype=object), days)
 
 
 def _carry_forward(a: np.ndarray) -> None:
@@ -166,8 +140,7 @@ def _carry_forward(a: np.ndarray) -> None:
                 last = col[i]
 
 
-def make_features_hdd(ds: FleetDataset,
-                      spec: FeatureSpec | None = None) -> FeatureMatrix:
+def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
     """Raw SMART values, diffs of the cumulative ids, and the SMART-187 cumulative.
 
     Diffs are computed against the last *present* value (carry-forward
@@ -176,13 +149,8 @@ def make_features_hdd(ds: FleetDataset,
     """
     if ds.family != "hdd":
         raise ValueError("make_features_hdd needs an HDD dataset")
-    spec = spec or default_feature_spec("hdd")
-    raw_names = [n for n in spec.names
-                 if n.startswith("smart_") and not n.endswith(("_diff", "_cum"))]
-    raw_ids = [int(n.split("_")[1]) for n in raw_names]
-    p = len(spec.names)
-    col = {name: j for j, name in enumerate(spec.names)}
-    hfh_col = 240 in raw_ids
+    p = len(_HDD_NAMES)
+    cum_col, reset_col = p - 2, p - 1
 
     blocks, drive_ids, day_blocks, hfh_blocks = [], [], [], []
     for serial in ds.drives:
@@ -194,25 +162,22 @@ def make_features_hdd(ds: FleetDataset,
         hfh = np.zeros(n)
         for i, rec in enumerate(seq):
             reset = False
-            for sid, name in zip(raw_ids, raw_names):
+            for sid, j, diff_col in _HDD_COLUMNS:
                 value = rec.smart_raw.get(sid)
                 prev = last_raw.get(sid)
                 if value is None:
                     value = prev if prev is not None else 0.0
-                block[i, col[name]] = value
-                if sid in spec.diff_ids:
+                block[i, j] = value
+                if diff_col is not None:
                     diff = 0.0 if prev is None else value - prev
                     if diff < 0:
                         diff = 0.0
                         reset = True
-                    block[i, col[f"smart_{sid}_diff"]] = diff
+                    block[i, diff_col] = diff
                 last_raw[sid] = value
-            if 187 in spec.cumulative_ids:
-                block[i, col["smart_187_cum"]] = last_raw.get(187, 0.0)
-            if "counter_reset" in col:
-                block[i, col["counter_reset"]] = float(reset)
-            if hfh_col:
-                hfh_running = max(hfh_running, last_raw.get(240, 0.0))
+            block[i, cum_col] = last_raw[187]
+            block[i, reset_col] = float(reset)
+            hfh_running = max(hfh_running, last_raw[240])
             hfh[i] = hfh_running
         blocks.append(block)
         drive_ids.extend([serial] * n)
@@ -221,23 +186,12 @@ def make_features_hdd(ds: FleetDataset,
     X = np.vstack(blocks) if blocks else np.empty((0, p))
     days = np.concatenate(day_blocks) if day_blocks else np.empty(0, dtype=np.int64)
     hfh_max = np.concatenate(hfh_blocks) if hfh_blocks else np.empty(0)
-    return FeatureMatrix("hdd", spec.names, X, np.array(drive_ids, dtype=object),
+    return FeatureMatrix("hdd", _HDD_NAMES, X, np.array(drive_ids, dtype=object),
                          days, hfh_max=hfh_max)
 
 
 def make_features(ds: FleetDataset) -> FeatureMatrix:
     return make_features_hdd(ds) if ds.family == "hdd" else make_features_ssd(ds)
-
-
-@dataclass(frozen=True)
-class LabeledExample:
-    """Row view over a LabeledExamples set."""
-
-    drive: str
-    day: int
-    features: np.ndarray
-    label: bool
-    partition_key: float
 
 
 @dataclass
@@ -260,10 +214,6 @@ class LabeledExamples:
     @property
     def n_positive(self) -> int:
         return int(self.y.sum())
-
-    def row(self, i: int) -> LabeledExample:
-        return LabeledExample(self.drives[i], int(self.days[i]), self.X[i],
-                              bool(self.y[i]), float(self.partition_key[i]))
 
     def subset(self, mask: np.ndarray) -> "LabeledExamples":
         return LabeledExamples(

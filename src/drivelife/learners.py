@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -57,6 +57,12 @@ class ForestParams:
     min_samples_leaf: int = 1
     features_per_split: int | str | None = "sqrt"
     bootstrap: bool = True
+
+
+def _tree_params(params: ForestParams) -> TreeParams:
+    """The per-tree parameters of a forest."""
+    return TreeParams(params.max_depth, params.min_samples_leaf,
+                      params.features_per_split)
 
 
 @dataclass(frozen=True)
@@ -257,8 +263,7 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0,
     parallel (``jobs`` > 1 uses a thread pool).
     """
     X, y = _check_training_input(X, y)
-    tree_params = TreeParams(params.max_depth, params.min_samples_leaf,
-                             params.features_per_split)
+    tree_params = _tree_params(params)
     n = X.shape[0]
     seeds = np.random.SeedSequence(seed).spawn(params.n_trees)
     n_subset = _resolve_subset(params.features_per_split, X.shape[1])
@@ -430,18 +435,12 @@ def model_to_json(model) -> str:
     """Serialize any trained model to self-describing JSON."""
     if isinstance(model, TreeModel):
         doc = {"kind": "tree", "n_features": model.n_features,
-               "params": {"max_depth": model.params.max_depth,
-                          "min_samples_leaf": model.params.min_samples_leaf,
-                          "features_per_split": model.params.features_per_split},
+               "params": asdict(model.params),
                "seed": model.seed, "feature_names": model.feature_names,
                "root": _node_to_dict(model.root)}
     elif isinstance(model, ForestModel):
         doc = {"kind": "forest", "n_features": model.n_features,
-               "params": {"n_trees": model.params.n_trees,
-                          "max_depth": model.params.max_depth,
-                          "min_samples_leaf": model.params.min_samples_leaf,
-                          "features_per_split": model.params.features_per_split,
-                          "bootstrap": model.params.bootstrap},
+               "params": asdict(model.params),
                "seed": model.seed, "feature_names": model.feature_names,
                "trees": [_node_to_dict(t.root) for t in model.trees]}
     elif isinstance(model, LogisticModel):
@@ -460,17 +459,11 @@ def model_from_json(text: str):
     names = tuple(doc["feature_names"]) if doc.get("feature_names") else None
     kind = doc["kind"]
     if kind == "tree":
-        p = doc["params"]
-        params = TreeParams(p["max_depth"], p["min_samples_leaf"],
-                            p["features_per_split"])
         return TreeModel(_node_from_dict(doc["root"]), doc["n_features"],
-                         params, doc["seed"], names)
+                         TreeParams(**doc["params"]), doc["seed"], names)
     if kind == "forest":
-        p = doc["params"]
-        params = ForestParams(p["n_trees"], p["max_depth"], p["min_samples_leaf"],
-                              p["features_per_split"], p["bootstrap"])
-        tree_params = TreeParams(p["max_depth"], p["min_samples_leaf"],
-                                 p["features_per_split"])
+        params = ForestParams(**doc["params"])
+        tree_params = _tree_params(params)
         trees = tuple(TreeModel(_node_from_dict(t), doc["n_features"], tree_params)
                       for t in doc["trees"])
         return ForestModel(trees, doc["n_features"], params, doc["seed"], names)

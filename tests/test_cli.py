@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from drivelife import featurize
 from drivelife.cli import run
 
 SYNTH_CONFIG = {
@@ -176,6 +177,24 @@ class TestPipeline:
                     "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "partition_report.json").read_text())
         assert {"below", "above", "unsplit"} <= set(doc)
+
+    @pytest.mark.parametrize("extra", [
+        ["featurize"],
+        ["sweep", "--model", "tree", "--folds", "3", "--seed", "4"]])
+    def test_features_built_once_for_all_lookaheads(self, synth_dir, tmp_path,
+                                                    monkeypatch, extra):
+        builds = []
+        make_features = featurize.make_features
+
+        def counting(ds):
+            builds.append(ds)
+            return make_features(ds)
+
+        monkeypatch.setattr(featurize, "make_features", counting)
+        assert run([*extra, "--family", "ssd",
+                    "--input", str(synth_dir / "ssd_telemetry.csv"),
+                    "--lookahead", "0,1,2,7", "--out", str(tmp_path)]) == 0
+        assert len(builds) == 1
 
 
 class TestErrors:

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivelife.evaluation import (ModelSpec, auroc, confusion_at_threshold,
+from drivelife import learners
+from drivelife.evaluation import (ModelSpec, _derived_seed, auroc,
+                                  confusion_at_threshold,
                                   cross_model_matrix, cross_validated_eval,
                                   kfold_by_drive, lookahead_sweep,
                                   partitioned_eval, roc_curve, tpr_vs_attribute,
@@ -285,6 +287,38 @@ class TestSweepAndMatrix:
         off = (cells[("M1", "M2")] + cells[("M2", "M1")]) / 2
         assert abs(diag - off) < 0.1
 
+    @pytest.mark.parametrize("spec", [
+        ModelSpec("tree", tree=learners.TreeParams(max_depth=3)),
+        ModelSpec("logreg")])
+    def test_cells_equal_per_cell_reference(self, spec):
+        # reference: one fit per (train model, test model, fold), scoring
+        # only the test model's rows; the matrix fits once per (train
+        # model, fold) and must give the same cells bit for bit
+        ex = toy_examples(45, 6, signal=1.0, seed=16,
+                          models=["M1", "M2", "M3"])
+        k, seed = 3, 2
+        result = cross_model_matrix(ex, spec, k=k, seed=seed)
+        fold_of = kfold_by_drive(ex.drives, k, seed).fold_of(ex.drives)
+        for i in ("M1", "M2", "M3", "All"):
+            train_base = (np.ones(ex.n, dtype=bool) if i == "All"
+                          else ex.models == i)
+            for j in ("M1", "M2", "M3"):
+                values = []
+                for f in range(k):
+                    train = ex.subset(train_base & (fold_of != f))
+                    test = ex.subset((ex.models == j) & (fold_of == f))
+                    if (train.n_positive in (0, train.n)
+                            or test.n_positive in (0, test.n)):
+                        continue
+                    balanced = undersample(train, 1.0, _derived_seed(seed, f, 0))
+                    model = spec.train(balanced.X, balanced.y,
+                                       _derived_seed(seed, f, 1),
+                                       feature_names=ex.names)
+                    values.append(auroc(learners.predict_proba(model, test.X),
+                                        test.y))
+                expected = sum(values) / len(values) if values else None
+                assert result["auroc"][(i, j)] == expected
+
 
 class TestPartitionedEval:
     def test_reports_on_both_sides(self):
@@ -294,6 +328,20 @@ class TestPartitionedEval:
         assert report.below is not None and report.above is not None
         assert report.unsplit.pooled_auroc is not None
         assert report.unsplit_on_below is not None
+
+    def test_jobs_reach_every_forest_fit(self, monkeypatch):
+        seen = []
+        train_forest = learners.train_forest
+
+        def recording(*args, jobs=1, **kwargs):
+            seen.append(jobs)
+            return train_forest(*args, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(learners, "train_forest", recording)
+        ex = toy_examples(40, 10, signal=3.0, seed=10, infant_drives=20)
+        partitioned_eval(ex, PartitionRule("age", 90), SMALL_RF, k=4, seed=0,
+                         jobs=2)
+        assert seen and all(j == 2 for j in seen)
 
     def test_degenerate_side_absent(self):
         ex = toy_examples(20, 6, seed=11)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivelife.featurize import (PartitionRule, default_feature_spec,
-                                 label_lookahead, make_features_hdd,
+from drivelife.featurize import (PartitionRule, label_lookahead,
+                                 make_features_hdd,
                                  make_features_ssd, partition_dataset,
                                  read_examples_csv, write_examples_csv)
 from drivelife.lifecycle import (FailureEvent, detect_ssd_failures,
@@ -116,11 +116,6 @@ class TestHddFeatures:
                 hdd_rec("A", 2, smart={240: 30})]
         feats = make_features_hdd(hdd_dataset({"A": recs}))
         assert list(feats.hfh_max) == [10, 10, 30]
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            default_feature_spec("hdd").__class__(
-                "hdd", ("a", "a"), (), (187,))
 
 
 class TestLabeling:
