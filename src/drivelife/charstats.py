@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 
 from . import featurize
 from .ingest import FleetDataset, SSD_ERROR_KINDS
-from .lifecycle import FailureEvent, record_ages
+from .lifecycle import FailureEvent, _DayWindows, drive_days
 
 __all__ = [
     "CorrelationMatrix",
@@ -109,9 +109,7 @@ def _feature_table(ds: FleetDataset, names: Sequence[str]) -> np.ndarray:
     feats = featurize.make_features(ds)
     cols = []
     for name in names:
-        if name == "age_days":
-            cols.append(feats.days.astype(float))
-        elif name == "failed" and ds.family == "hdd":
+        if name == "failed" and ds.family == "hdd":
             flag = np.fromiter(
                 (1.0 if r.failed_today else 0.0 for d in ds.drives
                  for r in ds.records[d]), dtype=float, count=feats.n_rows)
@@ -157,11 +155,6 @@ def spearman_matrix(ds: FleetDataset, features: Sequence[str]) -> CorrelationMat
     return CorrelationMatrix(tuple(features), rho, defined)
 
 
-def _ages_by_drive(ds: FleetDataset) -> dict[str, np.ndarray]:
-    return {d: np.asarray(record_ages(ds.family, ds.records[d]), dtype=np.int64)
-            for d in ds.drives}
-
-
 def monthly_failure_rate(failures: Iterable[FailureEvent],
                          ds: FleetDataset) -> RateCurve:
     """Failures per exposed drive per month of drive age.
@@ -169,26 +162,18 @@ def monthly_failure_rate(failures: Iterable[FailureEvent],
     Exposure for month m is the number of drives with at least one record
     in that age month; months with zero exposure get a None rate.
     """
-    ages = _ages_by_drive(ds)
-    fail_months = [ev.age_days // DAYS_PER_MONTH for ev in failures]
-    max_month = -1
-    for a in ages.values():
-        if a.size:
-            max_month = max(max_month, int(a.max()) // DAYS_PER_MONTH)
-    if fail_months:
-        max_month = max(max_month, max(fail_months))
-    n_bins = max_month + 1
+    fail_months = np.array([ev.age_days // DAYS_PER_MONTH for ev in failures],
+                           dtype=np.int64)
+    # One entry per (drive, age month) that has a record.
+    exposed = np.concatenate([np.empty(0, dtype=np.int64),
+                              *(np.unique(a // DAYS_PER_MONTH)
+                                for a in drive_days(ds).values())])
+    n_bins = int(max(exposed.max(initial=-1), fail_months.max(initial=-1))) + 1
     if n_bins <= 0:
         return RateCurve.from_counts(np.array([0.0]), [], [])
-    fail_counts = np.zeros(n_bins, dtype=np.int64)
-    for m in fail_months:
-        fail_counts[m] += 1
-    exposure = np.zeros(n_bins, dtype=np.int64)
-    for a in ages.values():
-        for m in np.unique(a // DAYS_PER_MONTH):
-            exposure[m] += 1
     edges = np.arange(n_bins + 1) * DAYS_PER_MONTH
-    return RateCurve.from_counts(edges, fail_counts, exposure)
+    return RateCurve.from_counts(edges, np.bincount(fail_months, minlength=n_bins),
+                                 np.bincount(exposed, minlength=n_bins))
 
 
 def _pe_at_day(ds: FleetDataset, drive: str, day: int) -> float | None:
@@ -281,39 +266,39 @@ def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
     return {"excluded": excluded, "per_threshold": per_threshold}
 
 
-def _daily_error_series(ds: FleetDataset, kind: str) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per drive: (record days, that-day error counts) for one error kind.
+def _daily_error_series(ds: FleetDataset, kind: str):
+    """Every record's drive, drive-age day and that-day count of one error kind.
 
+    Returns the records with a nonzero count as a window lookup with their
+    counts, then the drive and day arrays of all records in dataset order.
     SSD kinds are the ten canonical counter names. HDD kinds are
     ``smart_<id>`` names, read as the day's increment of that cumulative
     counter (clamped at 0 across resets; the first observation counts 0).
     """
-    out = {}
     if ds.family == "ssd":
         if kind not in SSD_ERROR_KINDS:
             raise ValueError(f"unknown SSD error kind {kind!r}")
+        counts = [r.error_count(kind) for r in ds.iter_records()]
+    else:
+        if not kind.startswith("smart_"):
+            raise ValueError(f"unknown HDD error kind {kind!r} (expected smart_<id>)")
+        sid = int(kind.split("_")[1])
+        counts = []
         for drive in ds.drives:
-            seq = ds.records[drive]
-            days = np.array([r.day for r in seq], dtype=np.int64)
-            counts = np.array([r.error_count(kind) for r in seq], dtype=np.int64)
-            out[drive] = (days, counts)
-        return out
-    if not kind.startswith("smart_"):
-        raise ValueError(f"unknown HDD error kind {kind!r} (expected smart_<id>)")
-    sid = int(kind.split("_")[1])
-    for drive in ds.drives:
-        seq = ds.records[drive]
-        days = np.asarray(record_ages("hdd", seq), dtype=np.int64)
-        counts = np.zeros(len(seq), dtype=np.int64)
-        prev = None
-        for i, rec in enumerate(seq):
-            value = rec.smart_raw.get(sid)
-            if value is not None:
-                if prev is not None and value > prev:
-                    counts[i] = value - prev
-                prev = value
-        out[drive] = (days, counts)
-    return out
+            prev = None
+            for rec in ds.records[drive]:
+                value = rec.smart_raw.get(sid)
+                counts.append(value - prev if value is not None and prev is not None
+                              and value > prev else 0)
+                if value is not None:
+                    prev = value
+    ages = drive_days(ds)
+    drives = np.repeat(np.array(ds.drives, dtype=object),
+                       [ages[d].size for d in ds.drives])
+    days = np.concatenate([np.empty(0, dtype=np.int64), *ages.values()])
+    counts = np.array(counts, dtype=np.int64)
+    hit = counts > 0
+    return _DayWindows(drives[hit], days[hit]), counts[hit], drives, days
 
 
 def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetDataset,
@@ -328,38 +313,25 @@ def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetData
     """
     if any(n < 1 for n in windows):
         raise ValueError("window sizes must be >= 1")
-    series = _daily_error_series(ds, kind)
+    errors, _, drives, days = _daily_error_series(ds, kind)
 
+    fail_drives = [ev.drive for ev in failures]
+    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
     prob: dict[int, float | None] = {}
-    if not failures:
-        prob = {n: None for n in windows}
-    else:
-        for n in windows:
-            hits = 0
-            for ev in failures:
-                days, counts = series[ev.drive]
-                lo = ev.age_days - n + 1
-                mask = (days >= lo) & (days <= ev.age_days)
-                if np.any(counts[mask] > 0):
-                    hits += 1
-            prob[n] = hits / len(failures)
+    for n in windows:
+        start, stop = errors.find(fail_drives, fail_days - n + 1, fail_days)
+        hits = int(np.count_nonzero(stop > start))
+        prob[n] = hits / len(failures) if failures else None
 
     rng = np.random.default_rng(seed)
-    flat = [(drive, int(day)) for drive, (days, _) in series.items() for day in days]
-    baseline: dict[int, float] = {}
-    if flat:
-        picks = rng.integers(0, len(flat), size=BASELINE_WINDOW_DRAWS)
+    baseline = {n: 0.0 for n in windows}
+    if days.size:
+        picks = rng.integers(0, days.size, size=BASELINE_WINDOW_DRAWS)
+        ends = days[picks]
         for n in windows:
-            hits = 0
-            for k in picks:
-                drive, end = flat[k]
-                days, counts = series[drive]
-                mask = (days >= end - n + 1) & (days <= end)
-                if np.any(counts[mask] > 0):
-                    hits += 1
+            start, stop = errors.find(drives[picks], ends - n + 1, ends)
+            hits = int(np.count_nonzero(stop > start))
             baseline[n] = hits / BASELINE_WINDOW_DRAWS
-    else:
-        baseline = {n: 0.0 for n in windows}
     return {"probability": prob, "baseline": baseline}
 
 
@@ -382,16 +354,14 @@ def prefailure_error_percentiles(failures: Sequence[FailureEvent], ds: FleetData
     Offset d looks at the day ``failure_day - d`` of each failed drive;
     zero counts are excluded. Offsets with no nonzero counts map to None.
     """
-    series = _daily_error_series(ds, kind)
+    errors, nonzero, _, _ = _daily_error_series(ds, kind)
+    fail_drives = [ev.drive for ev in failures]
+    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
     out: dict[int, dict[float, float] | None] = {}
     for d in offsets:
-        pool = []
-        for ev in failures:
-            days, counts = series[ev.drive]
-            at = np.flatnonzero(days == ev.age_days - d)
-            for i in at:
-                if counts[i] > 0:
-                    pool.append(int(counts[i]))
+        start, stop = errors.find(fail_drives, fail_days - d, fail_days - d)
+        pool = [int(c) for a, b in zip(start, stop)
+                for c in nonzero[errors.order[a:b]]]
         out[d] = ({p: nearest_rank(pool, p) for p in percentiles} if pool else None)
     return out
 

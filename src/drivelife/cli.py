@@ -5,8 +5,8 @@ overrides (flags win); the seed falls back to the ``DRIVELIFE_SEED``
 environment variable and is mandatory for stochastic subcommands. Every
 artifact embeds {tool version, config hash, seed} (a ``_meta`` object in
 JSON files, a leading ``#`` comment in CSVs) and is written atomically
-(temp file + rename). Two runs with the same config and seed produce
-byte-identical artifacts.
+(temp file + rename). Two runs with the same config, seed and input path
+strings produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 schema error.
 """
@@ -461,6 +461,8 @@ def _cmd_train(run: _Run) -> None:
     doc = {"model": spec.config(), "lookahead": lookaheads[0],
            "n_train": balanced.n, "n_positive": balanced.n_positive,
            "artifact": "model.json"}
+    if spec.kind == "logreg":
+        doc.update(converged=model.converged, n_iter=model.n_iter)
     if spec.kind == "rf":
         ranking = learners.feature_importance(model)
         doc["feature_importance"] = [[n, s] for n, s in ranking.entries]

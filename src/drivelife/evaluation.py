@@ -134,8 +134,8 @@ class ConfusionMatrix:
     fn: int
 
 
-def _score_groups(scores, labels) -> tuple[list[tuple[int, int]], int, int]:
-    """Descending-score tie groups as (tp, fp) counts, plus class totals."""
+def _score_groups(scores, labels) -> tuple:
+    """Descending-score tie groups (tp counts, fp counts, scores), plus class totals."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1:
@@ -146,15 +146,10 @@ def _score_groups(scores, labels) -> tuple[list[tuple[int, int]], int, int]:
         raise ValueError("need at least one positive and one negative label")
     order = np.argsort(-scores, kind="stable")
     s = scores[order]
-    y = labels[order]
-    boundaries = np.flatnonzero(np.diff(s)) + 1
-    groups = []
-    start = 0
-    for end in list(boundaries) + [s.size]:
-        tp = int(y[start:end].sum())
-        groups.append((tp, (end - start) - tp))
-        start = end
-    return groups, pos_total, neg_total
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1))
+    tp = np.add.reduceat(labels[order].astype(np.int64), starts)
+    fp = np.diff(np.append(starts, s.size)) - tp
+    return tp, fp, s[starts], pos_total, neg_total
 
 
 def roc_curve(scores, labels) -> RocCurve:
@@ -164,16 +159,12 @@ def roc_curve(scores, labels) -> RocCurve:
     rates when every example scoring at least that point's threshold is
     predicted positive.
     """
-    groups, pos_total, neg_total = _score_groups(scores, labels)
-    scores = np.asarray(scores, dtype=float)
-    distinct = np.unique(scores)[::-1]
-    points = [RocPoint(1.0, 0.0, 0.0)]
-    tp = fp = 0
-    for (gtp, gfp), thr in zip(groups, distinct):
-        tp += gtp
-        fp += gfp
-        points.append(RocPoint(float(thr), fp / neg_total, tp / pos_total))
-    return RocCurve(tuple(points))
+    tp, fp, thresholds, pos_total, neg_total = _score_groups(scores, labels)
+    fpr = np.cumsum(fp) / neg_total
+    tpr = np.cumsum(tp) / pos_total
+    return RocCurve((RocPoint(1.0, 0.0, 0.0),
+                     *(RocPoint(float(t), float(f), float(p))
+                       for t, f, p in zip(thresholds, fpr, tpr))))
 
 
 def auroc(scores, labels) -> float:
@@ -182,12 +173,9 @@ def auroc(scores, labels) -> float:
     Equals P(random positive outscores random negative) with ties counted
     half; computed as (2*wins + ties) / (2*P*N) in integer arithmetic.
     """
-    groups, pos_total, neg_total = _score_groups(scores, labels)
-    total = 0
-    tp_above = 0
-    for gtp, gfp in groups:
-        total += gfp * (2 * tp_above + gtp)
-        tp_above += gtp
+    tp, fp, _, pos_total, neg_total = _score_groups(scores, labels)
+    tp_above = np.cumsum(tp) - tp
+    total = int(np.sum(fp * (2 * tp_above + tp)))
     return total / (2.0 * pos_total * neg_total)
 
 
@@ -311,8 +299,10 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
     Fold f trains on the undersampled rows outside fold f (restricted to
     ``train_mask`` when given, e.g. one drive model's rows) and scores
     every row inside it. A fold whose test or training side lacks a class
-    is skipped with a warning. Returns (per-fold AUROC or None, warnings,
-    out-of-fold scores, mask of the rows that were scored).
+    is skipped with a warning; a logistic fit that stops at ``max_iter``
+    adds a warning but its fold is still scored. Returns (per-fold AUROC
+    or None, warnings, out-of-fold scores, mask of the rows that were
+    scored).
     """
     fold_of = folds.fold_of(examples.drives)
     oof_scores = np.full(examples.n, np.nan)
@@ -337,6 +327,9 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
         balanced = undersample(train, ratio, _derived_seed(seed, f, 0))
         model = spec.train(balanced.X, balanced.y, _derived_seed(seed, f, 1),
                            feature_names=examples.names, jobs=jobs)
+        if isinstance(model, learners.LogisticModel) and not model.converged:
+            warnings.append(f"fold {f}: logistic fit did not converge in "
+                            f"{model.n_iter} iterations")
         scores = learners.predict_proba(model, test.X)
         fold_auroc.append(auroc(scores, test.y))
         oof_scores[test_mask] = scores

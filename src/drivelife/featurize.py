@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS
-from .lifecycle import FailureEvent, OperationalPeriod, hdd_record_ages
+from .lifecycle import FailureEvent, OperationalPeriod, _DayWindows, drive_days
 
 __all__ = [
     "FeatureMatrix",
@@ -98,7 +98,8 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     """
     if ds.family != "ssd":
         raise ValueError("make_features_ssd needs an SSD dataset")
-    blocks, drive_ids, day_blocks = [], [], []
+    ages = drive_days(ds)
+    blocks, drive_ids = [], []
     for drive in ds.drives:
         seq = ds.records[drive]
         n = len(seq)
@@ -117,14 +118,12 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
             carried[i, 2] = (rec.bad_blocks_new_cum
                              if rec.bad_blocks_new_cum is not None else np.nan)
         _carry_forward(carried)
-        days = np.array([rec.day for rec in seq], dtype=np.int64)
         block = np.hstack([daily, np.cumsum(daily, axis=0), carried,
-                           days[:, None].astype(float)])
+                           ages[drive][:, None].astype(float)])
         blocks.append(block)
         drive_ids.extend([drive] * n)
-        day_blocks.append(days)
     X = np.vstack(blocks) if blocks else np.empty((0, len(_SSD_NAMES)))
-    days = np.concatenate(day_blocks) if day_blocks else np.empty(0, dtype=np.int64)
+    days = np.concatenate([np.empty(0, dtype=np.int64), *ages.values()])
     return FeatureMatrix("ssd", _SSD_NAMES, X, np.array(drive_ids, dtype=object), days)
 
 
@@ -152,7 +151,8 @@ def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
     p = len(_HDD_NAMES)
     cum_col, reset_col = p - 2, p - 1
 
-    blocks, drive_ids, day_blocks, hfh_blocks = [], [], [], []
+    ages = drive_days(ds)
+    blocks, drive_ids, hfh_blocks = [], [], []
     for serial in ds.drives:
         seq = ds.records[serial]
         n = len(seq)
@@ -181,10 +181,9 @@ def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
             hfh[i] = hfh_running
         blocks.append(block)
         drive_ids.extend([serial] * n)
-        day_blocks.append(np.array(hdd_record_ages(seq), dtype=np.int64))
         hfh_blocks.append(hfh)
     X = np.vstack(blocks) if blocks else np.empty((0, p))
-    days = np.concatenate(day_blocks) if day_blocks else np.empty(0, dtype=np.int64)
+    days = np.concatenate([np.empty(0, dtype=np.int64), *ages.values()])
     hfh_max = np.concatenate(hfh_blocks) if hfh_blocks else np.empty(0)
     return FeatureMatrix("hdd", _HDD_NAMES, X, np.array(drive_ids, dtype=object),
                          days, hfh_max=hfh_max)
@@ -237,42 +236,16 @@ def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
     """
     if lookahead < 0:
         raise ValueError("lookahead must be >= 0")
-    fail_days: dict[str, list[int]] = {}
-    for ev in failures:
-        fail_days.setdefault(ev.drive, []).append(ev.age_days)
-
-    row_index: dict[str, list[int]] = {}
-    for i, drive in enumerate(feats.drives):
-        row_index.setdefault(drive, []).append(i)
-
+    rows = _DayWindows(feats.drives, feats.days)
     keep = np.ones(feats.n_rows, dtype=bool)
     if periods is not None:
-        spans: dict[str, list[tuple[int, int]]] = {}
-        for p in periods:
-            spans.setdefault(p.drive, []).append((p.start_day, p.end_day))
-        keep[:] = False
-        for drive, drive_spans in spans.items():
-            rows = row_index.get(drive)
-            if not rows:
-                continue
-            rows = np.asarray(rows)
-            days = feats.days[rows]
-            ok = np.zeros(rows.size, dtype=bool)
-            for lo, hi in drive_spans:
-                ok |= (days >= lo) & (days <= hi)
-            keep[rows] = ok
-
-    y = np.zeros(feats.n_rows, dtype=bool)
-    for drive, fdays in fail_days.items():
-        rows = row_index.get(drive)
-        if not rows:
-            continue
-        rows = np.asarray(rows)
-        days = feats.days[rows]
-        hit = np.zeros(rows.size, dtype=bool)
-        for f in fdays:
-            hit |= (days <= f) & (f <= days + lookahead)
-        y[rows] = hit
+        keep = rows.covered([p.drive for p in periods],
+                            [p.start_day for p in periods],
+                            [p.end_day for p in periods])
+    failures = list(failures)
+    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
+    y = rows.covered([ev.drive for ev in failures], fail_days - lookahead,
+                     fail_days)
 
     if partition_attr == "age":
         key = feats.days.astype(float)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -150,25 +151,34 @@ class FleetDataset:
 
 
 def _reader(stream: Iterable[str] | str) -> Iterator[list[str]]:
+    """CSV rows without blank lines and without the ``#`` lines before the header."""
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    for row in csv.reader(stream):
-        if not row or (row[0].startswith("#") and len(row) == 1):
-            continue
-        if row and row[0].startswith("#"):
-            continue
-        yield row
+    rows = csv.reader(stream)
+    for row in rows:
+        if row and not row[0].startswith("#"):
+            yield row
+            break
+    yield from (row for row in rows if row)
+
+
+#: A count is ASCII digits, optionally with a fraction of zeros ("12.0"), and
+#: below 2**63, because counts end up in int64 and float64 arrays.
+_COUNT = re.compile(r"([0-9]+)(?:\.0+)?")
+_COUNT_MAX = 2**63 - 1
 
 
 def _parse_count(cell: str) -> int | None:
-    """Parse a non-negative integer count; '' means absent; bad values raise."""
+    """Parse a non-negative 64-bit integer count; '' means absent; bad values raise."""
     cell = cell.strip()
+    if cell.isascii() and cell.isdigit() and len(cell) < 19:
+        return int(cell)
     if cell == "":
         return None
-    value = int(float(cell)) if ("." in cell or "e" in cell or "E" in cell) else int(cell)
-    if value < 0 or (("." in cell) and float(cell) != value):
-        raise ValueError(f"not a non-negative integer: {cell!r}")
-    return value
+    match = _COUNT.fullmatch(cell)
+    if match is None or int(match[1]) > _COUNT_MAX:
+        raise ValueError(f"not a non-negative 64-bit integer: {cell!r}")
+    return int(match[1])
 
 
 def _parse_flag(cell: str) -> bool:
@@ -292,9 +302,9 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
             drive = row[col["drive_id"]].strip()
             if not drive:
                 raise ValueError("empty drive_id")
-            ts = int(row[col["timestamp_us"]])
-            if ts < 0:
-                raise ValueError("negative timestamp_us")
+            ts = _parse_count(row[col["timestamp_us"]])
+            if ts is None:
+                raise ValueError("empty timestamp_us")
             errors = {}
             for kind in SSD_ERROR_KINDS:
                 value = _parse_count(row[col[f"err_{kind}"]])

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .ingest import FleetDataset, HddDailyRecord, SsdDailyRecord
 
 __all__ = [
@@ -34,6 +36,7 @@ __all__ = [
     "SSD_TRIM_BOUND_DAYS",
     "LONG_LIMBO_DAYS",
     "hdd_record_ages",
+    "drive_days",
     "detect_hdd_failures",
     "detect_ssd_failures",
     "detect_failures",
@@ -142,10 +145,58 @@ def hdd_record_ages(records: Sequence[HddDailyRecord]) -> list[int]:
     return ages
 
 
-def record_ages(family: str, records: Sequence) -> list[int]:
-    if family == "hdd":
-        return hdd_record_ages(records)
-    return [r.day for r in records]
+def drive_days(ds: FleetDataset) -> dict[str, np.ndarray]:
+    """The drive-age day of every record, per drive and in record order.
+
+    This is the one age rule of the package (see the module docstring):
+    SSD days are ``timestamp_us // US_PER_DAY``, HDD days come from
+    :func:`hdd_record_ages`.
+    """
+    rule = (hdd_record_ages if ds.family == "hdd"
+            else lambda seq: [r.day for r in seq])
+    return {d: np.array(rule(ds.records[d]), dtype=np.int64) for d in ds.drives}
+
+
+class _DayWindows:
+    """Point events sorted by (drive, day), looked up by day window.
+
+    ``find`` gives, for each query (drive, lo, hi), the index range in
+    ``order`` of that drive's events with lo <= day <= hi; an unknown
+    drive, or lo > hi, gives an empty range. The sort key is ``drive code
+    * width + rank of the day among the distinct event days``, which
+    cannot overflow whatever the day values are; an unknown drive gets
+    the code after the last, which has no events.
+    """
+
+    def __init__(self, drives: Sequence[str], days: np.ndarray):
+        self._code = {d: i for i, d in enumerate(dict.fromkeys(drives))}
+        codes = np.array([self._code[d] for d in drives], dtype=np.int64)
+        self._days = np.unique(days)
+        self._width = self._days.size + 2
+        keys = codes * self._width + np.searchsorted(self._days, days) + 1
+        self.order = np.argsort(keys, kind="stable")
+        self._keys = keys[self.order]
+
+    def find(self, drives: Sequence[str], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+        """Per query: [start, stop) of its events in ``order``."""
+        unknown = len(self._code)
+        base = np.array([self._code.get(d, unknown) for d in drives],
+                        dtype=np.int64) * self._width
+        start = np.searchsorted(self._keys, base + 1 + np.searchsorted(
+            self._days, np.asarray(lo, dtype=np.int64), "left"), "left")
+        stop = np.searchsorted(self._keys, base + np.searchsorted(
+            self._days, np.asarray(hi, dtype=np.int64), "right"), "right")
+        return start, np.maximum(stop, start)
+
+    def covered(self, drives: Sequence[str], lo, hi) -> np.ndarray:
+        """Mask over the events, in input order: inside at least one query."""
+        start, stop = self.find(drives, lo, hi)
+        n = self._keys.size
+        depth = np.cumsum(np.bincount(start, minlength=n + 1)
+                          - np.bincount(stop, minlength=n + 1))
+        mask = np.empty(n, dtype=bool)
+        mask[self.order] = depth[:n] > 0
+        return mask
 
 
 def detect_hdd_failures(ds: FleetDataset) -> list[FailureEvent]:
@@ -219,19 +270,28 @@ def detect_failures(ds: FleetDataset) -> list[FailureEvent]:
     return detect_hdd_failures(ds) if ds.family == "hdd" else detect_ssd_failures(ds)
 
 
-def _reentry_day(ds: FleetDataset, drive: str, after_day: int) -> int | None:
-    """First recorded day strictly after ``after_day`` (drive back in the workflow)."""
-    ages = record_ages(ds.family, ds.records[drive])
-    for age in ages:
-        if age > after_day:
-            return age
-    return None
+def _swaps_and_reentries(ds: FleetDataset, ages: dict[str, np.ndarray],
+                         failures: Sequence[FailureEvent]
+                         ) -> list[tuple[int, int | None]]:
+    """(swap day, re-entry day or None) of each failure, in order.
 
-
-def _swap_day_for(ds: FleetDataset, drive: str, event: FailureEvent) -> int:
-    """Day of the swap matching an SSD failure event (ordinal-aligned)."""
-    swaps = [r.day for r in ds.records[drive] if r.swap_event]
-    return swaps[event.ordinal - 1]
+    The swap day is the failure day for HDDs and the day of the
+    ordinal-matched swap record for SSDs. Re-entry is the first record,
+    in record order, after the swap day: HDD ages can repeat or run
+    backward, so it is searched on the running maximum of the days.
+    """
+    failed = {ev.drive for ev in failures}
+    running_max = {d: np.maximum.accumulate(ages[d]) for d in failed}
+    ssd = ds.family == "ssd"
+    swap_days = {d: [r.day for r in ds.records[d] if r.swap_event]
+                 for d in failed} if ssd else {}
+    out = []
+    for ev in failures:
+        swap = swap_days[ev.drive][ev.ordinal - 1] if ssd else ev.age_days
+        i = np.searchsorted(running_max[ev.drive], swap, side="right")
+        days = ages[ev.drive]
+        out.append((swap, int(days[i]) if i < days.size else None))
+    return out
 
 
 def extract_operational_periods(ds: FleetDataset,
@@ -242,25 +302,20 @@ def extract_operational_periods(ds: FleetDataset,
     failure (terminal ``failure``) or last record (``censored``); each
     post-failure re-entry opens another period.
     """
-    by_drive: dict[str, list[FailureEvent]] = {}
-    for ev in failures:
-        by_drive.setdefault(ev.drive, []).append(ev)
+    failures = list(failures)
+    ages = drive_days(ds)
+    by_drive: dict[str, list] = {}
+    for ev, (_, reentry) in zip(failures, _swaps_and_reentries(ds, ages, failures)):
+        by_drive.setdefault(ev.drive, []).append((ev, reentry))
     periods = []
     for drive in ds.drives:
-        seq = ds.records[drive]
-        ages = record_ages(ds.family, seq)
-        last_day = ages[-1]
-        start = ages[0]
-        for ev in sorted(by_drive.get(drive, ()), key=lambda e: e.ordinal):
+        start, last_day = int(ages[drive][0]), int(ages[drive][-1])
+        for ev, reentry in sorted(by_drive.get(drive, ()), key=lambda e: e[0].ordinal):
             periods.append(OperationalPeriod(drive, start, ev.age_days, "failure"))
-            boundary = (_swap_day_for(ds, drive, ev)
-                        if ds.family == "ssd" else ev.age_days)
-            reentry = _reentry_day(ds, drive, boundary)
-            if reentry is None:
-                start = None
-                break
             start = reentry
-        if start is not None and (not by_drive.get(drive) or start <= last_day):
+            if start is None:
+                break
+        if start is not None and (drive not in by_drive or start <= last_day):
             periods.append(OperationalPeriod(drive, start, last_day, "censored"))
     return periods
 
@@ -268,16 +323,12 @@ def extract_operational_periods(ds: FleetDataset,
 def build_repair_spells(ds: FleetDataset,
                         failures: Iterable[FailureEvent]) -> list[RepairSpell]:
     """One RepairSpell per failure: pre-swap gap (SSD) and re-entry day if any."""
+    failures = list(failures)
     spells = []
-    for ev in failures:
-        if ds.family == "ssd":
-            swap_day = _swap_day_for(ds, ev.drive, ev)
-            gap = swap_day - ev.age_days
-        else:
-            swap_day = ev.age_days
-            gap = None
-        spells.append(RepairSpell(ev.drive, ev.age_days,
-                                  _reentry_day(ds, ev.drive, swap_day), gap))
+    for ev, (swap_day, reentry) in zip(
+            failures, _swaps_and_reentries(ds, drive_days(ds), failures)):
+        gap = swap_day - ev.age_days if ds.family == "ssd" else None
+        spells.append(RepairSpell(ev.drive, ev.age_days, reentry, gap))
     return spells
 
 

@@ -131,6 +131,19 @@ class TestPipeline:
         assert report["feature_importance"]
         assert (tmp_path / "model.json").exists()
 
+    def test_logreg_train_report_records_convergence(self, synth_dir, tmp_path):
+        argv = ["train", "--family", "ssd", "--model", "logreg", "--seed", "3",
+                "--input", str(synth_dir / "ssd_telemetry.csv")]
+        for max_iter, out in ((3, tmp_path / "stopped"), (500, tmp_path / "full")):
+            assert run([*argv, "--hyper", json.dumps({"max_iter": max_iter}),
+                        "--out", str(out)]) == 0
+        stopped = json.loads((tmp_path / "stopped" / "train_report.json").read_text())
+        full = json.loads((tmp_path / "full" / "train_report.json").read_text())
+        assert (stopped["converged"], stopped["n_iter"]) == (False, 3)
+        model = json.loads((tmp_path / "full" / "model.json").read_text())
+        assert (full["converged"], full["n_iter"]) == (model["converged"],
+                                                       model["n_iter"])
+
     def test_characterize_hfh_sweep_rows(self, tmp_path):
         config = tmp_path / "hdd.json"
         config.write_text(json.dumps(HDD_CONFIG))

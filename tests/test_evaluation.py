@@ -261,6 +261,18 @@ class TestCrossValidatedEval:
         assert None in report.fold_auroc
         assert report.warnings
 
+    def test_unconverged_logistic_fold_warns(self):
+        ex = toy_examples(30, 8, seed=4)
+        stopped = cross_validated_eval(ex, ModelSpec("logreg", max_iter=2),
+                                       k=5, seed=11)
+        assert stopped.warnings == [
+            f"fold {f}: logistic fit did not converge in 2 iterations"
+            for f in range(5)]
+        assert None not in stopped.fold_auroc
+        converged = cross_validated_eval(ex, ModelSpec("logreg", tol=1e-2),
+                                         k=5, seed=11)
+        assert converged.warnings == []
+
 
 class TestSweepAndMatrix:
     def test_single_point_sweep(self):

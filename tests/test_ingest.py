@@ -54,6 +54,36 @@ class TestParseHdd:
         ds = parse_hdd_csv(HDD_HEADER + "\n" + "\n".join(rows) + "\n")
         assert ds.n_records + ds.provenance["rejected_count"] == len(rows)
 
+    def test_hash_row_after_header_is_data(self):
+        rows = ["#2014-01-17,A,M,,0,,1,,1", "2014-01-18,B,M,,0,,,,2"]
+        ds = parse_hdd_csv("# leading comment\n" + HDD_HEADER + "\n"
+                           + "\n".join(rows) + "\n")
+        prov = ds.provenance
+        assert (prov["data_rows"], prov["rejected_count"]) == (2, 1)
+        assert ds.drives == ["B"]
+
+    @pytest.mark.parametrize("cell", ["1E400", "1e-1", "1_000", "+5", "12.",
+                                      ".0", "1.5", "0x10", "\u0661",
+                                      str(2**63)])
+    def test_count_grammar_rejects(self, cell):
+        rows = [f"2014-01-17,A,M,,0,,1,,{cell}", "2014-01-18,A,M,,0,,1,,2"]
+        ds = parse_hdd_csv(HDD_HEADER + "\n" + "\n".join(rows) + "\n")
+        prov = ds.provenance
+        assert (prov["data_rows"], prov["rejected_count"], ds.n_records) == (2, 1, 1)
+        for bad in (ssd_row(reads=cell), ssd_row(ts=cell)):
+            ssd = parse_ssd_log(SSD_HEADER + "\n" + bad + "\n"
+                                + ssd_row(ts=86_400_000_000) + "\n")
+            prov = ssd.provenance
+            assert (prov["data_rows"], prov["rejected_count"],
+                    ssd.n_records) == (2, 1, 1)
+
+    @pytest.mark.parametrize("cell,value", [("12", 12), ("12.0", 12),
+                                            ("0.000", 0), (" 7 ", 7),
+                                            (str(2**63 - 1), 2**63 - 1)])
+    def test_count_grammar_accepts(self, cell, value):
+        ds = parse_hdd_csv(HDD_HEADER + f"\n2014-01-17,A,M,,0,,1,,{cell}\n")
+        assert ds.records["A"][0].smart_raw[5] == value
+
     def test_missing_mandatory_column(self):
         with pytest.raises(SchemaError, match="serial_number"):
             parse_hdd_csv("date,model,failure\n2014-01-17,M,0\n")
