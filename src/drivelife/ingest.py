@@ -150,16 +150,20 @@ class FleetDataset:
         return sorted(seen)
 
 
-def _reader(stream: Iterable[str] | str) -> Iterator[list[str]]:
-    """CSV rows without blank lines and without the ``#`` lines before the header."""
+def _reader(stream: Iterable[str] | str) -> Iterator[tuple[int, list[str]]]:
+    """(physical line number, row) pairs of the CSV rows.
+
+    Blank lines and the ``#`` lines before the header are skipped, and
+    still counted in the line numbers.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     rows = csv.reader(stream)
     for row in rows:
         if row and not row[0].startswith("#"):
-            yield row
+            yield rows.line_num, row
             break
-    yield from (row for row in rows if row)
+    yield from ((rows.line_num, row) for row in rows if row)
 
 
 #: A count is ASCII digits, optionally with a fraction of zeros ("12.0"), and
@@ -197,17 +201,18 @@ def parse_hdd_csv(stream: Iterable[str] | str,
 
     Only ``smart_<id>_raw`` columns for ``smart_ids`` are consumed; empty
     cells become absent entries. Malformed rows (bad date, bad failure flag,
-    negative or non-integer SMART cell, short row) are counted and skipped,
-    and listed with line numbers in ``provenance["rejected"]``. Duplicate
-    (serial, date) rows are deduplicated when byte-identical and all
-    rejected when conflicting, so parsing is insensitive to row order.
+    negative or non-integer SMART cell, more or fewer cells than the header)
+    are counted and skipped, and listed with their physical line numbers in
+    ``provenance["rejected"]``. Duplicate (serial, date) rows are
+    deduplicated when byte-identical and all rejected when conflicting, so
+    parsing is insensitive to row order.
 
     Raises SchemaError if a mandatory column (date, serial_number, model,
     failure) is missing from the header.
     """
     rows = _reader(stream)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise SchemaError("empty input: no header row")
     index = {name.strip(): i for i, name in enumerate(header)}
@@ -220,10 +225,10 @@ def parse_hdd_csv(stream: Iterable[str] | str,
     by_key: dict[tuple[str, dt.date], list] = {}
     rejected: list[tuple[int, str]] = []
     data_rows = 0
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         data_rows += 1
         try:
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             date = dt.date.fromisoformat(row[index["date"]].strip())
             serial = row[index["serial_number"]].strip()
@@ -280,7 +285,7 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
     """
     rows = _reader(stream)
     try:
-        header = next(rows)
+        _, header = next(rows)
     except StopIteration:
         raise SchemaError("empty input: no header row")
     header = [name.strip() for name in header]
@@ -289,41 +294,43 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
         raise SchemaError(
             "SSD header mismatch; missing column(s): " + ", ".join(missing)
             if missing else "SSD header mismatch: unexpected column order or extras")
-    col = {name: i for i, name in enumerate(header)}
 
     per_drive_rows: dict[str, list[tuple[int, SsdDailyRecord]]] = {}
     rejected: list[tuple[int, str]] = []
     data_rows = 0
-    for lineno, row in enumerate(rows, start=2):
+    for lineno, row in rows:
         data_rows += 1
         try:
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            drive = row[col["drive_id"]].strip()
+            (drive, model, ts, read_ops, write_ops, erase_ops, pe_cycles_cum,
+             dead, read_only, bad_blocks_factory_cum, bad_blocks_new_cum,
+             *error_cells, swap_event) = row
+            drive = drive.strip()
             if not drive:
                 raise ValueError("empty drive_id")
-            ts = _parse_count(row[col["timestamp_us"]])
+            ts = _parse_count(ts)
             if ts is None:
                 raise ValueError("empty timestamp_us")
             errors = {}
-            for kind in SSD_ERROR_KINDS:
-                value = _parse_count(row[col[f"err_{kind}"]])
+            for kind, cell in zip(SSD_ERROR_KINDS, error_cells):
+                value = _parse_count(cell)
                 if value:
                     errors[kind] = value
             rec = SsdDailyRecord(
                 drive_id=drive,
-                model=row[col["model"]].strip(),
+                model=model.strip(),
                 timestamp_us=ts,
-                read_ops=_parse_count(row[col["read_ops"]]),
-                write_ops=_parse_count(row[col["write_ops"]]),
-                erase_ops=_parse_count(row[col["erase_ops"]]),
-                pe_cycles_cum=_parse_count(row[col["pe_cycles_cum"]]),
-                dead=_parse_flag(row[col["dead"]]),
-                read_only=_parse_flag(row[col["read_only"]]),
-                bad_blocks_factory_cum=_parse_count(row[col["bad_blocks_factory_cum"]]),
-                bad_blocks_new_cum=_parse_count(row[col["bad_blocks_new_cum"]]),
+                read_ops=_parse_count(read_ops),
+                write_ops=_parse_count(write_ops),
+                erase_ops=_parse_count(erase_ops),
+                pe_cycles_cum=_parse_count(pe_cycles_cum),
+                dead=_parse_flag(dead),
+                read_only=_parse_flag(read_only),
+                bad_blocks_factory_cum=_parse_count(bad_blocks_factory_cum),
+                bad_blocks_new_cum=_parse_count(bad_blocks_new_cum),
                 errors=errors,
-                swap_event=_parse_flag(row[col["swap_event"]]),
+                swap_event=_parse_flag(swap_event),
             )
         except ValueError as exc:
             rejected.append((lineno, str(exc)))

@@ -156,6 +156,34 @@ class TestParseSsd:
         assert ds1 == ds2
 
 
+# family -> (parser, header, a good row, a malformed row)
+FAMILIES = {
+    "hdd": (parse_hdd_csv, HDD_HEADER, "2014-01-17,A,M,,0,,1,,2",
+            "bogus,A,M,,0,,1,,2"),
+    "ssd": (parse_ssd_log, SSD_HEADER, ssd_row(),
+            ssd_row(ts=86_400_000_000, reads="x")),
+}
+
+
+class TestRejectedRows:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_line_numbers_count_comment_and_blank_lines(self, family):
+        parse, header, good, bad = FAMILIES[family]
+        lines = ["# comment", "", header, good, "", "# data row", bad]
+        ds = parse("\n".join(lines) + "\n")
+        assert [line for line, _ in ds.provenance["rejected"]] == [6, 7]
+        assert (ds.provenance["data_rows"], ds.n_records) == (3, 1)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_extra_cell_rejected(self, family):
+        parse, header, good, _ = FAMILIES[family]
+        width = header.count(",") + 1
+        ds = parse(header + "\n" + good + ",EXTRA\n")
+        assert ds.n_records == 0
+        assert ds.provenance["rejected"] == [
+            (2, f"expected {width} fields, got {width + 1}")]
+
+
 class TestFilterHdd:
     @pytest.fixture
     def mixed(self):

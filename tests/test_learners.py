@@ -1,8 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import drivelife as dl
+from drivelife import featurize, learners, lifecycle
+from drivelife.evaluation import undersample
+from drivelife.featurize import label_lookahead
 from drivelife.learners import (ForestParams, TreeParams, feature_importance,
                                 logistic_loss_grad, model_from_json,
                                 model_to_json, predict_proba, train_forest,
@@ -263,6 +268,151 @@ class TestLogistic:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             train_logistic([[np.inf], [0.0]], [True, False])
+
+
+def standardized(X):
+    X = np.asarray(X, dtype=float)
+    std = X.std(axis=0)
+    return (X - X.mean(axis=0)) / np.where(std > 0, std, 1.0)
+
+
+def gradient_descent_loss(Xs, y, l2, max_iter=500):
+    """Loss after the backtracking gradient descent the Newton solver replaced."""
+    w = np.zeros(Xs.shape[1] + 1)
+    loss, grad = logistic_loss_grad(w, Xs, y, l2)
+    step = 1.0
+    for _ in range(max_iter):
+        gnorm2 = float(grad @ grad)
+        if math.sqrt(gnorm2) < 1e-6:
+            break
+        step = min(step * 2.0, 1e6)
+        while True:
+            w_next = w - step * grad
+            loss_next, grad_next = logistic_loss_grad(w_next, Xs, y, l2)
+            if loss_next <= loss - 1e-4 * step * gnorm2 or step < 1e-12:
+                break
+            step *= 0.5
+        w, loss, grad = w_next, loss_next, grad_next
+    return loss
+
+
+@pytest.fixture(scope="module")
+def planted_fleet():
+    """Undersampled SSD training set, lookahead 7, with planted error bursts."""
+    cfg = dl.SynthConfig(
+        family="ssd", n_drives=300, horizon_days=120, seed=41,
+        models={"M": 0.25},
+        bursts=(dl.BurstSpec(kind="uncorrectable", mean=15.0, days=3,
+                             probability=1.0),))
+    ds, _ = dl.generate_fleet(cfg)
+    failures = lifecycle.detect_failures(ds)
+    periods = lifecycle.extract_operational_periods(ds, failures)
+    examples = label_lookahead(featurize.make_features(ds), failures, 7, periods)
+    balanced = undersample(examples, 1.0, seed=3)
+    return balanced.X, balanced.y
+
+
+class TestNewtonSolver:
+    def test_converges_in_few_steps(self, planted_fleet):
+        X, y = planted_fleet
+        model = train_logistic(X, y, l2=1e-3, tol=1e-6)
+        assert model.converged and model.n_iter <= 25
+        _, grad = logistic_loss_grad(model.weights, standardized(X),
+                                     y.astype(float), 1e-3)
+        assert np.linalg.norm(grad) < 1e-6
+
+    def test_loss_at_most_gradient_descent_loss(self, planted_fleet):
+        X, y = planted_fleet
+        Xs, yf = standardized(X), y.astype(float)
+        model = train_logistic(X, y, l2=1e-3)
+        loss, _ = logistic_loss_grad(model.weights, Xs, yf, 1e-3)
+        assert loss <= gradient_descent_loss(Xs, yf, 1e-3)
+
+    @pytest.mark.parametrize("case", ["planted", "near_separable",
+                                      "duplicated_column"])
+    def test_every_step_satisfies_armijo(self, case, planted_fleet,
+                                         monkeypatch):
+        # A fit stopped after k steps holds the k-th iterate, so the
+        # iterates are recovered one fit per step. Armijo on the step
+        # delta = w_k - w_{k-1} reads f(w_k) <= f(w_{k-1}) + 1e-4 g.delta.
+        if case == "planted":
+            (X, y), l2 = planted_fleet, 1e-3
+        elif case == "near_separable":
+            rng = np.random.default_rng(198)
+            X = rng.normal(size=(30, 3))
+            y = X[:, 0] + 0.1 * rng.normal(size=30) > 0
+            l2 = 1e-8
+        else:  # singular Hessian: most steps fall back to the gradient
+            rng = np.random.default_rng(12)
+            X = rng.normal(size=(80, 3))
+            y = X[:, 0] + 0.5 * rng.normal(size=80) > 0
+            X, l2 = np.hstack([X, X[:, :1]]), 0.0
+        Xs, yf = standardized(X), y.astype(float)
+        evaluations = []
+
+        def counted(*args):
+            evaluations.append(args)
+            return logistic_loss_grad(*args)
+
+        monkeypatch.setattr(learners, "logistic_loss_grad", counted)
+        model = train_logistic(X, y, l2=l2)
+        assert model.converged
+        steps = model.n_iter - 1
+        if case == "near_separable":
+            # the start plus one evaluation per step, plus each halving
+            assert len(evaluations) > 1 + steps, "no step was damped"
+        w = np.zeros(X.shape[1] + 1)
+        loss, grad = logistic_loss_grad(w, Xs, yf, l2)
+        for k in range(1, steps + 1):
+            w_k = train_logistic(X, y, l2=l2, max_iter=k).weights
+            loss_k, grad_k = logistic_loss_grad(w_k, Xs, yf, l2)
+            delta = w_k - w
+            assert float(grad @ delta) < 0.0
+            assert loss_k <= loss + 1e-4 * float(grad @ delta)
+            w, loss, grad = w_k, loss_k, grad_k
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", ["all_positive", "constant_column",
+                                      "duplicated_column"])
+    def test_degenerate_inputs_give_finite_weights(self, case):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(80, 3))
+        y = X[:, 0] + 0.5 * rng.normal(size=80) > 0
+        l2 = 0.0
+        if case == "all_positive":
+            y, l2 = np.ones(80, dtype=bool), 1e-3
+        elif case == "constant_column":
+            X = np.hstack([X, np.full((80, 1), 7.0)])
+        else:
+            X = np.hstack([X, X[:, :1]])
+        model = train_logistic(X, y, l2=l2)
+        assert np.isfinite(model.weights).all()
+        assert np.isfinite(predict_proba(model, X)).all()
+
+    @pytest.mark.parametrize("direction", [
+        lambda grad: None,                       # singular Hessian
+        lambda grad: grad.copy(),                # ascent direction
+        lambda grad: np.full_like(grad, np.nan),  # NaN slope
+    ], ids=["singular", "ascent", "nan"])
+    def test_bad_direction_falls_back_to_gradient(self, direction,
+                                                  monkeypatch):
+        monkeypatch.setattr(learners, "_newton_direction",
+                            lambda w, X, grad, l2: direction(grad))
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(60, 2))
+        y = X[:, 0] + rng.normal(size=60) > 0
+        model = train_logistic(X, y, l2=1e-2, max_iter=2000)
+        assert model.converged and np.isfinite(model.weights).all()
+
+    def test_refit_and_reload_bit_identical(self, planted_fleet):
+        X, y = planted_fleet
+        model = train_logistic(X, y)
+        again = train_logistic(X, y)
+        clone = model_from_json(model_to_json(model))
+        for other in (again, clone):
+            assert other.weights.tobytes() == model.weights.tobytes()
+            assert (other.converged, other.n_iter) == (model.converged,
+                                                       model.n_iter)
 
 
 class TestImportance:
