@@ -110,10 +110,7 @@ def _feature_table(ds: FleetDataset, names: Sequence[str]) -> np.ndarray:
     cols = []
     for name in names:
         if name == "failed" and ds.family == "hdd":
-            flag = np.fromiter(
-                (1.0 if r.failed_today else 0.0 for d in ds.drives
-                 for r in ds.records[d]), dtype=float, count=feats.n_rows)
-            cols.append(flag)
+            cols.append(ds.column("failed")[0].astype(float))
         elif name == "bad_blocks_cum" and ds.family == "ssd":
             cols.append(feats.column("bad_blocks_factory_cum")
                         + feats.column("bad_blocks_new_cum"))
@@ -176,17 +173,6 @@ def monthly_failure_rate(failures: Iterable[FailureEvent],
                                  np.bincount(exposed, minlength=n_bins))
 
 
-def _pe_at_day(ds: FleetDataset, drive: str, day: int) -> float | None:
-    """Last observed cumulative P/E count at or before the given drive-age day."""
-    best = None
-    for rec in ds.records[drive]:
-        if rec.day > day:
-            break
-        if rec.pe_cycles_cum is not None:
-            best = rec.pe_cycles_cum
-    return best
-
-
 def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
                            bin_width: int = 250
                            ) -> tuple[RateCurve, list[tuple[float, float]]]:
@@ -199,39 +185,26 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     """
     if ds.family != "ssd":
         raise ValueError("pe_binned_failure_rate needs an SSD dataset")
-    pe_at_failure = []
-    for ev in failures:
-        pe = _pe_at_day(ds, ev.drive, ev.age_days)
-        if pe is not None:
-            pe_at_failure.append(pe)
-    max_pe = 0
-    per_drive_pe: dict[str, np.ndarray] = {}
-    for drive in ds.drives:
-        vals = np.array([r.pe_cycles_cum for r in ds.records[drive]
-                         if r.pe_cycles_cum is not None], dtype=np.int64)
-        per_drive_pe[drive] = vals
-        if vals.size:
-            max_pe = max(max_pe, int(vals.max()))
-    if pe_at_failure:
-        max_pe = max(max_pe, max(pe_at_failure))
-    n_bins = max_pe // bin_width + 1
-    fail_counts = np.zeros(n_bins, dtype=np.int64)
-    for pe in pe_at_failure:
-        fail_counts[pe // bin_width] += 1
-    exposure = np.zeros(n_bins, dtype=np.int64)
-    for vals in per_drive_pe.values():
-        if vals.size:
-            for b in np.unique(vals // bin_width):
-                exposure[b] += 1
+    pe, observed = ds.column("pe_cycles_cum")
+    drives, days = featurize._rows(ds)
+    drive_no = np.repeat(np.arange(ds.n_drives), np.diff(ds.starts))[observed]
+    pe, drives, days = pe[observed], drives[observed], days[observed]
+    readings = _DayWindows(drives, days)
+    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
+    start, stop = readings.find([ev.drive for ev in failures],
+                                np.full(fail_days.size, np.iinfo(np.int64).min),
+                                fail_days)
+    pe_at_failure = pe[readings.order[stop[stop > start] - 1]]
+    n_bins = int(pe.max(initial=0)) // bin_width + 1
+    fail_counts = np.bincount(pe_at_failure // bin_width, minlength=n_bins)
+    drive_bins = np.unique(np.stack([drive_no, pe // bin_width]), axis=1)
+    exposure = np.bincount(drive_bins[1], minlength=n_bins)
     edges = np.arange(n_bins + 1) * bin_width
     curve = RateCurve.from_counts(edges, fail_counts, exposure)
-    total = len(pe_at_failure)
-    cdf = []
-    if total:
-        running = 0
-        for b in range(n_bins):
-            running += fail_counts[b]
-            cdf.append((float(edges[b + 1]), running / total))
+    total = pe_at_failure.size
+    cdf = ([(float(edge), running / total)
+            for edge, running in zip(edges[1:], np.cumsum(fail_counts))]
+           if total else [])
     return curve, cdf
 
 
@@ -247,14 +220,17 @@ def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
     if ds.family != "hdd":
         raise ValueError("hfh_threshold_sweep needs an HDD dataset")
     failed = {ev.drive for ev in failures}
-    max_hfh = {}
-    excluded = 0
-    for serial in ds.drives:
-        values = [r.smart_raw[240] for r in ds.records[serial] if 240 in r.smart_raw]
-        if values:
-            max_hfh[serial] = max(values)
-        else:
-            excluded += 1
+    hfh, reported = ds.column("smart_240")
+    starts = ds.starts
+    nonempty = np.diff(starts) > 0
+    firsts = starts[:-1][nonempty]
+    # Absent cells read 0 and counts are >= 0, so a drive's maximum over
+    # all its cells is its maximum over the reported ones.
+    top = np.maximum.reduceat(hfh, firsts)
+    seen = np.logical_or.reduceat(reported, firsts)
+    drives = np.array(ds.drives, dtype=object)[nonempty]
+    max_hfh = dict(zip(drives[seen].tolist(), top[seen].tolist()))
+    excluded = ds.n_drives - len(max_hfh)
     per_threshold = {}
     for t in thresholds:
         small = [d for d, h in max_hfh.items() if h <= t]
@@ -273,30 +249,18 @@ def _daily_error_series(ds: FleetDataset, kind: str):
     counts, then the drive and day arrays of all records in dataset order.
     SSD kinds are the ten canonical counter names. HDD kinds are
     ``smart_<id>`` names, read as the day's increment of that cumulative
-    counter (clamped at 0 across resets; the first observation counts 0).
+    counter by :func:`featurize.counter_increments`, the rule of the
+    ``smart_<id>_diff`` features.
     """
     if ds.family == "ssd":
         if kind not in SSD_ERROR_KINDS:
             raise ValueError(f"unknown SSD error kind {kind!r}")
-        counts = [r.error_count(kind) for r in ds.iter_records()]
+        counts = ds.column(f"err_{kind}")[0]
     else:
-        if not kind.startswith("smart_"):
+        if not (kind.startswith("smart_") and kind[6:].isdigit()):
             raise ValueError(f"unknown HDD error kind {kind!r} (expected smart_<id>)")
-        sid = int(kind.split("_")[1])
-        counts = []
-        for drive in ds.drives:
-            prev = None
-            for rec in ds.records[drive]:
-                value = rec.smart_raw.get(sid)
-                counts.append(value - prev if value is not None and prev is not None
-                              and value > prev else 0)
-                if value is not None:
-                    prev = value
-    ages = drive_days(ds)
-    drives = np.repeat(np.array(ds.drives, dtype=object),
-                       [ages[d].size for d in ds.drives])
-    days = np.concatenate([np.empty(0, dtype=np.int64), *ages.values()])
-    counts = np.array(counts, dtype=np.int64)
+        counts = featurize.counter_increments(*ds.column(kind), ds.starts)[0]
+    drives, days = featurize._rows(ds)
     hit = counts > 0
     return _DayWindows(drives[hit], days[hit]), counts[hit], drives, days
 
@@ -374,11 +338,13 @@ def write_intensity_quartiles(ds: FleetDataset) -> dict[int, tuple[float, float,
     """
     if ds.family != "ssd":
         raise ValueError("write_intensity_quartiles needs an SSD dataset")
-    per_month: dict[int, list[int]] = {}
-    for drive in ds.drives:
-        for rec in ds.records[drive]:
-            if rec.write_ops is None:
-                continue
-            per_month.setdefault(rec.day // DAYS_PER_MONTH, []).append(rec.write_ops)
-    return {m: (nearest_rank(v, 25), nearest_rank(v, 50), nearest_rank(v, 75))
-            for m, v in sorted(per_month.items())}
+    writes, reported = ds.column("write_ops")
+    months = featurize._rows(ds)[1][reported] // DAYS_PER_MONTH
+    order = np.argsort(months, kind="stable")
+    found, first = np.unique(months[order], return_index=True)
+    out = {}
+    for month, chunk in zip(found.tolist(),
+                            np.split(writes[reported][order], first[1:])):
+        v = chunk.tolist()
+        out[month] = (nearest_rank(v, 25), nearest_rank(v, 50), nearest_rank(v, 75))
+    return out

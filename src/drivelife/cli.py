@@ -8,7 +8,10 @@ JSON files, a leading ``#`` comment in CSVs) and is written atomically
 (temp file + rename). Two runs with the same config, seed and input path
 strings produce byte-identical artifacts.
 
-Exit codes: 0 success, 2 usage error, 3 I/O error, 4 schema error.
+Exit codes: 0 success, 2 usage error, 3 I/O error, 4 schema error,
+5 internal error. Every error but argparse's own usage messages is one
+JSON line on stderr, ``{"error": kind, "message": text}``; an internal
+error (an exception no other code covers) adds its ``traceback``.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import os
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 from typing import Callable
 
@@ -29,7 +33,7 @@ from . import __version__, charstats, evaluation, featurize, learners, lifecycle
 from .ingest import (FleetDataset, SchemaError, filter_hdd, parse_hdd_csv,
                      parse_ssd_log, write_hdd_csv, write_ssd_csv)
 
-EXIT_USAGE, EXIT_IO, EXIT_SCHEMA = 2, 3, 4
+EXIT_USAGE, EXIT_IO, EXIT_SCHEMA, EXIT_INTERNAL = 2, 3, 4, 5
 
 _STOCHASTIC = {"synth", "characterize", "train", "evaluate", "sweep",
                "matrix", "partition-eval"}
@@ -64,7 +68,12 @@ class _Run:
             path = Path(args.config)
             if not path.exists():
                 raise _fail("io", f"config file not found: {path}", EXIT_IO)
-            config = json.loads(path.read_text())
+            try:
+                config = json.loads(path.read_text())
+                if not isinstance(config, dict):
+                    raise ValueError("not a JSON object")
+            except ValueError as exc:
+                raise _fail("usage", f"bad config file {path}: {exc}", EXIT_USAGE)
         self.config = config
         self.args = args
         seed = getattr(args, "seed", None)
@@ -157,16 +166,13 @@ def _load_dataset(run: _Run) -> FleetDataset:
     path = Path(run.need("input"))
     if not path.exists():
         raise _fail("io", f"input file not found: {path}", EXIT_IO)
-    try:
-        with path.open() as handle:
-            if family == "hdd":
-                ds = parse_hdd_csv(handle, source=str(path))
-            elif family == "ssd":
-                ds = parse_ssd_log(handle, source=str(path))
-            else:
-                raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
-    except SchemaError as exc:
-        raise _fail("schema", str(exc), EXIT_SCHEMA)
+    with path.open() as handle:
+        if family == "hdd":
+            ds = parse_hdd_csv(handle, source=str(path))
+        elif family == "ssd":
+            ds = parse_ssd_log(handle, source=str(path))
+        else:
+            raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
     models = run.opt("models")
     date_from, date_to = run.opt("from"), run.opt("to")
     if family == "hdd" and (models or date_from or date_to):
@@ -180,15 +186,23 @@ def _load_dataset(run: _Run) -> FleetDataset:
 def _model_spec(run: _Run) -> evaluation.ModelSpec:
     kind = str(run.opt("model", "rf"))
     hyper = run.opt("hyper") or {}
-    if isinstance(hyper, str):
-        hyper = json.loads(hyper)
-    if kind == "rf":
-        return evaluation.ModelSpec("rf", forest=learners.ForestParams(**hyper))
-    if kind == "tree":
-        return evaluation.ModelSpec("tree", tree=learners.TreeParams(**hyper))
-    if kind == "logreg":
-        return evaluation.ModelSpec("logreg", **hyper)
-    raise _fail("usage", f"unknown model kind {kind!r}", EXIT_USAGE)
+    try:
+        if isinstance(hyper, str):
+            hyper = json.loads(hyper)
+        if kind == "rf":
+            return evaluation.ModelSpec("rf", forest=learners.ForestParams(**hyper))
+        if kind == "tree":
+            return evaluation.ModelSpec("tree", tree=learners.TreeParams(**hyper))
+        return evaluation.ModelSpec(kind, **hyper)  # logreg; raises on unknown kinds
+    except (TypeError, ValueError) as exc:
+        raise _fail("usage", f"bad --model {kind!r} or --hyper: {exc}", EXIT_USAGE)
+
+
+def _folds(run: _Run) -> int:
+    k = run.opt("folds", 5)
+    if not str(k).isdigit() or int(k) < 2:
+        raise _fail("usage", f"bad --folds {k!r}; expected an integer >= 2", EXIT_USAGE)
+    return int(k)
 
 
 def _parse_partition(text: str) -> featurize.PartitionRule | None:
@@ -204,11 +218,12 @@ def _parse_partition(text: str) -> featurize.PartitionRule | None:
 
 def _lookahead_list(run: _Run) -> list[int]:
     raw = run.opt("lookahead", "0")
-    if isinstance(raw, int):
-        return [raw]
-    if isinstance(raw, list):
-        return [int(v) for v in raw]
-    return [int(v) for v in str(raw).split(",")]
+    cells = [str(v).strip() for v in (raw if isinstance(raw, list)
+                                       else str(raw).split(","))]
+    if not cells or not all(v.isdigit() for v in cells):
+        raise _fail("usage", f"bad --lookahead {raw!r}; expected days >= 0, "
+                    "comma-separated", EXIT_USAGE)
+    return [int(v) for v in cells]
 
 
 def _example_builder(ds: FleetDataset, partition_attr: str | None = None
@@ -473,7 +488,7 @@ def _cmd_evaluate(run: _Run) -> None:
     lookaheads = _lookahead_list(run)
     examples = _examples_for(run, lookaheads[0])
     spec = _model_spec(run)
-    k = int(run.opt("folds", 5))
+    k = _folds(run)
     report = evaluation.cross_validated_eval(examples, spec, k, run.seed,
                                              jobs=run.jobs)
     run._atomic("eval_report.json", lambda h: h.write(
@@ -487,7 +502,7 @@ def _cmd_evaluate(run: _Run) -> None:
 def _cmd_sweep(run: _Run) -> None:
     ds = _load_dataset(run)
     spec = _model_spec(run)
-    k = int(run.opt("folds", 5))
+    k = _folds(run)
     lookaheads = sorted(_lookahead_list(run))
     reports = evaluation.lookahead_sweep(_example_builder(ds), lookaheads, spec,
                                          k, run.seed, jobs=run.jobs)
@@ -505,8 +520,7 @@ def _cmd_matrix(run: _Run) -> None:
     ds = _load_dataset(run)
     spec = _model_spec(run)
     examples = _example_builder(ds)(_lookahead_list(run)[0])
-    result = evaluation.cross_model_matrix(examples, spec,
-                                           int(run.opt("folds", 5)), run.seed,
+    result = evaluation.cross_model_matrix(examples, spec, _folds(run), run.seed,
                                            jobs=run.jobs)
     rows = []
     for i in result["train_labels"]:
@@ -523,9 +537,8 @@ def _cmd_partition_eval(run: _Run) -> None:
     spec = _model_spec(run)
     examples = _examples_for(run, _lookahead_list(run)[0],
                              partition_attr=rule.attribute)
-    report = evaluation.partitioned_eval(examples, rule, spec,
-                                         int(run.opt("folds", 5)), run.seed,
-                                         jobs=run.jobs)
+    report = evaluation.partitioned_eval(examples, rule, spec, _folds(run),
+                                         run.seed, jobs=run.jobs)
 
     def side(r):
         return None if r is None else json.loads(r.to_json())
@@ -663,6 +676,11 @@ def run(argv=None) -> int:
     except SchemaError as exc:
         print(json.dumps({"error": "schema", "message": str(exc)}), file=sys.stderr)
         return EXIT_SCHEMA
+    except Exception as exc:
+        print(json.dumps({"error": "internal",
+                          "message": f"{type(exc).__name__}: {exc}",
+                          "traceback": traceback.format_exc()}), file=sys.stderr)
+        return EXIT_INTERNAL
     return 0
 
 

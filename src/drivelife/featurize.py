@@ -3,16 +3,19 @@
 SSD features: the daily read/write/erase counts and ten error counters,
 cumulative (`_cum`) variants of each, the cumulative wear and bad-block
 counters, and drive age in days. HDD features: raw SMART values, `diff`
-variants (today minus previous observation) for the cumulative SMART ids,
-a carried-forward cumulative for SMART 187, and a counter-reset flag.
+variants (today minus the last present value) for the cumulative SMART
+ids, a carried-forward cumulative for SMART 187, and a counter-reset flag.
 
 Missing values are carried forward from the last observation and imputed
-to 0 when never observed; a negative raw difference (counter reset) is
-clamped to a 0 diff and raises the reset flag instead of producing a
-negative spike.
+to 0 when never observed; a diff is 0 on a drive's first observation and
+on missing days, and a negative raw difference (counter reset) is clamped
+to a 0 diff and raises the reset flag instead of producing a negative
+spike. ``charstats`` counts HDD errors by the same rule.
 
-Matrices are columnar (one float64 array per dataset) because fleets run
-to millions of drive-days.
+Features are built one dataset column at a time (``FleetDataset.column``)
+with per-drive kernels over the rows, never record by record; matrices
+are columnar (one float64 array per dataset) because fleets run to
+millions of drive-days.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS
+from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError
 from .lifecycle import FailureEvent, OperationalPeriod, _DayWindows, drive_days
 
 __all__ = [
@@ -33,6 +36,8 @@ __all__ = [
     "make_features_ssd",
     "make_features_hdd",
     "make_features",
+    "carry_forward",
+    "counter_increments",
     "label_lookahead",
     "partition_dataset",
     "write_examples_csv",
@@ -52,11 +57,6 @@ _SSD_NAMES = (*_SSD_DAILY, *(f"{n}_cum" for n in _SSD_DAILY),
 _HDD_NAMES = (*(f"smart_{sid}" for sid in HDD_SMART_IDS),
               *(f"smart_{sid}_diff" for sid in HDD_DIFF_IDS),
               "smart_187_cum", "counter_reset")
-
-#: (SMART id, raw column, diff column or None) for every HDD raw id.
-_HDD_COLUMNS = tuple(
-    (sid, j, _HDD_NAMES.index(f"smart_{sid}_diff") if sid in HDD_DIFF_IDS else None)
-    for j, sid in enumerate(HDD_SMART_IDS))
 
 
 @dataclass
@@ -88,6 +88,62 @@ class FeatureMatrix:
             raise KeyError(f"unknown feature {name!r}") from None
 
 
+def carry_forward(values: np.ndarray, present: np.ndarray,
+                  starts: np.ndarray) -> np.ndarray:
+    """Each row's last present value of its drive; 0 before the drive's first.
+
+    Takes a :meth:`FleetDataset.column` and its ``starts``, as do the
+    kernels below.
+    """
+    last = _last_present(present, starts)
+    return np.where(last >= 0, values[last], 0)
+
+
+def counter_increments(values: np.ndarray, present: np.ndarray,
+                       starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Daily increments of a cumulative counter, and their reset flags.
+
+    A present cell counts its value minus the drive's last earlier present
+    value. A drive's first present cell and every absent cell count 0. A
+    negative difference is a counter reset: it counts 0 and is flagged.
+    Differences are taken in int64, so they are exact for every count.
+    """
+    last = _last_present(present, starts)
+    prev = np.roll(last, 1)
+    prev[starts[:-1][np.diff(starts) > 0]] = -1
+    diff = np.where(present & (prev >= 0), values - values[prev], 0)
+    return np.maximum(diff, 0), diff < 0
+
+
+def _last_present(present: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per row: the index of its drive's last present row at or before it, or -1."""
+    first = np.repeat(starts[:-1], np.diff(starts))
+    last = np.maximum.accumulate(np.where(present, np.arange(present.size), -1))
+    return np.where(last >= first, last, -1)
+
+
+def _accumulate(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per drive: ``ufunc.accumulate`` down the drive's rows (axis 0).
+
+    One step per row position, over every drive that long; each element
+    sees the operations of a per-drive ``ufunc.accumulate`` in its order,
+    so float running sums equal ``np.cumsum`` bit for bit.
+    """
+    out = a.copy()
+    lengths = np.diff(starts)
+    for k in range(1, lengths.max(initial=0)):
+        rows = starts[:-1][lengths > k] + k
+        out[rows] = ufunc(out[rows - 1], a[rows])
+    return out
+
+
+def _rows(ds: FleetDataset) -> tuple[np.ndarray, np.ndarray]:
+    """The drive id and drive-age day of every row, in column order."""
+    drives = np.repeat(np.array(ds.drives, dtype=object), np.diff(ds.starts))
+    days = np.concatenate([np.empty(0, dtype=np.int64), *drive_days(ds).values()])
+    return drives, days
+
+
 def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     """Daily + cumulative activity/error features for every SSD drive-day.
 
@@ -98,95 +154,45 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     """
     if ds.family != "ssd":
         raise ValueError("make_features_ssd needs an SSD dataset")
-    ages = drive_days(ds)
-    blocks, drive_ids = [], []
-    for drive in ds.drives:
-        seq = ds.records[drive]
-        n = len(seq)
-        daily = np.zeros((n, len(_SSD_DAILY)))
-        carried = np.zeros((n, 3))
-        for i, rec in enumerate(seq):
-            daily[i, 0] = rec.read_ops or 0
-            daily[i, 1] = rec.write_ops or 0
-            daily[i, 2] = rec.erase_ops or 0
-            if rec.errors:
-                for k, kind in enumerate(SSD_ERROR_KINDS):
-                    daily[i, 3 + k] = rec.errors.get(kind, 0)
-            carried[i, 0] = rec.pe_cycles_cum if rec.pe_cycles_cum is not None else np.nan
-            carried[i, 1] = (rec.bad_blocks_factory_cum
-                             if rec.bad_blocks_factory_cum is not None else np.nan)
-            carried[i, 2] = (rec.bad_blocks_new_cum
-                             if rec.bad_blocks_new_cum is not None else np.nan)
-        _carry_forward(carried)
-        block = np.hstack([daily, np.cumsum(daily, axis=0), carried,
-                           ages[drive][:, None].astype(float)])
-        blocks.append(block)
-        drive_ids.extend([drive] * n)
-    X = np.vstack(blocks) if blocks else np.empty((0, len(_SSD_NAMES)))
-    days = np.concatenate([np.empty(0, dtype=np.int64), *ages.values()])
-    return FeatureMatrix("ssd", _SSD_NAMES, X, np.array(drive_ids, dtype=object), days)
-
-
-def _carry_forward(a: np.ndarray) -> None:
-    """In place: replace NaNs column-wise with the last seen value, else 0."""
-    for j in range(a.shape[1]):
-        col = a[:, j]
-        last = 0.0
-        for i in range(col.shape[0]):
-            if np.isnan(col[i]):
-                col[i] = last
-            else:
-                last = col[i]
+    starts = ds.starts
+    n_daily = len(_SSD_DAILY)
+    X = np.empty((ds.n_records, len(_SSD_NAMES)))
+    for j, name in enumerate(_SSD_DAILY):
+        X[:, j] = ds.column(name)[0]
+    X[:, n_daily:2 * n_daily] = _accumulate(np.add, X[:, :n_daily], starts)
+    for j, name in enumerate(_SSD_NAMES[2 * n_daily:-1], start=2 * n_daily):
+        X[:, j] = carry_forward(*ds.column(name), starts)
+    drives, days = _rows(ds)
+    X[:, -1] = days
+    return FeatureMatrix("ssd", _SSD_NAMES, X, drives, days)
 
 
 def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
     """Raw SMART values, diffs of the cumulative ids, and the SMART-187 cumulative.
 
-    Diffs are computed against the last *present* value (carry-forward
-    across gaps); the first observation diffs to 0; a negative difference
-    is a counter reset, clamped to 0 with the ``counter_reset`` flag set.
+    Raw values are carried forward across absent cells (0 before a drive's
+    first value). Diffs follow :func:`counter_increments`: against the last
+    *present* value, 0 on a drive's first present value and on absent
+    cells, and a negative difference (counter reset) is clamped to 0 with
+    the ``counter_reset`` flag set.
     """
     if ds.family != "hdd":
         raise ValueError("make_features_hdd needs an HDD dataset")
-    p = len(_HDD_NAMES)
-    cum_col, reset_col = p - 2, p - 1
-
-    ages = drive_days(ds)
-    blocks, drive_ids, hfh_blocks = [], [], []
-    for serial in ds.drives:
-        seq = ds.records[serial]
-        n = len(seq)
-        block = np.zeros((n, p))
-        last_raw: dict[int, float] = {}
-        hfh_running = 0.0
-        hfh = np.zeros(n)
-        for i, rec in enumerate(seq):
-            reset = False
-            for sid, j, diff_col in _HDD_COLUMNS:
-                value = rec.smart_raw.get(sid)
-                prev = last_raw.get(sid)
-                if value is None:
-                    value = prev if prev is not None else 0.0
-                block[i, j] = value
-                if diff_col is not None:
-                    diff = 0.0 if prev is None else value - prev
-                    if diff < 0:
-                        diff = 0.0
-                        reset = True
-                    block[i, diff_col] = diff
-                last_raw[sid] = value
-            block[i, cum_col] = last_raw[187]
-            block[i, reset_col] = float(reset)
-            hfh_running = max(hfh_running, last_raw[240])
-            hfh[i] = hfh_running
-        blocks.append(block)
-        drive_ids.extend([serial] * n)
-        hfh_blocks.append(hfh)
-    X = np.vstack(blocks) if blocks else np.empty((0, p))
-    days = np.concatenate([np.empty(0, dtype=np.int64), *ages.values()])
-    hfh_max = np.concatenate(hfh_blocks) if hfh_blocks else np.empty(0)
-    return FeatureMatrix("hdd", _HDD_NAMES, X, np.array(drive_ids, dtype=object),
-                         days, hfh_max=hfh_max)
+    starts = ds.starts
+    X = np.empty((ds.n_records, len(_HDD_NAMES)))
+    reset = np.zeros(ds.n_records, dtype=bool)
+    for j, sid in enumerate(HDD_SMART_IDS):
+        values, present = ds.column(f"smart_{sid}")
+        X[:, j] = carry_forward(values, present, starts)
+        if sid in HDD_DIFF_IDS:
+            diff, flag = counter_increments(values, present, starts)
+            X[:, _HDD_NAMES.index(f"smart_{sid}_diff")] = diff
+            reset |= flag
+    X[:, -2] = X[:, HDD_SMART_IDS.index(187)]  # smart_187_cum: the carried smart_187
+    X[:, -1] = reset
+    hfh_max = _accumulate(np.maximum, X[:, HDD_SMART_IDS.index(240)], starts)
+    drives, days = _rows(ds)
+    return FeatureMatrix("hdd", _HDD_NAMES, X, drives, days, hfh_max=hfh_max)
 
 
 def make_features(ds: FleetDataset) -> FeatureMatrix:
@@ -302,25 +308,35 @@ def write_examples_csv(examples: LabeledExamples, out,
 
 
 def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
-    """Inverse of write_examples_csv (feature values round-trip via repr)."""
+    """Inverse of write_examples_csv (feature values round-trip via repr).
+
+    A missing or foreign header, or a row with the wrong number of cells
+    or an unparsable value, raises SchemaError naming its line.
+    """
     import csv
     import io
 
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    rows = (r for r in csv.reader(stream)
+    reader = csv.reader(stream)
+    rows = ((reader.line_num, r) for r in reader
             if r and not r[0].startswith("#"))
-    header = next(rows)
-    if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
-        raise ValueError("not an examples CSV: trailing columns mismatch")
+    _, header = next(rows, (0, None))
+    if header is None or header[-4:] != ["label", "drive_id", "day", "partition_key"]:
+        raise SchemaError("not an examples CSV: trailing columns mismatch")
     names = tuple(header[:-4])
     X, y, drives, days, keys = [], [], [], [], []
-    for row in rows:
-        X.append([float(v) for v in row[:len(names)]])
-        y.append(bool(int(row[-4])))
-        drives.append(row[-3])
-        days.append(int(row[-2]))
-        keys.append(float(row[-1]))
+    for lineno, row in rows:
+        try:
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            X.append([float(v) for v in row[:len(names)]])
+            y.append(bool(int(row[-4])))
+            drives.append(row[-3])
+            days.append(int(row[-2]))
+            keys.append(float(row[-1]))
+        except ValueError as exc:
+            raise SchemaError(f"examples line {lineno}: {exc}") from None
     n = len(X)
     return LabeledExamples(
         names, np.asarray(X, dtype=float).reshape(n, len(names)),

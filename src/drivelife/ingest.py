@@ -24,7 +24,10 @@ import datetime as dt
 import io
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "SchemaError",
@@ -65,6 +68,10 @@ _SSD_COLUMNS = (
 )
 
 _HDD_MANDATORY = ("date", "serial_number", "model", "failure")
+
+#: SSD record fields that hold a count or None (absent).
+_SSD_COUNT_FIELDS = ("read_ops", "write_ops", "erase_ops", "pe_cycles_cum",
+                     "bad_blocks_factory_cum", "bad_blocks_new_cum")
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +151,41 @@ class FleetDataset:
     def iter_records(self) -> Iterator:
         for drive in self.drives:
             yield from self.records[drive]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """CSR offsets: ``drives[i]`` owns column rows ``starts[i]:starts[i+1]``."""
+        lengths = [len(self.records[d]) for d in self.drives]
+        return np.cumsum([0, *lengths], dtype=np.int64)
+
+    def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """One field of every record, in ``drives`` then record order.
+
+        Returns (int64 values, bool present); an absent cell reads 0. SSD
+        fields: ``read_ops``, ``write_ops``, ``erase_ops``, ``pe_cycles_cum``,
+        ``bad_blocks_{factory,new}_cum`` and ``err_<kind>`` (a kind the day
+        did not report counts 0 and is present). HDD fields: ``smart_<id>``
+        and ``failed`` (0/1). Other names raise KeyError.
+        """
+        rows = list(self.iter_records())
+        # -1 marks an absent cell: every count the parsers accept is >= 0.
+        if self.family == "ssd" and name in _SSD_COUNT_FIELDS:
+            cells = [-1 if v is None else v for v in map(attrgetter(name), rows)]
+        elif (self.family == "ssd" and name.startswith("err_")
+              and name[4:] in SSD_ERROR_KINDS):
+            kind = name[4:]
+            cells = [r.errors.get(kind, 0) for r in rows]
+        elif self.family == "hdd" and name == "failed":
+            cells = [r.failed_today for r in rows]
+        elif (self.family == "hdd" and name.startswith("smart_")
+              and name[6:].isdigit()):
+            sid = int(name[6:])
+            cells = [r.smart_raw.get(sid, -1) for r in rows]
+        else:
+            raise KeyError(f"no column {name!r} in a {self.family} dataset")
+        values = np.array(cells, dtype=np.int64)
+        present = values >= 0
+        return np.maximum(values, 0), present
 
     def models(self) -> list[str]:
         seen = {seq[0].model for seq in self.records.values() if seq}

@@ -312,7 +312,10 @@ def _newton_direction(w: np.ndarray, X: np.ndarray, grad: np.ndarray,
 
     The Hessian is assembled from its blocks (features, then the
     unpenalized intercept), so the design matrix is never widened by a
-    column of ones. Returns None when the Hessian is singular.
+    column of ones. A rank-deficient Hessian (``l2=0`` with a constant or
+    duplicated column), whose plain solve can be a huge step along its null
+    space, or a solution that does not descend gives the minimum-norm
+    least-squares direction instead; None when that fails too.
     """
     p = X.shape[1]
     s = expit(X @ w[:p] + w[p])
@@ -322,7 +325,11 @@ def _newton_direction(w: np.ndarray, X: np.ndarray, grad: np.ndarray,
     hess[:p, p] = hess[p, :p] = X.T @ v
     hess[p, p] = v.sum()
     try:
-        return np.linalg.solve(hess, -grad)
+        if np.linalg.matrix_rank(hess, hermitian=True) == p + 1:
+            direction = np.linalg.solve(hess, -grad)
+            if grad @ direction < 0.0:
+                return direction
+        return np.linalg.lstsq(hess, -grad, rcond=None)[0]
     except np.linalg.LinAlgError:
         return None
 
@@ -335,8 +342,9 @@ def train_logistic(X, y, l2: float = 1e-3, max_iter: int = 500,
     Features are standardized internally (constant columns get unit
     scale). Each step solves the Hessian against the gradient and halves
     the step from 1 until the Armijo condition holds; when the Hessian is
-    singular or its direction is not a descent direction, the step falls
-    back to the negative gradient. ``max_iter`` bounds the number of
+    singular or its direction is not a descent direction, the step takes
+    the minimum-norm least-squares direction, and the negative gradient
+    when that does not descend either. ``max_iter`` bounds the number of
     steps, Newton or fallback, not the loss evaluations of the line
     search. Convergence is declared when the gradient norm drops below
     ``tol``; the returned model records whether that happened.

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from drivelife import featurize
+from drivelife import cli, featurize
 from drivelife.cli import run
 
 SYNTH_CONFIG = {
@@ -226,6 +226,61 @@ class TestErrors:
         bad.write_text("only,two\n1,2\n")
         assert run(["ingest", "--family", "ssd", "--input", str(bad),
                     "--out", str(tmp_path)]) == 4
+
+    @staticmethod
+    def _examples(tmp_path, short_row=False):
+        rows = [f"{d % 3}.0,{int(d % 2 == 0)},d{d},{d},{d}.0" for d in range(8)]
+        if short_row:
+            rows[4] = "1.0,0,d4"
+        path = tmp_path / "examples.csv"
+        path.write_text("a,label,drive_id,day,partition_key\n"
+                        + "\n".join(rows) + "\n")
+        return str(path)
+
+    def _error(self, capsys, argv):
+        code = run(argv)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return code, json.loads(lines[0])
+
+    @pytest.mark.parametrize("extra", [
+        ["--hyper", '{"bogus": 1}'],
+        ["--hyper", '{"n_trees": 3'],
+        ["--lookahead", "x"],
+        ["--lookahead=-1"],
+        ["--folds", "1"],
+    ], ids=["hyper_field", "hyper_json", "lookahead_text", "lookahead_negative",
+            "one_fold"])
+    def test_bad_option_is_usage_error(self, extra, tmp_path, capsys):
+        code, doc = self._error(capsys, [
+            "evaluate", "--examples", self._examples(tmp_path), "--model", "rf",
+            "--seed", "1", "--out", str(tmp_path / "o"), *extra])
+        assert code == 2 and doc["error"] == "usage"
+
+    def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text('{"seed": 1,')
+        code, doc = self._error(capsys, [
+            "evaluate", "--config", str(config), "--examples",
+            self._examples(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+
+    def test_short_examples_row_is_schema_error(self, tmp_path, capsys):
+        code, doc = self._error(capsys, [
+            "evaluate", "--examples", self._examples(tmp_path, short_row=True),
+            "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 4 and doc["error"] == "schema"
+        assert "line 6:" in doc["message"]
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, capsys,
+                                                    monkeypatch):
+        def boom(run_context):
+            raise RuntimeError("boom")
+        monkeypatch.setitem(cli._COMMANDS, "report", boom)
+        code, doc = self._error(capsys, ["report", "--out", str(tmp_path)])
+        assert code == 5 and doc["error"] == "internal"
+        assert doc["message"] == "RuntimeError: boom"
+        assert "Traceback" in doc["traceback"]
 
 
 class TestReport:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivelife import charstats
+from drivelife.ingest import SchemaError
 from drivelife.featurize import (PartitionRule, label_lookahead,
                                  make_features_hdd,
                                  make_features_ssd, partition_dataset,
@@ -90,6 +92,17 @@ class TestHddFeatures:
         diff = feats.X[:, feats.names.index("smart_241_diff")]
         assert list(raw) == [50, 50, 80]  # carry-forward
         assert list(diff) == [0, 0, 30]
+
+    def test_first_present_value_diffs_to_zero(self):
+        # smart_5 cells ",7,9,9": the absent first cell is not an observation.
+        recs = [hdd_rec("A", day, smart=smart)
+                for day, smart in enumerate([{}, {5: 7}, {5: 9}, {5: 9}])]
+        ds = hdd_dataset({"A": recs})
+        feats = make_features_hdd(ds)
+        assert list(feats.X[:, feats.names.index("smart_5_diff")]) == [0, 0, 2, 0]
+        assert list(feats.X[:, feats.names.index("smart_5")]) == [0, 7, 9, 9]
+        _, counts, _, days = charstats._daily_error_series(ds, "smart_5")
+        assert list(counts) == [2] and list(days) == [0, 1, 2, 3]
 
     def test_counter_reset_clamped_and_flagged(self):
         recs = [hdd_rec("A", 0, smart={12: 40}), hdd_rec("A", 1, smart={12: 3})]
@@ -217,3 +230,16 @@ class TestExamplesCsv:
         assert np.array_equal(again.y, examples.y)
         assert list(again.drives) == list(examples.drives)
         assert np.array_equal(again.partition_key, examples.partition_key)
+
+    @pytest.mark.parametrize("text, line", [
+        ("", None),
+        ("a,b\n1,2\n", None),
+        ("# meta\na,label,drive_id,day,partition_key\n1.0,1,d,3\n", 3),
+        ("a,label,drive_id,day,partition_key\n1.0,0,d,3,3.0\nx,1,d,4,4.0\n", 3),
+    ], ids=["empty", "foreign_header", "short_row", "bad_value"])
+    def test_malformed_input_is_schema_error(self, text, line):
+        with pytest.raises(SchemaError) as exc:
+            read_examples_csv(text)
+        if line is not None:
+            assert f"line {line}:" in str(exc.value)
+

@@ -240,29 +240,14 @@ class TestLogistic:
         assert abs(model.weights[-1]) < 1e-3
 
     def test_loss_decreases_monotonically(self):
+        # A fit stopped after k steps holds the k-th iterate of the solver.
         rng = np.random.default_rng(2)
         X = rng.normal(size=(60, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=60)) > 0
-        mean = X.mean(axis=0)
-        scale = np.where(X.std(axis=0) > 0, X.std(axis=0), 1.0)
-        Xs = (X - mean) / scale
-        losses = []
-        w = np.zeros(4)
-        loss, grad = logistic_loss_grad(w, Xs, y.astype(float), 1e-3)
-        losses.append(loss)
-        step = 1.0
-        for _ in range(50):
-            step = min(step * 2, 1e6)
-            gnorm2 = float(grad @ grad)
-            while True:
-                w_next = w - step * grad
-                loss_next, grad_next = logistic_loss_grad(w_next, Xs,
-                                                          y.astype(float), 1e-3)
-                if loss_next <= loss - 1e-4 * step * gnorm2 or step < 1e-12:
-                    break
-                step *= 0.5
-            w, loss, grad = w_next, loss_next, grad_next
-            losses.append(loss)
+        Xs = standardized(X)
+        losses = [logistic_loss_grad(train_logistic(X, y, max_iter=k).weights,
+                                     Xs, y.astype(float), 1e-3)[0]
+                  for k in range(1, 11)]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
     def test_non_finite_rejected(self):
@@ -342,7 +327,7 @@ class TestNewtonSolver:
             X = rng.normal(size=(30, 3))
             y = X[:, 0] + 0.1 * rng.normal(size=30) > 0
             l2 = 1e-8
-        else:  # singular Hessian: most steps fall back to the gradient
+        else:  # singular Hessian: the steps take the minimum-norm direction
             rng = np.random.default_rng(12)
             X = rng.normal(size=(80, 3))
             y = X[:, 0] + 0.5 * rng.normal(size=80) > 0
@@ -388,6 +373,16 @@ class TestNewtonSolver:
         model = train_logistic(X, y, l2=l2)
         assert np.isfinite(model.weights).all()
         assert np.isfinite(predict_proba(model, X)).all()
+
+    @pytest.mark.parametrize("extra", ["duplicated_column", "constant_column"])
+    def test_singular_hessian_converges_in_few_steps(self, extra):
+        for seed in range(28):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(80, 3))
+            y = X[:, 0] + 0.5 * rng.normal(size=80) > 0
+            column = X[:, :1] if extra == "duplicated_column" else np.full((80, 1), 7.0)
+            model = train_logistic(np.hstack([X, column]), y, l2=0.0)
+            assert model.converged and model.n_iter <= 25, seed
 
     @pytest.mark.parametrize("direction", [
         lambda grad: None,                       # singular Hessian
