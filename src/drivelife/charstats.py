@@ -37,6 +37,7 @@ __all__ = [
     "prefailure_error_percentiles",
     "write_intensity_quartiles",
     "nearest_rank",
+    "check_error_kind",
 ]
 
 DAYS_PER_MONTH = 30
@@ -162,9 +163,8 @@ def monthly_failure_rate(failures: Iterable[FailureEvent],
     fail_months = np.array([ev.age_days // DAYS_PER_MONTH for ev in failures],
                            dtype=np.int64)
     # One entry per (drive, age month) that has a record.
-    exposed = np.concatenate([np.empty(0, dtype=np.int64),
-                              *(np.unique(a // DAYS_PER_MONTH)
-                                for a in drive_days(ds).values())])
+    exposed = np.unique(np.stack([ds.row_drive(),
+                                  drive_days(ds) // DAYS_PER_MONTH]), axis=1)[1]
     n_bins = int(max(exposed.max(initial=-1), fail_months.max(initial=-1))) + 1
     if n_bins <= 0:
         return RateCurve.from_counts(np.array([0.0]), [], [])
@@ -187,7 +187,7 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
         raise ValueError("pe_binned_failure_rate needs an SSD dataset")
     pe, observed = ds.column("pe_cycles_cum")
     drives, days = featurize._rows(ds)
-    drive_no = np.repeat(np.arange(ds.n_drives), np.diff(ds.starts))[observed]
+    drive_no = ds.row_drive()[observed]
     pe, drives, days = pe[observed], drives[observed], days[observed]
     readings = _DayWindows(drives, days)
     fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
@@ -221,14 +221,12 @@ def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
         raise ValueError("hfh_threshold_sweep needs an HDD dataset")
     failed = {ev.drive for ev in failures}
     hfh, reported = ds.column("smart_240")
-    starts = ds.starts
-    nonempty = np.diff(starts) > 0
-    firsts = starts[:-1][nonempty]
+    firsts = ds.starts[:-1]
     # Absent cells read 0 and counts are >= 0, so a drive's maximum over
     # all its cells is its maximum over the reported ones.
     top = np.maximum.reduceat(hfh, firsts)
     seen = np.logical_or.reduceat(reported, firsts)
-    drives = np.array(ds.drives, dtype=object)[nonempty]
+    drives = np.array(ds.drives, dtype=object)
     max_hfh = dict(zip(drives[seen].tolist(), top[seen].tolist()))
     excluded = ds.n_drives - len(max_hfh)
     per_threshold = {}
@@ -242,6 +240,20 @@ def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
     return {"excluded": excluded, "per_threshold": per_threshold}
 
 
+def check_error_kind(family: str, kind: str) -> None:
+    """Raise ValueError unless ``kind`` names an error series of the family.
+
+    SSD kinds are the ten canonical counter names; HDD kinds are
+    ``smart_<id>`` names.
+    """
+    if family == "ssd":
+        if kind not in SSD_ERROR_KINDS:
+            raise ValueError(f"unknown SSD error kind {kind!r}; expected one of "
+                             + ", ".join(SSD_ERROR_KINDS))
+    elif not (kind.startswith("smart_") and kind[6:].isdigit()):
+        raise ValueError(f"unknown HDD error kind {kind!r} (expected smart_<id>)")
+
+
 def _daily_error_series(ds: FleetDataset, kind: str):
     """Every record's drive, drive-age day and that-day count of one error kind.
 
@@ -252,13 +264,10 @@ def _daily_error_series(ds: FleetDataset, kind: str):
     counter by :func:`featurize.counter_increments`, the rule of the
     ``smart_<id>_diff`` features.
     """
+    check_error_kind(ds.family, kind)
     if ds.family == "ssd":
-        if kind not in SSD_ERROR_KINDS:
-            raise ValueError(f"unknown SSD error kind {kind!r}")
         counts = ds.column(f"err_{kind}")[0]
     else:
-        if not (kind.startswith("smart_") and kind[6:].isdigit()):
-            raise ValueError(f"unknown HDD error kind {kind!r} (expected smart_<id>)")
         counts = featurize.counter_increments(*ds.column(kind), ds.starts)[0]
     drives, days = featurize._rows(ds)
     hit = counts > 0

@@ -233,7 +233,7 @@ def _example_builder(ds: FleetDataset, partition_attr: str | None = None
     periods = lifecycle.extract_operational_periods(ds, failures)
     feats = featurize.make_features(ds)
     attr = partition_attr or ("hfh" if ds.family == "hdd" else "age")
-    model_of = {d: ds.records[d][0].model for d in ds.drives if ds.records[d]}
+    model_of = ds.model_of
     return lambda lookahead: featurize.label_lookahead(
         feats, failures, lookahead, periods, partition_attr=attr,
         models=model_of)
@@ -254,6 +254,11 @@ def _examples_for(run: _Run, lookahead: int,
 # -- subcommands -----------------------------------------------------------
 
 
+def _write_dataset(run: _Run, name: str, ds: FleetDataset) -> None:
+    writer = write_ssd_csv if ds.family == "ssd" else write_hdd_csv
+    run._atomic(name, lambda h: writer(ds, h))
+
+
 def _cmd_synth(run: _Run) -> None:
     raw = dict(run.config)
     raw.pop("seed", None)
@@ -267,10 +272,7 @@ def _cmd_synth(run: _Run) -> None:
         raise _fail("usage", f"bad synth config: {exc}", EXIT_USAGE)
     ds, truth = synth.generate_fleet(config)
     name = f"{config.family}_telemetry.csv"
-    if config.family == "ssd":
-        run._atomic(name, lambda h: write_ssd_csv(ds, h))
-    else:
-        run._atomic(name, lambda h: write_hdd_csv(ds, h))
+    _write_dataset(run, name, ds)
     run.write_csv("truth.csv", ["drive", "failure_day", "ordinal"],
                   [[ev.drive, ev.age_days, ev.ordinal] for ev in truth])
     report = synth.verify_fleet(ds, truth, config)
@@ -288,10 +290,7 @@ def _cmd_synth(run: _Run) -> None:
 def _cmd_ingest(run: _Run) -> None:
     ds = _load_dataset(run)
     name = f"{ds.family}_dataset.csv"
-    if ds.family == "ssd":
-        run._atomic(name, lambda h: write_ssd_csv(ds, h))
-    else:
-        run._atomic(name, lambda h: write_hdd_csv(ds, h))
+    _write_dataset(run, name, ds)
     prov = ds.provenance
     run.write_json("ingest_report.json", {
         "family": ds.family,
@@ -359,7 +358,27 @@ def _rate_rows(curve: charstats.RateCurve):
                int(curve.exposure[i]), "" if rate is None else rate]
 
 
+def _characterize_options(run: _Run) -> tuple[str, list[float]]:
+    """The error kind and the HFH thresholds, checked before any analysis runs."""
+    family = run.need("family")
+    kind = str(run.opt("error-kind",
+                       "uncorrectable" if family == "ssd" else "smart_187"))
+    try:
+        charstats.check_error_kind(family, kind)
+    except ValueError as exc:
+        raise _fail("usage", f"bad --error-kind: {exc}", EXIT_USAGE)
+    raw = run.opt("thresholds", "10000,20000,30000,40000,50000,60000")
+    try:
+        thresholds = [float(t) for t in (raw.split(",") if isinstance(raw, str)
+                                         else raw)]
+    except (TypeError, ValueError):
+        raise _fail("usage", f"bad --thresholds {raw!r}; expected numbers, "
+                    "comma-separated", EXIT_USAGE)
+    return kind, thresholds
+
+
 def _cmd_characterize(run: _Run) -> None:
+    kind, thresholds = _characterize_options(run)
     ds = _load_dataset(run)
     failures = lifecycle.detect_failures(ds)
     which = str(run.opt("analysis", "all"))
@@ -396,9 +415,6 @@ def _cmd_characterize(run: _Run) -> None:
         summary["pe-rate"] = {"bins": len(curve.failures),
                               "artifact": "rates_pe.csv"}
     if on("hfh-sweep") and ds.family == "hdd":
-        raw = run.opt("thresholds", "10000,20000,30000,40000,50000,60000")
-        thresholds = ([float(t) for t in raw.split(",")]
-                      if isinstance(raw, str) else [float(t) for t in raw])
         sweep = charstats.hfh_threshold_sweep(failures, ds, thresholds)
         rows = [[t,
                  "" if small is None else small,
@@ -411,8 +427,6 @@ def _cmd_characterize(run: _Run) -> None:
         summary["hfh-sweep"] = {"excluded_drives": sweep["excluded"],
                                 "artifact": "rates_hfh.csv"}
     if on("prefailure-prob"):
-        kind = str(run.opt("error-kind",
-                           "uncorrectable" if ds.family == "ssd" else "smart_187"))
         windows = [1, 2, 3, 5, 7, 14, 30]
         probs = charstats.prefailure_error_probability(failures, ds, kind,
                                                        windows, seed=run.seed)
@@ -424,8 +438,6 @@ def _cmd_characterize(run: _Run) -> None:
         summary["prefailure-prob"] = {"kind": kind,
                                       "artifact": "prefailure_prob.csv"}
     if on("prefailure-percentiles"):
-        kind = str(run.opt("error-kind",
-                           "uncorrectable" if ds.family == "ssd" else "smart_187"))
         pct = (90.0, 99.0)
         table = charstats.prefailure_error_percentiles(failures, ds, kind, pct)
         rows = []

@@ -25,7 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError
+from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
+                     _last_present, _previous_present)
 from .lifecycle import FailureEvent, OperationalPeriod, _DayWindows, drive_days
 
 __all__ = [
@@ -108,18 +109,9 @@ def counter_increments(values: np.ndarray, present: np.ndarray,
     negative difference is a counter reset: it counts 0 and is flagged.
     Differences are taken in int64, so they are exact for every count.
     """
-    last = _last_present(present, starts)
-    prev = np.roll(last, 1)
-    prev[starts[:-1][np.diff(starts) > 0]] = -1
+    prev = _previous_present(present, starts)
     diff = np.where(present & (prev >= 0), values - values[prev], 0)
     return np.maximum(diff, 0), diff < 0
-
-
-def _last_present(present: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per row: the index of its drive's last present row at or before it, or -1."""
-    first = np.repeat(starts[:-1], np.diff(starts))
-    last = np.maximum.accumulate(np.where(present, np.arange(present.size), -1))
-    return np.where(last >= first, last, -1)
 
 
 def _accumulate(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -140,8 +132,7 @@ def _accumulate(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray) -> np.ndarra
 def _rows(ds: FleetDataset) -> tuple[np.ndarray, np.ndarray]:
     """The drive id and drive-age day of every row, in column order."""
     drives = np.repeat(np.array(ds.drives, dtype=object), np.diff(ds.starts))
-    days = np.concatenate([np.empty(0, dtype=np.int64), *drive_days(ds).values()])
-    return drives, days
+    return drives, drive_days(ds)
 
 
 def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:

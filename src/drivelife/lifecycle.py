@@ -13,9 +13,12 @@ Drive age sources:
 
 * SSD: timestamps count microseconds from lifetime start, so the age of a
   record is ``timestamp_us // US_PER_DAY``.
-* HDD: SMART 9 (power-on hours) / 24 when present on the record; otherwise
+* HDD: SMART 9 (power-on hours) / 24 when present on the row; otherwise
   the last SMART-9 anchor carried forward by calendar-day deltas; before
-  any anchor, days since the drive's first record.
+  any anchor, days since the drive's first row.
+
+Everything here reads the dataset's columns (``FleetDataset.column``,
+``flag`` and ``time``); loops run per failure or per drive, never per row.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .ingest import FleetDataset, HddDailyRecord, SsdDailyRecord
+from .ingest import US_PER_DAY, FleetDataset, _last_present
 
 __all__ = [
     "FailureEvent",
@@ -35,7 +38,6 @@ __all__ = [
     "CensoredSample",
     "SSD_TRIM_BOUND_DAYS",
     "LONG_LIMBO_DAYS",
-    "hdd_record_ages",
     "drive_days",
     "detect_hdd_failures",
     "detect_ssd_failures",
@@ -126,35 +128,46 @@ class CensoredSample:
         return len(self.values) + self.censored_count
 
 
-def hdd_record_ages(records: Sequence[HddDailyRecord]) -> list[int]:
-    """Per-record drive ages in days for one HDD's sorted record sequence."""
-    ages = []
-    anchor_age = None
-    anchor_date = None
-    first_date = records[0].date
-    for r in records:
-        hours = r.smart_raw.get(9)
-        if hours is not None:
-            age = hours // 24
-            anchor_age, anchor_date = age, r.date
-        elif anchor_age is not None:
-            age = anchor_age + (r.date - anchor_date).days
-        else:
-            age = (r.date - first_date).days
-        ages.append(age)
-    return ages
-
-
-def drive_days(ds: FleetDataset) -> dict[str, np.ndarray]:
-    """The drive-age day of every record, per drive and in record order.
+def drive_days(ds: FleetDataset) -> np.ndarray:
+    """The drive-age day of every row, in column order.
 
     This is the one age rule of the package (see the module docstring):
-    SSD days are ``timestamp_us // US_PER_DAY``, HDD days come from
-    :func:`hdd_record_ages`.
+    SSD days are ``timestamp_us // US_PER_DAY``; an HDD day is the last
+    SMART-9 anchor at or before the row plus the calendar days since it,
+    or the calendar days since the drive's first row before any anchor.
     """
-    rule = (hdd_record_ages if ds.family == "hdd"
-            else lambda seq: [r.day for r in seq])
-    return {d: np.array(rule(ds.records[d]), dtype=np.int64) for d in ds.drives}
+    if ds.family == "ssd":
+        return ds.time // US_PER_DAY
+    hours, present = ds.column("smart_9")
+    anchor = _last_present(present, ds.starts)
+    first = np.repeat(ds.starts[:-1], np.diff(ds.starts))
+    return np.where(anchor >= 0, hours[anchor] // 24 + ds.time - ds.time[anchor],
+                    ds.time - ds.time[first])
+
+
+def _day_keys(ds: FleetDataset, days: np.ndarray):
+    """Keys of the rows by (drive, day), and the key of a (drive, day) query.
+
+    A key is ``drive index * width + rank of the day among the distinct
+    row days``, so it cannot overflow whatever the days are. Rows of one
+    drive whose days do not decrease have increasing keys; a query key
+    ranks its day with ``searchsorted(..., side)``.
+    """
+    axis = np.unique(days)
+    width = axis.size + 1
+    keys = ds.row_drive() * width + np.searchsorted(axis, days)
+    return keys, lambda drive, day, side: (
+        drive * width + np.searchsorted(axis, day, side))
+
+
+def _events(ds: FleetDataset, rows: np.ndarray, days: np.ndarray,
+            degenerate: np.ndarray) -> list[FailureEvent]:
+    """One FailureEvent per row (increasing), numbered per drive from 1."""
+    drive = ds.row_drive()[rows]
+    ordinal = np.arange(rows.size) - np.searchsorted(drive, drive) + 1
+    return [FailureEvent(ds.drives[d], day, k, ds.family, g)
+            for d, day, k, g in zip(drive.tolist(), days.tolist(),
+                                    ordinal.tolist(), degenerate.tolist())]
 
 
 class _DayWindows:
@@ -200,116 +213,88 @@ class _DayWindows:
 
 
 def detect_hdd_failures(ds: FleetDataset) -> list[FailureEvent]:
-    """One FailureEvent per failure-flagged HDD record, in drive/time order."""
+    """One FailureEvent per failure-flagged HDD row, in drive/time order."""
     if ds.family != "hdd":
         raise ValueError("detect_hdd_failures needs an HDD dataset")
-    events = []
-    for serial in ds.drives:
-        seq = ds.records[serial]
-        ages = hdd_record_ages(seq)
-        ordinal = 0
-        for r, age in zip(seq, ages):
-            if r.failed_today:
-                ordinal += 1
-                events.append(FailureEvent(serial, age, ordinal, "hdd"))
-    return events
-
-
-def _is_active(rec: SsdDailyRecord) -> bool:
-    # A missing performance summary counts as no activity.
-    return bool(rec.read_ops) or bool(rec.write_ops)
+    rows = np.flatnonzero(ds.flag("failed"))
+    return _events(ds, rows, drive_days(ds)[rows], np.zeros(rows.size, dtype=bool))
 
 
 def detect_ssd_failures(ds: FleetDataset) -> list[FailureEvent]:
     """Recover SSD failure days from swap events by backward inactivity trimming.
 
-    For each swap: records after the previous swap and up to (and
-    including) the swap day are scanned backward; reported-but-inactive
-    days (zero reads and writes) are trimmed, bounded at
-    ``SSD_TRIM_BOUND_DAYS`` before the swap day. The failure lands on the
-    last active day; if none exists the event degenerates to the drive's
-    first in-scope record.
+    For each swap: rows after the previous swap and up to (and including)
+    the swap day are scanned backward; reported-but-inactive days (zero
+    reads and writes; a missing summary counts as inactive) are trimmed,
+    bounded at ``SSD_TRIM_BOUND_DAYS`` before the swap day. The failure
+    lands on the last active day, or on the last day before that bound if
+    it comes first in the scan; if neither is in scope the event
+    degenerates to the drive's first in-scope row.
     """
     if ds.family != "ssd":
         raise ValueError("detect_ssd_failures needs an SSD dataset")
-    events = []
-    for drive in ds.drives:
-        seq = ds.records[drive]
-        ordinal = 0
-        prev_swap_index = -1  # records at or before this index belong to earlier failures
-        for i, rec in enumerate(seq):
-            if not rec.swap_event:
-                continue
-            swap_day = rec.day
-            fail_day = None
-            cutoff_day = swap_day - SSD_TRIM_BOUND_DAYS
-            bounded = None
-            for j in range(i, prev_swap_index, -1):
-                cand = seq[j]
-                if _is_active(cand):
-                    fail_day = cand.day
-                    break
-                if cand.day < cutoff_day:
-                    bounded = cand.day
-                    break
-            if fail_day is None and bounded is not None:
-                fail_day = bounded
-            ordinal += 1
-            if fail_day is None:
-                # No operational activity anywhere before the swap.
-                first = seq[prev_swap_index + 1] if prev_swap_index + 1 <= i else rec
-                events.append(FailureEvent(drive, first.day, ordinal, "ssd",
-                                           degenerate=True))
-            else:
-                events.append(FailureEvent(drive, fail_day, ordinal, "ssd"))
-            prev_swap_index = i
-    return events
+    days = drive_days(ds)
+    swaps = np.flatnonzero(ds.flag("swap_event"))
+    drive = ds.row_drive()[swaps]
+    # In scope: after the drive's previous swap, up to the swap itself.
+    scope = np.maximum(ds.starts[drive], np.concatenate(([0], swaps[:-1] + 1)))
+    active = (ds.column("read_ops")[0] != 0) | (ds.column("write_ops")[0] != 0)
+    last_active = _last_present(active, ds.starts)[swaps]
+    keys, key = _day_keys(ds, days)
+    before_bound = np.searchsorted(
+        keys, key(drive, days[swaps] - SSD_TRIM_BOUND_DAYS, "left"), "left") - 1
+    # The backward scan stops at whichever of the two comes first.
+    stop = np.maximum(last_active, before_bound)
+    found = stop >= scope
+    return _events(ds, swaps, days[np.where(found, stop, scope)], ~found)
 
 
 def detect_failures(ds: FleetDataset) -> list[FailureEvent]:
     return detect_hdd_failures(ds) if ds.family == "hdd" else detect_ssd_failures(ds)
 
 
-def _swaps_and_reentries(ds: FleetDataset, ages: dict[str, np.ndarray],
+def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray,
                          failures: Sequence[FailureEvent]
                          ) -> list[tuple[int, int | None]]:
     """(swap day, re-entry day or None) of each failure, in order.
 
     The swap day is the failure day for HDDs and the day of the
-    ordinal-matched swap record for SSDs. Re-entry is the first record,
-    in record order, after the swap day: HDD ages can repeat or run
-    backward, so it is searched on the running maximum of the days.
+    ordinal-matched swap row for SSDs. Re-entry is the first row, in row
+    order, after the swap day: HDD ages can repeat or run backward, so it
+    is searched on the drive's running maximum of the keys.
     """
-    failed = {ev.drive for ev in failures}
-    running_max = {d: np.maximum.accumulate(ages[d]) for d in failed}
-    ssd = ds.family == "ssd"
-    swap_days = {d: [r.day for r in ds.records[d] if r.swap_event]
-                 for d in failed} if ssd else {}
-    out = []
-    for ev in failures:
-        swap = swap_days[ev.drive][ev.ordinal - 1] if ssd else ev.age_days
-        i = np.searchsorted(running_max[ev.drive], swap, side="right")
-        days = ages[ev.drive]
-        out.append((swap, int(days[i]) if i < days.size else None))
-    return out
+    index = {d: i for i, d in enumerate(ds.drives)}
+    drive = np.array([index[ev.drive] for ev in failures], dtype=np.int64)
+    if ds.family == "ssd":
+        swaps = np.flatnonzero(ds.flag("swap_event"))
+        ordinal = np.array([ev.ordinal for ev in failures], dtype=np.int64)
+        swap = days[swaps[np.searchsorted(swaps, ds.starts[drive]) + ordinal - 1]]
+    else:
+        swap = np.array([ev.age_days for ev in failures], dtype=np.int64)
+    keys, key = _day_keys(ds, days)
+    i = np.searchsorted(np.maximum.accumulate(keys), key(drive, swap, "right"))
+    seen = i < ds.starts[drive + 1]
+    reentry = iter(days[i[seen]].tolist())
+    return [(s, next(reentry) if ok else None)
+            for s, ok in zip(swap.tolist(), seen.tolist())]
 
 
 def extract_operational_periods(ds: FleetDataset,
                                 failures: Iterable[FailureEvent]) -> list[OperationalPeriod]:
     """Cut each drive's observation span into failure-terminated and censored periods.
 
-    The first period runs from the drive's first record to its first
-    failure (terminal ``failure``) or last record (``censored``); each
+    The first period runs from the drive's first row to its first
+    failure (terminal ``failure``) or last row (``censored``); each
     post-failure re-entry opens another period.
     """
     failures = list(failures)
-    ages = drive_days(ds)
+    days = drive_days(ds)
     by_drive: dict[str, list] = {}
-    for ev, (_, reentry) in zip(failures, _swaps_and_reentries(ds, ages, failures)):
+    for ev, (_, reentry) in zip(failures, _swaps_and_reentries(ds, days, failures)):
         by_drive.setdefault(ev.drive, []).append((ev, reentry))
     periods = []
-    for drive in ds.drives:
-        start, last_day = int(ages[drive][0]), int(ages[drive][-1])
+    for drive, start, last_day in zip(ds.drives, days[ds.starts[:-1]].tolist(),
+                                       days[ds.starts[1:] - 1].tolist()):
         for ev, reentry in sorted(by_drive.get(drive, ()), key=lambda e: e[0].ordinal):
             periods.append(OperationalPeriod(drive, start, ev.age_days, "failure"))
             start = reentry

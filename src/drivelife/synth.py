@@ -13,22 +13,25 @@ Error counters follow per-kind daily Bernoulli incidence with small
 Poisson magnitudes. Burst specs add pre-failure ramps to chosen error
 kinds (optionally only for young or old failures); confounder specs add
 failure-independent activity spikes. Everything derives from the config
-seed, drive by drive, so a fleet is reproducible record for record.
+seed, drive by drive, so a fleet is reproducible record for record. Rows
+are built in blocks of the parsers' int64 table, one per drive segment,
+and become the dataset's columns without any record objects.
 """
 
 from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import charstats
-from .ingest import FleetDataset, HddDailyRecord, SsdDailyRecord, US_PER_DAY, SSD_ERROR_KINDS
-from .lifecycle import FailureEvent
+from . import charstats, featurize
+from .ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, US_PER_DAY, FleetDataset,
+                     _SSD_COUNT_FIELDS, _SSD_FIELDS, _Table)
+from .lifecycle import FailureEvent, _DayWindows
 
 __all__ = [
     "BurstSpec",
@@ -242,8 +245,27 @@ def _error_counts(rng, n_days: int, incidence: dict) -> dict[str, np.ndarray]:
     return out
 
 
-def _generate_ssd_drive(drive_id: str, model: str, rng, config: SynthConfig
-                        ) -> tuple[list[SsdDailyRecord], list[int]]:
+def _block(n: int, *columns) -> np.ndarray:
+    """Rows in the parsers' table layout (see ``ingest._Table``); each
+    column is an array of ``n`` values or one value for all rows. The
+    generators leave the line and model columns 0."""
+    rows = np.empty((n, len(columns)), dtype=np.int64)
+    for k, column in enumerate(columns):
+        rows[:, k] = column
+    return rows
+
+
+def _ssd_block(drive: int, days: np.ndarray, reads, writes, erases, pe,
+               bb_factory, bb_new, errors: dict, read_only: bool) -> np.ndarray:
+    """SSD rows in ``_SSD_FIELDS`` order, neither dead nor swapped."""
+    return _block(days.size, 0, drive, 0, days * US_PER_DAY,
+                  *(errors.get(kind, 0) for kind in SSD_ERROR_KINDS),
+                  reads, writes, erases, pe, False, read_only, bb_factory, bb_new,
+                  False)
+
+
+def _generate_ssd_drive(drive: int, model: str, rng, config: SynthConfig
+                        ) -> tuple[list[np.ndarray], _DrivePlan]:
     horizon = config.horizon_days
     base = _solve_hazard(config.models[model], horizon,
                          config.infant_hazard_multiplier,
@@ -255,7 +277,7 @@ def _generate_ssd_drive(drive_id: str, model: str, rng, config: SynthConfig
 
     inactivity_after = {first - 1: (first, last)
                         for first, last in plan.inactivity}
-    records: list[SsdDailyRecord] = []
+    blocks = []
     pe_cum = 0
     bb_factory = int(rng.poisson(3.0))
     bb_new = 0
@@ -271,9 +293,7 @@ def _generate_ssd_drive(drive_id: str, model: str, rng, config: SynthConfig
 
         for spec in config.confounders:
             hits = rng.random(n) < spec.rate
-            applies = np.array([spec.applies(int(d), config.infant_period_days)
-                                for d in days])
-            hits &= applies
+            hits &= spec.applies(days, config.infant_period_days)
             n_hits = int(hits.sum())
             if not n_hits:
                 continue
@@ -304,49 +324,23 @@ def _generate_ssd_drive(drive_id: str, model: str, rng, config: SynthConfig
         pe_cum = int(pe_values[-1])
         bb_values = bb_new + np.cumsum(bb_inc)
         bb_new = int(bb_values[-1])
-        for i in range(n):
-            day_errors = {k: int(v[i]) for k, v in errors.items() if v[i]}
-            records.append(SsdDailyRecord(
-                drive_id=drive_id, model=model,
-                timestamp_us=int(days[i]) * US_PER_DAY,
-                read_ops=int(reads[i]), write_ops=int(writes[i]),
-                erase_ops=int(erases[i]), pe_cycles_cum=int(pe_values[i]),
-                dead=False, read_only=False,
-                bad_blocks_factory_cum=bb_factory,
-                bad_blocks_new_cum=int(bb_values[i]),
-                errors=day_errors, swap_event=False))
+        blocks.append(_ssd_block(drive, days, reads, writes, erases, pe_values,
+                                 bb_factory, bb_values, errors, False))
         if fails and end in inactivity_after:
             # the zero-activity run carries the wear counters as of the
             # failure, not the drive's final values
             first, last = inactivity_after[end]
-            for day in range(first, last + 1):
-                records.append(SsdDailyRecord(
-                    drive_id=drive_id, model=model,
-                    timestamp_us=day * US_PER_DAY,
-                    read_ops=0, write_ops=0, erase_ops=0, pe_cycles_cum=pe_cum,
-                    dead=False, read_only=True,
-                    bad_blocks_factory_cum=bb_factory, bad_blocks_new_cum=bb_new,
-                    errors={}, swap_event=False))
-
-    by_day = {r.day: r for r in records}
-    for swap in plan.swaps:
-        existing = by_day.get(swap)
-        if existing is not None:
-            records[records.index(existing)] = replace(existing, swap_event=True,
-                                                       dead=True)
-        else:
-            records.append(SsdDailyRecord(
-                drive_id=drive_id, model=model, timestamp_us=swap * US_PER_DAY,
-                read_ops=None, write_ops=None, erase_ops=None,
-                pe_cycles_cum=None, dead=True, read_only=True,
-                bad_blocks_factory_cum=None, bad_blocks_new_cum=None,
-                errors={}, swap_event=True))
-    records.sort(key=lambda r: r.timestamp_us)
-    return records, plan.failures
+            blocks.append(_ssd_block(drive, np.arange(first, last + 1), 0, 0, 0,
+                                     pe_cum, bb_factory, bb_new, {}, True))
+    return blocks, plan
 
 
-def _generate_hdd_drive(serial: str, model: str, rng, config: SynthConfig
-                        ) -> tuple[list[HddDailyRecord], list[int]]:
+#: Per-row SMART draws of an HDD generator, in draw order: (id, low, high).
+_HDD_DRAWS = ((1, 0, 200_000_000), (7, 0, 1_000_000), (190, 50, 80), (194, 20, 45))
+
+
+def _generate_hdd_drive(drive: int, model: str, rng, config: SynthConfig
+                        ) -> tuple[list[np.ndarray], _DrivePlan]:
     horizon = config.horizon_days
     base = _solve_hazard(config.models[model], horizon, 1.0,
                          config.infant_period_days)
@@ -359,7 +353,7 @@ def _generate_hdd_drive(serial: str, model: str, rng, config: SynthConfig
 
     incidence = {k: v for k, v in config.error_incidence.items()
                  if k.startswith("smart_")}
-    records: list[HddDailyRecord] = []
+    blocks = []
     cum = {5: 0, 187: 0, 197: 0, 198: 0, 199: 0, 241: 0, 242: 0}
     power_cycles = int(rng.integers(1, 20))
     for start, end, fails in plan.segments:
@@ -390,40 +384,23 @@ def _generate_hdd_drive(serial: str, model: str, rng, config: SynthConfig
                 for i in range(first, n):
                     col[i] += rng.poisson(spec.mean * (i - first + 1) / (n - first))
         hfh_cum = hfh_start + np.cumsum(hours)
-        for i in range(n):
-            day = int(days[i])
-            for sid, counts in increments.items():
-                if sid in cum:
-                    cum[sid] += int(counts[i])
-            cum[241] += int(writes[i])
-            cum[242] += int(reads[i])
-            smart = {
-                1: int(rng.integers(0, 200_000_000)),
-                3: 0,
-                4: power_cycles,
-                5: cum[5],
-                7: int(rng.integers(0, 1_000_000)),
-                9: 24 * day,
-                10: 0,
-                12: power_cycles,
-                187: cum[187],
-                188: 0,
-                190: int(rng.integers(50, 80)),
-                192: power_cycles,
-                193: power_cycles,
-                194: int(rng.integers(20, 45)),
-                197: cum[197],
-                198: cum[198],
-                199: cum[199],
-                240: int(hfh_cum[i]),
-                241: cum[241],
-                242: cum[242],
-            }
-            records.append(HddDailyRecord(
-                date=_HDD_EPOCH + dt.timedelta(days=day), serial=serial,
-                model=model, failed_today=fails and day == end,
-                smart_raw=smart))
-    return records, plan.failures
+        # Scalar draws, row by row, keep the generator's draw order.
+        drawn = np.array([[rng.integers(lo, hi) for _, lo, hi in _HDD_DRAWS]
+                          for _ in range(n)], dtype=np.int64)
+        smart = {sid: drawn[:, k] for k, (sid, _, _) in enumerate(_HDD_DRAWS)}
+        increments[241] = increments.get(241, 0) + writes
+        increments[242] = increments.get(242, 0) + reads
+        for sid in cum:
+            smart[sid] = cum[sid] + np.cumsum(
+                np.broadcast_to(increments.get(sid, 0), (n,)))
+            cum[sid] = int(smart[sid][-1])
+        smart.update({3: 0, 4: power_cycles, 9: 24 * days, 10: 0, 12: power_cycles,
+                      188: 0, 192: power_cycles, 193: power_cycles,
+                      240: hfh_cum.astype(np.int64)})
+        blocks.append(_block(n, 0, drive, 0, _HDD_EPOCH.toordinal() + days,
+                             (days == end) & fails,
+                             *(smart[sid] for sid in HDD_SMART_IDS)))
+    return blocks, plan
 
 
 def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent]]:
@@ -433,24 +410,51 @@ def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent
     subset of drives is reproducible independently of the others.
     """
     models = _assign_models(config)
-    records: dict[str, list] = {}
+    ssd = config.family == "ssd"
+    generate = _generate_ssd_drive if ssd else _generate_hdd_drive
+    blocks: list[np.ndarray] = []
+    swaps: list[tuple[int, int]] = []
     truth: list[FailureEvent] = []
-    for i in range(config.n_drives):
+    for i, model in enumerate(models):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
-        drive_id = f"{config.family}-{i:05d}"
-        if config.family == "ssd":
-            drive_records, failures = _generate_ssd_drive(drive_id, models[i],
-                                                          rng, config)
-        else:
-            drive_records, failures = _generate_hdd_drive(drive_id, models[i],
-                                                          rng, config)
-        records[drive_id] = drive_records
-        for ordinal, day in enumerate(failures, start=1):
-            truth.append(FailureEvent(drive_id, day, ordinal, config.family))
+        drive_blocks, plan = generate(i, model, rng, config)
+        blocks += drive_blocks
+        swaps += [(i, day) for day in plan.swaps]
+        for ordinal, day in enumerate(plan.failures, start=1):
+            truth.append(FailureEvent(f"{config.family}-{i:05d}", day, ordinal,
+                                      config.family))
+    rows = np.concatenate(blocks)
+    if ssd:
+        rows = _mark_swaps(rows, np.array(swaps, dtype=np.int64).reshape(-1, 2),
+                           config.horizon_days)
+    names = sorted(config.models)
+    rows[:, 2] = np.array([names.index(m) for m in models])[rows[:, 1]]
+    table = _Table(rows.shape[1] - 3)
+    table.drives = {f"{config.family}-{i:05d}": i for i in range(config.n_drives)}
+    table.models = {m: k for k, m in enumerate(names)}
+    table.sort(rows)
+    fields = (_SSD_FIELDS if ssd
+              else ("time", "failed", *(f"smart_{sid}" for sid in HDD_SMART_IDS)))
     provenance = {"source": "synthetic", "seed": config.seed,
                   "filters": [], "rejected": [], "rejected_count": 0,
                   "quarantined": []}
-    return FleetDataset(config.family, records, provenance), truth
+    return table.dataset(config.family, table.order, fields, provenance), truth
+
+
+def _mark_swaps(rows: np.ndarray, swaps: np.ndarray, horizon: int) -> np.ndarray:
+    """SSD table rows with each (drive, day) swap marked dead and swapped on
+    the row of its day, or added as a bare marker row without a summary."""
+    at = {name: 3 + k for k, name in enumerate(_SSD_FIELDS)}
+    keys = rows[:, 1] * horizon + rows[:, at["time"]] // US_PER_DAY
+    swap_keys = swaps[:, 0] * horizon + swaps[:, 1]
+    marked = np.isin(keys, swap_keys)
+    rows[marked, at["dead"]] = rows[marked, at["swap_event"]] = True
+    bare = np.setdiff1d(swap_keys, keys)
+    cells = dict.fromkeys(_SSD_COUNT_FIELDS, -1) | {
+        "time": bare % horizon * US_PER_DAY, "dead": True, "read_only": True,
+        "swap_event": True}
+    return np.concatenate([rows, _block(bare.size, 0, bare // horizon, 0, *(
+        cells.get(name, 0) for name in _SSD_FIELDS))])
 
 
 @dataclass(frozen=True)
@@ -494,12 +498,8 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
     checks: list[CalibrationCheck] = []
     failed_by_model: dict[str, set] = {}
     drives_by_model: dict[str, list] = {}
-    model_of: dict[str, str] = {}
-    for drive, seq in ds.records.items():
-        if not seq:
-            continue
-        model = seq[0].model
-        model_of[drive] = model
+    model_of = ds.model_of
+    for drive, model in model_of.items():
         drives_by_model.setdefault(model, []).append(drive)
     for ev in truth:
         failed_by_model.setdefault(model_of[ev.drive], set()).add(ev.drive)
@@ -529,25 +529,17 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
         # exclude them when measuring the incidence of burst-affected kinds.
         burst_kinds = {spec.kind for spec in config.bursts if spec.mean > 0}
         burst_span = max((spec.days for spec in config.bursts), default=0)
-        burst_days: dict[str, set] = {}
-        for ev in truth:
-            days = burst_days.setdefault(ev.drive, set())
-            days.update(range(ev.age_days - burst_span + 1, ev.age_days + 1))
-        day_total = 0
-        clean_total = 0
-        day_hits = {kind: 0 for kind in SSD_ERROR_KINDS}
-        clean_hits = {kind: 0 for kind in SSD_ERROR_KINDS}
-        for drive in ds.drives:
-            in_burst = burst_days.get(drive, ())
-            for rec in ds.records[drive]:
-                if rec.read_ops is None:
-                    continue  # bare swap markers carry no activity summary
-                day_total += 1
-                clean = rec.day not in in_burst
-                clean_total += clean
-                for kind in rec.errors:
-                    day_hits[kind] += 1
-                    clean_hits[kind] += clean
+        fail_days = np.array([ev.age_days for ev in truth], dtype=np.int64)
+        in_burst = _DayWindows(*featurize._rows(ds)).covered(
+            [ev.drive for ev in truth], fail_days - burst_span + 1, fail_days)
+        reported = ds.column("read_ops")[1]  # bare swap markers carry no summary
+        clean = reported & ~in_burst
+        day_total, clean_total = int(reported.sum()), int(clean.sum())
+        day_hits, clean_hits = {}, {}
+        for kind in SSD_ERROR_KINDS:
+            hit = ds.column(f"err_{kind}")[0] > 0
+            day_hits[kind] = int(np.count_nonzero(hit & reported))
+            clean_hits[kind] = int(np.count_nonzero(hit & clean))
         for kind, target in config.error_incidence.items():
             if target <= 0 or day_total == 0:
                 continue

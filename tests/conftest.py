@@ -27,13 +27,15 @@ def hdd_rec(serial, day_or_date, failed=False, smart=None,
 
 
 def ssd_dataset(records_by_drive) -> FleetDataset:
-    return FleetDataset("ssd", {d: sorted(seq, key=lambda r: r.timestamp_us)
-                                for d, seq in records_by_drive.items()})
+    return FleetDataset.from_records(
+        "ssd", {d: sorted(seq, key=lambda r: r.timestamp_us)
+                for d, seq in records_by_drive.items()})
 
 
 def hdd_dataset(records_by_drive) -> FleetDataset:
-    return FleetDataset("hdd", {d: sorted(seq, key=lambda r: r.date)
-                                for d, seq in records_by_drive.items()})
+    return FleetDataset.from_records(
+        "hdd", {d: sorted(seq, key=lambda r: r.date)
+                for d, seq in records_by_drive.items()})
 
 
 @pytest.fixture

@@ -329,7 +329,7 @@ def test_criterion_11_optional_real_data_characterization():
             merged.setdefault(serial, []).extend(seq)
     for serial in merged:
         merged[serial].sort(key=lambda r: r.date)
-    fleet = dl.FleetDataset("hdd", merged)
+    fleet = dl.FleetDataset.from_records("hdd", merged)
     fleet = dl.filter_hdd(fleet, BACKBLAZE_MODELS, dt.date(2014, 1, 17),
                           dt.date(2019, 12, 31))
     failures = dl.detect_hdd_failures(fleet)
@@ -338,7 +338,7 @@ def test_criterion_11_optional_real_data_characterization():
     share_all = len(failed_drives) / fleet.n_drives
     assert abs(share_all - 0.0701) <= 0.005, f"overall failed share {share_all:.4f}"
 
-    st3000 = [d for d in fleet.drives if fleet.records[d][0].model == "ST3000DM001"]
+    st3000 = [d for d, model in fleet.model_of.items() if model == "ST3000DM001"]
     st3000_failed = sum(1 for d in st3000 if d in failed_drives)
     share_st3000 = st3000_failed / len(st3000)
     assert abs(share_st3000 - 0.3189) <= 0.005

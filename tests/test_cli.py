@@ -257,6 +257,30 @@ class TestErrors:
             "--seed", "1", "--out", str(tmp_path / "o"), *extra])
         assert code == 2 and doc["error"] == "usage"
 
+    def test_bad_error_kind_is_usage_error(self, synth_dir, tmp_path, capsys):
+        code, doc = self._error(capsys, [
+            "characterize", "--family", "ssd",
+            "--input", str(synth_dir / "ssd_telemetry.csv"),
+            "--error-kind", "bogus", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        assert "--error-kind" in doc["message"] and "bogus" in doc["message"]
+        assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
+
+    def test_non_numeric_thresholds_are_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "hdd.json"
+        config.write_text(json.dumps(HDD_CONFIG))
+        assert run(["synth", "--config", str(config), "--seed", "2",
+                    "--out", str(tmp_path / "fleet")]) == 0
+        capsys.readouterr()
+        code, doc = self._error(capsys, [
+            "characterize", "--family", "hdd",
+            "--input", str(tmp_path / "fleet" / "hdd_telemetry.csv"),
+            "--analysis", "hfh-sweep", "--thresholds", "10000,x",
+            "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        assert "--thresholds" in doc["message"]
+        assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
+
     def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"seed": 1,')

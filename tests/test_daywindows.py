@@ -1,11 +1,15 @@
 """The drive-day axis against per-event brute force.
 
 Each reference below rescans a drive's records once per event with a
-boolean mask, the straightforward algorithm the window lookup replaces.
-The fleets are random and adversarial: HDD SMART 9 values that run
-backward or repeat, records without SMART 9, windows that reach before a
-drive's first record and after its last, failures of drives that have no
-feature rows, and periods whose start is after their end.
+boolean mask, the straightforward algorithm the window lookup replaces,
+and the ages and failure rules are the per-record loops the column
+versions in ``lifecycle`` replace. The fleets are random and
+adversarial: HDD SMART 9 values that run backward or repeat, records
+without SMART 9, windows that reach before a drive's first record and
+after its last, failures of drives that have no feature rows, periods
+whose start is after their end, and SSD swaps on a drive's first record,
+back-to-back swaps, bare swap markers and inactive runs longer than the
+trim bound.
 """
 
 import random
@@ -14,8 +18,8 @@ import numpy as np
 import pytest
 
 from drivelife import charstats, featurize, lifecycle
-from drivelife.lifecycle import (FailureEvent, OperationalPeriod, _DayWindows,
-                                 drive_days, hdd_record_ages)
+from drivelife.lifecycle import (SSD_TRIM_BOUND_DAYS, FailureEvent,
+                                 OperationalPeriod, _DayWindows, drive_days)
 
 from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
 
@@ -62,17 +66,130 @@ def random_ssd_fleet(rng: random.Random, n_drives: int = 12):
     return ssd_dataset(fleet)
 
 
+def random_trim_fleet(rng: random.Random, n_drives: int = 12):
+    """SSD drives built to exercise every branch of the backward trim."""
+    fleet = {}
+    for k in range(n_drives):
+        drive = f"T{k:02d}"
+        day = rng.randrange(0, 5)
+        recs = []
+        idle = k % 4 == 3  # never active: every failure degenerates
+        for i in range(rng.randrange(1, 60)):
+            day += rng.choice((1, 1, 1, 3, 12, 29, 30, 31, 45))
+            swap = ((i == 0 and k % 3 == 0) or rng.random() < 0.15
+                    or bool(recs) and recs[-1].swap_event and rng.random() < 0.5)
+            if rng.random() < 0.15:
+                # A bare swap marker: no performance summary at all.
+                recs.append(ssd_rec(drive, day, reads=None, writes=None,
+                                    erases=None, pe=None, swap=True, dead=True,
+                                    bbf=None, bbn=None))
+                continue
+            active = not idle and rng.random() < 0.35
+            reads, writes = rng.choice(((100, 50), (0, 7), (3, None), (None, 0)))
+            recs.append(ssd_rec(drive, day, reads=reads if active else 0,
+                                writes=writes if active else rng.choice((0, None)),
+                                pe=None, swap=swap))
+        fleet[drive] = recs
+    return ssd_dataset(fleet)
+
+
 FLEETS = [("hdd", s) for s in range(6)] + [("ssd", s) for s in range(6)]
+TRIM_FLEETS = [("trim", s) for s in range(12)]
 
 
 def make_fleet(family, seed):
     rng = random.Random(seed)
-    return random_hdd_fleet(rng) if family == "hdd" else random_ssd_fleet(rng)
+    make = {"hdd": random_hdd_fleet, "ssd": random_ssd_fleet,
+            "trim": random_trim_fleet}[family]
+    return make(rng)
+
+
+# -- the per-record rules the column versions replace --------------------------
+
+
+def ref_record_ages(records):
+    """Per-record drive ages in days for one HDD's sorted record sequence."""
+    ages = []
+    anchor_age = None
+    anchor_date = None
+    first_date = records[0].date
+    for r in records:
+        hours = r.smart_raw.get(9)
+        if hours is not None:
+            age = hours // 24
+            anchor_age, anchor_date = age, r.date
+        elif anchor_age is not None:
+            age = anchor_age + (r.date - anchor_date).days
+        else:
+            age = (r.date - first_date).days
+        ages.append(age)
+    return ages
+
+
+def ref_hdd_failures(ds):
+    """One FailureEvent per failure-flagged HDD record, in drive/time order."""
+    events = []
+    for serial in ds.drives:
+        seq = ds.records[serial]
+        ages = ref_record_ages(seq)
+        ordinal = 0
+        for r, age in zip(seq, ages):
+            if r.failed_today:
+                ordinal += 1
+                events.append(FailureEvent(serial, age, ordinal, "hdd"))
+    return events
+
+
+def ref_is_active(rec):
+    # A missing performance summary counts as no activity.
+    return bool(rec.read_ops) or bool(rec.write_ops)
+
+
+def ref_ssd_failures(ds):
+    """SSD failure days by the backward inactivity scan, record by record."""
+    events = []
+    for drive in ds.drives:
+        seq = ds.records[drive]
+        ordinal = 0
+        prev_swap_index = -1  # records at or before this index belong to earlier failures
+        for i, rec in enumerate(seq):
+            if not rec.swap_event:
+                continue
+            swap_day = rec.day
+            fail_day = None
+            cutoff_day = swap_day - SSD_TRIM_BOUND_DAYS
+            bounded = None
+            for j in range(i, prev_swap_index, -1):
+                cand = seq[j]
+                if ref_is_active(cand):
+                    fail_day = cand.day
+                    break
+                if cand.day < cutoff_day:
+                    bounded = cand.day
+                    break
+            if fail_day is None and bounded is not None:
+                fail_day = bounded
+            ordinal += 1
+            if fail_day is None:
+                # No operational activity anywhere before the swap.
+                first = seq[prev_swap_index + 1] if prev_swap_index + 1 <= i else rec
+                events.append(FailureEvent(drive, first.day, ordinal, "ssd",
+                                           degenerate=True))
+            else:
+                events.append(FailureEvent(drive, fail_day, ordinal, "ssd"))
+            prev_swap_index = i
+    return events
 
 
 def ref_ages(ds, drive):
     seq = ds.records[drive]
-    return hdd_record_ages(seq) if ds.family == "hdd" else [r.day for r in seq]
+    return ref_record_ages(seq) if ds.family == "hdd" else [r.day for r in seq]
+
+
+def per_drive(ds, days):
+    """A per-row array cut into one list per drive."""
+    return {d: days[ds.starts[i]:ds.starts[i + 1]].tolist()
+            for i, d in enumerate(ds.drives)}
 
 
 def ref_reentry(ds, drive, after_day):
@@ -220,14 +337,20 @@ class TestWindowLookup:
         assert list(stop - start) == [2, 2, 0]
 
 
-@pytest.mark.parametrize("family,seed", FLEETS)
+@pytest.mark.parametrize("family,seed", FLEETS + TRIM_FLEETS)
 class TestAgainstPerEventScans:
     def test_drive_days(self, family, seed):
         ds = make_fleet(family, seed)
         days = drive_days(ds)
-        assert list(days) == ds.drives
-        for d in ds.drives:
-            assert days[d].tolist() == ref_ages(ds, d)
+        assert days.dtype == np.int64 and days.size == ds.n_records
+        assert per_drive(ds, days) == {d: ref_ages(ds, d) for d in ds.drives}
+
+    def test_failures(self, family, seed):
+        ds = make_fleet(family, seed)
+        ref = ref_hdd_failures(ds) if ds.family == "hdd" else ref_ssd_failures(ds)
+        # repr also tells a numpy integer from a Python int.
+        assert repr(lifecycle.detect_failures(ds)) == repr(ref)
+
 
     def test_periods_and_spells(self, family, seed):
         ds = make_fleet(family, seed)
@@ -280,8 +403,34 @@ def test_fleets_are_adversarial():
         ds = make_fleet(family, seed)
         if family != "hdd":
             continue
-        for d in ds.drives:
-            diffs = np.diff(drive_days(ds)[d])
+        for days in per_drive(ds, drive_days(ds)).values():
+            diffs = np.diff(days)
             backward += int((diffs < 0).sum())
             repeated += int((diffs == 0).sum())
     assert backward > 0 and repeated > 0
+
+
+def test_trim_fleets_are_adversarial():
+    """The trim fleets reach every branch of the backward scan."""
+    seen = {"first-record swap": 0, "back-to-back swaps": 0, "bare marker": 0,
+            "bounded trim": 0, "degenerate": 0, "active failure": 0}
+    for family, seed in TRIM_FLEETS:
+        ds = make_fleet(family, seed)
+        for d in ds.drives:
+            seq = ds.records[d]
+            swaps = [r.swap_event for r in seq]
+            seen["first-record swap"] += swaps[0]
+            seen["back-to-back swaps"] += sum(a and b for a, b in zip(swaps, swaps[1:]))
+            seen["bare marker"] += sum(r.read_ops is None and r.swap_event
+                                       and r.write_ops is None for r in seq)
+        for ev in lifecycle.detect_failures(ds):
+            seq = ds.records[ev.drive]
+            swap_day = [r.day for r in seq if r.swap_event][ev.ordinal - 1]
+            day = [r for r in seq if r.day == ev.age_days][-1]
+            if ev.degenerate:
+                seen["degenerate"] += 1
+            elif ref_is_active(day):
+                seen["active failure"] += 1
+            elif ev.age_days < swap_day - SSD_TRIM_BOUND_DAYS:
+                seen["bounded trim"] += 1
+    assert all(seen.values()), seen

@@ -1,10 +1,12 @@
 """Golden bytes for the count-only CLI artifacts.
 
-``synth`` -> ``lifecycle`` -> ``characterize`` -> ``featurize --lookahead
-0,7`` runs on a small SSD fleet and a small HDD fleet, and each artifact
-below must hash to the value recorded when the table was made. These
-artifacts hold counts, days and ratios of counts only (no BLAS, no
-floating-point reductions), so their bytes do not depend on the machine.
+``synth`` -> ``ingest`` -> ``lifecycle`` -> ``characterize`` ->
+``featurize --lookahead 0,7`` runs on a small SSD fleet and a small HDD
+fleet, and one more ``ingest`` filters the HDD fleet by model and date
+window. Each artifact below must hash to the value recorded when the
+table was made. These artifacts hold counts, days and ratios of counts
+only (no BLAS, no floating-point reductions), so their bytes do not
+depend on the machine.
 The ``--input`` paths are relative, because the config hash written into
 every artifact covers the path string.
 
@@ -29,11 +31,37 @@ FLEETS = {
              "bursts": [{"kind": "smart_187", "mean": 4.0, "days": 3}]}, 9),
 }
 
-ARTIFACTS = ("failures.csv", "periods.csv", "repairs.csv", "rates_monthly.csv",
+ARTIFACTS = ("{family}_telemetry.csv", "truth.csv", "failures.csv",
+             "periods.csv", "repairs.csv", "rates_monthly.csv",
              "prefailure_prob.csv", "prefailure_percentiles.csv",
-             "examples_{family}_N0.csv", "examples_{family}_N7.csv")
+             "examples_{family}_N0.csv", "examples_{family}_N7.csv",
+             "ingest/{family}_dataset.csv", "ingest/ingest_report.json")
+
+#: ``ingest`` through the model and date filter, into ``hdd/filtered``.
+HDD_FILTER = ["--models", "ST-A", "--from", "2014-02-01", "--to", "2014-03-15"]
+FILTERED = ("hdd/filtered/hdd_dataset.csv", "hdd/filtered/ingest_report.json")
 
 GOLDEN = {
+    "ssd/ssd_telemetry.csv":
+        "50a88c9cf24910ae06fd38efe2cf791783c0ff5f997283dce885b1e65782cd30",
+    "ssd/truth.csv":
+        "7adb5c69e504bb9ff8de4390b67a3182a09e8fab591c0efd75e76cb7235b1a1c",
+    "ssd/ingest/ssd_dataset.csv":
+        "50a88c9cf24910ae06fd38efe2cf791783c0ff5f997283dce885b1e65782cd30",
+    "ssd/ingest/ingest_report.json":
+        "a56ff36b8e1af202e8b1e8ffbc1f21721bf946ad80319a04560455475ae7880a",
+    "hdd/hdd_telemetry.csv":
+        "e4f89c8962aaf95b98eaad2f1ccee15906817a3e13a8e9df3b24c34c4dcb0688",
+    "hdd/truth.csv":
+        "d98a472406f749b4e35a9b72fbe1cfb021bf253ab16652d42be4125561aae915",
+    "hdd/ingest/hdd_dataset.csv":
+        "e4f89c8962aaf95b98eaad2f1ccee15906817a3e13a8e9df3b24c34c4dcb0688",
+    "hdd/ingest/ingest_report.json":
+        "b9640b171f0bc746200afef73d20c97634bf15fb3bdcbc7c44c90233313952ee",
+    "hdd/filtered/hdd_dataset.csv":
+        "bc5cd2540ef0ada535d96c7ec6a3bd04b3bacd4b995faf0e5ae4a6d8ec214e57",
+    "hdd/filtered/ingest_report.json":
+        "76a16fda7369f501e69f12a3e3c59785fecb847a573e3afa435d867a1564440b",
     "ssd/failures.csv":
         "d0a15e5d6555201d7ef44662605947b50d5f00e641fe3cfc8f2bbefb4e9b1537",
     "ssd/periods.csv":
@@ -70,22 +98,25 @@ GOLDEN = {
 
 
 def artifact_hashes(workdir: Path) -> dict:
-    """Run the four subcommands in ``workdir``; sha256 of every artifact."""
-    hashes = {}
+    """Run the five subcommands in ``workdir``; sha256 of every artifact."""
+    names = []
     for family, (fleet, seed) in FLEETS.items():
         (workdir / f"{family}.json").write_text(json.dumps(fleet))
         source = ["--family", family, "--input",
-                  f"{family}/{family}_telemetry.csv", "--out", family]
-        for argv in (["synth", "--config", f"{family}.json", "--out", family],
-                     ["lifecycle", *source],
-                     ["characterize", *source],
-                     ["featurize", *source, "--lookahead", "0,7"]):
+                  f"{family}/{family}_telemetry.csv"]
+        out = ["--out", family]
+        for argv in (["synth", "--config", f"{family}.json", *out],
+                     ["ingest", *source, "--out", f"{family}/ingest"],
+                     ["lifecycle", *source, *out],
+                     ["characterize", *source, *out],
+                     ["featurize", *source, *out, "--lookahead", "0,7"]):
             assert run([*argv, "--seed", str(seed)]) == 0, argv
-        for name in ARTIFACTS:
-            name = name.format(family=family)
-            data = (workdir / family / name).read_bytes()
-            hashes[f"{family}/{name}"] = hashlib.sha256(data).hexdigest()
-    return hashes
+        names += [f"{family}/" + name.format(family=family) for name in ARTIFACTS]
+    argv = ["ingest", "--family", "hdd", "--input", "hdd/hdd_telemetry.csv",
+            *HDD_FILTER, "--out", "hdd/filtered"]
+    assert run(argv) == 0, argv
+    return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in names + list(FILTERED)}
 
 
 def test_count_only_artifacts_match_golden_hashes(tmp_path, monkeypatch):

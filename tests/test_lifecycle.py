@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from drivelife.featurize import make_features
 from drivelife.lifecycle import (CensoredSample, build_repair_spells,
-                                 censored_cdf, detect_hdd_failures,
-                                 detect_ssd_failures,
-                                 extract_operational_periods,
-                                 failure_count_distribution, hdd_record_ages,
+                                 censored_cdf, detect_failures,
+                                 detect_hdd_failures, detect_ssd_failures,
+                                 drive_days, extract_operational_periods,
+                                 failure_count_distribution,
                                  period_length_sample, repair_duration_sample,
                                  preswap_gap_sample, repair_stats, RepairSpell)
 
@@ -41,7 +42,19 @@ class TestHddFailures:
     def test_age_carry_forward_between_anchors(self):
         recs = [hdd_rec("A", 0, smart={9: 240}), hdd_rec("A", 3),
                 hdd_rec("A", 5, smart={9: 480})]
-        assert hdd_record_ages(recs) == [10, 13, 20]
+        assert drive_days(hdd_dataset({"A": recs})).tolist() == [10, 13, 20]
+
+    def test_drive_without_records_is_dropped(self):
+        ds = hdd_dataset({"A": [hdd_rec("A", 0), hdd_rec("A", 2, failed=True)],
+                          "empty": []})
+        assert ds.drives == ["A"] and ds.n_records == 2
+        assert drive_days(ds).tolist() == [0, 2]
+        assert make_features(ds).n_rows == 2
+        failures = detect_failures(ds)
+        assert [(ev.drive, ev.age_days) for ev in failures] == [("A", 2)]
+        assert [(p.start_day, p.end_day, p.terminal)
+                for p in extract_operational_periods(ds, failures)] == [
+            (0, 2, "failure")]
 
 
 class TestSsdFailures:

@@ -30,7 +30,7 @@ class TestGenerate:
                           seed=1)
         ds, truth = generate_fleet(cfg)
         assert truth == []
-        assert not any(r.swap_event for r in ds.iter_records())
+        assert not any(r.swap_event for d in ds.drives for r in ds.records[d])
 
     def test_calibration_against_fleet_targets(self):
         # targets patterned on the observed fleet: 11.29% of drives failed,
@@ -85,9 +85,9 @@ class TestGenerate:
                           bursts=(BurstSpec(kind="smart_187", mean=5.0),))
         ds, truth = generate_fleet(cfg)
         assert ds.family == "hdd"
-        rec = next(ds.iter_records())
+        rec = ds.records[ds.drives[0]][0]
         assert 9 in rec.smart_raw and 240 in rec.smart_raw
-        flagged = sum(1 for r in ds.iter_records() if r.failed_today)
+        flagged = sum(1 for d in ds.drives for r in ds.records[d] if r.failed_today)
         assert flagged == len(truth)
 
 
