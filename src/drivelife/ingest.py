@@ -16,6 +16,24 @@ Both parsers skip leading lines starting with ``#`` (artifact metadata
 comments), reject malformed rows with a per-row reason, and never impute:
 an empty SMART cell is an absent entry, not a zero. They stream the rows
 into flat integer tables and hold no per-row objects.
+
+The parsers read ``_READ_BLOCK`` whole lines at a time, so memory is bounded
+by a block. A block without quotes or carriage returns is encoded once, and
+numpy finds every comma in it, which gives each row's cell count and the
+(start, end) of every cell wanted (a block with a quote or a carriage return
+is cut by ``csv.reader`` instead, through the end of its last record). A
+row with another cell count than the header's is rejected. The wanted cells
+are then checked and converted a column at a time (:func:`_column`), for
+the strict common subset of the grammar: counts of 1 to 18 ASCII digits
+(right-aligned digits dotted with powers of ten), flags ``0``/``1``/empty,
+``YYYY-MM-DD`` dates, and drive ids and models with printable ASCII at both
+ends. A row with any other cell goes whole through the per-row parse
+(``_parse_count``, ``_parse_flag`` and the family's row function), which
+alone defines the grammar, the reject reasons and which cell's reason wins;
+the kernel only accepts what it would accept, with the same values. This
+finds the structure of a block in bulk before validating its values, as
+simdjson does for JSON (Langdale & Lemire, "Parsing Gigabytes of JSON per
+Second", VLDB J. 2019).
 """
 
 from __future__ import annotations
@@ -28,9 +46,9 @@ from array import array
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, islice, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -89,6 +107,23 @@ _SSD_FIELDS = ("time", *_SSD_ERRORS, *_SSD_COUNT_FIELDS[:4], "dead", "read_only"
 
 #: Rows formatted per batch by the writers.
 _WRITE_BATCH = 65_536
+
+#: Lines the parsers read, cut into cells and convert per block.
+_READ_BLOCK = 2_048
+
+#: Each SSD table field's CSV column, and the grammar of its cells (see
+#: _column).
+_SSD_CELLS = tuple(_SSD_COLUMNS.index("timestamp_us" if f == "time" else f)
+                   for f in _SSD_FIELDS)
+_SSD_KINDS = tuple("time" if f == "time" else "error" if f in _SSD_ERRORS
+                   else "flag" if f in _FLAGS["ssd"] else "count" for f in _SSD_FIELDS)
+
+#: Powers of ten for the kernel's counts of up to 18 digits (below 2**63).
+_POW10 = 10 ** np.arange(17, -1, -1, dtype=np.int64)
+
+#: Longest drive id or model name the kernel takes; a longer one goes to the
+#: per-row parse.
+_ID_MAX = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,25 +388,185 @@ def _previous_present(present: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _reader(stream: Iterable[str] | str) -> Iterator[tuple[int, list[str]]]:
-    """(physical line number, row) pairs of the CSV rows.
+def _header(stream: Iterable[str] | str) -> tuple[list[str], Iterator[str], int]:
+    """The header row, the input's lines after it, and the lines read so far.
 
     Blank lines and the ``#`` lines before the header are skipped, and
     still counted in the line numbers. Text the CSV reader cannot split
-    into cells (a carriage return inside an unquoted cell, an overlong
-    cell) raises SchemaError.
+    into cells raises SchemaError.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    rows = csv.reader(stream)
+    lines = iter(io.StringIO(stream) if isinstance(stream, str) else stream)
+    rows = csv.reader(lines)
     try:
         for row in rows:
             if row and not row[0].startswith("#"):
-                yield rows.line_num, row
-                break
-        yield from ((rows.line_num, row) for row in rows if row)
+                return [name.strip() for name in row], lines, rows.line_num
     except csv.Error as exc:
         raise SchemaError(f"line {rows.line_num}: {exc}") from None
+    raise SchemaError("empty input: no header row")
+
+
+@dataclass(frozen=True, slots=True)
+class _Block:
+    """The data rows of a run of whole input lines, as cell bounds.
+
+    ``line`` holds the physical line number of each row with the header's
+    cell count, and ``start``/``end`` (wanted columns x rows) the bounds of
+    its wanted cells in ``units``, the code points of one text. ``row(i)``
+    gives row i's cells as strings, for the per-row parse. ``rejected``
+    lists the other data rows with their reason, and ``n_lines`` counts the
+    lines the block read.
+    """
+
+    n_lines: int
+    data_rows: int
+    rejected: list[tuple[int, str]]
+    line: np.ndarray
+    units: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    row: Callable[[int], list[str]]
+
+
+def _units(text: str) -> np.ndarray:
+    """The code points of ``text`` and a final newline, so that the position
+    just past the last cell is an index too."""
+    text += "\n"
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+
+
+def _blocks(lines: Iterator[str], line: int, width: int,
+            cols: Sequence[int]) -> Iterator[_Block]:
+    """The rows after the header, ``_READ_BLOCK`` lines at a time, with the
+    bounds of cells ``cols``; ``line`` lines precede them."""
+    while chunk := list(islice(lines, _READ_BLOCK)):
+        block = _split(chunk, line, width, cols)
+        if block is None:
+            block = _tokenize(chunk, lines, line, width, cols)
+        line += block.n_lines
+        yield block
+
+
+def _split(chunk: list[str], line: int, width: int,
+           cols: Sequence[int]) -> _Block | None:
+    """The lines cut at every comma, as the CSV reader cuts unquoted lines.
+
+    None when a line needs the reader's own rules: a quote, a carriage
+    return, a newline before the line's end, or a line longer than the
+    reader's field size limit.
+    """
+    text = "".join(chunk)
+    size = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+    if '"' in text or "\r" in text or size.max() > csv.field_size_limit():
+        return None
+    units = _units(text)
+    end = np.cumsum(size)
+    newline = size > 0
+    newline[newline] = units[end[newline] - 1] == 10
+    if np.count_nonzero(newline) != np.count_nonzero(units == 10) - 1:
+        return None
+    begin, stop = end - size, end - newline
+    commas = np.flatnonzero(units == 44)
+    before = np.searchsorted(commas, stop)  # commas before each line's end
+    n_cells = np.diff(before, prepend=0) + 1
+    data = stop > begin  # the reader gives no cells for an empty line
+    rows = np.flatnonzero(data & (n_cells == width))
+    wrong = np.flatnonzero(data & (n_cells != width))
+    # The comma after cell c of each row; a line's edges bound its first
+    # and last cells.
+    cols = np.asarray(cols)[:, None]
+    after = before[rows] - (width - 1) + cols
+    start = commas[after - 1] + 1
+    start[cols[:, 0] == 0] = begin[rows]
+    end = commas[np.minimum(after, commas.size - 1)]
+    end[cols[:, 0] == width - 1] = stop[rows]
+
+    def row(i: int) -> list[str]:
+        return chunk[rows[i]].rstrip("\n").split(",")
+
+    return _Block(
+        len(chunk), int(np.count_nonzero(data)),
+        [(line + 1 + i, f"expected {width} fields, got {n}")
+         for i, n in zip(wrong.tolist(), n_cells[wrong].tolist())],
+        line + 1 + rows, units, start, end, row)
+
+
+def _tokenize(chunk: list[str], lines: Iterator[str], line: int, width: int,
+              cols: Sequence[int]) -> _Block:
+    """The lines cut by the CSV reader, through the end of the record on the
+    last of them, which may continue on the lines after them."""
+    reader = csv.reader(chain(chunk, lines))
+    found = []
+    try:
+        for row in reader:
+            if row:
+                found.append((line + reader.line_num, row))
+            if reader.line_num >= len(chunk):
+                break
+    except csv.Error as exc:
+        raise SchemaError(f"line {line + reader.line_num}: {exc}") from None
+    rows = [(n, row) for n, row in found if len(row) == width]
+    cells = [row[c] for _, row in rows for c in cols]
+    size = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    end = np.cumsum(size)
+    return _Block(
+        reader.line_num, len(found),
+        [(n, f"expected {width} fields, got {len(row)}")
+         for n, row in found if len(row) != width],
+        np.array([n for n, _ in rows], dtype=np.int64), _units("".join(cells)),
+        (end - size).reshape(-1, len(cols)).T, end.reshape(-1, len(cols)).T,
+        lambda i: rows[i][1])
+
+
+def _column(kind: str, units: np.ndarray, start: np.ndarray,
+            end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Table values of one column of cells, and which cells the kernel took.
+
+    It takes the strict common cells of the grammar: a ``count`` of 1 to 18
+    ASCII digits, or empty (absent, -1; an ``error`` count 0; never a
+    ``time``), a ``flag`` of ``0``, ``1`` or empty, and a ``date`` written
+    ``YYYY-MM-DD``. It reads a count's digits right-aligned and takes their
+    dot product with powers of ten.
+    """
+    size = end - start
+    if kind == "flag":
+        char = units[start] - 48
+        return (np.where(size == 1, char, 0),
+                (size == 0) | ((size == 1) & (char <= 1)))
+    if kind == "date":
+        ten = np.flatnonzero(size == 10)
+        chars = units[start[ten] + np.arange(10)[:, None]].astype(np.int64) - 48
+        digits = chars[[0, 1, 2, 3, 5, 6, 8, 9]]
+        shaped = ((chars[[4, 7]] == ord("-") - 48).all(axis=0)
+                  & ((digits >= 0) & (digits <= 9)).all(axis=0))
+        dates, inverse = np.unique(_POW10[-8:] @ digits[:, shaped], return_inverse=True)
+        value = np.zeros(size.size, dtype=np.int64)
+        value[ten[shaped]] = np.array([_ordinal(d) for d in dates.tolist()],
+                                      dtype=np.int64)[inverse]
+        return value, value > 0
+    # Digit i of every cell, right-aligned, is one row: numpy's inner loops
+    # then run along the cells.
+    width = int(min(size.max(initial=0), 18))
+    offsets = np.arange(-width, 0)[:, None]
+    digit = units[end + offsets] - 48
+    digit[offsets < -size] = 0
+    value = _POW10[18 - width:] @ digit
+    taken = (size <= 18) & (digit <= 9).all(axis=0)
+    value[size == 0] = 0 if kind == "error" else -1
+    if kind == "time":
+        taken &= size > 0
+    return value, taken
+
+
+def _ordinal(yyyymmdd: int) -> int:
+    """The day ordinal of a date written as digits YYYYMMDD; 0 if there is no such day."""
+    try:
+        return dt.date(yyyymmdd // 10_000, yyyymmdd // 100 % 100,
+                       yyyymmdd % 100).toordinal()
+    except ValueError:
+        return 0
 
 
 #: A count is ASCII digits, optionally with a fraction of zeros ("12.0"), and
@@ -411,10 +606,10 @@ def _sorted_codes(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
 
 
 class _Table:
-    """Rows as one int64 matrix ``t``, built row by row, then sorted.
+    """Rows as one int64 matrix ``t``, built a block or a row at a time, then sorted.
 
     Columns: a physical line number, the drive code and the model code
-    (codes in first-seen order), the time (HDD day ordinal or SSD
+    (values of ``drives`` and ``models``), the time (HDD day ordinal or SSD
     timestamp), then the family's other fields, an absent count as -1.
     After :meth:`sort`, ``order`` sorts the rows by drive name, time and
     line, and ``same_key`` marks, in that order, a row with the previous
@@ -433,18 +628,62 @@ class _Table:
         self.cells.extend((line, self.drives.setdefault(drive, len(self.drives)),
                            self.models.setdefault(model, len(self.models)), *fields))
 
-    def parse(self, rows: Iterator[tuple[int, list[str]]], width: int,
-              parse_row) -> None:
-        """Add every CSV row that ``parse_row`` accepts; reject the others."""
-        for lineno, row in rows:
-            self.data_rows += 1
-            try:
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                self.add(lineno, *parse_row(row))
-            except ValueError as exc:
-                self.rejected.append((lineno, str(exc)))
+    def parse(self, blocks: Iterator[_Block], kinds: Sequence[str], parse_row) -> None:
+        """Add every row that ``parse_row`` accepts; reject the others.
+
+        Each block's cells ``drive, model, *fields`` are converted a column
+        at a time (``kinds`` name the fields' grammar, see :func:`_column`).
+        A row with any cell the kernel did not take goes whole through
+        ``parse_row``, which alone decides what to reject and why.
+        """
+        for block in blocks:
+            self.data_rows += block.data_rows
+            self.rejected += block.rejected
+            rows = np.empty((block.line.size, self.width), dtype=np.int64)
+            rows[:, 0] = block.line
+            taken = np.ones(block.line.size, dtype=bool)
+            for j, kind in enumerate(("drive", "model", *kinds)):
+                cells = block.units, block.start[j], block.end[j]
+                rows[:, 1 + j], ok = (self._codes(kind, *cells) if j < 2
+                                      else _column(kind, *cells))
+                taken &= ok
+            kept = taken.copy()
+            for i in np.flatnonzero(~taken).tolist():
+                try:
+                    drive, model, fields = parse_row(block.row(i))
+                except ValueError as exc:
+                    self.rejected.append((int(block.line[i]), str(exc)))
+                    continue
+                rows[i, 1:] = (self.drives.setdefault(drive, len(self.drives)),
+                               self.models.setdefault(model, len(self.models)), *fields)
+                kept[i] = True
+            self.cells.frombytes(rows[kept].tobytes())
         self.sort()
+
+    def _codes(self, kind: str, units: np.ndarray, start: np.ndarray,
+               end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Codes of a column of drive ids or model names, and which cells the
+        kernel took: up to ``_ID_MAX`` code points with printable, non-blank
+        ASCII at both ends, or an empty model name."""
+        names = self.drives if kind == "drive" else self.models
+        size = end - start
+        edges = units[np.stack([start, end - 1])]
+        taken = (size > 0) & (size <= _ID_MAX) & ((edges > 32) & (edges < 127)).all(axis=0)
+        if kind == "model":
+            taken |= size == 0
+        rows = np.flatnonzero(taken)
+        width = max(int(size[rows].max(initial=0)), 1)
+        offsets = np.arange(width)[:, None]
+        chars = units[np.minimum(start[rows] + offsets, units.size - 1)]
+        chars[offsets >= size[rows]] = 0
+        keys, inverse = np.unique(np.ascontiguousarray(chars.T).view(
+            f"S{width}" if units.itemsize == 1 else f"<U{width}")[:, 0], return_inverse=True)
+        codes = np.array([names.setdefault(k.decode("ascii") if isinstance(k, bytes) else k,
+                                           len(names)) for k in keys.tolist()],
+                         dtype=np.int64)
+        value = np.full(size.size, -1, dtype=np.int64)
+        value[rows] = codes[inverse]
+        return value, taken
 
     def sort(self, t: np.ndarray | None = None) -> None:
         """Sort the added rows, or the table ``t`` (whose codes are ``drives``
@@ -492,13 +731,6 @@ class _Table:
                             columns, present, provenance)
 
 
-def _header(rows: Iterator[tuple[int, list[str]]]) -> list[str]:
-    try:
-        return [name.strip() for name in next(rows)[1]]
-    except StopIteration:
-        raise SchemaError("empty input: no header row") from None
-
-
 def parse_hdd_csv(stream: Iterable[str] | str,
                   smart_ids: Sequence[int] = HDD_SMART_IDS,
                   source: str = "<stream>") -> FleetDataset:
@@ -515,8 +747,7 @@ def parse_hdd_csv(stream: Iterable[str] | str,
     Raises SchemaError if a mandatory column (date, serial_number, model,
     failure) is missing from the header.
     """
-    rows = _reader(stream)
-    header = _header(rows)
+    header, lines, line = _header(stream)
     index = {name: i for i, name in enumerate(header)}
     missing = [c for c in _HDD_MANDATORY if c not in index]
     if missing:
@@ -535,9 +766,16 @@ def parse_hdd_csv(stream: Iterable[str] | str,
                                *[_parse_count(row[c]) for c in cols])
 
     table = _Table(2 + len(cols))
-    table.parse(rows, len(header), parse_row)
-    # A (serial, date) key is kept once when all its rows are identical,
-    # and all its rows are rejected when any two differ.
+    table.parse(_blocks(lines, line, len(header),
+                        (i_serial, i_model, i_date, i_failure, *cols)),
+                ("date", "flag", *repeat("count", len(cols))), parse_row)
+    return _hdd_dataset(table, sids, source)
+
+
+def _hdd_dataset(table: _Table, sids: Sequence[int], source: str) -> FleetDataset:
+    """The parsed HDD table's dataset. A (serial, date) key is kept once when
+    all its rows are identical, and all its rows are rejected when any two
+    differ."""
     group = np.cumsum(~table.same_key)
     conflict = np.isin(group, group[table.conflicts()])
     for pos in np.flatnonzero(table.same_key | conflict).tolist():
@@ -579,8 +817,7 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
     dataset and listed in ``provenance["quarantined"]`` with reasons.
     Malformed rows are counted and skipped as in :func:`parse_hdd_csv`.
     """
-    rows = _reader(stream)
-    header = _header(rows)
+    header, lines, line = _header(stream)
     if header != list(_SSD_COLUMNS):
         missing = [c for c in _SSD_COLUMNS if c not in header]
         raise SchemaError(
@@ -588,10 +825,16 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
             if missing else "SSD header mismatch: unexpected column order or extras")
 
     table = _Table(len(_SSD_FIELDS))
-    table.parse(rows, len(header), _parse_ssd_row)
-    # Each drive's rows are walked in time order. A row equal to the
-    # previous one at its timestamp is a rejected duplicate; the first row
-    # that differs from it quarantines the drive and ends the walk.
+    table.parse(_blocks(lines, line, len(header), (0, 1, *_SSD_CELLS)),
+                _SSD_KINDS, _parse_ssd_row)
+    return _ssd_dataset(table, source)
+
+
+def _ssd_dataset(table: _Table, source: str) -> FleetDataset:
+    """The parsed SSD table's dataset. Each drive's rows are walked in time
+    order. A row equal to the previous one at its timestamp is a rejected
+    duplicate; the first row that differs from it quarantines the drive and
+    ends the walk, and so does a decreasing cumulative counter."""
     conflict = table.conflicts()
     drive = table.drive[table.order]
     seen = np.concatenate(([0], np.cumsum(conflict)))

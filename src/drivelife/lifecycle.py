@@ -284,23 +284,35 @@ def extract_operational_periods(ds: FleetDataset,
     """Cut each drive's observation span into failure-terminated and censored periods.
 
     The first period runs from the drive's first row to its first
-    failure (terminal ``failure``) or last row (``censored``); each
+    failure (terminal ``failure``) or its oldest row (``censored``); each
     post-failure re-entry opens another period.
+
+    Periods are cut on the age axis, taking failures by age. HDD ages can
+    repeat or run backward (SMART 9 stalls or resets), so a period starts
+    no later than its failure, a failure at the age of the previous one
+    lies in that one's period, and a censored period ends at the drive's
+    oldest age. A drive's periods therefore have non-negative length, do
+    not overlap, and hold each failure once; for ages that increase along
+    the rows, this is the row-order walk.
     """
     failures = list(failures)
     days = drive_days(ds)
     by_drive: dict[str, list] = {}
     for ev, (_, reentry) in zip(failures, _swaps_and_reentries(ds, days, failures)):
         by_drive.setdefault(ev.drive, []).append((ev, reentry))
+    oldest = np.maximum.reduceat(days, ds.starts[:-1]) if days.size else days
     periods = []
     for drive, start, last_day in zip(ds.drives, days[ds.starts[:-1]].tolist(),
-                                       days[ds.starts[1:] - 1].tolist()):
-        for ev, reentry in sorted(by_drive.get(drive, ()), key=lambda e: e[0].ordinal):
-            periods.append(OperationalPeriod(drive, start, ev.age_days, "failure"))
+                                       oldest.tolist()):
+        end = None
+        for ev, reentry in sorted(by_drive.get(drive, ()),
+                                  key=lambda e: (e[0].age_days, e[0].ordinal)):
+            if end is None or ev.age_days > end:
+                end = ev.age_days
+                begin = end if start is None else min(start, end)
+                periods.append(OperationalPeriod(drive, begin, end, "failure"))
             start = reentry
-            if start is None:
-                break
-        if start is not None and (drive not in by_drive or start <= last_day):
+        if start is not None:  # a re-entry lies after every failure before it
             periods.append(OperationalPeriod(drive, start, last_day, "censored"))
     return periods
 

@@ -152,6 +152,18 @@ class SynthConfig:
         for kind, p in self.error_incidence.items():
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"incidence for {kind} must be in [0, 1]")
+        # An SSD error kind outside SSD_ERROR_KINDS would draw counts that no
+        # column holds. HDD fleets skip non-SMART kinds on purpose: their
+        # default incidence table and burst are the SSD ones.
+        if self.family == "ssd":
+            unknown = sorted(
+                {*self.error_incidence, *(b.kind for b in self.bursts),
+                 *(c.feature for c in self.confounders
+                   if c.feature not in ("write_ops", "read_ops"))}
+                - set(SSD_ERROR_KINDS))
+            if unknown:
+                raise ValueError(f"unknown SSD error kind(s): {', '.join(unknown)}"
+                                 f"; known: {', '.join(SSD_ERROR_KINDS)}")
 
 
 def _solve_hazard(target: float, horizon: int, multiplier: float,

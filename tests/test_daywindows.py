@@ -210,16 +210,19 @@ def ref_periods(ds, failures):
     periods = []
     for drive in ds.drives:
         ages = ref_ages(ds, drive)
-        start = ages[0]
-        for ev in sorted(by_drive.get(drive, ()), key=lambda e: e.ordinal):
-            periods.append(OperationalPeriod(drive, start, ev.age_days, "failure"))
+        start, end = ages[0], None
+        # Failures by age; one at the age of the previous one lies in its
+        # period, and a period starts no later than its failure.
+        for ev in sorted(by_drive.get(drive, ()), key=lambda e: (e.age_days, e.ordinal)):
+            if end is None or ev.age_days > end:
+                end = ev.age_days
+                periods.append(OperationalPeriod(
+                    drive, end if start is None else min(start, end), end, "failure"))
             boundary = (ref_swap_day(ds, drive, ev) if ds.family == "ssd"
                         else ev.age_days)
             start = ref_reentry(ds, drive, boundary)
-            if start is None:
-                break
-        if start is not None and (not by_drive.get(drive) or start <= ages[-1]):
-            periods.append(OperationalPeriod(drive, start, ages[-1], "censored"))
+        if start is not None:
+            periods.append(OperationalPeriod(drive, start, max(ages), "censored"))
     return periods
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from drivelife.ingest import parse_ssd_log, write_ssd_csv
 from drivelife.lifecycle import detect_ssd_failures
-from drivelife.synth import (BurstSpec, SynthConfig, generate_fleet,
+from drivelife.synth import (BurstSpec, ConfounderSpec, SynthConfig, generate_fleet,
                              verify_fleet)
 
 
@@ -22,6 +22,28 @@ class TestConfig:
     def test_minimum_population(self):
         with pytest.raises(ValueError):
             SynthConfig(n_drives=0)
+
+    @pytest.mark.parametrize("spec", [
+        {"error_incidence": {"uncorrectable": 0.1, "bogus": 0.5}},
+        {"bursts": (BurstSpec(kind="smart_187"),)},
+        {"confounders": (ConfounderSpec(feature="erase_ops"),)},
+    ], ids=["incidence", "burst", "confounder"])
+    def test_ssd_rejects_unknown_error_kinds(self, spec):
+        with pytest.raises(ValueError, match="unknown SSD error kind"):
+            SynthConfig(**spec)
+
+    def test_ssd_accepts_known_kinds_and_activity_confounders(self):
+        SynthConfig(error_incidence={"write": 0.1},
+                    bursts=(BurstSpec(kind="correctable"),),
+                    confounders=(ConfounderSpec(feature="write_ops"),
+                                 ConfounderSpec(feature="read_ops"),
+                                 ConfounderSpec(feature="timeout")))
+
+    def test_hdd_skips_non_smart_kinds(self):
+        cfg = SynthConfig(family="hdd", n_drives=3, horizon_days=10,
+                          models={"M": 0.0}, error_incidence={"bogus": 0.5},
+                          bursts=(BurstSpec(kind="uncorrectable"),), seed=1)
+        generate_fleet(cfg)
 
 
 class TestGenerate:

@@ -1,6 +1,6 @@
 """Run the fixed CLI round trip and print the sha256 of every artifact.
 
-Usage: PYTHONPATH=src python tools/roundtrip.py OUTDIR
+Usage: PYTHONPATH=src python tools/roundtrip.py OUTDIR [--compare LISTING]
 
 The SSD side is the README fleet (400 drives x 240 days, seed 7):
 lifecycle, characterize, featurize at lookaheads 0,1,2,7, evaluate rf and
@@ -12,11 +12,16 @@ logreg. It prints one ``sha256  path`` line per file under OUTDIR, sorted.
 
 Artifacts embed a hash of the input path strings, so compare two runs
 (for instance before and after a refactor) made into the same absolute
-OUTDIR, one after the other.
+OUTDIR, one after the other. With ``--compare LISTING`` the run's lines are
+diffed against a listing saved from an earlier run: the differing lines are
+printed as a unified diff and the exit status is 1, or 0 when every artifact
+and its path are equal.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import hashlib
 import json
 import sys
@@ -84,13 +89,23 @@ def roundtrip(out: Path) -> None:
 
 
 def main() -> None:
-    if len(sys.argv) != 2:
-        sys.exit(__doc__)
-    out = Path(sys.argv[1]).resolve()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--compare", type=Path, metavar="LISTING",
+                        help="a saved listing to diff this run's listing against")
+    args = parser.parse_args()
+    saved = None if args.compare is None else args.compare.read_text().splitlines()
+    out = args.outdir.resolve()
     roundtrip(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out)}")
+    listing = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}"
+               for path in sorted(p for p in out.rglob("*") if p.is_file())]
+    print("\n".join(listing))
+    if saved is not None:
+        diff = list(difflib.unified_diff(saved, listing, str(args.compare), "this run",
+                                         lineterm=""))
+        print("\n".join(diff) if diff else
+              f"all {len(listing)} artifacts equal to {args.compare}", file=sys.stderr)
+        sys.exit(1 if diff else 0)
 
 
 if __name__ == "__main__":
