@@ -144,10 +144,11 @@ class _Run:
             raise
         return target
 
-    def write_json(self, name: str, doc: dict) -> Path:
+    def write_json(self, name: str, doc: dict, indent: int | None = 1) -> Path:
+        """``doc`` after its ``_meta``, keys sorted; ``indent=None`` is one line."""
         doc = {"_meta": self.meta(), **doc}
         return self._atomic(name, lambda h: h.write(
-            json.dumps(doc, sort_keys=True, indent=1) + "\n"))
+            json.dumps(doc, sort_keys=True, indent=indent) + "\n"))
 
     def write_csv(self, name: str, header: list, rows, comment: bool = True) -> Path:
         import csv
@@ -482,9 +483,8 @@ def _cmd_train(run: _Run) -> None:
     model = spec.train(balanced.X, balanced.y,
                        evaluation._derived_seed(run.seed, 0, 1),
                        feature_names=examples.names, jobs=run.jobs)
-    model_doc = {"_meta": run.meta(), **json.loads(learners.model_to_json(model))}
-    run._atomic("model.json", lambda h: h.write(
-        json.dumps(model_doc, sort_keys=True) + "\n"))
+    run.write_json("model.json", json.loads(learners.model_to_json(model)),
+                   indent=None)
     doc = {"model": spec.config(), "lookahead": lookaheads[0],
            "n_train": balanced.n, "n_positive": balanced.n_positive,
            "artifact": "model.json"}
@@ -503,12 +503,9 @@ def _cmd_evaluate(run: _Run) -> None:
     k = _folds(run)
     report = evaluation.cross_validated_eval(examples, spec, k, run.seed,
                                              jobs=run.jobs)
-    run._atomic("eval_report.json", lambda h: h.write(
-        json.dumps({"_meta": run.meta(), **json.loads(report.to_json())},
-                   sort_keys=True) + "\n"))
+    run.write_json("eval_report.json", report.to_dict(), indent=None)
     if report.roc is not None:
-        run.write_csv("roc.csv", ["threshold", "fpr", "tpr"],
-                      [[p.threshold, p.fpr, p.tpr] for p in report.roc.points])
+        run.write_csv("roc.csv", ["threshold", "fpr", "tpr"], report.roc.rows())
 
 
 def _cmd_sweep(run: _Run) -> None:
@@ -520,9 +517,7 @@ def _cmd_sweep(run: _Run) -> None:
                                          k, run.seed, jobs=run.jobs)
     rows = []
     for n, report in reports.items():
-        run._atomic(f"eval_report_N{n}.json", lambda h, r=report: h.write(
-            json.dumps({"_meta": run.meta(), **json.loads(r.to_json())},
-                       sort_keys=True) + "\n"))
+        run.write_json(f"eval_report_N{n}.json", report.to_dict(), indent=None)
         rows.append([n, "" if report.mean_auroc is None else report.mean_auroc,
                      "" if report.std_auroc is None else report.std_auroc])
     run.write_csv("sweep.csv", ["lookahead", "mean_auroc", "std_auroc"], rows)
@@ -552,14 +547,11 @@ def _cmd_partition_eval(run: _Run) -> None:
     report = evaluation.partitioned_eval(examples, rule, spec, _folds(run),
                                          run.seed, jobs=run.jobs)
 
-    def side(r):
-        return None if r is None else json.loads(r.to_json())
-
     run.write_json("partition_report.json", {
         "rule": {"attribute": rule.attribute, "threshold": rule.threshold},
-        "below": side(report.below),
-        "above": side(report.above),
-        "unsplit": side(report.unsplit),
+        "below": None if report.below is None else report.below.to_dict(),
+        "above": None if report.above is None else report.above.to_dict(),
+        "unsplit": report.unsplit.to_dict(),
         "unsplit_on_below": report.unsplit_on_below,
         "unsplit_on_above": report.unsplit_on_above,
     })

@@ -15,9 +15,9 @@ pairwise-concordance probability (ties counted half); it is a pure rank
 statistic and is not clamped to the (0.5, 1) range.
 
 Threshold semantics: ``confusion_at_threshold`` predicts a failure when
-the score is strictly larger than alpha. ROC points are labeled with the
-smallest score predicted positive at that point (the anchor (0, 0) point
-carries threshold 1.0, where a strict comparison predicts nothing).
+the score is strictly larger than alpha. Each ROC point is labeled with
+the smallest score predicted positive at that point (the anchor (0, 0)
+point carries threshold 1.0, where a strict comparison predicts nothing).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .featurize import LabeledExamples, PartitionRule, partition_dataset
 
 __all__ = [
     "FoldAssignment",
-    "RocPoint",
     "RocCurve",
     "ConfusionMatrix",
     "EvalReport",
@@ -78,6 +77,23 @@ def kfold_by_drive(drive_ids: Iterable[str], k: int = 5,
     return FoldAssignment(mapping, k)
 
 
+def _balanced_rows(y: np.ndarray, ratio: float, seed: int) -> np.ndarray:
+    """The rows, increasing, that ``undersample`` keeps of labels ``y``."""
+    pos = int(y.sum())
+    neg = y.size - pos
+    if pos == 0 or neg == 0:
+        raise ValueError("undersample needs both classes present")
+    minority_is_pos = pos <= neg
+    target = int(round(min(pos, neg) * ratio))
+    majority_idx = np.flatnonzero(y != minority_is_pos)
+    if majority_idx.size <= target:
+        return np.arange(y.size)
+    rng = np.random.default_rng(seed)
+    keep = y == minority_is_pos
+    keep[rng.choice(majority_idx, size=target, replace=False)] = True
+    return np.flatnonzero(keep)
+
+
 def undersample(examples: LabeledExamples, ratio: float = 1.0,
                 seed: int = 0) -> LabeledExamples:
     """Downsample the majority class to ``minority count * ratio`` examples.
@@ -87,43 +103,25 @@ def undersample(examples: LabeledExamples, ratio: float = 1.0,
     already at or below the target is kept whole. Raises if either class
     is empty (training sets must contain both).
     """
-    y = examples.y
-    pos = int(y.sum())
-    neg = y.size - pos
-    if pos == 0 or neg == 0:
-        raise ValueError("undersample needs both classes present")
-    minority_is_pos = pos <= neg
-    minority_count = min(pos, neg)
-    target = int(round(minority_count * ratio))
-    majority_idx = np.flatnonzero(y != minority_is_pos)
-    if majority_idx.size <= target:
-        return examples
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(majority_idx, size=target, replace=False)
-    keep = np.zeros(y.size, dtype=bool)
-    keep[y == minority_is_pos] = True
-    keep[chosen] = True
-    return examples.subset(keep)
+    rows = _balanced_rows(examples.y, ratio, seed)
+    return examples if rows.size == examples.n else examples.subset(rows)
 
 
-@dataclass(frozen=True)
-class RocPoint:
-    threshold: float
-    fpr: float
-    tpr: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
-    points: tuple[RocPoint, ...]
+    """One ROC point per index of three read-only float64 arrays.
 
-    @property
-    def fpr(self) -> np.ndarray:
-        return np.array([p.fpr for p in self.points])
+    Index 0 is the (0, 0) anchor with threshold 1.0; the last point is
+    (1, 1).
+    """
 
-    @property
-    def tpr(self) -> np.ndarray:
-        return np.array([p.tpr for p in self.points])
+    threshold: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
+
+    def rows(self) -> list:
+        """[threshold, fpr, tpr] per point, as Python floats."""
+        return np.column_stack((self.threshold, self.fpr, self.tpr)).tolist()
 
 
 @dataclass(frozen=True)
@@ -160,11 +158,12 @@ def roc_curve(scores, labels) -> RocCurve:
     predicted positive.
     """
     tp, fp, thresholds, pos_total, neg_total = _score_groups(scores, labels)
-    fpr = np.cumsum(fp) / neg_total
-    tpr = np.cumsum(tp) / pos_total
-    return RocCurve((RocPoint(1.0, 0.0, 0.0),
-                     *(RocPoint(float(t), float(f), float(p))
-                       for t, f, p in zip(thresholds, fpr, tpr))))
+    columns = (np.concatenate(([1.0], thresholds)),
+               np.concatenate(([0.0], np.cumsum(fp) / neg_total)),
+               np.concatenate(([0.0], np.cumsum(tp) / pos_total)))
+    for column in columns:
+        column.flags.writeable = False
+    return RocCurve(*columns)
 
 
 def auroc(scores, labels) -> float:
@@ -252,18 +251,20 @@ class EvalReport:
     roc: RocCurve | None
     warnings: list = field(default_factory=list)
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        """The report document; the ROC as [threshold, fpr, tpr] rows."""
+        return {
             "config": self.config,
             "per_fold_auroc": self.fold_auroc,
             "mean": self.mean_auroc,
             "stdev": self.std_auroc,
             "pooled_auroc": self.pooled_auroc,
             "warnings": self.warnings,
-            "roc": [[p.threshold, p.fpr, p.tpr] for p in self.roc.points]
-                   if self.roc else None,
+            "roc": None if self.roc is None else self.roc.rows(),
         }
-        return json.dumps(doc, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _derived_seed(*parts: int) -> int:
@@ -291,19 +292,19 @@ def _masked_auroc(scores: np.ndarray, y: np.ndarray,
 
 
 def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
-            seed: int, ratio: float = 1.0, jobs: int = 1,
-            train_mask: np.ndarray | None = None
+            seed: int, jobs: int = 1, train_mask: np.ndarray | None = None
             ) -> tuple[list, list, np.ndarray, np.ndarray]:
     """The one fold loop: fit once per fold, score that fold's held-out rows.
 
     Fold f trains on the undersampled rows outside fold f (restricted to
     ``train_mask`` when given, e.g. one drive model's rows) and scores
-    every row inside it. A fold whose test or training side lacks a class
-    is skipped with a warning; a logistic fit that stops at ``max_iter``
-    adds a warning but its fold is still scored. Returns (per-fold AUROC
-    or None, warnings, out-of-fold scores, mask of the rows that were
-    scored).
+    every row inside it; both sides index the one examples table. A fold
+    whose test or training side lacks a class is skipped with a warning;
+    a logistic fit that stops at ``max_iter`` adds a warning but its fold
+    is still scored. Returns (per-fold AUROC or None, warnings,
+    out-of-fold scores, mask of the rows that were scored).
     """
+    X, y = examples.X, examples.y
     fold_of = folds.fold_of(examples.drives)
     oof_scores = np.full(examples.n, np.nan)
     scored = np.zeros(examples.n, dtype=bool)
@@ -313,37 +314,43 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
         train_mask = np.ones(examples.n, dtype=bool)
 
     for f in range(folds.k):
-        test_mask = fold_of == f
-        test = examples.subset(test_mask)
-        train = examples.subset(~test_mask & train_mask)
-        if test.n_positive in (0, test.n):
+        test = fold_of == f
+        train = np.flatnonzero(~test & train_mask)
+        if not 0 < np.count_nonzero(y[test]) < np.count_nonzero(test):
             fold_auroc.append(None)
             warnings.append(f"fold {f}: test side lacks a class; skipped")
             continue
-        if train.n_positive in (0, train.n):
+        if not 0 < np.count_nonzero(y[train]) < train.size:
             fold_auroc.append(None)
             warnings.append(f"fold {f}: training complement lacks a class; skipped")
             continue
-        balanced = undersample(train, ratio, _derived_seed(seed, f, 0))
-        model = spec.train(balanced.X, balanced.y, _derived_seed(seed, f, 1),
+        rows = train[_balanced_rows(y[train], 1.0, _derived_seed(seed, f, 0))]
+        model = spec.train(X[rows], y[rows], _derived_seed(seed, f, 1),
                            feature_names=examples.names, jobs=jobs)
         if isinstance(model, learners.LogisticModel) and not model.converged:
             warnings.append(f"fold {f}: logistic fit did not converge in "
                             f"{model.n_iter} iterations")
-        scores = learners.predict_proba(model, test.X)
-        fold_auroc.append(auroc(scores, test.y))
-        oof_scores[test_mask] = scores
-        scored[test_mask] = True
+        scores = learners.predict_proba(model, X[test])
+        fold_auroc.append(auroc(scores, y[test]))
+        oof_scores[test] = scores
+        scored[test] = True
     return fold_auroc, warnings, oof_scores, scored
 
 
+def _eval_config(spec: ModelSpec, folds: FoldAssignment, seed: int,
+                 examples: LabeledExamples, **extra) -> dict:
+    """The ``config`` of an EvalReport: model, folds, seed and the data's size."""
+    return {"model": spec.config(), "k": folds.k, "seed": seed,
+            "lookahead": examples.lookahead, "n_examples": examples.n,
+            "n_positive": examples.n_positive, **extra}
+
+
 def _eval_report(examples: LabeledExamples, spec: ModelSpec,
-                 folds: FoldAssignment, seed: int, config: dict,
-                 ratio: float = 1.0, jobs: int = 1
+                 folds: FoldAssignment, seed: int, config: dict, jobs: int = 1
                  ) -> tuple[EvalReport, np.ndarray, np.ndarray]:
     """Run the CV engine and pool its out-of-fold scores into an EvalReport."""
     fold_auroc, warnings, oof_scores, scored = _run_cv(
-        examples, spec, folds, seed, ratio, jobs)
+        examples, spec, folds, seed, jobs)
     mean, std = _mean_std(fold_auroc)
     pooled = _masked_auroc(oof_scores, examples.y, scored)
     curve = (roc_curve(oof_scores[scored], examples.y[scored])
@@ -353,16 +360,13 @@ def _eval_report(examples: LabeledExamples, spec: ModelSpec,
 
 
 def cross_validated_eval(examples: LabeledExamples, spec: ModelSpec,
-                         k: int = 5, seed: int = 0, ratio: float = 1.0,
-                         jobs: int = 1,
+                         k: int = 5, seed: int = 0, jobs: int = 1,
                          folds: FoldAssignment | None = None) -> EvalReport:
-    """Drive-grouped k-fold CV: undersampled training, untouched test folds."""
+    """Drive-grouped k-fold CV: 1:1 undersampled training, untouched test folds."""
     if folds is None:
         folds = kfold_by_drive(examples.drives, k, seed)
-    config = {"model": spec.config(), "k": folds.k, "seed": seed,
-              "lookahead": examples.lookahead, "undersample_ratio": ratio,
-              "n_examples": examples.n, "n_positive": examples.n_positive}
-    return _eval_report(examples, spec, folds, seed, config, ratio, jobs)[0]
+    config = _eval_config(spec, folds, seed, examples, undersample_ratio=1.0)
+    return _eval_report(examples, spec, folds, seed, config, jobs)[0]
 
 
 def lookahead_sweep(builder: Callable[[int], LabeledExamples],
@@ -438,24 +442,16 @@ def partitioned_eval(examples: LabeledExamples, rule: PartitionRule,
     folds = kfold_by_drive(examples.drives, k, seed)
     below_mask = examples.partition_key <= rule.threshold
     below, above = partition_dataset(examples, rule)
+    rule_doc = {"attribute": rule.attribute, "threshold": rule.threshold}
 
-    def side_report(side: LabeledExamples, tag: str) -> EvalReport | None:
-        if side.n == 0 or side.n_positive in (0, side.n):
-            return None
-        config = {"model": spec.config(), "k": folds.k, "seed": seed,
-                  "lookahead": side.lookahead, "partition": tag,
-                  "rule": {"attribute": rule.attribute, "threshold": rule.threshold},
-                  "n_examples": side.n, "n_positive": side.n_positive}
-        return _eval_report(side, spec, folds, seed, config, jobs=jobs)[0]
+    def side_report(side: LabeledExamples, tag: str):
+        config = _eval_config(spec, folds, seed, side, partition=tag, rule=rule_doc)
+        return _eval_report(side, spec, folds, seed, config, jobs)
 
-    below_report = side_report(below, "below")
-    above_report = side_report(above, "above")
-    config = {"model": spec.config(), "k": folds.k, "seed": seed,
-              "lookahead": examples.lookahead, "partition": "none",
-              "rule": {"attribute": rule.attribute, "threshold": rule.threshold},
-              "n_examples": examples.n, "n_positive": examples.n_positive}
-    unsplit, oof_scores, scored = _eval_report(examples, spec, folds, seed,
-                                               config, jobs=jobs)
+    below_report, above_report = (
+        side_report(side, tag)[0] if 0 < side.n_positive < side.n else None
+        for side, tag in ((below, "below"), (above, "above")))
+    unsplit, oof_scores, scored = side_report(examples, "none")
     return PartitionedReport(
         rule, below_report, above_report, unsplit,
         _masked_auroc(oof_scores, examples.y, scored & below_mask),

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
-                     _last_present, _previous_present)
+                     _header, _last_present, _previous_present)
 from .lifecycle import FailureEvent, OperationalPeriod, _DayWindows, drive_days
 
 __all__ = [
@@ -301,24 +301,23 @@ def write_examples_csv(examples: LabeledExamples, out,
 def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
     """Inverse of write_examples_csv (feature values round-trip via repr).
 
-    A missing or foreign header, or a row with the wrong number of cells
-    or an unparsable value, raises SchemaError naming its line.
+    Blank and ``#`` lines before the header are skipped, as in ``ingest``;
+    after it, only blank lines are. A missing or foreign header, or a row
+    with the wrong number of cells or an unparsable value, raises
+    SchemaError naming its line.
     """
     import csv
-    import io
 
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    reader = csv.reader(stream)
-    rows = ((reader.line_num, r) for r in reader
-            if r and not r[0].startswith("#"))
-    _, header = next(rows, (0, None))
-    if header is None or header[-4:] != ["label", "drive_id", "day", "partition_key"]:
+    header, lines, line = _header(stream)
+    if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
         raise SchemaError("not an examples CSV: trailing columns mismatch")
     names = tuple(header[:-4])
     X, y, drives, days, keys = [], [], [], [], []
-    for lineno, row in rows:
-        try:
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if not row:
+                continue
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
             X.append([float(v) for v in row[:len(names)]])
@@ -326,8 +325,8 @@ def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
             drives.append(row[-3])
             days.append(int(row[-2]))
             keys.append(float(row[-1]))
-        except ValueError as exc:
-            raise SchemaError(f"examples line {lineno}: {exc}") from None
+    except (ValueError, csv.Error) as exc:
+        raise SchemaError(f"examples line {line + reader.line_num}: {exc}") from None
     n = len(X)
     return LabeledExamples(
         names, np.asarray(X, dtype=float).reshape(n, len(names)),

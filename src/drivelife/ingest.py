@@ -18,10 +18,11 @@ an empty SMART cell is an absent entry, not a zero. They stream the rows
 into flat integer tables and hold no per-row objects.
 
 The parsers read ``_READ_BLOCK`` whole lines at a time, so memory is bounded
-by a block. A block without quotes or carriage returns is encoded once, and
-numpy finds every comma in it, which gives each row's cell count and the
-(start, end) of every cell wanted (a block with a quote or a carriage return
-is cut by ``csv.reader`` instead, through the end of its last record). A
+by a block. A block without quotes is encoded once, and numpy finds every
+comma in it, which gives each row's cell count and the (start, end) of
+every cell wanted; a carriage return directly before a line's newline ends
+the line with it (a block with a quote or any other carriage return is cut
+by ``csv.reader`` instead, through the end of its last record). A
 row with another cell count than the header's is rejected. The wanted cells
 are then checked and converted a column at a time (:func:`_column`), for
 the strict common subset of the grammar: counts of 1 to 18 ASCII digits
@@ -453,21 +454,25 @@ def _split(chunk: list[str], line: int, width: int,
            cols: Sequence[int]) -> _Block | None:
     """The lines cut at every comma, as the CSV reader cuts unquoted lines.
 
-    None when a line needs the reader's own rules: a quote, a carriage
-    return, a newline before the line's end, or a line longer than the
-    reader's field size limit.
+    A carriage return directly before a line's final newline ends the
+    line with it. None when a line needs the reader's own rules: a quote,
+    any other carriage return, a newline before the line's end, or a line
+    longer than the reader's field size limit.
     """
     text = "".join(chunk)
     size = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-    if '"' in text or "\r" in text or size.max() > csv.field_size_limit():
+    if '"' in text or size.max() > csv.field_size_limit():
         return None
     units = _units(text)
     end = np.cumsum(size)
     newline = size > 0
     newline[newline] = units[end[newline] - 1] == 10
-    if np.count_nonzero(newline) != np.count_nonzero(units == 10) - 1:
+    crlf = newline & (size > 1)
+    crlf[crlf] = units[end[crlf] - 2] == 13
+    if (np.count_nonzero(newline) != np.count_nonzero(units == 10) - 1
+            or np.count_nonzero(crlf) != text.count("\r")):
         return None
-    begin, stop = end - size, end - newline
+    begin, stop = end - size, end - newline - crlf
     commas = np.flatnonzero(units == 44)
     before = np.searchsorted(commas, stop)  # commas before each line's end
     n_cells = np.diff(before, prepend=0) + 1
@@ -483,8 +488,10 @@ def _split(chunk: list[str], line: int, width: int,
     end = commas[np.minimum(after, commas.size - 1)]
     end[cols[:, 0] == width - 1] = stop[rows]
 
+    length = (stop - begin)[rows]
+
     def row(i: int) -> list[str]:
-        return chunk[rows[i]].rstrip("\n").split(",")
+        return chunk[rows[i]][:length[i]].split(",")
 
     return _Block(
         len(chunk), int(np.count_nonzero(data)),

@@ -258,25 +258,29 @@ def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray,
                          ) -> list[tuple[int, int | None]]:
     """(swap day, re-entry day or None) of each failure, in order.
 
-    The swap day is the failure day for HDDs and the day of the
-    ordinal-matched swap row for SSDs. Re-entry is the first row, in row
-    order, after the swap day: HDD ages can repeat or run backward, so it
-    is searched on the drive's running maximum of the keys.
+    A failure is anchored at its drive's ordinal-th flagged row: the swap
+    row for SSDs, the failed row for HDDs. The swap day is the day of
+    that row for SSDs and the failure day for HDDs. Re-entry is the first
+    row after the anchor whose day exceeds the swap day; HDD ages can
+    repeat or run backward, so an older row before the failure is never
+    its re-entry. A failure without its flagged row raises ValueError.
     """
     index = {d: i for i, d in enumerate(ds.drives)}
-    drive = np.array([index[ev.drive] for ev in failures], dtype=np.int64)
-    if ds.family == "ssd":
-        swaps = np.flatnonzero(ds.flag("swap_event"))
-        ordinal = np.array([ev.ordinal for ev in failures], dtype=np.int64)
-        swap = days[swaps[np.searchsorted(swaps, ds.starts[drive]) + ordinal - 1]]
-    else:
-        swap = np.array([ev.age_days for ev in failures], dtype=np.int64)
-    keys, key = _day_keys(ds, days)
-    i = np.searchsorted(np.maximum.accumulate(keys), key(drive, swap, "right"))
-    seen = i < ds.starts[drive + 1]
-    reentry = iter(days[i[seen]].tolist())
-    return [(s, next(reentry) if ok else None)
-            for s, ok in zip(swap.tolist(), seen.tolist())]
+    flagged = np.flatnonzero(ds.flag("swap_event" if ds.family == "ssd"
+                                     else "failed"))
+    first = np.searchsorted(flagged, ds.starts)  # per drive, into ``flagged``
+    out = []
+    for ev in failures:
+        drive = index[ev.drive]
+        if not 0 < ev.ordinal <= first[drive + 1] - first[drive]:
+            raise ValueError(f"drive {ev.drive!r} has no flagged row for "
+                             f"failure {ev.ordinal}")
+        anchor = flagged[first[drive] + ev.ordinal - 1]
+        swap = int(days[anchor]) if ds.family == "ssd" else ev.age_days
+        later = days[anchor + 1:ds.starts[drive + 1]]
+        after = np.flatnonzero(later > swap)
+        out.append((swap, int(later[after[0]]) if after.size else None))
+    return out
 
 
 def extract_operational_periods(ds: FleetDataset,

@@ -192,8 +192,16 @@ def per_drive(ds, days):
             for i, d in enumerate(ds.drives)}
 
 
-def ref_reentry(ds, drive, after_day):
-    for age in ref_ages(ds, drive):
+def ref_reentry(ds, event, after_day):
+    """The first age above ``after_day`` after the event's flagged record.
+
+    The event is its drive's ordinal-th swap (SSD) or failed (HDD) record;
+    records before it never count, even when HDD ages run backward.
+    """
+    seq = ds.records[event.drive]
+    flagged = [i for i, r in enumerate(seq)
+               if (r.swap_event if ds.family == "ssd" else r.failed_today)]
+    for age in ref_ages(ds, event.drive)[flagged[event.ordinal - 1] + 1:]:
         if age > after_day:
             return age
     return None
@@ -220,7 +228,7 @@ def ref_periods(ds, failures):
                     drive, end if start is None else min(start, end), end, "failure"))
             boundary = (ref_swap_day(ds, drive, ev) if ds.family == "ssd"
                         else ev.age_days)
-            start = ref_reentry(ds, drive, boundary)
+            start = ref_reentry(ds, ev, boundary)
         if start is not None:
             periods.append(OperationalPeriod(drive, start, max(ages), "censored"))
     return periods
@@ -232,7 +240,7 @@ def ref_spells(ds, failures):
         swap = ref_swap_day(ds, ev.drive, ev) if ds.family == "ssd" else ev.age_days
         gap = swap - ev.age_days if ds.family == "ssd" else None
         spells.append(lifecycle.RepairSpell(ev.drive, ev.age_days,
-                                            ref_reentry(ds, ev.drive, swap), gap))
+                                            ref_reentry(ds, ev, swap), gap))
     return spells
 
 

@@ -128,16 +128,20 @@ def sorted_by_original_order(original, subset):
     return list(subset.days)
 
 
+def points(curve):
+    return list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+
+
 class TestRoc:
     def test_perfect_separation_passes_corner(self):
         curve = roc_curve([0.9, 0.8, 0.2, 0.1], [True, True, False, False])
-        assert any(p.fpr == 0.0 and p.tpr == 1.0 for p in curve.points)
-        assert curve.points[0].fpr == 0.0 and curve.points[0].tpr == 0.0
-        assert curve.points[-1].fpr == 1.0 and curve.points[-1].tpr == 1.0
+        assert (0.0, 1.0) in points(curve)
+        assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
+        assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
 
     def test_all_equal_scores_is_diagonal(self):
         curve = roc_curve([0.5, 0.5, 0.5], [True, False, True])
-        assert [(p.fpr, p.tpr) for p in curve.points] == [(0.0, 0.0), (1.0, 1.0)]
+        assert points(curve) == [(0.0, 0.0), (1.0, 1.0)]
 
     def test_hand_walked_sweep(self):
         scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
@@ -145,7 +149,7 @@ class TestRoc:
         curve = roc_curve(scores, labels)
         expected = [(0.0, 0.0), (0.0, 1 / 3), (1 / 3, 1 / 3), (1 / 3, 2 / 3),
                     (1 / 3, 1.0), (2 / 3, 1.0), (1.0, 1.0)]
-        assert [(p.fpr, p.tpr) for p in curve.points] == expected
+        assert points(curve) == expected
 
     def test_fpr_non_decreasing(self):
         rng = np.random.default_rng(0)
@@ -153,8 +157,15 @@ class TestRoc:
         labels = rng.random(50) < 0.4
         labels[0], labels[1] = True, False
         curve = roc_curve(scores, labels)
-        fprs = [p.fpr for p in curve.points]
+        fprs = curve.fpr.tolist()
         assert fprs == sorted(fprs)
+
+    def test_arrays_are_read_only_float64_with_the_anchor_first(self):
+        curve = roc_curve([0.9, 0.4, 0.4, 0.1], [True, False, True, False])
+        assert curve.rows() == [[1.0, 0.0, 0.0], [0.9, 0.0, 0.5],
+                                [0.4, 0.5, 1.0], [0.1, 1.0, 1.0]]
+        for column in (curve.threshold, curve.fpr, curve.tpr):
+            assert column.dtype == np.float64 and not column.flags.writeable
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

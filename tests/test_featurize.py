@@ -236,7 +236,9 @@ class TestExamplesCsv:
         ("a,b\n1,2\n", None),
         ("# meta\na,label,drive_id,day,partition_key\n1.0,1,d,3\n", 3),
         ("a,label,drive_id,day,partition_key\n1.0,0,d,3,3.0\nx,1,d,4,4.0\n", 3),
-    ], ids=["empty", "foreign_header", "short_row", "bad_value"])
+        ("a,label,drive_id,day,partition_key\n1.0,0,d,3,3.0\n1.0,0,d,4,4.0\n"
+         "#2.0,1,b,1,1.0\n", 4),
+    ], ids=["empty", "foreign_header", "short_row", "bad_value", "comment_after_header"])
     def test_malformed_input_is_schema_error(self, text, line):
         with pytest.raises(SchemaError) as exc:
             read_examples_csv(text)

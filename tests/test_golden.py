@@ -7,6 +7,13 @@ window. Each artifact below must hash to the value recorded when the
 table was made. These artifacts hold counts, days and ratios of counts
 only (no BLAS, no floating-point reductions), so their bytes do not
 depend on the machine.
+
+The tree-model evaluation artifacts (``evaluate``, ``sweep``, ``matrix``
+and ``partition-eval`` with ``--model tree`` on the small SSD fleet) are
+pinned the same way: a tree's scores are leaf fractions, its thresholds
+midpoints of feature values, and AUROC and ROC rates are ratios of
+counts, so no BLAS is involved either.
+
 The ``--input`` paths are relative, because the config hash written into
 every artifact covers the path string.
 
@@ -97,16 +104,57 @@ GOLDEN = {
 }
 
 
+#: ``--model tree`` runs on the SSD fleet, each into ``tree/<subcommand>``.
+TREE_MODEL = ["--model", "tree", "--hyper", '{"min_samples_leaf": 5}']
+TREE_RUNS = {
+    "evaluate": (["--lookahead", "7"], ("eval_report.json", "roc.csv")),
+    "sweep": (["--lookahead", "0,7"],
+              ("sweep.csv", "eval_report_N0.json", "eval_report_N7.json")),
+    "matrix": (["--lookahead", "7"], ("matrix.csv",)),
+    "partition-eval": (["--lookahead", "7", "--partition", "age:30"],
+                       ("partition_report.json",)),
+}
+
+TREE_GOLDEN = {
+    "tree/evaluate/eval_report.json":
+        "ad65458668d28679c084eadaab64f555a30861a0a4decfd5c3785dce33944020",
+    "tree/evaluate/roc.csv":
+        "5b9f63ee6523a28040914922ffb9f348e020e7b541c8bdb2cc7387719d989f9f",
+    "tree/sweep/sweep.csv":
+        "bd742facc52a7954ceea999398666b776ddc0fbc3210013188caeab11b186dc0",
+    "tree/sweep/eval_report_N0.json":
+        "f1477f03412db74117382909c6a65f64e14b1c71881b08c97b212f844c507035",
+    "tree/sweep/eval_report_N7.json":
+        "8b5016f01d0c7a0373dbfd1b5b2733ed35d68c6f0aad015deb6a425c67b65563",
+    "tree/matrix/matrix.csv":
+        "4ac0e94e4fb6070eca6f940057e6b438719b34659daaa00a71ce89870f874be7",
+    "tree/partition-eval/partition_report.json":
+        "faa133cc9c46d7a185c1d45350f33f92be56b31e0560d9ca5c9581d0b6fa4efa",
+}
+
+
+def _synth(workdir: Path, family: str) -> list:
+    """Write the fleet config, run ``synth``; the ``--family``/``--input`` flags."""
+    fleet, seed = FLEETS[family]
+    (workdir / f"{family}.json").write_text(json.dumps(fleet))
+    argv = ["synth", "--config", f"{family}.json", "--out", family,
+            "--seed", str(seed)]
+    assert run(argv) == 0, argv
+    return ["--family", family, "--input", f"{family}/{family}_telemetry.csv"]
+
+
+def _sha256(workdir: Path, names) -> dict:
+    return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
+            for name in names}
+
+
 def artifact_hashes(workdir: Path) -> dict:
     """Run the five subcommands in ``workdir``; sha256 of every artifact."""
     names = []
-    for family, (fleet, seed) in FLEETS.items():
-        (workdir / f"{family}.json").write_text(json.dumps(fleet))
-        source = ["--family", family, "--input",
-                  f"{family}/{family}_telemetry.csv"]
+    for family, (_, seed) in FLEETS.items():
+        source = _synth(workdir, family)
         out = ["--out", family]
-        for argv in (["synth", "--config", f"{family}.json", *out],
-                     ["ingest", *source, "--out", f"{family}/ingest"],
+        for argv in (["ingest", *source, "--out", f"{family}/ingest"],
                      ["lifecycle", *source, *out],
                      ["characterize", *source, *out],
                      ["featurize", *source, *out, "--lookahead", "0,7"]):
@@ -115,10 +163,27 @@ def artifact_hashes(workdir: Path) -> dict:
     argv = ["ingest", "--family", "hdd", "--input", "hdd/hdd_telemetry.csv",
             *HDD_FILTER, "--out", "hdd/filtered"]
     assert run(argv) == 0, argv
-    return {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest()
-            for name in names + list(FILTERED)}
+    return _sha256(workdir, names + list(FILTERED))
+
+
+def tree_artifact_hashes(workdir: Path) -> dict:
+    """Run the four ``--model tree`` evaluations; sha256 of every artifact."""
+    source = _synth(workdir, "ssd")
+    names = []
+    for command, (flags, artifacts) in TREE_RUNS.items():
+        out = f"tree/{command}"
+        argv = [command, *source, *TREE_MODEL, *flags, "--seed",
+                str(FLEETS["ssd"][1]), "--out", out]
+        assert run(argv) == 0, argv
+        names += [f"{out}/{name}" for name in artifacts]
+    return _sha256(workdir, names)
 
 
 def test_count_only_artifacts_match_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert artifact_hashes(tmp_path) == GOLDEN
+
+
+def test_tree_evaluation_artifacts_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert tree_artifact_hashes(tmp_path) == TREE_GOLDEN

@@ -332,3 +332,19 @@ def test_small_blocks_parse_as_one_block(form, block, tmp_path, monkeypatch):
     monkeypatch.setattr(ingest, "_READ_BLOCK", block)
     assert parse() == whole
     assert whole == _outcome(lambda s: reference_hdd(s, smart_ids=HDD_SMART), MIXED)
+
+
+def test_crlf_lines_take_the_comma_split():
+    """A carriage return before a line's newline ends the line; any other
+    carriage return leaves the block to the CSV reader."""
+    cols = range(len(HDD_HEADER))
+    crlf = ["2014-01-17,A,ST-A,,0,,1,,100,,0\r\n", "\r\n",
+            "2014-01-18,A,ST-A,,0,,1,,124,,\r\n"]
+    block = ingest._split(crlf, 1, len(HDD_HEADER), cols)
+    assert block is not None
+    assert (block.data_rows, block.line.tolist()) == (2, [2, 4])
+    assert block.row(1) == "2014-01-18,A,ST-A,,0,,1,,124,,".split(",")
+    # The last cells, "0" and "", end before the carriage return.
+    assert (block.end - block.start)[-1].tolist() == [1, 0]
+    assert ingest._split(["2014-01-17,A\r,ST-A,,0,,1,,100,,0\n"], 1,
+                         len(HDD_HEADER), cols) is None

@@ -10,7 +10,8 @@ from drivelife.lifecycle import (CensoredSample, build_repair_spells,
                                  drive_days, extract_operational_periods,
                                  failure_count_distribution,
                                  period_length_sample, repair_duration_sample,
-                                 preswap_gap_sample, repair_stats, RepairSpell)
+                                 preswap_gap_sample, repair_stats, FailureEvent,
+                                 RepairSpell)
 
 from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
 
@@ -162,6 +163,29 @@ class TestRepairs:
         assert spell.fail_day == 1 and spell.preswap_gap_days == 2
         assert spell.reentry_day == 10
         assert spell.repair_days == 7  # re-entry minus swap day
+
+    def test_hdd_row_before_the_failure_is_no_reentry(self):
+        # SMART 9 runs backward: 24,000 h (age 1000) on one day, then a
+        # failure at 0 h the next. The older row comes before the failure.
+        ds = hdd_dataset({"A": [hdd_rec("A", 0, smart={9: 24000}),
+                                hdd_rec("A", 1, failed=True, smart={9: 0})]})
+        failures = detect_hdd_failures(ds)
+        assert build_repair_spells(ds, failures) == [RepairSpell("A", 0, None, None)]
+        assert [(p.start_day, p.end_day, p.terminal)
+                for p in extract_operational_periods(ds, failures)] == [
+            (0, 0, "failure")]
+
+    @pytest.mark.parametrize("family", ["hdd", "ssd"])
+    def test_failure_without_its_flagged_row_is_rejected(self, family):
+        # Drive A has no flagged row; B's must not stand in for it.
+        if family == "hdd":
+            ds = hdd_dataset({"A": [hdd_rec("A", 0), hdd_rec("A", 1)],
+                              "B": [hdd_rec("B", 0, failed=True)]})
+        else:
+            ds = ssd_dataset({"A": [ssd_rec("A", 0), ssd_rec("A", 1)],
+                              "B": [ssd_rec("B", 0, swap=True)]})
+        with pytest.raises(ValueError, match="no flagged row for failure 1"):
+            build_repair_spells(ds, [FailureEvent("A", 0, 1, family)])
 
     def test_hand_counted_fractions(self):
         spells = [RepairSpell("a", 0, 1), RepairSpell("b", 0, 10),
