@@ -21,7 +21,7 @@ from scipy.stats import rankdata
 
 from . import featurize
 from .ingest import FleetDataset, SSD_ERROR_KINDS
-from .lifecycle import FailureEvent, _DayWindows, drive_days
+from .lifecycle import FailureEvent, _DayWindows, _drive_codes, drive_days
 
 __all__ = [
     "CorrelationMatrix",
@@ -186,18 +186,15 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     if ds.family != "ssd":
         raise ValueError("pe_binned_failure_rate needs an SSD dataset")
     pe, observed = ds.column("pe_cycles_cum")
-    drives, days = featurize._rows(ds)
-    drive_no = ds.row_drive()[observed]
-    pe, drives, days = pe[observed], drives[observed], days[observed]
-    readings = _DayWindows(drives, days)
+    pe, drive = pe[observed], ds.row_drive()[observed]
+    readings = _DayWindows(drive, drive_days(ds)[observed])
     fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
-    start, stop = readings.find([ev.drive for ev in failures],
-                                np.full(fail_days.size, np.iinfo(np.int64).min),
-                                fail_days)
+    fail_drives = _drive_codes(ds.drives, (ev.drive for ev in failures))
+    start, stop = readings.find(fail_drives, np.iinfo(np.int64).min, fail_days)
     pe_at_failure = pe[readings.order[stop[stop > start] - 1]]
     n_bins = int(pe.max(initial=0)) // bin_width + 1
     fail_counts = np.bincount(pe_at_failure // bin_width, minlength=n_bins)
-    drive_bins = np.unique(np.stack([drive_no, pe // bin_width]), axis=1)
+    drive_bins = np.unique(np.stack([drive, pe // bin_width]), axis=1)
     exposure = np.bincount(drive_bins[1], minlength=n_bins)
     edges = np.arange(n_bins + 1) * bin_width
     curve = RateCurve.from_counts(edges, fail_counts, exposure)
@@ -219,22 +216,23 @@ def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
     """
     if ds.family != "hdd":
         raise ValueError("hfh_threshold_sweep needs an HDD dataset")
-    failed = {ev.drive for ev in failures}
+    codes = _drive_codes(ds.drives, (ev.drive for ev in failures))
+    failed = np.zeros(ds.n_drives, dtype=bool)
+    failed[codes[codes >= 0]] = True
     hfh, reported = ds.column("smart_240")
     firsts = ds.starts[:-1]
     # Absent cells read 0 and counts are >= 0, so a drive's maximum over
     # all its cells is its maximum over the reported ones.
-    top = np.maximum.reduceat(hfh, firsts)
     seen = np.logical_or.reduceat(reported, firsts)
-    drives = np.array(ds.drives, dtype=object)
-    max_hfh = dict(zip(drives[seen].tolist(), top[seen].tolist()))
+    max_hfh = np.maximum.reduceat(hfh, firsts)[seen].tolist()
+    failed = failed[seen].tolist()
     excluded = ds.n_drives - len(max_hfh)
     per_threshold = {}
     for t in thresholds:
-        small = [d for d, h in max_hfh.items() if h <= t]
-        large = [d for d, h in max_hfh.items() if h > t]
-        small_rate = (sum(d in failed for d in small) / len(small)) if small else None
-        large_rate = (sum(d in failed for d in large) / len(large)) if large else None
+        small = [f for h, f in zip(max_hfh, failed) if h <= t]
+        large = [f for h, f in zip(max_hfh, failed) if h > t]
+        small_rate = sum(small) / len(small) if small else None
+        large_rate = sum(large) / len(large) if large else None
         share = len(large) / len(max_hfh) if max_hfh else None
         per_threshold[t] = (small_rate, large_rate, share)
     return {"excluded": excluded, "per_threshold": per_threshold}
@@ -255,10 +253,10 @@ def check_error_kind(family: str, kind: str) -> None:
 
 
 def _daily_error_series(ds: FleetDataset, kind: str):
-    """Every record's drive, drive-age day and that-day count of one error kind.
+    """Every record's drive code, drive-age day and that-day count of one error kind.
 
     Returns the records with a nonzero count as a window lookup with their
-    counts, then the drive and day arrays of all records in dataset order.
+    counts, then the drive code and day arrays of all records in order.
     SSD kinds are the ten canonical counter names. HDD kinds are
     ``smart_<id>`` names, read as the day's increment of that cumulative
     counter by :func:`featurize.counter_increments`, the rule of the
@@ -269,9 +267,9 @@ def _daily_error_series(ds: FleetDataset, kind: str):
         counts = ds.column(f"err_{kind}")[0]
     else:
         counts = featurize.counter_increments(*ds.column(kind), ds.starts)[0]
-    drives, days = featurize._rows(ds)
+    drive, days = ds.row_drive(), drive_days(ds)
     hit = counts > 0
-    return _DayWindows(drives[hit], days[hit]), counts[hit], drives, days
+    return _DayWindows(drive[hit], days[hit]), counts[hit], drive, days
 
 
 def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetDataset,
@@ -286,9 +284,9 @@ def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetData
     """
     if any(n < 1 for n in windows):
         raise ValueError("window sizes must be >= 1")
-    errors, _, drives, days = _daily_error_series(ds, kind)
+    errors, _, drive, days = _daily_error_series(ds, kind)
 
-    fail_drives = [ev.drive for ev in failures]
+    fail_drives = _drive_codes(ds.drives, (ev.drive for ev in failures))
     fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
     prob: dict[int, float | None] = {}
     for n in windows:
@@ -302,7 +300,7 @@ def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetData
         picks = rng.integers(0, days.size, size=BASELINE_WINDOW_DRAWS)
         ends = days[picks]
         for n in windows:
-            start, stop = errors.find(drives[picks], ends - n + 1, ends)
+            start, stop = errors.find(drive[picks], ends - n + 1, ends)
             hits = int(np.count_nonzero(stop > start))
             baseline[n] = hits / BASELINE_WINDOW_DRAWS
     return {"probability": prob, "baseline": baseline}
@@ -328,7 +326,7 @@ def prefailure_error_percentiles(failures: Sequence[FailureEvent], ds: FleetData
     zero counts are excluded. Offsets with no nonzero counts map to None.
     """
     errors, nonzero, _, _ = _daily_error_series(ds, kind)
-    fail_drives = [ev.drive for ev in failures]
+    fail_drives = _drive_codes(ds.drives, (ev.drive for ev in failures))
     fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
     out: dict[int, dict[float, float] | None] = {}
     for d in offsets:
@@ -348,7 +346,7 @@ def write_intensity_quartiles(ds: FleetDataset) -> dict[int, tuple[float, float,
     if ds.family != "ssd":
         raise ValueError("write_intensity_quartiles needs an SSD dataset")
     writes, reported = ds.column("write_ops")
-    months = featurize._rows(ds)[1][reported] // DAYS_PER_MONTH
+    months = drive_days(ds)[reported] // DAYS_PER_MONTH
     order = np.argsort(months, kind="stable")
     found, first = np.unique(months[order], return_index=True)
     out = {}

@@ -291,12 +291,14 @@ def _masked_auroc(scores: np.ndarray, y: np.ndarray,
     return None
 
 
-def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
-            seed: int, jobs: int = 1, train_mask: np.ndarray | None = None
+def _run_cv(examples: LabeledExamples, spec: ModelSpec, fold_of: np.ndarray,
+            k: int, seed: int, jobs: int = 1, train_mask: np.ndarray | None = None
             ) -> tuple[list, list, np.ndarray, np.ndarray]:
     """The one fold loop: fit once per fold, score that fold's held-out rows.
 
-    Fold f trains on the undersampled rows outside fold f (restricted to
+    ``fold_of`` is the fold of every row (``FoldAssignment.fold_of``),
+    computed once by each evaluation; ``k`` is the number of folds. Fold
+    f trains on the undersampled rows outside fold f (restricted to
     ``train_mask`` when given, e.g. one drive model's rows) and scores
     every row inside it; both sides index the one examples table. A fold
     whose test or training side lacks a class is skipped with a warning;
@@ -305,7 +307,6 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
     out-of-fold scores, mask of the rows that were scored).
     """
     X, y = examples.X, examples.y
-    fold_of = folds.fold_of(examples.drives)
     oof_scores = np.full(examples.n, np.nan)
     scored = np.zeros(examples.n, dtype=bool)
     fold_auroc: list = []
@@ -313,7 +314,7 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, folds: FoldAssignment,
     if train_mask is None:
         train_mask = np.ones(examples.n, dtype=bool)
 
-    for f in range(folds.k):
+    for f in range(k):
         test = fold_of == f
         train = np.flatnonzero(~test & train_mask)
         if not 0 < np.count_nonzero(y[test]) < np.count_nonzero(test):
@@ -345,12 +346,12 @@ def _eval_config(spec: ModelSpec, folds: FoldAssignment, seed: int,
             "n_positive": examples.n_positive, **extra}
 
 
-def _eval_report(examples: LabeledExamples, spec: ModelSpec,
-                 folds: FoldAssignment, seed: int, config: dict, jobs: int = 1
+def _eval_report(examples: LabeledExamples, spec: ModelSpec, fold_of: np.ndarray,
+                 k: int, seed: int, config: dict, jobs: int = 1
                  ) -> tuple[EvalReport, np.ndarray, np.ndarray]:
     """Run the CV engine and pool its out-of-fold scores into an EvalReport."""
     fold_auroc, warnings, oof_scores, scored = _run_cv(
-        examples, spec, folds, seed, jobs)
+        examples, spec, fold_of, k, seed, jobs)
     mean, std = _mean_std(fold_auroc)
     pooled = _masked_auroc(oof_scores, examples.y, scored)
     curve = (roc_curve(oof_scores[scored], examples.y[scored])
@@ -366,7 +367,8 @@ def cross_validated_eval(examples: LabeledExamples, spec: ModelSpec,
     if folds is None:
         folds = kfold_by_drive(examples.drives, k, seed)
     config = _eval_config(spec, folds, seed, examples, undersample_ratio=1.0)
-    return _eval_report(examples, spec, folds, seed, config, jobs)[0]
+    return _eval_report(examples, spec, folds.fold_of(examples.drives), folds.k,
+                        seed, config, jobs)[0]
 
 
 def lookahead_sweep(builder: Callable[[int], LabeledExamples],
@@ -407,7 +409,7 @@ def cross_model_matrix(examples: LabeledExamples, spec: ModelSpec,
     cells: dict[tuple[str, str], float | None] = {}
     for i in model_names + ["All"]:
         train_mask = None if i == "All" else examples.models == i
-        _, _, oof_scores, scored = _run_cv(examples, spec, folds, seed,
+        _, _, oof_scores, scored = _run_cv(examples, spec, fold_of, folds.k, seed,
                                            jobs=jobs, train_mask=train_mask)
         for j in model_names:
             test_base = scored & (examples.models == j)
@@ -440,18 +442,21 @@ def partitioned_eval(examples: LabeledExamples, rule: PartitionRule,
                      jobs: int = 1) -> PartitionedReport:
     """Evaluate below-threshold, above-threshold, and unsplit models comparably."""
     folds = kfold_by_drive(examples.drives, k, seed)
+    fold_of = folds.fold_of(examples.drives)
     below_mask = examples.partition_key <= rule.threshold
     below, above = partition_dataset(examples, rule)
     rule_doc = {"attribute": rule.attribute, "threshold": rule.threshold}
 
-    def side_report(side: LabeledExamples, tag: str):
+    def side_report(side: LabeledExamples, side_folds: np.ndarray, tag: str):
         config = _eval_config(spec, folds, seed, side, partition=tag, rule=rule_doc)
-        return _eval_report(side, spec, folds, seed, config, jobs)
+        return _eval_report(side, spec, side_folds, folds.k, seed, config, jobs)
 
     below_report, above_report = (
-        side_report(side, tag)[0] if 0 < side.n_positive < side.n else None
-        for side, tag in ((below, "below"), (above, "above")))
-    unsplit, oof_scores, scored = side_report(examples, "none")
+        side_report(side, fold_of[mask], tag)[0]
+        if 0 < side.n_positive < side.n else None
+        for side, mask, tag in ((below, below_mask, "below"),
+                                (above, ~below_mask, "above")))
+    unsplit, oof_scores, scored = side_report(examples, fold_of, "none")
     return PartitionedReport(
         rule, below_report, above_report, unsplit,
         _masked_auroc(oof_scores, examples.y, scored & below_mask),
@@ -471,7 +476,8 @@ def tpr_vs_attribute(examples: LabeledExamples, spec: ModelSpec,
     if list(bin_edges) != sorted(bin_edges) or len(bin_edges) < 2:
         raise ValueError("bin_edges must be sorted with at least two edges")
     folds = kfold_by_drive(examples.drives, k, seed)
-    _, _, oof_scores, scored = _run_cv(examples, spec, folds, seed, jobs=jobs)
+    _, _, oof_scores, scored = _run_cv(
+        examples, spec, folds.fold_of(examples.drives), folds.k, seed, jobs=jobs)
     result: dict[float, list] = {}
     key = examples.partition_key
     positives = examples.y & scored

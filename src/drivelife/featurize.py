@@ -27,7 +27,8 @@ import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
                      _header, _last_present, _previous_present)
-from .lifecycle import FailureEvent, OperationalPeriod, _DayWindows, drive_days
+from .lifecycle import (FailureEvent, OperationalPeriod, _DayWindows, _drive_codes,
+                        drive_days)
 
 __all__ = [
     "FeatureMatrix",
@@ -64,21 +65,28 @@ _HDD_NAMES = (*(f"smart_{sid}" for sid in HDD_SMART_IDS),
 class FeatureMatrix:
     """Aligned per-drive-day feature rows for a whole fleet.
 
-    ``days`` is the drive-age day of each row (the time index used for
-    labeling); ``hfh_max`` is the max-to-date head flying hours (HDD only,
-    None for SSD fleets).
+    Each row names its drive by ``drive``, its index into ``drive_ids``
+    (the dataset's sorted ``drives``); ``days`` is the drive-age day of
+    each row (the time index used for labeling); ``hfh_max`` is the
+    max-to-date head flying hours (HDD only, None for SSD fleets).
     """
 
     family: str
     names: tuple[str, ...]
     X: np.ndarray            # (n_rows, n_features) float64
-    drives: np.ndarray       # (n_rows,) drive ids
+    drive: np.ndarray        # (n_rows,) int64 index into drive_ids
+    drive_ids: Sequence[str]
     days: np.ndarray         # (n_rows,) int64 drive-age days
     hfh_max: np.ndarray | None = None
 
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
+
+    @property
+    def drives(self) -> np.ndarray:
+        """The drive id of every row."""
+        return np.array(self.drive_ids, dtype=object)[self.drive]
 
     def column(self, name: str) -> np.ndarray:
         if name == "age_days" and "age_days" not in self.names:
@@ -129,12 +137,6 @@ def _accumulate(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray) -> np.ndarra
     return out
 
 
-def _rows(ds: FleetDataset) -> tuple[np.ndarray, np.ndarray]:
-    """The drive id and drive-age day of every row, in column order."""
-    drives = np.repeat(np.array(ds.drives, dtype=object), np.diff(ds.starts))
-    return drives, drive_days(ds)
-
-
 def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     """Daily + cumulative activity/error features for every SSD drive-day.
 
@@ -153,9 +155,9 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     X[:, n_daily:2 * n_daily] = _accumulate(np.add, X[:, :n_daily], starts)
     for j, name in enumerate(_SSD_NAMES[2 * n_daily:-1], start=2 * n_daily):
         X[:, j] = carry_forward(*ds.column(name), starts)
-    drives, days = _rows(ds)
+    days = drive_days(ds)
     X[:, -1] = days
-    return FeatureMatrix("ssd", _SSD_NAMES, X, drives, days)
+    return FeatureMatrix("ssd", _SSD_NAMES, X, ds.row_drive(), ds.drives, days)
 
 
 def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
@@ -182,8 +184,8 @@ def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
     X[:, -2] = X[:, HDD_SMART_IDS.index(187)]  # smart_187_cum: the carried smart_187
     X[:, -1] = reset
     hfh_max = _accumulate(np.maximum, X[:, HDD_SMART_IDS.index(240)], starts)
-    drives, days = _rows(ds)
-    return FeatureMatrix("hdd", _HDD_NAMES, X, drives, days, hfh_max=hfh_max)
+    return FeatureMatrix("hdd", _HDD_NAMES, X, ds.row_drive(), ds.drives,
+                         drive_days(ds), hfh_max=hfh_max)
 
 
 def make_features(ds: FleetDataset) -> FeatureMatrix:
@@ -233,16 +235,16 @@ def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
     """
     if lookahead < 0:
         raise ValueError("lookahead must be >= 0")
-    rows = _DayWindows(feats.drives, feats.days)
+    rows = _DayWindows(feats.drive, feats.days)
     keep = np.ones(feats.n_rows, dtype=bool)
     if periods is not None:
-        keep = rows.covered([p.drive for p in periods],
+        keep = rows.covered(_drive_codes(feats.drive_ids, (p.drive for p in periods)),
                             [p.start_day for p in periods],
                             [p.end_day for p in periods])
     failures = list(failures)
     fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
-    y = rows.covered([ev.drive for ev in failures], fail_days - lookahead,
-                     fail_days)
+    y = rows.covered(_drive_codes(feats.drive_ids, (ev.drive for ev in failures)),
+                     fail_days - lookahead, fail_days)
 
     if partition_attr == "age":
         key = feats.days.astype(float)
@@ -255,7 +257,8 @@ def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
 
     model_col = None
     if models is not None:
-        model_col = np.array([models.get(d, "") for d in feats.drives], dtype=object)
+        model_col = np.array([models.get(d, "") for d in feats.drive_ids],
+                             dtype=object)[feats.drive]
 
     out = LabeledExamples(feats.names, feats.X, y, feats.drives, feats.days,
                           key, lookahead, model_col)

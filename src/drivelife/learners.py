@@ -136,12 +136,6 @@ class ImportanceRanking:
     def top(self, k: int) -> list[str]:
         return [name for name, _ in self.entries[:k]]
 
-    def score(self, name: str) -> float:
-        for n, s in self.entries:
-            if n == name:
-                return s
-        raise KeyError(name)
-
 
 def _gini(n: int, pos: int) -> float:
     p = pos / n

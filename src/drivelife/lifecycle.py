@@ -145,21 +145,6 @@ def drive_days(ds: FleetDataset) -> np.ndarray:
                     ds.time - ds.time[first])
 
 
-def _day_keys(ds: FleetDataset, days: np.ndarray):
-    """Keys of the rows by (drive, day), and the key of a (drive, day) query.
-
-    A key is ``drive index * width + rank of the day among the distinct
-    row days``, so it cannot overflow whatever the days are. Rows of one
-    drive whose days do not decrease have increasing keys; a query key
-    ranks its day with ``searchsorted(..., side)``.
-    """
-    axis = np.unique(days)
-    width = axis.size + 1
-    keys = ds.row_drive() * width + np.searchsorted(axis, days)
-    return keys, lambda drive, day, side: (
-        drive * width + np.searchsorted(axis, day, side))
-
-
 def _events(ds: FleetDataset, rows: np.ndarray, days: np.ndarray,
             degenerate: np.ndarray) -> list[FailureEvent]:
     """One FailureEvent per row (increasing), numbered per drive from 1."""
@@ -170,40 +155,44 @@ def _events(ds: FleetDataset, rows: np.ndarray, days: np.ndarray,
                                     ordinal.tolist(), degenerate.tolist())]
 
 
-class _DayWindows:
-    """Point events sorted by (drive, day), looked up by day window.
+def _drive_codes(drives: Sequence[str], names: Iterable[str]) -> np.ndarray:
+    """Each name's index in ``drives``, or -1 for a name not in it: the one
+    place names become the codes rows carry (per failure, period or drive)."""
+    index = {d: i for i, d in enumerate(drives)}
+    return np.array([index.get(n, -1) for n in names], dtype=np.int64)
 
-    ``find`` gives, for each query (drive, lo, hi), the index range in
-    ``order`` of that drive's events with lo <= day <= hi; an unknown
-    drive, or lo > hi, gives an empty range. The sort key is ``drive code
-    * width + rank of the day among the distinct event days``, which
-    cannot overflow whatever the day values are; an unknown drive gets
-    the code after the last, which has no events.
+
+class _DayWindows:
+    """Point events sorted by (drive code, day), looked up by day window.
+
+    A drive code is an index into the dataset's ``drives``. ``find``
+    gives, for each query (code, lo, hi), the index range in ``order`` of
+    that drive's events with lo <= day <= hi; a code without events (such
+    as -1), or lo > hi, gives an empty range. The sort key is ``code *
+    width + rank of the day among the distinct event days``, which cannot
+    overflow whatever the day values are.
     """
 
-    def __init__(self, drives: Sequence[str], days: np.ndarray):
-        self._code = {d: i for i, d in enumerate(dict.fromkeys(drives))}
-        codes = np.array([self._code[d] for d in drives], dtype=np.int64)
+    def __init__(self, codes: np.ndarray, days: np.ndarray):
         self._days = np.unique(days)
         self._width = self._days.size + 2
-        keys = codes * self._width + np.searchsorted(self._days, days) + 1
+        keys = (np.asarray(codes, dtype=np.int64) * self._width
+                + np.searchsorted(self._days, days) + 1)
         self.order = np.argsort(keys, kind="stable")
         self._keys = keys[self.order]
 
-    def find(self, drives: Sequence[str], lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    def find(self, codes: np.ndarray, lo, hi) -> tuple[np.ndarray, np.ndarray]:
         """Per query: [start, stop) of its events in ``order``."""
-        unknown = len(self._code)
-        base = np.array([self._code.get(d, unknown) for d in drives],
-                        dtype=np.int64) * self._width
+        base = np.asarray(codes, dtype=np.int64) * self._width
         start = np.searchsorted(self._keys, base + 1 + np.searchsorted(
             self._days, np.asarray(lo, dtype=np.int64), "left"), "left")
         stop = np.searchsorted(self._keys, base + np.searchsorted(
             self._days, np.asarray(hi, dtype=np.int64), "right"), "right")
         return start, np.maximum(stop, start)
 
-    def covered(self, drives: Sequence[str], lo, hi) -> np.ndarray:
+    def covered(self, codes: np.ndarray, lo, hi) -> np.ndarray:
         """Mask over the events, in input order: inside at least one query."""
-        start, stop = self.find(drives, lo, hi)
+        start, stop = self.find(codes, lo, hi)
         n = self._keys.size
         depth = np.cumsum(np.bincount(start, minlength=n + 1)
                           - np.bincount(stop, minlength=n + 1))
@@ -240,9 +229,11 @@ def detect_ssd_failures(ds: FleetDataset) -> list[FailureEvent]:
     scope = np.maximum(ds.starts[drive], np.concatenate(([0], swaps[:-1] + 1)))
     active = (ds.column("read_ops")[0] != 0) | (ds.column("write_ops")[0] != 0)
     last_active = _last_present(active, ds.starts)[swaps]
-    keys, key = _day_keys(ds, days)
-    before_bound = np.searchsorted(
-        keys, key(drive, days[swaps] - SSD_TRIM_BOUND_DAYS, "left"), "left") - 1
+    # The drive's last row on a day before the trim bound, or -1.
+    rows = _DayWindows(ds.row_drive(), days)
+    begin, end = rows.find(drive, np.iinfo(np.int64).min,
+                           days[swaps] - SSD_TRIM_BOUND_DAYS - 1)
+    before_bound = np.where(end > begin, rows.order[end - 1], -1)
     # The backward scan stops at whichever of the two comes first.
     stop = np.maximum(last_active, before_bound)
     found = stop >= scope
@@ -265,14 +256,13 @@ def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray,
     repeat or run backward, so an older row before the failure is never
     its re-entry. A failure without its flagged row raises ValueError.
     """
-    index = {d: i for i, d in enumerate(ds.drives)}
+    codes = _drive_codes(ds.drives, (ev.drive for ev in failures)).tolist()
     flagged = np.flatnonzero(ds.flag("swap_event" if ds.family == "ssd"
                                      else "failed"))
     first = np.searchsorted(flagged, ds.starts)  # per drive, into ``flagged``
     out = []
-    for ev in failures:
-        drive = index[ev.drive]
-        if not 0 < ev.ordinal <= first[drive + 1] - first[drive]:
+    for ev, drive in zip(failures, codes):
+        if drive < 0 or not 0 < ev.ordinal <= first[drive + 1] - first[drive]:
             raise ValueError(f"drive {ev.drive!r} has no flagged row for "
                              f"failure {ev.ordinal}")
         anchor = flagged[first[drive] + ev.ordinal - 1]

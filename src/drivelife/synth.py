@@ -28,10 +28,10 @@ from typing import Sequence
 import numpy as np
 from scipy.optimize import brentq
 
-from . import charstats, featurize
+from . import charstats
 from .ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, US_PER_DAY, FleetDataset,
                      _SSD_COUNT_FIELDS, _SSD_FIELDS, _Table)
-from .lifecycle import FailureEvent, _DayWindows
+from .lifecycle import FailureEvent, _DayWindows, _drive_codes, drive_days
 
 __all__ = [
     "BurstSpec",
@@ -70,8 +70,21 @@ _MAX_INACTIVITY_RUN = 7
 _MAX_PRESWAP_GAP = 14
 
 
+class _AgeClass:
+    """The age-class rule of BurstSpec and ConfounderSpec."""
+
+    def applies(self, age, infant_days: int):
+        """Whether ``age`` (a day or an array of days) is in ``age_class``:
+        "young" is at most ``infant_days``, "old" above it, "all" any age."""
+        if self.age_class == "young":
+            return age <= infant_days
+        if self.age_class == "old":
+            return age > infant_days
+        return True
+
+
 @dataclass(frozen=True)
-class BurstSpec:
+class BurstSpec(_AgeClass):
     """Pre-failure error ramp: extra counts in the last ``days`` before failure."""
 
     kind: str = "uncorrectable"
@@ -80,29 +93,15 @@ class BurstSpec:
     probability: float = 1.0
     age_class: str = "all"  # "young" | "old" | "all"
 
-    def applies(self, fail_age: int, infant_days: int) -> bool:
-        if self.age_class == "young":
-            return fail_age <= infant_days
-        if self.age_class == "old":
-            return fail_age > infant_days
-        return True
-
 
 @dataclass(frozen=True)
-class ConfounderSpec:
+class ConfounderSpec(_AgeClass):
     """Failure-independent activity spikes (for partition-improvement fixtures)."""
 
     feature: str = "write_ops"  # write_ops | read_ops | an error kind
     rate: float = 0.0           # per-day spike probability
     mean: float = 50.0          # added magnitude when a spike hits
     age_class: str = "all"
-
-    def applies(self, age: int, infant_days: int) -> bool:
-        if self.age_class == "young":
-            return age <= infant_days
-        if self.age_class == "old":
-            return age > infant_days
-        return True
 
 
 @dataclass(frozen=True)
@@ -257,6 +256,22 @@ def _error_counts(rng, n_days: int, incidence: dict) -> dict[str, np.ndarray]:
     return out
 
 
+def _add_bursts(rng, config: SynthConfig, fail_day: int, counts: dict, n: int,
+                key) -> None:
+    """Add each applicable burst's pre-failure ramp, one scalar Poisson draw
+    a day, to the column ``counts[key(kind)]``; a None key skips the burst."""
+    for spec in config.bursts:
+        k = key(spec.kind)
+        if k is None or not spec.applies(fail_day, config.infant_period_days):
+            continue
+        if rng.random() >= spec.probability:
+            continue
+        col = counts.setdefault(k, np.zeros(n, dtype=np.int64))
+        first = max(0, n - spec.days)
+        for i in range(first, n):
+            col[i] += rng.poisson(spec.mean * (i - first + 1) / (n - first))
+
+
 def _block(n: int, *columns) -> np.ndarray:
     """Rows in the parsers' table layout (see ``ingest._Table``); each
     column is an array of ``n`` values or one value for all rows. The
@@ -319,18 +334,7 @@ def _generate_ssd_drive(drive: int, model: str, rng, config: SynthConfig
                 col[hits] += bump
 
         if fails:
-            fail_day = end
-            for spec in config.bursts:
-                if not spec.applies(fail_day, config.infant_period_days):
-                    continue
-                if rng.random() >= spec.probability:
-                    continue
-                col = errors.setdefault(spec.kind, np.zeros(n, dtype=np.int64))
-                first = max(0, n - spec.days)
-                for i in range(first, n):
-                    # ramp toward the failure day
-                    level = spec.mean * (i - first + 1) / (n - first)
-                    col[i] += rng.poisson(level)
+            _add_bursts(rng, config, end, errors, n, lambda kind: kind)
 
         pe_values = pe_cum + np.cumsum(pe_inc)
         pe_cum = int(pe_values[-1])
@@ -345,6 +349,11 @@ def _generate_ssd_drive(drive: int, model: str, rng, config: SynthConfig
             blocks.append(_ssd_block(drive, np.arange(first, last + 1), 0, 0, 0,
                                      pe_cum, bb_factory, bb_new, {}, True))
     return blocks, plan
+
+
+def _smart_id(kind: str) -> int | None:
+    """The SMART id of a ``smart_<id>`` kind; None for any other kind."""
+    return int(kind.split("_")[1]) if kind.startswith("smart_") else None
 
 
 #: Per-row SMART draws of an HDD generator, in draw order: (id, low, high).
@@ -376,25 +385,14 @@ def _generate_hdd_drive(drive: int, model: str, rng, config: SynthConfig
         reads = rng.poisson(3_000_000.0, size=n)
         increments = {}
         for kind, p in incidence.items():
-            sid = int(kind.split("_")[1])
+            sid = _smart_id(kind)
             hit = rng.random(n) < p
             counts = np.zeros(n, dtype=np.int64)
             if hit.any():
                 counts[hit] = 1 + rng.poisson(0.5, size=int(hit.sum()))
             increments[sid] = counts
         if fails:
-            for spec in config.bursts:
-                if not spec.kind.startswith("smart_"):
-                    continue
-                if not spec.applies(end, config.infant_period_days):
-                    continue
-                if rng.random() >= spec.probability:
-                    continue
-                sid = int(spec.kind.split("_")[1])
-                col = increments.setdefault(sid, np.zeros(n, dtype=np.int64))
-                first = max(0, n - spec.days)
-                for i in range(first, n):
-                    col[i] += rng.poisson(spec.mean * (i - first + 1) / (n - first))
+            _add_bursts(rng, config, end, increments, n, _smart_id)
         hfh_cum = hfh_start + np.cumsum(hours)
         # Scalar draws, row by row, keep the generator's draw order.
         drawn = np.array([[rng.integers(lo, hi) for _, lo, hi in _HDD_DRAWS]
@@ -542,8 +540,9 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
         burst_kinds = {spec.kind for spec in config.bursts if spec.mean > 0}
         burst_span = max((spec.days for spec in config.bursts), default=0)
         fail_days = np.array([ev.age_days for ev in truth], dtype=np.int64)
-        in_burst = _DayWindows(*featurize._rows(ds)).covered(
-            [ev.drive for ev in truth], fail_days - burst_span + 1, fail_days)
+        in_burst = _DayWindows(ds.row_drive(), drive_days(ds)).covered(
+            _drive_codes(ds.drives, (ev.drive for ev in truth)),
+            fail_days - burst_span + 1, fail_days)
         reported = ds.column("read_ops")[1]  # bare swap markers carry no summary
         clean = reported & ~in_burst
         day_total, clean_total = int(reported.sum()), int(clean.sum())

@@ -6,8 +6,9 @@ and the ages and failure rules are the per-record loops the column
 versions in ``lifecycle`` replace. The fleets are random and
 adversarial: HDD SMART 9 values that run backward or repeat, records
 without SMART 9, windows that reach before a drive's first record and
-after its last, failures of drives that have no feature rows, periods
-whose start is after their end, and SSD swaps on a drive's first record,
+after its last, failures and periods of drives that have no rows (named
+to sort before, between and after the fleet's drives), periods whose
+start is after their end, and SSD swaps on a drive's first record,
 back-to-back swaps, bare swap markers and inactive runs longer than the
 trim bound.
 """
@@ -276,13 +277,16 @@ def ref_series(ds, kind):
     return out
 
 
+NO_ROWS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
 def ref_probability(failures, ds, kind, windows, seed):
     series = ref_series(ds, kind)
     prob = {}
     for n in windows:
         hits = 0
         for ev in failures:
-            days, counts = series[ev.drive]
+            days, counts = series.get(ev.drive, NO_ROWS)
             mask = (days >= ev.age_days - n + 1) & (days <= ev.age_days)
             hits += bool(np.any(counts[mask] > 0))
         prob[n] = hits / len(failures) if failures else None
@@ -307,13 +311,19 @@ def ref_percentiles(failures, ds, kind, percentiles, offsets):
     for d in offsets:
         pool = []
         for ev in failures:
-            days, counts = series[ev.drive]
+            days, counts = series.get(ev.drive, NO_ROWS)
             for i in np.flatnonzero(days == ev.age_days - d):
                 if counts[i] > 0:
                     pool.append(int(counts[i]))
         out[d] = ({p: charstats.nearest_rank(pool, p) for p in percentiles}
                   if pool else None)
     return out
+
+
+def ghosts(ds):
+    """Drive names without rows that sort before, between and after the
+    fleet's drives."""
+    return ["A-no-rows", ds.drives[0] + "-no-rows", "no-rows"]
 
 
 def kind_of(ds):
@@ -325,25 +335,26 @@ class TestWindowLookup:
     def test_find_matches_masks(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(0, 300))
-        names = np.array([f"d{k}" for k in rng.integers(0, 9, size=n)], dtype=object)
+        codes = rng.integers(0, 9, size=n)
         days = rng.integers(-5, 60, size=n)
-        index = _DayWindows(names, days)
+        index = _DayWindows(codes, days)
         q = 200
-        q_names = [f"d{k}" for k in rng.integers(0, 11, size=q)]  # d9, d10 unknown
+        # -1 and 9 (the number of drives) and 10 have no events: empty ranges.
+        q_codes = rng.integers(-1, 11, size=q)
         lo = rng.integers(-20, 70, size=q)
         hi = lo + rng.integers(-6, 30, size=q)  # some windows are empty (lo > hi)
-        start, stop = index.find(q_names, lo, hi)
+        start, stop = index.find(q_codes, lo, hi)
         covered = np.zeros(n, dtype=bool)
         for k in range(q):
-            mask = (names == q_names[k]) & (days >= lo[k]) & (days <= hi[k])
+            mask = (codes == q_codes[k]) & (days >= lo[k]) & (days <= hi[k])
             assert sorted(index.order[start[k]:stop[k]]) == list(np.flatnonzero(mask))
             covered |= mask
-        assert (index.covered(q_names, lo, hi) == covered).all()
+        assert (index.covered(q_codes, lo, hi) == covered).all()
 
     def test_day_values_far_apart(self):
         days = np.array([0, 2**62, -2**62, 5])
-        index = _DayWindows(["a", "b", "a", "b"], days)
-        start, stop = index.find(["a", "b", "b"], [-2**62, 1, 6],
+        index = _DayWindows(np.array([0, 1, 0, 1]), days)
+        start, stop = index.find(np.array([0, 1, 1]), [-2**62, 1, 6],
                                  [0, 2**62, 2**62 - 1])
         assert list(stop - start) == [2, 2, 0]
 
@@ -377,12 +388,12 @@ class TestAgainstPerEventScans:
         rng = random.Random(seed)
         feats = featurize.make_features(ds)
         failures = lifecycle.detect_failures(ds)
-        failures += [FailureEvent("no-rows", 3, 1, family)]
-        periods = lifecycle.extract_operational_periods(ds, failures[:-1])
+        periods = lifecycle.extract_operational_periods(ds, failures)
+        failures += [FailureEvent(d, 3, 1, family) for d in ghosts(ds)]
         periods += [OperationalPeriod(rng.choice(ds.drives), 30, 10, "censored"),
                     OperationalPeriod(rng.choice(ds.drives), -50, 2, "censored"),
                     OperationalPeriod(rng.choice(ds.drives), 40, 10**6, "censored"),
-                    OperationalPeriod("no-rows", 0, 10, "censored")]
+                    *(OperationalPeriod(d, 0, 10, "censored") for d in ghosts(ds))]
         for lookahead in (0, 1, 7, 400):
             ex = featurize.label_lookahead(feats, failures, lookahead, periods)
             y, keep = ref_labels(feats, failures, lookahead, periods)
@@ -397,6 +408,7 @@ class TestAgainstPerEventScans:
     def test_prefailure_statistics(self, family, seed):
         ds = make_fleet(family, seed)
         failures = lifecycle.detect_failures(ds)
+        failures += [FailureEvent(d, 3, 1, family) for d in ghosts(ds)]
         windows = [1, 2, 7, 30, 500]
         assert repr(charstats.prefailure_error_probability(
             failures, ds, kind_of(ds), windows, seed=seed)) == \

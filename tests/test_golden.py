@@ -44,6 +44,14 @@ ARTIFACTS = ("{family}_telemetry.csv", "truth.csv", "failures.csv",
              "examples_{family}_N0.csv", "examples_{family}_N7.csv",
              "ingest/{family}_dataset.csv", "ingest/ingest_report.json")
 
+#: Artifacts only one family writes: the P/E and write-intensity analyses
+#: (SSD), the HFH sweep (HDD), and the synth manifest with its calibration.
+FAMILY_ARTIFACTS = {
+    "ssd": ("rates_pe.csv", "pe_failure_cdf.csv", "write_quartiles.csv",
+            "manifest.json"),
+    "hdd": ("rates_hfh.csv", "manifest.json"),
+}
+
 #: ``ingest`` through the model and date filter, into ``hdd/filtered``.
 HDD_FILTER = ["--models", "ST-A", "--from", "2014-02-01", "--to", "2014-03-15"]
 FILTERED = ("hdd/filtered/hdd_dataset.csv", "hdd/filtered/ingest_report.json")
@@ -101,6 +109,18 @@ GOLDEN = {
         "e01e7e6b752bbe3d22a5d06749862a5d22f082c089ef656b980c15146ebc0ced",
     "hdd/examples_hdd_N7.csv":
         "c676bbc94b63597e84a73a22f3bbd5311c6d2f94b974cd5d3b870606fde1bae6",
+    "ssd/rates_pe.csv":
+        "dee515fd7b70af47c7a622b3c9ea7d60c1c99774aeac3cb03328be5c4d50bd4b",
+    "ssd/pe_failure_cdf.csv":
+        "a9063bad2562e43690144372c51ebf422cdc014ff049f5127ba513bc11e1a314",
+    "ssd/write_quartiles.csv":
+        "9494395f109bad24f889bd8c9a8f0121937575e5c930ae2ad4263b0c1f041c44",
+    "ssd/manifest.json":
+        "798d768527021dbfe1e37cf6991a5c153338b27a55c8c835edb25bd56cd0dfc8",
+    "hdd/rates_hfh.csv":
+        "8f940fc3ac16b83e086668e5a0038d6045c8eb49fdff862a9d4c5cee5108a55e",
+    "hdd/manifest.json":
+        "da09c34ef3debb7cf5446400614738eb4ebe49a8024d018716fb7ab2a200d7cf",
 }
 
 
@@ -159,7 +179,8 @@ def artifact_hashes(workdir: Path) -> dict:
                      ["characterize", *source, *out],
                      ["featurize", *source, *out, "--lookahead", "0,7"]):
             assert run([*argv, "--seed", str(seed)]) == 0, argv
-        names += [f"{family}/" + name.format(family=family) for name in ARTIFACTS]
+        names += [f"{family}/" + name.format(family=family)
+                  for name in ARTIFACTS + FAMILY_ARTIFACTS[family]]
     argv = ["ingest", "--family", "hdd", "--input", "hdd/hdd_telemetry.csv",
             *HDD_FILTER, "--out", "hdd/filtered"]
     assert run(argv) == 0, argv
