@@ -30,8 +30,8 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, charstats, evaluation, featurize, learners, lifecycle, synth
-from .ingest import (FleetDataset, SchemaError, filter_hdd, parse_hdd_csv,
-                     parse_ssd_log, write_hdd_csv, write_ssd_csv)
+from .ingest import (FleetDataset, SchemaError, _write_csv, filter_hdd,
+                     parse_hdd_csv, parse_ssd_log, write_hdd_csv, write_ssd_csv)
 
 EXIT_USAGE, EXIT_IO, EXIT_SCHEMA, EXIT_INTERNAL = 2, 3, 4, 5
 
@@ -150,16 +150,8 @@ class _Run:
         return self._atomic(name, lambda h: h.write(
             json.dumps(doc, sort_keys=True, indent=indent) + "\n"))
 
-    def write_csv(self, name: str, header: list, rows, comment: bool = True) -> Path:
-        import csv
-
-        def write(handle):
-            if comment:
-                handle.write(f"# {self.comment()}\n")
-            w = csv.writer(handle, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-        return self._atomic(name, write)
+    def write_csv(self, name: str, header: list, rows) -> Path:
+        return self._atomic(name, lambda h: _write_csv(h, header, rows, self.comment()))
 
 
 def _load_dataset(run: _Run) -> FleetDataset:
@@ -327,9 +319,7 @@ def _cmd_lifecycle(run: _Run) -> None:
                   [[p.drive, p.start_day, p.end_day, p.terminal] for p in periods])
     run.write_csv("repairs.csv",
                   ["drive", "fail_day", "reentry_day", "preswap_gap_days"],
-                  [[s.drive, s.fail_day,
-                    "" if s.reentry_day is None else s.reentry_day,
-                    "" if s.preswap_gap_days is None else s.preswap_gap_days]
+                  [[s.drive, s.fail_day, s.reentry_day, s.preswap_gap_days]
                    for s in spells])
     _write_cdf(run, "ttf_cdf", lifecycle.period_length_sample(periods))
     _write_cdf(run, "repair_cdf", lifecycle.repair_duration_sample(spells))
@@ -354,9 +344,8 @@ def _cmd_lifecycle(run: _Run) -> None:
 def _rate_rows(curve: charstats.RateCurve):
     edges = curve.bin_edges
     for i in range(len(curve.failures)):
-        rate = curve.rate[i]
         yield [edges[i], edges[i + 1], int(curve.failures[i]),
-               int(curve.exposure[i]), "" if rate is None else rate]
+               int(curve.exposure[i]), curve.rate[i]]
 
 
 def _characterize_options(run: _Run) -> tuple[str, list[float]]:
@@ -417,14 +406,9 @@ def _cmd_characterize(run: _Run) -> None:
                               "artifact": "rates_pe.csv"}
     if on("hfh-sweep") and ds.family == "hdd":
         sweep = charstats.hfh_threshold_sweep(failures, ds, thresholds)
-        rows = [[t,
-                 "" if small is None else small,
-                 "" if large is None else large,
-                 "" if share is None else share]
-                for t, (small, large, share) in sweep["per_threshold"].items()]
         run.write_csv("rates_hfh.csv",
                       ["threshold", "small_rate", "large_rate", "large_share"],
-                      rows)
+                      [[t, *rates] for t, rates in sweep["per_threshold"].items()])
         summary["hfh-sweep"] = {"excluded_drives": sweep["excluded"],
                                 "artifact": "rates_hfh.csv"}
     if on("prefailure-prob"):
@@ -433,8 +417,7 @@ def _cmd_characterize(run: _Run) -> None:
                                                        windows, seed=run.seed)
         run.write_csv("prefailure_prob.csv", ["window_days", "probability",
                                               "baseline"],
-                      [[n, "" if probs["probability"][n] is None
-                        else probs["probability"][n], probs["baseline"][n]]
+                      [[n, probs["probability"][n], probs["baseline"][n]]
                        for n in windows])
         summary["prefailure-prob"] = {"kind": kind,
                                       "artifact": "prefailure_prob.csv"}
@@ -444,8 +427,7 @@ def _cmd_characterize(run: _Run) -> None:
         rows = []
         for offset, values in table.items():
             for p in pct:
-                rows.append([offset, p,
-                             "" if values is None else values[p]])
+                rows.append([offset, p, None if values is None else values[p]])
         run.write_csv("prefailure_percentiles.csv",
                       ["days_before_failure", "percentile", "count"], rows)
         summary["prefailure-percentiles"] = {
@@ -518,8 +500,7 @@ def _cmd_sweep(run: _Run) -> None:
     rows = []
     for n, report in reports.items():
         run.write_json(f"eval_report_N{n}.json", report.to_dict(), indent=None)
-        rows.append([n, "" if report.mean_auroc is None else report.mean_auroc,
-                     "" if report.std_auroc is None else report.std_auroc])
+        rows.append([n, report.mean_auroc, report.std_auroc])
     run.write_csv("sweep.csv", ["lookahead", "mean_auroc", "std_auroc"], rows)
 
 
@@ -529,12 +510,9 @@ def _cmd_matrix(run: _Run) -> None:
     examples = _example_builder(ds)(_lookahead_list(run)[0])
     result = evaluation.cross_model_matrix(examples, spec, _folds(run), run.seed,
                                            jobs=run.jobs)
-    rows = []
-    for i in result["train_labels"]:
-        for j in result["test_labels"]:
-            value = result["auroc"][(i, j)]
-            rows.append([i, j, "" if value is None else value])
-    run.write_csv("matrix.csv", ["train_model", "test_model", "auroc"], rows)
+    run.write_csv("matrix.csv", ["train_model", "test_model", "auroc"],
+                  [[i, j, result["auroc"][(i, j)]] for i in result["train_labels"]
+                   for j in result["test_labels"]])
 
 
 def _cmd_partition_eval(run: _Run) -> None:

@@ -59,9 +59,6 @@ class FoldAssignment:
     mapping: dict
     k: int
 
-    def fold_of(self, drives: np.ndarray) -> np.ndarray:
-        return np.array([self.mapping[d] for d in drives], dtype=np.int64)
-
 
 def kfold_by_drive(drive_ids: Iterable[str], k: int = 5,
                    seed: int = 0) -> FoldAssignment:
@@ -75,6 +72,20 @@ def kfold_by_drive(drive_ids: Iterable[str], k: int = 5,
     order = rng.permutation(len(distinct))
     mapping = {distinct[j]: i % k for i, j in enumerate(order)}
     return FoldAssignment(mapping, k)
+
+
+def _drive_folds(examples: LabeledExamples, k: int, seed: int,
+                 folds: FoldAssignment | None = None
+                 ) -> tuple[FoldAssignment, np.ndarray]:
+    """The folds (by default ``kfold_by_drive`` over the drives that have
+    rows) and the fold of every row, looked up once per drive."""
+    present = np.unique(examples.drive)
+    names = [examples.drive_ids[c] for c in present.tolist()]
+    if folds is None:
+        folds = kfold_by_drive(names, k, seed)
+    fold = np.zeros(len(examples.drive_ids), dtype=np.int64)
+    fold[present] = [folds.mapping[d] for d in names]
+    return folds, fold[examples.drive]
 
 
 def _balanced_rows(y: np.ndarray, ratio: float, seed: int) -> np.ndarray:
@@ -296,8 +307,8 @@ def _run_cv(examples: LabeledExamples, spec: ModelSpec, fold_of: np.ndarray,
             ) -> tuple[list, list, np.ndarray, np.ndarray]:
     """The one fold loop: fit once per fold, score that fold's held-out rows.
 
-    ``fold_of`` is the fold of every row (``FoldAssignment.fold_of``),
-    computed once by each evaluation; ``k`` is the number of folds. Fold
+    ``fold_of`` is the fold of every row (``_drive_folds``), computed once
+    by each evaluation; ``k`` is the number of folds. Fold
     f trains on the undersampled rows outside fold f (restricted to
     ``train_mask`` when given, e.g. one drive model's rows) and scores
     every row inside it; both sides index the one examples table. A fold
@@ -364,11 +375,9 @@ def cross_validated_eval(examples: LabeledExamples, spec: ModelSpec,
                          k: int = 5, seed: int = 0, jobs: int = 1,
                          folds: FoldAssignment | None = None) -> EvalReport:
     """Drive-grouped k-fold CV: 1:1 undersampled training, untouched test folds."""
-    if folds is None:
-        folds = kfold_by_drive(examples.drives, k, seed)
+    folds, fold_of = _drive_folds(examples, k, seed, folds)
     config = _eval_config(spec, folds, seed, examples, undersample_ratio=1.0)
-    return _eval_report(examples, spec, folds.fold_of(examples.drives), folds.k,
-                        seed, config, jobs)[0]
+    return _eval_report(examples, spec, fold_of, folds.k, seed, config, jobs)[0]
 
 
 def lookahead_sweep(builder: Callable[[int], LabeledExamples],
@@ -382,7 +391,7 @@ def lookahead_sweep(builder: Callable[[int], LabeledExamples],
     for n in lookaheads:
         examples = builder(n)
         if folds is None:
-            folds = kfold_by_drive(examples.drives, k, seed)
+            folds = _drive_folds(examples, k, seed)[0]
         reports[n] = cross_validated_eval(examples, spec, k, seed,
                                           jobs=jobs, folds=folds)
     return reports
@@ -399,20 +408,23 @@ def cross_model_matrix(examples: LabeledExamples, spec: ModelSpec,
     model, fold) scores every column. Cells whose training or testing
     side lacks a class in every fold are None.
     """
-    if examples.models is None:
-        raise ValueError("examples lack per-row drive models")
-    model_names = sorted(set(examples.models))
+    if examples.drive_models is None:
+        raise ValueError("examples lack drive models")
+    model_names = sorted({examples.drive_models[c]
+                          for c in np.unique(examples.drive).tolist()})
     if len(model_names) < 2:
         raise ValueError("need at least two drive models")
-    folds = kfold_by_drive(examples.drives, k, seed)
-    fold_of = folds.fold_of(examples.drives)
+    code = {m: i for i, m in enumerate(model_names)}
+    row_model = np.array([code.get(m, -1) for m in examples.drive_models],
+                         dtype=np.int64)[examples.drive]
+    folds, fold_of = _drive_folds(examples, k, seed)
     cells: dict[tuple[str, str], float | None] = {}
-    for i in model_names + ["All"]:
-        train_mask = None if i == "All" else examples.models == i
+    for m, i in enumerate(model_names + ["All"]):
+        train_mask = None if i == "All" else row_model == m
         _, _, oof_scores, scored = _run_cv(examples, spec, fold_of, folds.k, seed,
                                            jobs=jobs, train_mask=train_mask)
-        for j in model_names:
-            test_base = scored & (examples.models == j)
+        for n, j in enumerate(model_names):
+            test_base = scored & (row_model == n)
             cells[(i, j)] = _mean_std(
                 [_masked_auroc(oof_scores, examples.y, test_base & (fold_of == f))
                  for f in range(folds.k)])[0]
@@ -441,8 +453,7 @@ def partitioned_eval(examples: LabeledExamples, rule: PartitionRule,
                      spec: ModelSpec, k: int = 5, seed: int = 0,
                      jobs: int = 1) -> PartitionedReport:
     """Evaluate below-threshold, above-threshold, and unsplit models comparably."""
-    folds = kfold_by_drive(examples.drives, k, seed)
-    fold_of = folds.fold_of(examples.drives)
+    folds, fold_of = _drive_folds(examples, k, seed)
     below_mask = examples.partition_key <= rule.threshold
     below, above = partition_dataset(examples, rule)
     rule_doc = {"attribute": rule.attribute, "threshold": rule.threshold}
@@ -475,9 +486,9 @@ def tpr_vs_attribute(examples: LabeledExamples, spec: ModelSpec,
         raise ValueError("alpha values must be in [0.5, 1.0]")
     if list(bin_edges) != sorted(bin_edges) or len(bin_edges) < 2:
         raise ValueError("bin_edges must be sorted with at least two edges")
-    folds = kfold_by_drive(examples.drives, k, seed)
-    _, _, oof_scores, scored = _run_cv(
-        examples, spec, folds.fold_of(examples.drives), folds.k, seed, jobs=jobs)
+    folds, fold_of = _drive_folds(examples, k, seed)
+    _, _, oof_scores, scored = _run_cv(examples, spec, fold_of, folds.k, seed,
+                                       jobs=jobs)
     result: dict[float, list] = {}
     key = examples.partition_key
     positives = examples.y & scored

@@ -20,13 +20,16 @@ millions of drive-days.
 
 from __future__ import annotations
 
+import csv
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
-                     _header, _last_present, _previous_present)
+                     _batched_rows, _header, _last_present, _previous_present,
+                     _write_csv)
 from .lifecycle import (FailureEvent, OperationalPeriod, _DayWindows, _drive_codes,
                         drive_days)
 
@@ -82,11 +85,6 @@ class FeatureMatrix:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def drives(self) -> np.ndarray:
-        """The drive id of every row."""
-        return np.array(self.drive_ids, dtype=object)[self.drive]
 
     def column(self, name: str) -> np.ndarray:
         if name == "age_days" and "age_days" not in self.names:
@@ -194,16 +192,21 @@ def make_features(ds: FleetDataset) -> FeatureMatrix:
 
 @dataclass
 class LabeledExamples:
-    """Feature rows with fails-within-N labels and a partition attribute."""
+    """Feature rows with fails-within-N labels and a partition attribute.
+
+    Rows name their drive as a ``FeatureMatrix`` does; ``drive_models`` has one
+    model per drive id, when known. A subset keeps every drive id.
+    """
 
     names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray              # bool labels
-    drives: np.ndarray
+    drive: np.ndarray          # (n,) int64 index into drive_ids
+    drive_ids: Sequence[str]
     days: np.ndarray
     partition_key: np.ndarray
     lookahead: int
-    models: np.ndarray | None = None  # drive model per row, when known
+    drive_models: Sequence[str] | None = None
 
     @property
     def n(self) -> int:
@@ -215,9 +218,9 @@ class LabeledExamples:
 
     def subset(self, mask: np.ndarray) -> "LabeledExamples":
         return LabeledExamples(
-            self.names, self.X[mask], self.y[mask], self.drives[mask],
-            self.days[mask], self.partition_key[mask], self.lookahead,
-            None if self.models is None else self.models[mask])
+            self.names, self.X[mask], self.y[mask], self.drive[mask],
+            self.drive_ids, self.days[mask], self.partition_key[mask],
+            self.lookahead, self.drive_models)
 
 
 def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
@@ -255,13 +258,10 @@ def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
     else:
         raise ValueError(f"unknown partition attribute {partition_attr!r}")
 
-    model_col = None
-    if models is not None:
-        model_col = np.array([models.get(d, "") for d in feats.drive_ids],
-                             dtype=object)[feats.drive]
-
-    out = LabeledExamples(feats.names, feats.X, y, feats.drives, feats.days,
-                          key, lookahead, model_col)
+    drive_models = (None if models is None
+                    else tuple(models.get(d, "") for d in feats.drive_ids))
+    out = LabeledExamples(feats.names, feats.X, y, feats.drive, feats.drive_ids,
+                          feats.days, key, lookahead, drive_models)
     return out.subset(keep) if not keep.all() else out
 
 
@@ -289,16 +289,12 @@ def partition_dataset(examples: LabeledExamples,
 def write_examples_csv(examples: LabeledExamples, out,
                        header_comment: str | None = None) -> None:
     """Write labeled examples: feature columns then label,drive_id,day,partition_key."""
-    import csv
-
-    if header_comment:
-        out.write(f"# {header_comment}\n")
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow([*examples.names, "label", "drive_id", "day", "partition_key"])
-    for i in range(examples.n):
-        w.writerow([*(repr(float(v)) for v in examples.X[i]), int(examples.y[i]),
-                    examples.drives[i], int(examples.days[i]),
-                    repr(float(examples.partition_key[i]))])
+    drive_ids = np.array(examples.drive_ids, dtype=object)
+    _write_csv(out, [*examples.names, "label", "drive_id", "day", "partition_key"],
+               _batched_rows(examples.n, lambda rows: (
+                   *examples.X[rows].T.tolist(), examples.y[rows].astype(int).tolist(),
+                   drive_ids[examples.drive[rows]], examples.days[rows].tolist(),
+                   examples.partition_key[rows].tolist())), header_comment)
 
 
 def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
@@ -307,15 +303,15 @@ def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
     Blank and ``#`` lines before the header are skipped, as in ``ingest``;
     after it, only blank lines are. A missing or foreign header, or a row
     with the wrong number of cells or an unparsable value, raises
-    SchemaError naming its line.
+    SchemaError naming its line. The drive ids become codes into their
+    sorted distinct values; the drive models are unknown.
     """
-    import csv
-
     header, lines, line = _header(stream)
     if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
         raise SchemaError("not an examples CSV: trailing columns mismatch")
     names = tuple(header[:-4])
-    X, y, drives, days, keys = [], [], [], [], []
+    X, y, drives, days, keys = array("d"), [], [], [], []
+    code: dict[str, int] = {}  # drive id -> its code in order of first row
     reader = csv.reader(lines)
     try:
         for row in reader:
@@ -323,16 +319,18 @@ def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
                 continue
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            X.append([float(v) for v in row[:len(names)]])
+            X.extend(map(float, row[:len(names)]))
             y.append(bool(int(row[-4])))
-            drives.append(row[-3])
+            drives.append(code.setdefault(row[-3], len(code)))
             days.append(int(row[-2]))
             keys.append(float(row[-1]))
     except (ValueError, csv.Error) as exc:
         raise SchemaError(f"examples line {line + reader.line_num}: {exc}") from None
-    n = len(X)
+    n = len(y)
+    drive_ids = sorted(code)
+    rank = np.argsort(np.array([code[d] for d in drive_ids], dtype=np.int64))
     return LabeledExamples(
         names, np.asarray(X, dtype=float).reshape(n, len(names)),
-        np.asarray(y, dtype=bool), np.asarray(drives, dtype=object),
+        np.asarray(y, dtype=bool), rank[np.asarray(drives, dtype=np.int64)], drive_ids,
         np.asarray(days, dtype=np.int64), np.asarray(keys, dtype=float),
         lookahead)

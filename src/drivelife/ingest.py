@@ -107,7 +107,7 @@ _SSD_FIELDS = ("time", *_SSD_ERRORS, *_SSD_COUNT_FIELDS[:4], "dead", "read_only"
                *_SSD_COUNT_FIELDS[4:], "swap_event")
 
 #: Rows formatted per batch by the writers.
-_WRITE_BATCH = 65_536
+_WRITE_BATCH = 2_048
 
 #: Lines the parsers read, cut into cells and convert per block.
 _READ_BLOCK = 2_048
@@ -900,28 +900,42 @@ def _cells(ds: FleetDataset, name: str, rows: slice) -> list:
     return cells
 
 
-def _write(ds: FleetDataset, out, header: Sequence[str],
-           header_comment: str | None, columns) -> None:
-    """Write the header, then the rows in batches: ``columns(rows)`` gives a
-    batch's cells, one iterable per CSV column."""
-    if header_comment:
-        out.write(f"# {header_comment}\n")
+def _write_csv(out, header: Sequence[str], rows: Iterable,
+               comment: str | None = None) -> None:
+    """The one CSV framing of every artifact: the ``# comment`` line, when
+    given (the only ``#`` lines ``_header`` skips), the header, then the rows,
+    each line ending in LF alone. A None cell is written empty, a float as
+    its repr."""
+    if comment:
+        out.write(f"# {comment}\n")
     w = csv.writer(out, lineterminator="\n")
     w.writerow(header)
-    drives = np.repeat(np.array(ds.drives, dtype=object), np.diff(ds.starts))
-    models = np.array(ds._models, dtype=object)[ds._columns["model"]]
-    for lo in range(0, ds.n_records, _WRITE_BATCH):
-        rows = slice(lo, lo + _WRITE_BATCH)
-        w.writerows(zip(*columns(rows, drives[rows], models[rows])))
+    w.writerows(rows)
+
+
+def _batched_rows(n: int, columns: Callable[[slice], Iterable]) -> Iterator[tuple]:
+    """Rows 0..n-1 as tuples, ``_WRITE_BATCH`` at a time: ``columns(rows)``
+    gives a batch's cells, one iterable per CSV column."""
+    return chain.from_iterable(zip(*columns(slice(lo, lo + _WRITE_BATCH)))
+                               for lo in range(0, n, _WRITE_BATCH))
+
+
+def _row_names(ds: FleetDataset) -> Callable[[slice], tuple[np.ndarray, np.ndarray]]:
+    """The drive and model names of a batch of rows, as object arrays."""
+    drives = np.array(ds.drives, dtype=object)
+    models = np.array(ds._models, dtype=object)
+    row_drive, row_model = ds.row_drive(), ds._columns["model"]
+    return lambda rows: (drives[row_drive[rows]], models[row_model[rows]])
 
 
 def write_ssd_csv(ds: FleetDataset, out, header_comment: str | None = None) -> None:
     """Write an SSD dataset in the canonical CSV format (round-trips exactly)."""
     if ds.family != "ssd":
         raise ValueError("write_ssd_csv needs an SSD dataset")
-    _write(ds, out, _SSD_COLUMNS, header_comment, lambda rows, drives, models: (
-        drives, models, ds.time[rows].tolist(),
-        *(_cells(ds, name, rows) for name in _SSD_COLUMNS[3:])))
+    names = _row_names(ds)
+    _write_csv(out, _SSD_COLUMNS, _batched_rows(ds.n_records, lambda rows: (
+        *names(rows), ds.time[rows].tolist(),
+        *(_cells(ds, name, rows) for name in _SSD_COLUMNS[3:]))), header_comment)
 
 
 def write_hdd_csv(ds: FleetDataset, out,
@@ -935,12 +949,13 @@ def write_hdd_csv(ds: FleetDataset, out,
         header += [f"smart_{sid}_normalized", f"smart_{sid}_raw"]
     iso = {day: dt.date.fromordinal(day).isoformat()
            for day in np.unique(ds.time).tolist()}
+    names = _row_names(ds)
 
-    def columns(rows, drives, models):
-        cells = [map(iso.__getitem__, ds.time[rows].tolist()), drives, models,
+    def columns(rows):
+        cells = [map(iso.__getitem__, ds.time[rows].tolist()), *names(rows),
                  repeat(""), _cells(ds, "failed", rows)]
         for sid in smart_ids:
             cells += [repeat(""), _cells(ds, f"smart_{sid}", rows)]
         return cells
 
-    _write(ds, out, header, header_comment, columns)
+    _write_csv(out, header, _batched_rows(ds.n_records, columns), header_comment)

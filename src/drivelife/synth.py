@@ -383,14 +383,8 @@ def _generate_hdd_drive(drive: int, model: str, rng, config: SynthConfig
         hours = rng.uniform(6.0, 14.0, size=n)
         writes = rng.poisson(2_000_000.0, size=n)
         reads = rng.poisson(3_000_000.0, size=n)
-        increments = {}
-        for kind, p in incidence.items():
-            sid = _smart_id(kind)
-            hit = rng.random(n) < p
-            counts = np.zeros(n, dtype=np.int64)
-            if hit.any():
-                counts[hit] = 1 + rng.poisson(0.5, size=int(hit.sum()))
-            increments[sid] = counts
+        increments = {_smart_id(kind): counts
+                      for kind, counts in _error_counts(rng, n, incidence).items()}
         if fails:
             _add_bursts(rng, config, end, increments, n, _smart_id)
         hfh_cum = hfh_start + np.cumsum(hours)
@@ -491,10 +485,16 @@ class CalibrationReport:
         raise KeyError(name)
 
 
+#: verify_fleet's tolerances: the absolute band on a failed fraction (2
+#: percentage points), the relative band on an error incidence, and the
+#: least infant-to-mature failure rate ratio.
+_FRACTION_TOL = 0.02
+_INCIDENCE_REL_TOL = 0.2
+_INFANT_RATIO_FLOOR = 3.0
+
+
 def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
-                 config: SynthConfig, fraction_tol_pp: float = 2.0,
-                 incidence_rel_tol: float = 0.2,
-                 infant_ratio_floor: float = 3.0) -> CalibrationReport:
+                 config: SynthConfig) -> CalibrationReport:
     """Recompute realized failure fractions, error incidence, and infant ratio.
 
     Failure-fraction checks compare per-model realized shares of failed
@@ -502,7 +502,7 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
     HFH hazard boost, which intentionally shifts the overall rate).
     Incidence checks compare the share of drive-days with at least one
     error of each kind; the infant check requires the month-0..2 failure
-    rate to exceed the month-3+ rate by ``infant_ratio_floor`` when an
+    rate to exceed the month-3+ rate by ``_INFANT_RATIO_FLOOR`` when an
     infant multiplier is configured.
     """
     checks: list[CalibrationCheck] = []
@@ -521,18 +521,16 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
                 continue
             realized = len(failed_by_model.get(model, ())) / len(population)
             target = config.models[model]
-            tol = fraction_tol_pp / 100.0
             checks.append(CalibrationCheck(
-                f"failed_fraction[{model}]", target, realized, tol,
-                abs(realized - target) <= tol))
+                f"failed_fraction[{model}]", target, realized, _FRACTION_TOL,
+                abs(realized - target) <= _FRACTION_TOL))
         total_failed = len({ev.drive for ev in truth})
         overall_target = (sum(config.models[m] * len(drives_by_model.get(m, ()))
                               for m in config.models) / max(ds.n_drives, 1))
         realized = total_failed / max(ds.n_drives, 1)
-        tol = fraction_tol_pp / 100.0
         checks.append(CalibrationCheck("failed_fraction[all]", overall_target,
-                                       realized, tol,
-                                       abs(realized - overall_target) <= tol))
+                                       realized, _FRACTION_TOL,
+                                       abs(realized - overall_target) <= _FRACTION_TOL))
 
     if config.family == "ssd":
         # Days inside a planted burst window are signal, not baseline:
@@ -561,7 +559,7 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
                 realized = day_hits.get(kind, 0) / day_total
                 n = day_total
             # tolerance: relative band widened by a 3-sigma sampling floor
-            band = max(incidence_rel_tol * target,
+            band = max(_INCIDENCE_REL_TOL * target,
                        3.0 * math.sqrt(target * (1.0 - target) / max(n, 1)))
             checks.append(CalibrationCheck(f"incidence[{kind}]", target,
                                            realized, band,
@@ -574,6 +572,6 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
         if infant and mature and sum(mature):
             ratio = (sum(infant) / len(infant)) / (sum(mature) / len(mature))
             checks.append(CalibrationCheck("infant_rate_ratio",
-                                           infant_ratio_floor, ratio,
-                                           0.0, ratio >= infant_ratio_floor))
+                                           _INFANT_RATIO_FLOOR, ratio,
+                                           0.0, ratio >= _INFANT_RATIO_FLOOR))
     return CalibrationReport(checks)

@@ -1,7 +1,9 @@
 import datetime as dt
 
+import numpy as np
 import pytest
 
+from drivelife.featurize import LabeledExamples
 from drivelife.ingest import (FleetDataset, HddDailyRecord, SsdDailyRecord,
                               US_PER_DAY)
 
@@ -36,6 +38,26 @@ def hdd_dataset(records_by_drive) -> FleetDataset:
     return FleetDataset.from_records(
         "hdd", {d: sorted(seq, key=lambda r: r.date)
                 for d, seq in records_by_drive.items()})
+
+
+def labeled_examples(names, X, y, drives, days, key, lookahead=0,
+                     models=None) -> LabeledExamples:
+    """LabeledExamples from the drive id (and model) of every row."""
+    drive_ids, drive = np.unique(np.array(drives, dtype=object), return_inverse=True)
+    drive_models = None if models is None else tuple(
+        dict(zip(drives, models))[d] for d in drive_ids)
+    return LabeledExamples(names, X, y, drive.astype(np.int64), drive_ids.tolist(),
+                           days, key, lookahead, drive_models)
+
+
+def drive_names(table) -> np.ndarray:
+    """The drive id of every row of a FeatureMatrix or LabeledExamples."""
+    return np.array(table.drive_ids, dtype=object)[table.drive]
+
+
+def row_folds(examples, folds) -> np.ndarray:
+    """The fold of every row, looked up by its drive id."""
+    return np.array([folds.mapping[d] for d in drive_names(examples)], dtype=np.int64)
 
 
 @pytest.fixture

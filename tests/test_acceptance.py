@@ -17,11 +17,12 @@ from drivelife import charstats, featurize, lifecycle
 from drivelife.evaluation import (ModelSpec, auroc, cross_validated_eval,
                                   kfold_by_drive, lookahead_sweep,
                                   partitioned_eval, undersample)
-from drivelife.featurize import LabeledExamples, PartitionRule, label_lookahead
+from drivelife.featurize import PartitionRule, label_lookahead
 from drivelife.learners import (ForestParams, TreeParams, feature_importance,
                                 logistic_loss_grad, train_forest, train_tree)
 
-from conftest import ssd_dataset, ssd_rec
+from conftest import (drive_names, labeled_examples, row_folds, ssd_dataset,
+                      ssd_rec)
 from test_charstats import rank_then_pearson
 from test_learners import exhaustive_best_split, gini
 
@@ -116,7 +117,7 @@ def test_criterion_04_logistic_gradient_check():
     _report(4, "analytic gradient within 1e-5 of central differences, 50 points")
 
 
-def _random_examples(rng) -> LabeledExamples:
+def _random_examples(rng) -> featurize.LabeledExamples:
     n_drives = int(rng.integers(6, 17))
     per_drive = int(rng.integers(3, 7))
     rows = n_drives * per_drive
@@ -126,8 +127,8 @@ def _random_examples(rng) -> LabeledExamples:
     y[2 * per_drive - 1] = False
     drives = np.repeat([f"d{i}" for i in range(n_drives)], per_drive)
     days = np.tile(np.arange(per_drive), n_drives)
-    return LabeledExamples(("a", "b", "c"), X, y, drives, days,
-                           days.astype(float), 0)
+    return labeled_examples(("a", "b", "c"), X, y, drives, days,
+                            days.astype(float), 0)
 
 
 def test_criterion_05_protocol_invariants():
@@ -137,12 +138,12 @@ def test_criterion_05_protocol_invariants():
         examples = _random_examples(rng)
         k = int(rng.integers(3, 6))
         seed = int(rng.integers(0, 10_000))
-        folds = kfold_by_drive(examples.drives, k, seed)
-        fold_of = folds.fold_of(examples.drives)
+        fold_of = row_folds(examples,
+                            kfold_by_drive(drive_names(examples), k, seed))
         for f in range(k):
             train = examples.subset(fold_of != f)
             test = examples.subset(fold_of == f)
-            assert not (set(train.drives) & set(test.drives))  # no leakage
+            assert not (set(drive_names(train)) & set(drive_names(test)))  # no leakage
             # test side keeps its raw class counts untouched
             assert test.n_positive == int(examples.y[fold_of == f].sum())
             if 0 < train.n_positive < train.n:
@@ -192,7 +193,8 @@ def test_criterion_06_labeling_correctness():
     counts = []
     for n, want in expected.items():
         examples = label_lookahead(feats, failures, n)
-        got = {(examples.drives[i], int(examples.days[i]))
+        names = drive_names(examples)
+        got = {(names[i], int(examples.days[i]))
                for i in range(examples.n) if examples.y[i]}
         assert got == want, f"N={n}"
         counts.append(examples.n_positive)

@@ -21,7 +21,7 @@ from drivelife.featurize import (HDD_DIFF_IDS, make_features_hdd,
 from drivelife.ingest import HDD_SMART_IDS, SSD_ERROR_KINDS
 from drivelife.lifecycle import FailureEvent, drive_days
 
-from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
+from conftest import drive_names, hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
 
 BIG = 2**63 - 1
 
@@ -316,7 +316,7 @@ def test_hdd_features_match_record_loop(seed):
     assert np.array_equal(feats.X, X)
     assert np.array_equal(feats.hfh_max, hfh_max)
     assert np.array_equal(feats.days, days)
-    assert np.array_equal(feats.drives, drives)
+    assert np.array_equal(drive_names(feats), drives)
     assert feats.X.dtype == np.float64
 
 
@@ -328,7 +328,7 @@ def test_ssd_features_match_record_loop(seed):
     assert np.array_equal(feats.X, X)
     assert feats.hfh_max is None
     assert np.array_equal(feats.days, days)
-    assert np.array_equal(feats.drives, drives)
+    assert np.array_equal(drive_names(feats), drives)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -13,8 +14,10 @@ from drivelife.evaluation import (ModelSpec, _derived_seed, auroc,
                                   kfold_by_drive, lookahead_sweep,
                                   partitioned_eval, roc_curve, tpr_vs_attribute,
                                   undersample)
-from drivelife.featurize import LabeledExamples, PartitionRule
+from drivelife.featurize import PartitionRule
 from drivelife.learners import ForestParams
+
+from conftest import drive_names, labeled_examples, row_folds
 
 
 def pairwise_auroc(scores, labels):
@@ -55,8 +58,8 @@ def toy_examples(n_drives=20, per_drive=10, signal=2.0, seed=0,
         # every model
         model_col = np.array([models[(i // 2) % len(models)]
                               for i in range(n_drives)], dtype=object).repeat(per_drive)
-    return LabeledExamples(("s", "n1", "n2"), X, y, drives, days, key, 0,
-                           model_col)
+    return labeled_examples(("s", "n1", "n2"), X, y, drives, days, key, 0,
+                            model_col)
 
 
 class TestKfold:
@@ -102,7 +105,7 @@ class TestUndersample:
         a = undersample(ex, 1.0, seed=7)
         b = undersample(ex, 1.0, seed=7)
         assert np.array_equal(a.days, b.days)
-        assert list(a.drives) == list(b.drives)
+        assert list(drive_names(a)) == list(drive_names(b))
 
     def test_empty_class_rejected(self):
         ex = toy_examples(4, 2)
@@ -120,9 +123,10 @@ class TestUndersample:
 
 def sorted_by_original_order(original, subset):
     index = {}
+    names, subset_names = drive_names(original), drive_names(subset)
     for i in range(original.n):
-        index.setdefault((original.drives[i], original.days[i]), i)
-    positions = [index[(subset.drives[i], subset.days[i])]
+        index.setdefault((names[i], original.days[i]), i)
+    positions = [index[(subset_names[i], subset.days[i])]
                  for i in range(subset.n)]
     assert positions == sorted(positions)
     return list(subset.days)
@@ -321,15 +325,16 @@ class TestSweepAndMatrix:
                           models=["M1", "M2", "M3"])
         k, seed = 3, 2
         result = cross_model_matrix(ex, spec, k=k, seed=seed)
-        fold_of = kfold_by_drive(ex.drives, k, seed).fold_of(ex.drives)
+        fold_of = row_folds(ex, kfold_by_drive(drive_names(ex), k, seed))
+        models = np.array(ex.drive_models, dtype=object)[ex.drive]
         for i in ("M1", "M2", "M3", "All"):
             train_base = (np.ones(ex.n, dtype=bool) if i == "All"
-                          else ex.models == i)
+                          else models == i)
             for j in ("M1", "M2", "M3"):
                 values = []
                 for f in range(k):
                     train = ex.subset(train_base & (fold_of != f))
-                    test = ex.subset((ex.models == j) & (fold_of == f))
+                    test = ex.subset((models == j) & (fold_of == f))
                     if (train.n_positive in (0, train.n)
                             or test.n_positive in (0, test.n)):
                         continue
@@ -419,17 +424,31 @@ class TestTprVsAttribute:
         assert young_tpr > old_tpr
 
 
+class TestDriveCodes:
+    def test_drive_ids_without_rows_change_nothing(self):
+        # ids with no rows, before, between and after the others, shift
+        # every code; the folds and the report must not move
+        ex = toy_examples(12, 6, seed=4)
+        ids = ["0-none", *ex.drive_ids[:3], "d10a-none", *ex.drive_ids[3:], "z-none"]
+        assert ids == sorted(ids)
+        code = {d: i for i, d in enumerate(ids)}
+        wider = dataclasses.replace(ex, drive_ids=ids, drive=np.array(
+            [code[d] for d in drive_names(ex)], dtype=np.int64))
+        spec = ModelSpec("tree", tree=learners.TreeParams(max_depth=3))
+        assert (cross_validated_eval(wider, spec, k=3, seed=5).to_json()
+                == cross_validated_eval(ex, spec, k=3, seed=5).to_json())
+
+
 class TestProtocolInvariants:
     def test_no_drive_leakage_and_test_untouched(self):
         # instrumented re-implementation of the fold loop, checking the
         # same masks _run_cv uses
         ex = toy_examples(25, 8, seed=15)
-        folds = kfold_by_drive(ex.drives, 5, seed=3)
-        fold_of = folds.fold_of(ex.drives)
+        fold_of = row_folds(ex, kfold_by_drive(drive_names(ex), 5, seed=3))
         for f in range(5):
             train = ex.subset(fold_of != f)
             test = ex.subset(fold_of == f)
-            assert not (set(train.drives) & set(test.drives))
+            assert not (set(drive_names(train)) & set(drive_names(test)))
             if test.n_positive and train.n_positive:
                 balanced = undersample(train, 1.0, seed=f)
                 assert balanced.n_positive == balanced.n - balanced.n_positive

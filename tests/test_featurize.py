@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivelife import charstats
+from drivelife import charstats, ingest
 from drivelife.ingest import SchemaError
 from drivelife.featurize import (PartitionRule, label_lookahead,
                                  make_features_hdd,
@@ -15,7 +16,8 @@ from drivelife.featurize import (PartitionRule, label_lookahead,
 from drivelife.lifecycle import (FailureEvent, detect_ssd_failures,
                                  extract_operational_periods)
 
-from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
+from conftest import (drive_names, hdd_dataset, hdd_rec, labeled_examples,
+                      ssd_dataset, ssd_rec)
 
 
 class TestSsdFeatures:
@@ -216,7 +218,64 @@ class TestPartition:
             PartitionRule("wear", 10)
 
 
+def row_at_a_time_examples_csv(examples, out, header_comment=None):
+    """The row-at-a-time examples writer that the column-batch writer
+    replaced, kept as its reference."""
+    if header_comment:
+        out.write(f"# {header_comment}\n")
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow([*examples.names, "label", "drive_id", "day", "partition_key"])
+    drives = drive_names(examples)
+    for i in range(examples.n):
+        w.writerow([*(repr(float(v)) for v in examples.X[i]), int(examples.y[i]),
+                    drives[i], int(examples.days[i]),
+                    repr(float(examples.partition_key[i]))])
+
+
+#: Drive ids the CSV must quote or that are not ASCII, and floats at the
+#: edges of repr: signed zero, the least subnormal, huge, infinite.
+EDGE_DRIVES = ("C,D", 'a"b', "é", "nul\x00", "plain")
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3,
+               float("inf"), float("-inf"), 7.0)
+
+
+def edge_examples(n: int):
+    rng = random.Random(n)
+    drives = [rng.choice(EDGE_DRIVES) for _ in range(n)]
+    X = np.array([[rng.choice(EDGE_FLOATS) for _ in range(3)] for _ in range(n)],
+                 dtype=float).reshape(n, 3)
+    return labeled_examples(
+        ("a", "b_cum", "c"), X, np.array([rng.random() < 0.5 for _ in range(n)],
+                                         dtype=bool),
+        drives, np.arange(n, dtype=np.int64) * 3 - 1,
+        np.array([rng.choice(EDGE_FLOATS) for _ in range(n)], dtype=float), 2)
+
+
+def examples_text(examples, writer=None, comment="meta") -> str:
+    buf = io.StringIO()
+    (writer or write_examples_csv)(examples, buf, header_comment=comment)
+    return buf.getvalue()
+
+
 class TestExamplesCsv:
+    @pytest.mark.parametrize("batch", [1, 3, ingest._WRITE_BATCH])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 7, 40])
+    def test_equals_row_at_a_time_writer(self, monkeypatch, n, batch):
+        examples = edge_examples(n)
+        expected = examples_text(examples, row_at_a_time_examples_csv)
+        monkeypatch.setattr(ingest, "_WRITE_BATCH", batch)
+        assert examples_text(examples) == expected
+        assert examples_text(examples, comment=None) == \
+            examples_text(examples, row_at_a_time_examples_csv, comment=None)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 40])
+    def test_write_read_write_is_byte_identical(self, monkeypatch, n):
+        monkeypatch.setattr(ingest, "_WRITE_BATCH", 3)
+        text = examples_text(edge_examples(n))
+        again = read_examples_csv(text, lookahead=2)
+        assert sorted(again.drive_ids) == list(again.drive_ids)
+        assert examples_text(again) == text
+
     def test_round_trip(self):
         recs = [ssd_rec("d", day, reads=day * 3 + 1,
                         errors={"read": day % 2}) for day in range(6)]
@@ -228,7 +287,7 @@ class TestExamplesCsv:
         assert again.names == examples.names
         assert np.array_equal(again.X, examples.X)
         assert np.array_equal(again.y, examples.y)
-        assert list(again.drives) == list(examples.drives)
+        assert list(drive_names(again)) == list(drive_names(examples))
         assert np.array_equal(again.partition_key, examples.partition_key)
 
     @pytest.mark.parametrize("text, line", [

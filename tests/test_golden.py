@@ -14,6 +14,10 @@ pinned the same way: a tree's scores are leaf fractions, its thresholds
 midpoints of feature values, and AUROC and ROC rates are ratios of
 counts, so no BLAS is involved either.
 
+``evaluate --examples`` with ``--model tree`` on the featurized N7 table
+is pinned too: it reads the examples CSV back, so its drive column becomes
+the folds through the reader, not through the dataset.
+
 The ``--input`` paths are relative, because the config hash written into
 every artifact covers the path string.
 
@@ -135,6 +139,11 @@ TREE_RUNS = {
                        ("partition_report.json",)),
 }
 
+#: ``evaluate --examples`` on the N7 table that ``featurize`` writes into
+#: ``ssd``, into ``tree/evaluate-examples``.
+EXAMPLES_RUN = (["evaluate", "--examples", "ssd/examples_ssd_N7.csv",
+                 "--lookahead", "7"], ("eval_report.json", "roc.csv"))
+
 TREE_GOLDEN = {
     "tree/evaluate/eval_report.json":
         "ad65458668d28679c084eadaab64f555a30861a0a4decfd5c3785dce33944020",
@@ -150,6 +159,10 @@ TREE_GOLDEN = {
         "4ac0e94e4fb6070eca6f940057e6b438719b34659daaa00a71ce89870f874be7",
     "tree/partition-eval/partition_report.json":
         "faa133cc9c46d7a185c1d45350f33f92be56b31e0560d9ca5c9581d0b6fa4efa",
+    "tree/evaluate-examples/eval_report.json":
+        "aea6b2c4330cba4ccbd1b73d911ddb163a55d47940a534bc52365dee859a7c3e",
+    "tree/evaluate-examples/roc.csv":
+        "20eeb0fb77da8fec739c1d83f32672ac8f18902eed72eff8b196cd456451e745",
 }
 
 
@@ -188,13 +201,16 @@ def artifact_hashes(workdir: Path) -> dict:
 
 
 def tree_artifact_hashes(workdir: Path) -> dict:
-    """Run the four ``--model tree`` evaluations; sha256 of every artifact."""
+    """Run the five ``--model tree`` evaluations; sha256 of every artifact."""
     source = _synth(workdir, "ssd")
+    seed = ["--seed", str(FLEETS["ssd"][1])]
+    assert run(["featurize", *source, "--lookahead", "7", "--out", "ssd", *seed]) == 0
+    runs = {f"tree/{command}": ([command, *source, *flags], artifacts)
+            for command, (flags, artifacts) in TREE_RUNS.items()}
+    runs["tree/evaluate-examples"] = EXAMPLES_RUN
     names = []
-    for command, (flags, artifacts) in TREE_RUNS.items():
-        out = f"tree/{command}"
-        argv = [command, *source, *TREE_MODEL, *flags, "--seed",
-                str(FLEETS["ssd"][1]), "--out", out]
+    for out, (argv, artifacts) in runs.items():
+        argv = [*argv, *TREE_MODEL, *seed, "--out", out]
         assert run(argv) == 0, argv
         names += [f"{out}/{name}" for name in artifacts]
     return _sha256(workdir, names)

@@ -66,6 +66,17 @@ class TestGenerate:
         assert report.check("failed_fraction[all]").ok
         assert report.check("incidence[uncorrectable]").ok
 
+    @pytest.mark.parametrize("family, kind, other", [
+        ("hdd", "smart_5", "smart_187"), ("ssd", "meta", "uncorrectable")])
+    def test_zero_incidence_draws_nothing(self, family, kind, other):
+        # a kind that never occurs takes no draws, so naming it leaves the
+        # fleet, and the draws after it, as they were
+        fleets = [generate_fleet(SynthConfig(
+            family=family, n_drives=8, horizon_days=60, models={"M": 0.3},
+            error_incidence=incidence, seed=5))
+            for incidence in ({other: 0.05}, {kind: 0.0, other: 0.05})]
+        assert fleets[0] == fleets[1]
+
     def test_same_seed_byte_identical_csv(self):
         cfg = SynthConfig(n_drives=25, horizon_days=90, seed=9)
         out = []
