@@ -31,6 +31,7 @@ import numpy as np
 
 from . import learners
 from .featurize import LabeledExamples, PartitionRule, partition_dataset
+from .ingest import SchemaError
 
 __all__ = [
     "FoldAssignment",
@@ -406,21 +407,26 @@ def cross_model_matrix(examples: LabeledExamples, spec: ModelSpec,
     examples outside the fold and tested on model-j examples inside it.
     Each training row runs the CV engine once, so one fit per (training
     model, fold) scores every column. Cells whose training or testing
-    side lacks a class in every fold are None.
+    side lacks a class in every fold are None. Examples with fewer than two
+    drive models, or with one named "All" (the all-models row's label),
+    raise SchemaError (a ValueError).
     """
     if examples.drive_models is None:
         raise ValueError("examples lack drive models")
     model_names = sorted({examples.drive_models[c]
                           for c in np.unique(examples.drive).tolist()})
     if len(model_names) < 2:
-        raise ValueError("need at least two drive models")
+        raise SchemaError("need at least two drive models")
+    if "All" in model_names:
+        raise SchemaError('a drive model is named "All", the label of the '
+                          "matrix's all-models training row")
     code = {m: i for i, m in enumerate(model_names)}
     row_model = np.array([code.get(m, -1) for m in examples.drive_models],
                          dtype=np.int64)[examples.drive]
     folds, fold_of = _drive_folds(examples, k, seed)
     cells: dict[tuple[str, str], float | None] = {}
     for m, i in enumerate(model_names + ["All"]):
-        train_mask = None if i == "All" else row_model == m
+        train_mask = None if m == len(model_names) else row_model == m
         _, _, oof_scores, scored = _run_cv(examples, spec, fold_of, folds.k, seed,
                                            jobs=jobs, train_mask=train_mask)
         for n, j in enumerate(model_names):

@@ -16,20 +16,28 @@ Features are built one dataset column at a time (``FleetDataset.column``)
 with per-drive kernels over the rows, never record by record; matrices
 are columnar (one float64 array per dataset) because fleets run to
 millions of drive-days.
+
+Examples CSVs are written by ``ingest``'s column-batch writer and read
+back through its blocks (``_header``/``_blocks``), a column at a time. A
+feature or ``partition_key`` cell written ``[0-9]{1,15}\\.0`` is read as
+its digits' integer value, which is exact as a float (10**15 < 2**53),
+and a label or day cell of 1 to 18 ASCII digits by ``ingest``'s count
+grammar (Lemire, "Number Parsing at a Gigabyte per Second", SPE 2021,
+kept to integers). A row with any other cell goes whole through the
+per-row parser (``float``/``int``), which alone decides its values and
+its errors.
 """
 
 from __future__ import annotations
 
-import csv
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
-                     _batched_rows, _header, _last_present, _previous_present,
-                     _write_csv)
+                     _blocks, _column, _digits, _header, _last_present,
+                     _previous_present, _write_columns)
 from .lifecycle import (FailureEvent, OperationalPeriod, _DayWindows, _drive_codes,
                         drive_days)
 
@@ -289,12 +297,11 @@ def partition_dataset(examples: LabeledExamples,
 def write_examples_csv(examples: LabeledExamples, out,
                        header_comment: str | None = None) -> None:
     """Write labeled examples: feature columns then label,drive_id,day,partition_key."""
-    drive_ids = np.array(examples.drive_ids, dtype=object)
-    _write_csv(out, [*examples.names, "label", "drive_id", "day", "partition_key"],
-               _batched_rows(examples.n, lambda rows: (
-                   *examples.X[rows].T.tolist(), examples.y[rows].astype(int).tolist(),
-                   drive_ids[examples.drive[rows]], examples.days[rows].tolist(),
-                   examples.partition_key[rows].tolist())), header_comment)
+    _write_columns(out, [*examples.names, "label", "drive_id", "day", "partition_key"],
+                   examples.n, lambda rows: (
+                       examples.X[rows], examples.y[rows],
+                       (examples.drive_ids, examples.drive[rows]), examples.days[rows],
+                       examples.partition_key[rows]), header_comment)
 
 
 def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
@@ -305,32 +312,98 @@ def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
     with the wrong number of cells or an unparsable value, raises
     SchemaError naming its line. The drive ids become codes into their
     sorted distinct values; the drive models are unknown.
+
+    The rows are read ``ingest``'s blocks at a time and converted a column
+    at a time (:func:`_block_examples`); a row with a cell outside that
+    kernel's grammar goes whole through :func:`_parse_example`.
     """
     header, lines, line = _header(stream)
     if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
         raise SchemaError("not an examples CSV: trailing columns mismatch")
     names = tuple(header[:-4])
-    X, y, drives, days, keys = array("d"), [], [], [], []
     code: dict[str, int] = {}  # drive id -> its code in order of first row
-    reader = csv.reader(lines)
-    try:
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            X.extend(map(float, row[:len(names)]))
-            y.append(bool(int(row[-4])))
-            drives.append(code.setdefault(row[-3], len(code)))
-            days.append(int(row[-2]))
-            keys.append(float(row[-1]))
-    except (ValueError, csv.Error) as exc:
-        raise SchemaError(f"examples line {line + reader.line_num}: {exc}") from None
-    n = len(y)
+    parts = [_block_examples(block, len(names), code)
+             for block in _blocks(lines, line, len(header), range(len(header)))]
+    X, y, drives, days, keys = (np.concatenate(p) for p in zip(
+        (np.empty((0, len(names))), np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
+         np.empty(0, dtype=np.int64), np.empty(0)), *parts))
     drive_ids = sorted(code)
     rank = np.argsort(np.array([code[d] for d in drive_ids], dtype=np.int64))
-    return LabeledExamples(
-        names, np.asarray(X, dtype=float).reshape(n, len(names)),
-        np.asarray(y, dtype=bool), rank[np.asarray(drives, dtype=np.int64)], drive_ids,
-        np.asarray(days, dtype=np.int64), np.asarray(keys, dtype=float),
-        lookahead)
+    return LabeledExamples(names, X, y, rank[drives], drive_ids, days, keys, lookahead)
+
+
+def _parse_example(row: list[str], k: int) -> tuple[list[float], bool, int, float]:
+    """Features, label, day and partition key of one row of cells; the
+    Python number parsers decide what a bad cell is, and a day must fit
+    in int64."""
+    X, label, day, key = ([float(c) for c in row[:k]], bool(int(row[-4])),
+                          int(row[-2]), float(row[-1]))
+    if not -2**63 <= day < 2**63:
+        raise ValueError(f"day outside int64: {row[-2]!r}")
+    return X, label, day, key
+
+
+def _block_examples(block, k: int, code: dict[str, int]) -> tuple[np.ndarray, ...]:
+    """One block's rows as arrays: X, y, drive codes, days, partition keys.
+
+    The kernel takes a feature or key cell written ``[0-9]{1,15}\\.0``,
+    whose float is its digits' value (exact: below 2**53), and a label or
+    day cell of 1 to 18 ASCII digits (``ingest``'s count grammar). Every
+    other row goes to :func:`_parse_example`. The first bad row by line,
+    with a wrong cell count or a value the row parser rejects, or text the
+    CSV reader cannot cut, raises SchemaError.
+    """
+    units, start, end = block.units, block.start, block.end
+    numbers_at = [*range(k), k + 3]  # the features, then the partition key
+    numbers, taken = _decimals(units, start[numbers_at], end[numbers_at])
+    label, label_taken = _column("time", units, start[k], end[k])
+    days, day_taken = _column("time", units, start[k + 2], end[k + 2])
+    X, y, keys = np.ascontiguousarray(numbers[:k].T), label != 0, numbers[k]
+    errors = list(block.rejected) + ([block.error] if block.error else [])
+    for i in np.flatnonzero(~(taken.all(axis=0) & label_taken & day_taken)).tolist():
+        try:
+            X[i], y[i], days[i], keys[i] = _parse_example(block.row(i), k)
+        except ValueError as exc:
+            errors.append((int(block.line[i]), str(exc)))
+            break
+    if errors:
+        raise SchemaError("examples line {}: {}".format(*min(errors)))
+    return X, y, _drive_id_codes(block, k + 1, code), days, keys
+
+
+def _decimals(units: np.ndarray, start: np.ndarray,
+              end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of cells written ``[0-9]{1,15}\\.0``, and which cells are such
+    (``start``/``end``: columns x rows).
+
+    Most features are counts below 10, so a one-digit cell is read
+    directly, and only the longer cells go through ``_digits``.
+    """
+    size = end - start
+    dot = np.clip(end - 2, 0, units.size - 2)  # where a cell of 3 or more units has its dot
+    taken = ((size >= 3) & (size <= 17)
+             & (units[dot] == ord(".")) & (units[dot + 1] == ord("0")))
+    first = units[start] - 48  # a unit below "0" wraps past 9
+    value = first.astype(float)
+    taken &= (first <= 9) | (size > 3)
+    longer = np.flatnonzero(taken & (size > 3))
+    value.ravel()[longer], taken.ravel()[longer] = _digits(
+        units, start.ravel()[longer], dot.ravel()[longer])
+    return value, taken
+
+
+def _drive_id_codes(block, j: int, code: dict[str, int]) -> np.ndarray:
+    """Codes of the drive ids in wanted column j, a new id getting the next
+    code. Only a row whose id may differ from the previous row's is sliced
+    from the block's text: rows come grouped by drive."""
+    start, end = block.start[j], block.end[j]
+    size = end - start
+    offsets = np.arange(size.max(initial=0))
+    chars = block.units[np.minimum(start[:, None] + offsets, block.units.size - 1)]
+    chars[offsets >= size[:, None]] = 0
+    first = np.ones(size.size, dtype=bool)  # may differ from the previous row
+    first[1:] = (size[1:] != size[:-1]) | (chars[1:] != chars[:-1]).any(axis=1)
+    rows = np.flatnonzero(first)
+    ids = block.cells(j, rows)
+    return np.repeat(np.array([code.setdefault(d, len(code)) for d in ids], dtype=np.int64),
+                     np.diff(rows, append=size.size))

@@ -35,6 +35,19 @@ the kernel only accepts what it would accept, with the same values. This
 finds the structure of a block in bulk before validating its values, as
 simdjson does for JSON (Langdale & Lemire, "Parsing Gigabytes of JSON per
 Second", VLDB J. 2019).
+
+The writers run the other way, ``_WRITE_BATCH`` rows at a time
+(:func:`_format_rows`): each cell's size gives its end by a cumulative sum,
+and the batch's text is one byte buffer filled a column and a digit
+position at a time. An integer is written as its digits (``-`` first when
+negative), an absent cell empty, and an integer-valued float in
+[0, 2**53) as its digits and ``.0``, which is its ``repr`` (repr turns to
+an exponent only at 1e16, and every such float converts to uint64
+exactly). Any other float is written as its ``repr`` and every string as
+``csv.writer`` quotes it, once per distinct value in a batch. The text is
+``csv.writer``'s, byte for byte. This is the digits-and-offsets idea of
+fast number formatting (Adams, "Ryū", PLDI 2018), kept to integers, where
+it is exact.
 """
 
 from __future__ import annotations
@@ -416,7 +429,9 @@ class _Block:
     its wanted cells in ``units``, the code points of one text. ``row(i)``
     gives row i's cells as strings, for the per-row parse. ``rejected``
     lists the other data rows with their reason, and ``n_lines`` counts the
-    lines the block read.
+    lines the block read. ``error`` is the (line, message) of text the CSV
+    reader could not cut, which ends the input; the block holds the rows
+    before it.
     """
 
     n_lines: int
@@ -427,6 +442,14 @@ class _Block:
     start: np.ndarray
     end: np.ndarray
     row: Callable[[int], list[str]]
+    error: tuple[int, str] | None = None
+
+    def cells(self, j: int, rows: np.ndarray) -> list[str]:
+        """Wanted column j of the given rows, as strings."""
+        text = str(self.units, "latin-1" if self.units.itemsize == 1 else "utf-32-le",
+                   "surrogatepass")
+        return [text[a:b] for a, b in zip(self.start[j, rows].tolist(),
+                                          self.end[j, rows].tolist())]
 
 
 def _units(text: str) -> np.ndarray:
@@ -441,13 +464,16 @@ def _units(text: str) -> np.ndarray:
 def _blocks(lines: Iterator[str], line: int, width: int,
             cols: Sequence[int]) -> Iterator[_Block]:
     """The rows after the header, ``_READ_BLOCK`` lines at a time, with the
-    bounds of cells ``cols``; ``line`` lines precede them."""
+    bounds of cells ``cols``; ``line`` lines precede them. A block with an
+    ``error`` is the last."""
     while chunk := list(islice(lines, _READ_BLOCK)):
         block = _split(chunk, line, width, cols)
         if block is None:
             block = _tokenize(chunk, lines, line, width, cols)
         line += block.n_lines
         yield block
+        if block.error:
+            return
 
 
 def _split(chunk: list[str], line: int, width: int,
@@ -505,7 +531,7 @@ def _tokenize(chunk: list[str], lines: Iterator[str], line: int, width: int,
     """The lines cut by the CSV reader, through the end of the record on the
     last of them, which may continue on the lines after them."""
     reader = csv.reader(chain(chunk, lines))
-    found = []
+    found, error = [], None
     try:
         for row in reader:
             if row:
@@ -513,7 +539,7 @@ def _tokenize(chunk: list[str], lines: Iterator[str], line: int, width: int,
             if reader.line_num >= len(chunk):
                 break
     except csv.Error as exc:
-        raise SchemaError(f"line {line + reader.line_num}: {exc}") from None
+        error = (line + reader.line_num, str(exc))
     rows = [(n, row) for n, row in found if len(row) == width]
     cells = [row[c] for _, row in rows for c in cols]
     size = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
@@ -524,7 +550,7 @@ def _tokenize(chunk: list[str], lines: Iterator[str], line: int, width: int,
          for n, row in found if len(row) != width],
         np.array([n for n, _ in rows], dtype=np.int64), _units("".join(cells)),
         (end - size).reshape(-1, len(cols)).T, end.reshape(-1, len(cols)).T,
-        lambda i: rows[i][1])
+        lambda i: rows[i][1], error)
 
 
 def _column(kind: str, units: np.ndarray, start: np.ndarray,
@@ -553,18 +579,28 @@ def _column(kind: str, units: np.ndarray, start: np.ndarray,
         value[ten[shaped]] = np.array([_ordinal(d) for d in dates.tolist()],
                                       dtype=np.int64)[inverse]
         return value, value > 0
-    # Digit i of every cell, right-aligned, is one row: numpy's inner loops
-    # then run along the cells.
+    value, taken = _digits(units, start, end)
+    if kind != "time":
+        value[size == 0] = 0 if kind == "error" else -1
+        taken |= size == 0
+    return value, taken
+
+
+def _digits(units: np.ndarray, start: np.ndarray,
+            end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values of cells of 1 to 18 ASCII digits, and which cells are such.
+
+    Digit i of every cell, right-aligned, is one row, so numpy's inner
+    loops run along the cells; the value is the digits' dot product with
+    powers of ten, exact in int64.
+    """
+    size = end - start
     width = int(min(size.max(initial=0), 18))
     offsets = np.arange(-width, 0)[:, None]
-    digit = units[end + offsets] - 48
-    digit[offsets < -size] = 0
-    value = _POW10[18 - width:] @ digit
-    taken = (size <= 18) & (digit <= 9).all(axis=0)
-    value[size == 0] = 0 if kind == "error" else -1
-    if kind == "time":
-        taken &= size > 0
-    return value, taken
+    digit = units[end + offsets] - 48  # a unit below "0" wraps past 9
+    digit *= offsets >= -size
+    return (_POW10[18 - width:] @ digit,
+            (size > 0) & (size <= 18) & (digit.max(axis=0, initial=0) <= 9))
 
 
 def _ordinal(yyyymmdd: int) -> int:
@@ -644,6 +680,8 @@ class _Table:
         ``parse_row``, which alone decides what to reject and why.
         """
         for block in blocks:
+            if block.error:
+                raise SchemaError("line {}: {}".format(*block.error))
             self.data_rows += block.data_rows
             self.rejected += block.rejected
             rows = np.empty((block.line.size, self.width), dtype=np.int64)
@@ -889,15 +927,12 @@ def filter_hdd(ds: FleetDataset, models: Iterable[str],
     return ds._take(rows, provenance)
 
 
-def _cells(ds: FleetDataset, name: str, rows: slice) -> list:
-    """A flag (0/1) or count column of a batch of rows as CSV cells; absent is ''."""
+def _cells(ds: FleetDataset, name: str, rows: slice) -> np.ndarray:
+    """A flag or count column of a batch of rows; an absent count is masked."""
     if name in _FLAGS[ds.family]:
-        return ds.flag(name)[rows].view(np.uint8).tolist()
+        return ds.flag(name)[rows]
     values, present = ds.column(name)
-    cells = values[rows].tolist()
-    for i in np.flatnonzero(~present[rows]).tolist():
-        cells[i] = ""
-    return cells
+    return np.ma.MaskedArray(values[rows], mask=~present[rows])
 
 
 def _write_csv(out, header: Sequence[str], rows: Iterable,
@@ -913,29 +948,168 @@ def _write_csv(out, header: Sequence[str], rows: Iterable,
     w.writerows(rows)
 
 
-def _batched_rows(n: int, columns: Callable[[slice], Iterable]) -> Iterator[tuple]:
-    """Rows 0..n-1 as tuples, ``_WRITE_BATCH`` at a time: ``columns(rows)``
-    gives a batch's cells, one iterable per CSV column."""
-    return chain.from_iterable(zip(*columns(slice(lo, lo + _WRITE_BATCH)))
-                               for lo in range(0, n, _WRITE_BATCH))
+def _write_columns(out, header: Sequence[str], n: int,
+                   columns: Callable[[slice], Sequence],
+                   comment: str | None = None) -> None:
+    """Rows 0..n-1 framed by :func:`_write_csv`, ``_WRITE_BATCH`` at a time:
+    ``columns(rows)`` gives a batch's cells (see :func:`_format_rows`)."""
+    _write_csv(out, header, (), comment)
+    for lo in range(0, n, _WRITE_BATCH):
+        out.write(_format_rows(columns(slice(lo, lo + _WRITE_BATCH))))
 
 
-def _row_names(ds: FleetDataset) -> Callable[[slice], tuple[np.ndarray, np.ndarray]]:
-    """The drive and model names of a batch of rows, as object arrays."""
-    drives = np.array(ds.drives, dtype=object)
-    models = np.array(ds._models, dtype=object)
-    row_drive, row_model = ds.row_drive(), ds._columns["model"]
-    return lambda rows: (drives[row_drive[rows]], models[row_model[rows]])
+#: Integer-valued floats below this are written as their digits and ".0",
+#: which is their repr: repr turns to an exponent only at 1e16.
+_FLOAT_DIGITS_BELOW = 2.0**53
+
+
+def _format_rows(blocks: Sequence) -> str:
+    """CSV text of a batch of rows, built a column at a time as one byte buffer.
+
+    ``blocks`` are cell blocks of one length n, each one of:
+
+    * an int or bool array: each cell is its digits, with ``-`` when negative;
+    * a masked int array: a masked cell is empty;
+    * a float array, 1-D or (n, k) for k columns: an integer-valued float in
+      [0, 2**53) is its digits and ``.0``, any other its ``repr``;
+    * ``(names, codes)``: each cell is the string ``names[code]``.
+
+    The text equals what ``csv.writer(out, lineterminator="\\n").writerows``
+    writes for the cells' Python values, byte for byte.
+    """
+    strs: list[str] = []  # the batch's strings; text code 0 is the empty cell
+
+    def strings(new: Iterable[str]) -> np.ndarray:
+        first = len(strs)
+        strs.extend(new)
+        return np.arange(first + 1, len(strs) + 1)
+
+    widths = [1 if isinstance(b, tuple) or b.ndim == 1 else b.shape[1] for b in blocks]
+    n = len(blocks[0][1] if isinstance(blocks[0], tuple) else blocks[0])
+    # Per cell: its magnitude, sign and ".0", or the code of its text
+    # (-1: the cell is its number).
+    mag = np.zeros((n, sum(widths)), dtype=np.uint64)
+    neg = np.zeros(mag.shape, dtype=bool)
+    dot = np.zeros(mag.shape, dtype=bool)
+    code = np.full(mag.shape, -1, dtype=np.int64)
+    for block, lo, hi in zip(blocks, np.cumsum([0, *widths]), np.cumsum(widths)):
+        cols = np.s_[:, lo:hi]
+        if isinstance(block, tuple):
+            names, codes = block
+            used, inverse = np.unique(codes, return_inverse=True)
+            code[cols] = strings(names[c] for c in used.tolist())[inverse].reshape(n, 1)
+            continue
+        values = np.ma.getdata(block).reshape(n, -1)
+        present = ~np.ma.getmaskarray(block).reshape(n, -1)
+        code[cols][~present] = 0
+        if values.dtype.kind == "f":
+            # In range, the cast to uint64 is exact just for integers.
+            digits = ~np.signbit(values) & (values < _FLOAT_DIGITS_BELOW) & present
+            np.copyto(mag[cols], values, casting="unsafe", where=digits)
+            digits &= mag[cols] == values
+            other = ~digits & present
+            mag[cols][other] = 0
+            code[cols][other] = strings(map(repr, values[other].tolist()))
+            dot[cols] = digits
+        else:
+            neg[cols] = (values < 0) & present
+            # Two's complement: a negative's magnitude is its uint64 negation.
+            np.copyto(mag[cols], values, casting="unsafe", where=present)
+            np.negative(mag[cols], out=mag[cols], where=neg[cols])
+    return _format(mag.ravel(), neg.ravel(), dot.ravel(), code.ravel(), _texts(strs),
+                   code.shape[1])
+
+
+def _texts(strs: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSV cells of strings, as UTF-8: (bytes, start of each, size of
+    each), with text 0 the empty cell before them.
+
+    ``csv.writer`` quotes them all as one row. When it adds no character,
+    every cell is its string; otherwise the row is cut knowing that a
+    quoted cell starts with a quote and is its string with the quotes
+    doubled, in quotes.
+    """
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\n").writerow((*strs, ""))
+    text = line.getvalue()
+    size = np.fromiter(map(len, chain([""], strs)), dtype=np.int64, count=len(strs) + 1)
+    if text.isascii() and len(text) == size.sum() + len(strs) + 1:
+        blob = text.encode("ascii")
+    else:
+        cells, at = [], 0
+        for t in strs:
+            n = len(t) + 2 + t.count('"') if text[at] == '"' else len(t)
+            cells.append(text[at:at + n].encode("utf-8", "surrogatepass"))
+            at += n + 1
+        blob = b",".join(cells)
+        size[1:] = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells))
+    start = np.cumsum(size + 1) - size - 2  # text 0 starts before the first
+    return np.frombuffer(blob, dtype=np.uint8), start, size
+
+
+def _format(mag: np.ndarray, neg: np.ndarray, dot: np.ndarray, code: np.ndarray,
+            texts: tuple[np.ndarray, np.ndarray, np.ndarray], width: int) -> str:
+    """The text of cells in row-major order, ``width`` per row: cell i is
+    text ``code[i]`` of ``texts`` (see :func:`_texts`), or when ``code[i]``
+    is -1 its number: ``-`` if ``neg[i]``, the digits of ``mag[i]``, and
+    ``.0`` if ``dot[i]``.
+
+    The buffer starts as all ``0``, so a zero and the ``0`` after a dot
+    need no write. The other digits are taken last first, one pass per
+    digit position over the numbers that still have digits. Each cell ends
+    at the ``cumsum`` of the sizes up to it, and each pass is one scatter.
+    Work arrays are updated in place: at 2,048 rows they span many pages.
+    """
+    blob, origin, lens = texts
+    lens = np.append(lens, 0)  # code -1 reads the last, 0
+    sep = lens[code]  # the cell's size, then the position of its separator
+    sep += code < 0
+    sep += neg
+    sep += dot
+    sep += dot
+    sep += 1
+    nonzero = np.flatnonzero(mag != 0)  # a text's mag is 0
+    digits = []  # per pass: which nonzero numbers have a digit there, and the digit
+    live, value = np.arange(nonzero.size), mag[nonzero]
+    while live.size:
+        high = value // 10
+        digits.append((live, (value - high * 10).astype(np.uint8) + ord("0")))
+        more = high != 0
+        live, value = live[more], high[more]
+    more_digits = np.zeros(nonzero.size, dtype=np.int64)
+    for place, (live, _) in enumerate(digits[1:], start=1):
+        more_digits[live] = place
+    sep[nonzero] += more_digits
+    np.cumsum(sep, out=sep)
+    sep -= 1
+    buf = np.full(sep[-1] + 1 if sep.size else 0, ord("0"), dtype=np.uint8)
+    buf[sep] = ord(",")
+    buf[sep[width - 1::width]] = ord("\n")
+    dotted = sep[dot]
+    dotted -= 2
+    buf[dotted] = ord(".")
+    last = sep[nonzero] - 1 - 2 * dot[nonzero]
+    for place, (live, digit) in enumerate(digits):
+        buf[last[live] - place] = digit
+    minus = neg[nonzero]
+    buf[last[minus] - more_digits[minus] - 1] = ord("-")
+    # The texts, copied byte by byte.
+    cells = np.flatnonzero(code > 0)
+    length = lens[code[cells]]
+    step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+    buf[np.repeat(sep[cells] - length, length) + step] = blob[
+        np.repeat(origin[code[cells]], length) + step]
+    return str(buf, "utf-8", "surrogatepass")
 
 
 def write_ssd_csv(ds: FleetDataset, out, header_comment: str | None = None) -> None:
     """Write an SSD dataset in the canonical CSV format (round-trips exactly)."""
     if ds.family != "ssd":
         raise ValueError("write_ssd_csv needs an SSD dataset")
-    names = _row_names(ds)
-    _write_csv(out, _SSD_COLUMNS, _batched_rows(ds.n_records, lambda rows: (
-        *names(rows), ds.time[rows].tolist(),
-        *(_cells(ds, name, rows) for name in _SSD_COLUMNS[3:]))), header_comment)
+    drive, model = ds.row_drive(), ds._columns["model"]
+    _write_columns(out, _SSD_COLUMNS, ds.n_records, lambda rows: (
+        (ds.drives, drive[rows]), (ds._models, model[rows]), ds.time[rows],
+        *(_cells(ds, name, rows) for name in _SSD_COLUMNS[3:])), header_comment)
 
 
 def write_hdd_csv(ds: FleetDataset, out,
@@ -947,15 +1121,16 @@ def write_hdd_csv(ds: FleetDataset, out,
     header = ["date", "serial_number", "model", "capacity_bytes", "failure"]
     for sid in smart_ids:
         header += [f"smart_{sid}_normalized", f"smart_{sid}_raw"]
-    iso = {day: dt.date.fromordinal(day).isoformat()
-           for day in np.unique(ds.time).tolist()}
-    names = _row_names(ds)
+    days, day = np.unique(ds.time, return_inverse=True)
+    dates = [dt.date.fromordinal(d).isoformat() for d in days.tolist()]
+    drive, model = ds.row_drive(), ds._columns["model"]
 
     def columns(rows):
-        cells = [map(iso.__getitem__, ds.time[rows].tolist()), *names(rows),
-                 repeat(""), _cells(ds, "failed", rows)]
+        blank = np.ma.masked_all(day[rows].size, dtype=np.int64)
+        cells = [(dates, day[rows]), (ds.drives, drive[rows]), (ds._models, model[rows]),
+                 blank, _cells(ds, "failed", rows)]
         for sid in smart_ids:
-            cells += [repeat(""), _cells(ds, f"smart_{sid}", rows)]
+            cells += [blank, _cells(ds, f"smart_{sid}", rows)]
         return cells
 
-    _write_csv(out, header, _batched_rows(ds.n_records, columns), header_comment)
+    _write_columns(out, header, ds.n_records, columns, header_comment)

@@ -156,6 +156,8 @@ def _best_split(X: np.ndarray, y: np.ndarray, feature_ids: Sequence[int],
     y_int = y.astype(np.int64)
     for f in sorted(feature_ids):
         xs_all = X[:, f]
+        if (xs_all == xs_all[0]).all():
+            continue  # constant at this node: no threshold separates it
         order = np.argsort(xs_all, kind="stable")
         xs = xs_all[order]
         pos_cum = np.cumsum(y_int[order])

@@ -296,6 +296,25 @@ class TestErrors:
         assert code == 4 and doc["error"] == "schema"
         assert "line 6:" in doc["message"]
 
+    @pytest.mark.parametrize("models, message", [
+        ({"All": 0.3, "M2": 0.3}, '"All"'), ({"M1": 0.3}, "two drive models")],
+        ids=["named_all", "one_model"])
+    def test_matrix_drive_models_are_schema_errors(self, tmp_path, capsys, models,
+                                                    message):
+        config = tmp_path / "fleet.json"
+        config.write_text(json.dumps(SYNTH_CONFIG | {
+            "n_drives": 30, "horizon_days": 60, "models": models}))
+        assert run(["synth", "--config", str(config), "--seed", "3",
+                    "--out", str(tmp_path / "fleet")]) == 0
+        capsys.readouterr()
+        code, doc = self._error(capsys, [
+            "matrix", "--family", "ssd",
+            "--input", str(tmp_path / "fleet" / "ssd_telemetry.csv"),
+            "--model", "tree", "--folds", "2", "--seed", "1",
+            "--out", str(tmp_path / "o")])
+        assert code == 4 and doc["error"] == "schema"
+        assert message in doc["message"]
+
     def test_unexpected_exception_is_internal_error(self, tmp_path, capsys,
                                                     monkeypatch):
         def boom(run_context):

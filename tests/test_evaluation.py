@@ -303,6 +303,12 @@ class TestSweepAndMatrix:
         assert result["test_labels"] == ["M1", "M2"]
         assert len(result["auroc"]) == 6
 
+    def test_drive_model_named_all_is_rejected(self):
+        # Its row would take the all-models row's label and be overwritten.
+        ex = toy_examples(40, 6, models=["All", "M2"])
+        with pytest.raises(ValueError, match='named "All"'):
+            cross_model_matrix(ex, SMALL_RF, k=3, seed=0)
+
     def test_shared_signal_transfers(self):
         ex = toy_examples(60, 8, signal=3.0, seed=9, models=["M1", "M2"])
         result = cross_model_matrix(ex, SMALL_RF, k=3, seed=1)

@@ -232,11 +232,15 @@ def row_at_a_time_examples_csv(examples, out, header_comment=None):
                     repr(float(examples.partition_key[i]))])
 
 
-#: Drive ids the CSV must quote or that are not ASCII, and floats at the
-#: edges of repr: signed zero, the least subnormal, huge, infinite.
+#: Drive ids the CSV must quote or that are not ASCII; floats at the edges
+#: of repr (signed zero, the least subnormal, huge, infinite) and of the
+#: writer's digits (2**53, and 1e16, where repr turns to an exponent);
+#: days at the ends of int64.
 EDGE_DRIVES = ("C,D", 'a"b', "é", "nul\x00", "plain")
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3,
-               float("inf"), float("-inf"), 7.0)
+               float("inf"), float("-inf"), 7.0, 2.0**53 - 1, 2.0**53, 2.0**53 + 2,
+               1e16 - 2, 1e16, -1.0, 123.0)
+EDGE_DAYS = (-1, 0, 2, 10**15, 10**18, 2**63 - 1, -7, -2**63)
 
 
 def edge_examples(n: int):
@@ -247,8 +251,64 @@ def edge_examples(n: int):
     return labeled_examples(
         ("a", "b_cum", "c"), X, np.array([rng.random() < 0.5 for _ in range(n)],
                                          dtype=bool),
-        drives, np.arange(n, dtype=np.int64) * 3 - 1,
+        drives, np.array([rng.choice(EDGE_DAYS) for _ in range(n)], dtype=np.int64),
         np.array([rng.choice(EDGE_FLOATS) for _ in range(n)], dtype=float), 2)
+
+
+def row_at_a_time_read(stream, lookahead=0):
+    """The row-at-a-time examples reader that the column-batch reader
+    replaced, kept as its reference."""
+    header, lines, line = ingest._header(stream)
+    if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
+        raise SchemaError("not an examples CSV: trailing columns mismatch")
+    names = tuple(header[:-4])
+    X, y, drives, days, keys = [], [], [], [], []
+    reader = csv.reader(lines)
+    try:
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            X.extend(map(float, row[:len(names)]))
+            y.append(bool(int(row[-4])))
+            drives.append(row[-3])
+            days.append(int(row[-2]))
+            keys.append(float(row[-1]))
+    except (ValueError, csv.Error) as exc:
+        raise SchemaError(f"examples line {line + reader.line_num}: {exc}") from None
+    return labeled_examples(names, np.array(X, dtype=float).reshape(len(y), len(names)),
+                            np.array(y, dtype=bool), drives,
+                            np.array(days, dtype=np.int64), np.array(keys), lookahead)
+
+
+def assert_same_read(text):
+    """The reader gives the reference's examples, or its SchemaError text."""
+    try:
+        expected = row_at_a_time_read(text)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as got:
+            read_examples_csv(text)
+        assert str(got.value) == str(exc)
+        return
+    got = read_examples_csv(text)
+    assert got.names == expected.names
+    for field in ("X", "y", "days", "partition_key"):
+        a, b = getattr(got, field), getattr(expected, field)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.uint8), b.view(np.uint8)), field  # -0.0, nan
+    assert list(drive_names(got)) == list(drive_names(expected))
+    assert list(got.drive_ids) == sorted(set(got.drive_ids))
+
+
+#: Cells the reader's kernel must leave to float() or int(), which accept
+#: or reject them: signs, blanks, underscores, more zeros, exponents,
+#: non-ASCII digits, more digits than the kernel takes.
+ODD_NUMBER_CELLS = ("+1.0", " 1.0", "1.0 ", "1_0.0", "1.00", "007.0", "1e3", "١.0", "10", "100",
+                    "-1.0", "-0.0", "nan", "-inf", "1.5", ".0", "1.", "x", "",
+                    "1.0.0", "0x1.0", "1234567890123456.0", "123456789012345.0")
+ODD_INT_CELLS = ("+1", " 1", "1_0", "١", "-3", "0", "00", "2", "x", "", "1.0",
+                 "9" * 18, "9" * 19, str(2**63 - 1), str(-2**63))
 
 
 def examples_text(examples, writer=None, comment="meta") -> str:
@@ -271,7 +331,9 @@ class TestExamplesCsv:
     @pytest.mark.parametrize("n", [0, 1, 7, 40])
     def test_write_read_write_is_byte_identical(self, monkeypatch, n):
         monkeypatch.setattr(ingest, "_WRITE_BATCH", 3)
+        monkeypatch.setattr(ingest, "_READ_BLOCK", 3)
         text = examples_text(edge_examples(n))
+        assert_same_read(text)
         again = read_examples_csv(text, lookahead=2)
         assert sorted(again.drive_ids) == list(again.drive_ids)
         assert examples_text(again) == text
@@ -290,6 +352,40 @@ class TestExamplesCsv:
         assert list(drive_names(again)) == list(drive_names(examples))
         assert np.array_equal(again.partition_key, examples.partition_key)
 
+    @pytest.mark.parametrize("column", ["a", "b", "label", "day", "partition_key"])
+    def test_odd_cells_read_as_the_row_parser_reads_them(self, column):
+        cells = ODD_INT_CELLS if column in ("label", "day") else ODD_NUMBER_CELLS
+        header = "a,b,label,drive_id,day,partition_key"
+        base = {"a": "3.0", "b": "12.0", "label": "1", "drive_id": "d", "day": "4",
+                "partition_key": "4.0"}
+        for cell in cells:
+            rows = [",".join({**base, column: cell}.values()) if i == 2
+                    else ",".join(base.values()) for i in range(4)]
+            text = "# meta\n" + header + "\n" + "\n".join(rows) + "\n"
+            if column == "day" and cell == "9" * 19:  # the reference overflows
+                with pytest.raises(SchemaError, match=f"line 5: day outside int64: '{cell}'"):
+                    read_examples_csv(text)
+                continue
+            assert_same_read(text)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, ingest._READ_BLOCK])
+    def test_first_bad_row_by_line(self, monkeypatch, block):
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        good = "1.0,0,d,3,3.0"
+        bad = {"value": "x,0,d,3,3.0", "short": "1.0,0,d", "label": "1.0,y,d,3,3.0",
+               "quoted": '"1.0",1,"d,e",3,3.0', "overlong": "1.0,0," + "d" * 80 + ",3,3.0"}
+        limit = csv.field_size_limit(40)
+        try:
+            for first, second in (("value", "short"), ("short", "value"),
+                                  ("label", "overlong"), ("overlong", "value"),
+                                  ("quoted", "value"), ("value", "quoted")):
+                rows = [good] * 6
+                rows[2], rows[4] = bad[first], bad[second]
+                assert_same_read("a,label,drive_id,day,partition_key\n"
+                                 + "\n".join(rows) + "\n")
+        finally:
+            csv.field_size_limit(limit)
+
     @pytest.mark.parametrize("text, line", [
         ("", None),
         ("a,b\n1,2\n", None),
@@ -297,7 +393,9 @@ class TestExamplesCsv:
         ("a,label,drive_id,day,partition_key\n1.0,0,d,3,3.0\nx,1,d,4,4.0\n", 3),
         ("a,label,drive_id,day,partition_key\n1.0,0,d,3,3.0\n1.0,0,d,4,4.0\n"
          "#2.0,1,b,1,1.0\n", 4),
-    ], ids=["empty", "foreign_header", "short_row", "bad_value", "comment_after_header"])
+        ('a,label,drive_id,day,partition_key\n"",,,,\n', 2),
+    ], ids=["empty", "foreign_header", "short_row", "bad_value", "comment_after_header",
+            "empty_quoted_cells"])
     def test_malformed_input_is_schema_error(self, text, line):
         with pytest.raises(SchemaError) as exc:
             read_examples_csv(text)

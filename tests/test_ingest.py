@@ -1,11 +1,14 @@
+import csv
 import datetime as dt
 import io
 import random
 
 import pytest
 
-from drivelife.ingest import (SchemaError, filter_hdd, parse_hdd_csv,
-                              parse_ssd_log, write_hdd_csv, write_ssd_csv)
+from drivelife import ingest
+from drivelife.ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError, filter_hdd,
+                              parse_hdd_csv, parse_ssd_log, write_hdd_csv,
+                              write_ssd_csv)
 
 from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
 
@@ -248,3 +251,82 @@ class TestRoundTrip:
         write_ssd_csv(ds, buf, header_comment="drivelife test artifact")
         assert buf.getvalue().startswith("# ")
         assert parse_ssd_log(buf.getvalue()) == ds
+
+
+def row_at_a_time_dataset_csv(ds, out, smart_ids=HDD_SMART_IDS, header_comment=None):
+    """A dataset's records written one ``csv.writer`` row each: the
+    reference for the column-batch writers."""
+    if header_comment:
+        out.write(f"# {header_comment}\n")
+    w = csv.writer(out, lineterminator="\n")
+
+    def cell(v):
+        return "" if v is None else v
+
+    if ds.family == "ssd":
+        w.writerow(SSD_HEADER.split(","))
+        for d in ds.drives:
+            for r in ds.records[d]:
+                w.writerow([r.drive_id, r.model, r.timestamp_us,
+                            *map(cell, (r.read_ops, r.write_ops, r.erase_ops,
+                                        r.pe_cycles_cum)),
+                            int(r.dead), int(r.read_only),
+                            cell(r.bad_blocks_factory_cum), cell(r.bad_blocks_new_cum),
+                            *(r.error_count(k) for k in SSD_ERROR_KINDS),
+                            int(r.swap_event)])
+        return
+    w.writerow(["date", "serial_number", "model", "capacity_bytes", "failure",
+                *(f"smart_{sid}_{kind}" for sid in smart_ids
+                  for kind in ("normalized", "raw"))])
+    for d in ds.drives:
+        for r in ds.records[d]:
+            w.writerow([r.date.isoformat(), r.serial, r.model, "", int(r.failed_today),
+                        *(c for sid in smart_ids for c in ("", r.smart_raw.get(sid, "")))])
+
+
+#: Drive ids and models the CSV must quote or that are not ASCII.
+EDGE_NAMES = ("C,D", 'a"b', "é", "nul\x00", "line\nbreak", "plain", " pad ")
+EDGE_COUNTS = (None, 0, 7, 10, 99, 2**53 + 1, 2**63 - 1)
+
+
+def edge_dataset(family: str, n: int, seed: int):
+    rng = random.Random(seed)
+    by_drive = {}
+    for i in range(n):
+        drive = rng.choice(EDGE_NAMES) + str(i % 3)
+        model = rng.choice(EDGE_NAMES)
+        if family == "ssd":
+            counts = {k: rng.choice(EDGE_COUNTS) for k in (
+                "reads", "writes", "erases", "pe", "bbf", "bbn")}
+            rec = ssd_rec(drive, i, errors={k: rng.choice(EDGE_COUNTS[1:])
+                                            for k in rng.sample(SSD_ERROR_KINDS, 3)},
+                          swap=rng.random() < 0.3, dead=rng.random() < 0.3,
+                          model=model, **counts)
+        else:
+            smart = {sid: rng.choice(EDGE_COUNTS[1:])
+                     for sid in rng.sample(HDD_SMART_IDS, 5)}
+            rec = hdd_rec(drive, rng.randrange(-400, 4000), failed=rng.random() < 0.3,
+                          smart=smart, model=model)
+        by_drive.setdefault(drive, []).append(rec)
+    return (ssd_dataset if family == "ssd" else hdd_dataset)(by_drive)
+
+
+class TestColumnWriters:
+    @pytest.mark.parametrize("batch", [1, 3, ingest._WRITE_BATCH])
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    @pytest.mark.parametrize("family", ["ssd", "hdd"])
+    def test_equals_row_at_a_time_writer(self, monkeypatch, family, n, batch):
+        ds = edge_dataset(family, n, seed=n)
+        monkeypatch.setattr(ingest, "_WRITE_BATCH", batch)
+        writer = write_ssd_csv if family == "ssd" else write_hdd_csv
+        for comment in (None, "meta"):
+            expected, got = io.StringIO(), io.StringIO()
+            row_at_a_time_dataset_csv(ds, expected, header_comment=comment)
+            writer(ds, got, header_comment=comment)
+            assert got.getvalue() == expected.getvalue()
+        if family == "hdd":  # an id no row reports, and a subset
+            for ids in ((5, 9, 250), (194,)):
+                expected, got = io.StringIO(), io.StringIO()
+                row_at_a_time_dataset_csv(ds, expected, smart_ids=ids)
+                write_hdd_csv(ds, got, smart_ids=ids)
+                assert got.getvalue() == expected.getvalue()

@@ -44,6 +44,42 @@ def exhaustive_best_split(X, y, min_samples_leaf=1):
     return best
 
 
+def best_split_without_skip(X, y, feature_ids, min_samples_leaf):
+    """``learners._best_split`` before it skipped constant features, as the
+    reference that the skip changes no split."""
+    n = y.shape[0]
+    best = None
+    y_int = y.astype(np.int64)
+    for f in sorted(feature_ids):
+        xs_all = X[:, f]
+        order = np.argsort(xs_all, kind="stable")
+        xs = xs_all[order]
+        pos_cum = np.cumsum(y_int[order])
+        total_pos = pos_cum[-1]
+        nl = np.arange(1, n, dtype=np.int64)
+        valid = xs[:-1] != xs[1:]
+        if min_samples_leaf > 1:
+            valid &= (nl >= min_samples_leaf) & ((n - nl) >= min_samples_leaf)
+        if not valid.any():
+            continue
+        lp = pos_cum[:-1]
+        nr = n - nl
+        rp = total_pos - lp
+        pl = lp / nl
+        ql = (nl - lp) / nl
+        gl = 1.0 - pl * pl - ql * ql
+        pr = rp / nr
+        qr = (nr - rp) / nr
+        gr = 1.0 - pr * pr - qr * qr
+        scores = (nl * gl + nr * gr) / n
+        scores[~valid] = np.inf
+        i = int(np.argmin(scores))
+        score = float(scores[i])
+        if best is None or score < best[0]:
+            best = (score, int(f), float((xs[i] + xs[i + 1]) / 2))
+    return best
+
+
 def gini(y):
     pos = sum(y) / len(y)
     return 1.0 - pos * pos - (1 - pos) * (1 - pos)
@@ -68,6 +104,9 @@ class TestTree:
             n = int(rng.integers(4, 51))
             p = int(rng.integers(1, 5))
             X = np.round(rng.normal(size=(n, p)) * 3, 1)  # induce ties
+            # Constant columns, which the split search skips, at random places.
+            for value in rng.choice([0.0, -2.5, 7.0], size=int(rng.integers(0, 3))):
+                X = np.insert(X, int(rng.integers(0, X.shape[1] + 1)), value, axis=1)
             y = rng.random(n) < 0.5
             if y.all() or not y.any():
                 continue
@@ -79,6 +118,27 @@ class TestTree:
             else:
                 assert model.root.feature == expected[1]
                 assert model.root.threshold == expected[2]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_constant_feature_skip_keeps_every_model(self, monkeypatch, seed):
+        """Forests and trees equal those grown by the split search without
+        the constant-feature skip (its in-test copy), down to the JSON."""
+        rng = np.random.default_rng(seed)
+        n = 120
+        X = np.column_stack([
+            np.round(rng.normal(size=n), 1), np.zeros(n), np.full(n, 3.0),
+            rng.integers(0, 2, n).astype(float),  # constant in many nodes
+            np.round(rng.normal(size=n) * 2, 0), np.where(rng.random(n) < 0.05, 1.0, 0.0)])
+        y = rng.random(n) < 0.3 + 0.4 * (X[:, 3] > 0)
+        params = ForestParams(n_trees=6, min_samples_leaf=int(rng.integers(1, 4)),
+                              max_depth=None if seed % 2 else 5,
+                              features_per_split=("sqrt", 2, None, 3)[seed],
+                              bootstrap=seed != 1)
+        fitted = [model_to_json(train_forest(X, y, params, seed=seed)),
+                  model_to_json(train_tree(X, y))]
+        monkeypatch.setattr(learners, "_best_split", best_split_without_skip)
+        assert fitted == [model_to_json(train_forest(X, y, params, seed=seed)),
+                          model_to_json(train_tree(X, y))]
 
     def test_constant_features_give_leaf(self):
         model = train_tree([[3.0], [3.0], [3.0]], [True, False, True])
