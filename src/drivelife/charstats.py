@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.stats import rankdata
 
 from . import featurize
-from .ingest import FleetDataset, SSD_ERROR_KINDS
+from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS
 from .lifecycle import FailureEvent, _DayWindows, _drive_codes, drive_days
 
 __all__ = [
@@ -106,21 +106,37 @@ def _rank_corr(rx: np.ndarray, ry: np.ndarray) -> float:
     return float((rx @ ry) / math.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def _feature_table(ds: FleetDataset, names: Sequence[str]) -> np.ndarray:
-    feats = featurize.make_features(ds)
-    cols = []
+#: The raw SMART features, each built from its own dataset column.
+_RAW_SMART = frozenset(f"smart_{sid}" for sid in HDD_SMART_IDS)
+
+
+def _feature_columns(ds: FleetDataset, names: Sequence[str]) -> Iterator[np.ndarray]:
+    """Each named column as float64, in order.
+
+    ``age_days``, the HDD ``failed`` flag and a raw ``smart_<id>`` are
+    built on their own, by the kernel ``make_features`` applies to that
+    column. Any other name takes its column from the whole feature matrix,
+    built at most once, on the first such name.
+    """
+    feats = None
     for name in names:
-        if name == "failed" and ds.family == "hdd":
-            cols.append(ds.column("failed")[0].astype(float))
-        elif name == "bad_blocks_cum" and ds.family == "ssd":
-            cols.append(feats.column("bad_blocks_factory_cum")
-                        + feats.column("bad_blocks_new_cum"))
+        if name == "age_days":
+            yield drive_days(ds).astype(float)
+        elif ds.family == "hdd" and name == "failed":
+            yield ds.flag("failed").astype(float)
+        elif ds.family == "hdd" and name in _RAW_SMART:
+            yield featurize.carry_forward(*ds.column(name), ds.starts).astype(float)
         else:
+            if feats is None:
+                feats = featurize.make_features(ds)
             try:
-                cols.append(feats.column(name))
+                col = (feats.column("bad_blocks_factory_cum")
+                       + feats.column("bad_blocks_new_cum")
+                       if name == "bad_blocks_cum" and ds.family == "ssd"
+                       else feats.column(name))
             except KeyError:
                 raise ValueError(f"unknown feature {name!r} for family {ds.family}")
-    return np.column_stack(cols) if cols else np.empty((feats.n_rows, 0))
+            yield col
 
 
 def spearman_matrix(ds: FleetDataset, features: Sequence[str]) -> CorrelationMatrix:
@@ -130,15 +146,14 @@ def spearman_matrix(ds: FleetDataset, features: Sequence[str]) -> CorrelationMat
     available, SSD fleets accept ``bad_blocks_cum`` (factory + new), and
     HDD fleets accept the ``failed`` flag. Unknown names raise ValueError.
     """
-    table = _feature_table(ds, features)
     p = len(features)
     rho = np.eye(p)
     defined = np.ones((p, p), dtype=bool)
     ranks, constant = [], []
-    for j in range(p):
-        col = table[:, j]
+    # Each column is ranked before the next one is built.
+    for col in _feature_columns(ds, features):
         constant.append(col.size == 0 or bool(np.all(col == col[0])))
-        ranks.append(None if constant[j] else _centred_ranks(col))
+        ranks.append(None if constant[-1] else _centred_ranks(col))
     for i in range(p):
         for j in range(i + 1, p):
             if constant[i] or constant[j]:
@@ -153,6 +168,20 @@ def spearman_matrix(ds: FleetDataset, features: Sequence[str]) -> CorrelationMat
     return CorrelationMatrix(tuple(features), rho, defined)
 
 
+def _distinct_pairs(drive: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (drive, bin) pairs, sorted by drive then bin: the rows
+    of ``np.unique(np.stack((drive, bins)), axis=1)``.
+
+    One 1-D ``np.unique`` of the int64 keys ``drive * width + dense rank of
+    the bin``, which cannot overflow whatever the bins are. Rows need not
+    be sorted: HDD ages can go backward within a drive.
+    """
+    values, rank = np.unique(bins, return_inverse=True)
+    width = max(values.size, 1)
+    keys = np.unique(np.asarray(drive, dtype=np.int64) * width + rank)
+    return keys // width, values[keys % width]
+
+
 def monthly_failure_rate(failures: Iterable[FailureEvent],
                          ds: FleetDataset) -> RateCurve:
     """Failures per exposed drive per month of drive age.
@@ -163,8 +192,7 @@ def monthly_failure_rate(failures: Iterable[FailureEvent],
     fail_months = np.array([ev.age_days // DAYS_PER_MONTH for ev in failures],
                            dtype=np.int64)
     # One entry per (drive, age month) that has a record.
-    exposed = np.unique(np.stack([ds.row_drive(),
-                                  drive_days(ds) // DAYS_PER_MONTH]), axis=1)[1]
+    exposed = _distinct_pairs(ds.row_drive(), drive_days(ds) // DAYS_PER_MONTH)[1]
     n_bins = int(max(exposed.max(initial=-1), fail_months.max(initial=-1))) + 1
     if n_bins <= 0:
         return RateCurve.from_counts(np.array([0.0]), [], [])
@@ -194,8 +222,7 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     pe_at_failure = pe[readings.order[stop[stop > start] - 1]]
     n_bins = int(pe.max(initial=0)) // bin_width + 1
     fail_counts = np.bincount(pe_at_failure // bin_width, minlength=n_bins)
-    drive_bins = np.unique(np.stack([drive, pe // bin_width]), axis=1)
-    exposure = np.bincount(drive_bins[1], minlength=n_bins)
+    exposure = np.bincount(_distinct_pairs(drive, pe // bin_width)[1], minlength=n_bins)
     edges = np.arange(n_bins + 1) * bin_width
     curve = RateCurve.from_counts(edges, fail_counts, exposure)
     total = pe_at_failure.size
@@ -297,7 +324,9 @@ def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetData
     rng = np.random.default_rng(seed)
     baseline = {n: 0.0 for n in windows}
     if days.size:
-        picks = rng.integers(0, days.size, size=BASELINE_WINDOW_DRAWS)
+        # Sorted, each probe walks the window keys once; a hit count does
+        # not depend on the order of the probes.
+        picks = np.sort(rng.integers(0, days.size, size=BASELINE_WINDOW_DRAWS))
         ends = days[picks]
         for n in windows:
             start, stop = errors.find(drive[picks], ends - n + 1, ends)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 from pathlib import Path
@@ -208,6 +209,45 @@ class TestPipeline:
                     "--input", str(synth_dir / "ssd_telemetry.csv"),
                     "--lookahead", "0,1,2,7", "--out", str(tmp_path)]) == 0
         assert len(builds) == 1
+
+
+class TestParser:
+    @pytest.fixture(scope="class")
+    def hdd_input(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("hdd")
+        (out / "fleet.json").write_text(json.dumps(HDD_CONFIG))
+        assert run(["synth", "--config", str(out / "fleet.json"), "--seed", "2",
+                    "--out", str(out)]) == 0
+        return str(out / "hdd_telemetry.csv")
+
+    @staticmethod
+    def _config_hash(out: Path) -> str:
+        return json.loads((out / "ingest_report.json").read_text())["_meta"]["config_hash"]
+
+    def test_consecutive_runs_share_one_parser(self, hdd_input, tmp_path, monkeypatch):
+        parsers = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def spy(parser, *args, **kwargs):
+            parsers.append(parser)
+            return parse_args(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+        for name in ("a", "b"):
+            assert run(["ingest", "--family", "hdd", "--input", hdd_input,
+                        "--out", str(tmp_path / name)]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+    def test_options_do_not_reach_the_next_run(self, hdd_input, tmp_path):
+        alone = ["ingest", "--family", "hdd", "--input", hdd_input]
+        assert run([*alone, "--models", "ST-A", "--from", "2000-01-01",
+                    "--jobs", "2", "--out", str(tmp_path / "first")]) == 0
+        assert run([*alone, "--out", str(tmp_path / "second")]) == 0
+        cli._build_parser.cache_clear()
+        assert run([*alone, "--out", str(tmp_path / "alone")]) == 0
+        second = self._config_hash(tmp_path / "second")
+        assert second == self._config_hash(tmp_path / "alone")
+        assert second != self._config_hash(tmp_path / "first")
 
 
 class TestErrors:

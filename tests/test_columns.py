@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from drivelife import charstats, featurize
+from drivelife import charstats, cli, featurize
 from drivelife.featurize import (HDD_DIFF_IDS, make_features_hdd,
                                  make_features_ssd)
 from drivelife.ingest import HDD_SMART_IDS, SSD_ERROR_KINDS
@@ -355,7 +355,7 @@ def test_hdd_statistics_match_record_loop(seed):
     rng = random.Random(seed)
     ds = random_hdd_fleet(rng)
     failures = random_failures(rng, ds)
-    assert np.array_equal(charstats._feature_table(ds, ["failed"])[:, 0],
+    assert np.array_equal(next(charstats._feature_columns(ds, ["failed"])),
                           ref_failed_flag(ds))
     thresholds = [0, 60.0, 1e4, float(BIG), 2.0**63, float("inf")]
     assert same(charstats.hfh_threshold_sweep(failures, ds, thresholds),
@@ -399,3 +399,174 @@ def test_column_serves_only_known_fields():
                      (ssd, "failed")):
         with pytest.raises(KeyError):
             ds.column(name)
+
+
+# -- exposure counts and Spearman columns --------------------------------------
+
+
+def ref_monthly_rate(failures, ds):
+    """Failures per month of age over the drives with a record in that
+    month, from per-drive sets of months."""
+    fail_months = [ev.age_days // 30 for ev in failures]
+    months = {d: {int(day) // 30 for day in days}
+              for d, days in days_by_drive(ds).items()}
+    seen = fail_months + [m for ms in months.values() for m in ms]
+    if any(m < 0 for m in seen):
+        raise ValueError("negative month")
+    n_bins = max(seen, default=-1) + 1
+    if n_bins == 0:
+        return charstats.RateCurve.from_counts(np.array([0.0]), [], [])
+    failed, exposure = [0] * n_bins, [0] * n_bins
+    for m in fail_months:
+        failed[m] += 1
+    for ms in months.values():
+        for m in ms:
+            exposure[m] += 1
+    return charstats.RateCurve.from_counts(np.arange(n_bins + 1) * 30, failed, exposure)
+
+
+def outcome(fn, *args):
+    try:
+        curve = fn(*args)
+    except ValueError:
+        return "ValueError"
+    return (curve.bin_edges.tolist(), curve.failures.tolist(),
+            curve.exposure.tolist(), repr(curve.rate))
+
+
+def rewinding_hdd_fleet(rng: random.Random, n_drives: int = 10):
+    """HDD drives whose power-on hours stall and run back by up to 20 days,
+    so that their ages leave a month and come back to it."""
+    fleet = {}
+    for k in range(n_drives):
+        serial = f"R{k:02d}"
+        hours, recs = rng.randrange(0, 24 * 90), []
+        for day in range(rng.randrange(1, 50)):
+            hours = max(hours + rng.choice((24, 24, 24, 0, -24 * rng.randrange(1, 20))), 0)
+            smart = {9: hours} if rng.random() < 0.8 else {}
+            recs.append(hdd_rec(serial, day, failed=rng.random() < 0.05, smart=smart))
+        fleet[serial] = recs
+    return hdd_dataset(fleet)
+
+
+FLEET_MAKERS = {"hdd": random_hdd_fleet, "ssd": random_ssd_fleet,
+                "rewinding": rewinding_hdd_fleet}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("family", FLEET_MAKERS)
+def test_monthly_rate_matches_record_loop(family, seed):
+    """Backward and repeated HDD ages, 40-day SSD jumps, drives without rows
+    and failures of drives without rows."""
+    rng = random.Random(seed)
+    ds = FLEET_MAKERS[family](rng)
+    failures = random_failures(rng, ds)
+    for events in (failures, [ev for ev in failures if ev.age_days >= 0], []):
+        assert outcome(charstats.monthly_failure_rate, events, ds) == \
+            outcome(ref_monthly_rate, events, ds)
+
+
+def test_hdd_fleets_revisit_a_month():
+    """Some drive's ages leave a month and come back to it, so exposure
+    cannot be counted from runs of equal months."""
+    revisits = 0
+    for seed in SEEDS:
+        ds = rewinding_hdd_fleet(random.Random(seed))
+        for days in days_by_drive(ds).values():
+            months = days // 30
+            runs = months[np.r_[True, months[1:] != months[:-1]]]
+            revisits += runs.size - np.unique(runs).size
+    assert revisits > 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_distinct_pairs_match_unique_columns(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 200))
+    top = [3, 40, 2**62][seed % 3]
+    drive = rng.integers(0, [1, 5, 30][seed % 3], size=n)
+    bins = rng.integers(-top if seed % 2 else 0, top, size=n)
+    if seed % 4 == 3:
+        bins[:] = bins[0] if n else 0  # a single bin
+    got = charstats._distinct_pairs(drive, bins)
+    want = np.unique(np.stack((drive, bins)), axis=1)
+    assert np.array_equal(np.stack(got), want)
+
+
+def test_distinct_pairs_of_nothing():
+    empty = np.zeros(0, dtype=np.int64)
+    got = charstats._distinct_pairs(empty, empty)
+    assert np.stack(got).shape == (2, 0)
+
+
+def ref_spearman_matrix(ds, names):
+    """The build-everything path: the whole feature matrix, a table of the
+    named columns, then the ranks of each."""
+    feats = featurize.make_features(ds)
+    cols = []
+    for name in names:
+        if name == "failed" and ds.family == "hdd":
+            cols.append(ds.column("failed")[0].astype(float))
+        elif name == "bad_blocks_cum" and ds.family == "ssd":
+            cols.append(feats.column("bad_blocks_factory_cum")
+                        + feats.column("bad_blocks_new_cum"))
+        else:
+            try:
+                cols.append(feats.column(name))
+            except KeyError:
+                raise ValueError(f"unknown feature {name!r} for family {ds.family}")
+    table = np.column_stack(cols) if cols else np.empty((feats.n_rows, 0))
+    p = len(names)
+    rho, defined = np.eye(p), np.ones((p, p), dtype=bool)
+    ranks, constant = [], []
+    for j in range(p):
+        col = table[:, j]
+        constant.append(col.size == 0 or bool(np.all(col == col[0])))
+        ranks.append(None if constant[j] else charstats._centred_ranks(col))
+    for i in range(p):
+        for j in range(i + 1, p):
+            if constant[i] or constant[j]:
+                rho[i, j] = rho[j, i] = np.nan
+                defined[i, j] = defined[j, i] = False
+                continue
+            rho[i, j] = rho[j, i] = charstats._rank_corr(ranks[i], ranks[j])
+    for j in range(p):
+        if constant[j]:
+            defined[j, j] = False
+            rho[j, j] = np.nan
+    return rho, defined
+
+
+def spearman_outcome(fn, ds, names):
+    try:
+        result = fn(ds, names)
+    except ValueError as exc:
+        return str(exc)
+    rho, defined = (result.rho, result.defined) if hasattr(result, "rho") else result
+    return rho.tobytes(), defined.tobytes()
+
+
+def _spearman_fleets(seed):
+    rng = random.Random(seed)
+    # Only SMART 5, 9 and 241 reported; 241 and the failed flag constant.
+    sparse = hdd_dataset({s: [hdd_rec(s, d, smart={5: d * k, 9: 24 * d, 241: 7})
+                              for d in range(rng.randrange(1, 6))]
+                          for k, s in enumerate(("A", "B", "C"))})
+    return [random_hdd_fleet(rng), random_ssd_fleet(rng), sparse,
+            hdd_dataset({}), ssd_dataset({})]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_spearman_matrix_matches_build_everything(seed):
+    extra = ["smart_240", "smart_241", "smart_1", "age_days", "smart_187_cum",
+             "counter_reset", "smart_5_diff", "bad_blocks_factory_cum", "read_ops",
+             "err_read"]
+    for ds in _spearman_fleets(seed):
+        base = cli._HDD_CORR_FEATURES if ds.family == "hdd" else cli._SSD_CORR_FEATURES
+        for names in (base, base + extra, extra, ["failed", "failed"], ["age_days"], [],
+                      ["smart_5", "smart_2"], ["smart_05"], ["bad_blocks_cum", "failed"]):
+            assert spearman_outcome(charstats.spearman_matrix, ds, names) == \
+                spearman_outcome(ref_spearman_matrix, ds, names)
+    sparse = _spearman_fleets(seed)[2]
+    assert not sparse.column("smart_1")[1].any()  # an id no row reports
+    assert np.unique(sparse.column("smart_241")[0]).size == 1  # constant

@@ -420,6 +420,20 @@ class TestAgainstPerEventScans:
             repr(ref_percentiles(failures, ds, kind_of(ds), (50.0, 90.0), offsets))
 
 
+@pytest.mark.parametrize("draws", [1, 3])
+@pytest.mark.parametrize("family,seed", FLEETS)
+def test_prefailure_probability_with_few_draws(family, seed, draws, monkeypatch):
+    """The baseline probes are sorted before they are looked up; with one or
+    three draws every hit still lands on its own drawn window."""
+    monkeypatch.setattr(charstats, "BASELINE_WINDOW_DRAWS", draws)
+    ds = make_fleet(family, seed)
+    failures = lifecycle.detect_failures(ds)
+    windows = [1, 2, 7, 30]
+    assert repr(charstats.prefailure_error_probability(
+        failures, ds, kind_of(ds), windows, seed=seed)) == \
+        repr(ref_probability(failures, ds, kind_of(ds), windows, seed))
+
+
 def test_fleets_are_adversarial():
     """The random HDD fleets do contain backward and repeated ages."""
     backward = repeated = 0

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drivelife import ingest
+from drivelife import featurize, ingest
 from drivelife.ingest import (HDD_SMART_IDS, SchemaError, _parse_count, _parse_flag,
                               _parse_ssd_row, _SSD_COLUMNS, _SSD_FIELDS, _Table,
                               parse_hdd_csv, parse_ssd_log)
@@ -348,3 +348,61 @@ def test_crlf_lines_take_the_comma_split():
     assert (block.end - block.start)[-1].tolist() == [1, 0]
     assert ingest._split(["2014-01-17,A\r,ST-A,,0,,1,,100,,0\n"], 1,
                          len(HDD_HEADER), cols) is None
+
+
+# -- text given as a str -------------------------------------------------------
+
+#: Characters ``str.splitlines`` breaks a line at and the CSV input does not.
+NOT_NEWLINES = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@given(st.text(alphabet=["a", ",", '"', "\n", *NOT_NEWLINES], max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_str_lines_are_the_stringio_lines(text):
+    assert list(ingest._lines(text)) == list(io.StringIO(text))
+
+
+def _examples_outcome(stream):
+    try:
+        ex = featurize.read_examples_csv(stream)
+    except SchemaError as exc:
+        return "SchemaError", str(exc)
+    return (ex.names, ex.X.tobytes(), ex.y.tobytes(), ex.drive.tobytes(), ex.drive_ids,
+            ex.days.tobytes(), ex.partition_key.tobytes())
+
+
+def _odd_texts(header, row, end, last):
+    """Texts of ``row(cell)`` lines whose cell holds each character that is
+    not a newline to the CSV input: raw (without the carriage return, which
+    the reader refuses there), quoted, and a raw carriage return alone."""
+    raw = [row(f"D{i}{c}x") for i, c in enumerate(NOT_NEWLINES[1:])]
+    quoted = [row(_quote(f"Q{i}{c}x")) for i, c in enumerate(NOT_NEWLINES)]
+    for rows in (raw, quoted, [row("R\rx")], raw + quoted):
+        yield end.join([",".join(header), *rows]) + last
+
+
+@pytest.mark.parametrize("last", ["", "\n"], ids=["open", "closed"])
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("family", ["hdd", "ssd", "examples"])
+def test_str_input_reads_as_its_text_stream(family, end, last):
+    if family == "hdd":
+        header, outcome = HDD_HEADER, lambda s: _outcome(
+            lambda t: parse_hdd_csv(t, smart_ids=HDD_SMART), s)
+
+        def row(cell):
+            return f"2014-01-17,{cell},{cell},,0,,1,,100,,0"
+    elif family == "ssd":
+        header, outcome = list(_SSD_COLUMNS), lambda s: _outcome(parse_ssd_log, s)
+
+        def row(cell):
+            cells = [PLAIN[k] for k in SSD_KINDS]
+            cells[:2] = [cell, cell]
+            return ",".join(cells)
+    else:
+        header = ["f1", "f2", "label", "drive_id", "day", "partition_key"]
+        outcome = _examples_outcome
+
+        def row(cell):
+            return f"1.0,2.5,0,{cell},3,3.0"
+    for text in _odd_texts(header, row, end, last):
+        assert outcome(text) == outcome(io.StringIO(text))
