@@ -36,8 +36,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
-                     _blocks, _column, _digits, _header, _last_present,
-                     _previous_present, _write_columns)
+                     _blocks, _codes, _column, _digits, _header, _last_present,
+                     _previous_present, _sorted_codes, _write_columns)
 from .lifecycle import (FailureEvent, OperationalPeriod, _DayWindows, _drive_codes,
                         drive_days)
 
@@ -321,14 +321,13 @@ def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
     if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
         raise SchemaError("not an examples CSV: trailing columns mismatch")
     names = tuple(header[:-4])
-    code: dict[str, int] = {}  # drive id -> its code in order of first row
+    code: dict[str, int] = {}  # drive id -> its code, numbered as coded
     parts = [_block_examples(block, len(names), code)
              for block in _blocks(lines, line, len(header), range(len(header)))]
     X, y, drives, days, keys = (np.concatenate(p) for p in zip(
         (np.empty((0, len(names))), np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
          np.empty(0, dtype=np.int64), np.empty(0)), *parts))
-    drive_ids = sorted(code)
-    rank = np.argsort(np.array([code[d] for d in drive_ids], dtype=np.int64))
+    drive_ids, rank = _sorted_codes(code)
     return LabeledExamples(names, X, y, rank[drives], drive_ids, days, keys, lookahead)
 
 
@@ -349,9 +348,10 @@ def _block_examples(block, k: int, code: dict[str, int]) -> tuple[np.ndarray, ..
     The kernel takes a feature or key cell written ``[0-9]{1,15}\\.0``,
     whose float is its digits' value (exact: below 2**53), and a label or
     day cell of 1 to 18 ASCII digits (``ingest``'s count grammar). Every
-    other row goes to :func:`_parse_example`. The first bad row by line,
-    with a wrong cell count or a value the row parser rejects, or text the
-    CSV reader cannot cut, raises SchemaError.
+    other row goes to :func:`_parse_example`. Drive ids are coded by
+    ``ingest``'s name kernel, and the ids it does not take from their text.
+    The first bad row by line, with a wrong cell count or a value the row
+    parser rejects, or text the CSV reader cannot cut, raises SchemaError.
     """
     units, start, end = block.units, block.start, block.end
     numbers_at = [*range(k), k + 3]  # the features, then the partition key
@@ -368,7 +368,10 @@ def _block_examples(block, k: int, code: dict[str, int]) -> tuple[np.ndarray, ..
             break
     if errors:
         raise SchemaError("examples line {}: {}".format(*min(errors)))
-    return X, y, _drive_id_codes(block, k + 1, code), days, keys
+    drives, drive_taken = _codes(code, units, start[k + 1], end[k + 1], empty=False)
+    other = np.flatnonzero(~drive_taken)
+    drives[other] = [code.setdefault(d, len(code)) for d in block.cells(k + 1, other)]
+    return X, y, drives, days, keys
 
 
 def _decimals(units: np.ndarray, start: np.ndarray,
@@ -390,20 +393,3 @@ def _decimals(units: np.ndarray, start: np.ndarray,
     value.ravel()[longer], taken.ravel()[longer] = _digits(
         units, start.ravel()[longer], dot.ravel()[longer])
     return value, taken
-
-
-def _drive_id_codes(block, j: int, code: dict[str, int]) -> np.ndarray:
-    """Codes of the drive ids in wanted column j, a new id getting the next
-    code. Only a row whose id may differ from the previous row's is sliced
-    from the block's text: rows come grouped by drive."""
-    start, end = block.start[j], block.end[j]
-    size = end - start
-    offsets = np.arange(size.max(initial=0))
-    chars = block.units[np.minimum(start[:, None] + offsets, block.units.size - 1)]
-    chars[offsets >= size[:, None]] = 0
-    first = np.ones(size.size, dtype=bool)  # may differ from the previous row
-    first[1:] = (size[1:] != size[:-1]) | (chars[1:] != chars[:-1]).any(axis=1)
-    rows = np.flatnonzero(first)
-    ids = block.cells(j, rows)
-    return np.repeat(np.array([code.setdefault(d, len(code)) for d in ids], dtype=np.int64),
-                     np.diff(rows, append=size.size))

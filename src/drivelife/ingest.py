@@ -651,6 +651,32 @@ def _parse_flag(cell: str) -> bool:
     raise ValueError(f"not a 0/1 flag: {cell!r}")
 
 
+def _codes(names: dict[str, int], units: np.ndarray, start: np.ndarray,
+           end: np.ndarray, empty: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of a column of names (drive ids or model names) in ``names``, a
+    new name getting the next code, and which cells the kernel took: up to
+    ``_ID_MAX`` code points with printable, non-blank ASCII at both ends,
+    or, when ``empty``, an empty cell. A cell not taken has code -1."""
+    size = end - start
+    edges = units[np.stack([start, end - 1])]
+    taken = (size > 0) & (size <= _ID_MAX) & ((edges > 32) & (edges < 127)).all(axis=0)
+    if empty:
+        taken |= size == 0
+    rows = np.flatnonzero(taken)
+    width = max(int(size[rows].max(initial=0)), 1)
+    offsets = np.arange(width)[:, None]
+    chars = units[np.minimum(start[rows] + offsets, units.size - 1)]
+    chars[offsets >= size[rows]] = 0
+    keys, inverse = np.unique(np.ascontiguousarray(chars.T).view(
+        f"S{width}" if units.itemsize == 1 else f"<U{width}")[:, 0], return_inverse=True)
+    codes = np.array([names.setdefault(k.decode("ascii") if isinstance(k, bytes) else k,
+                                       len(names)) for k in keys.tolist()],
+                     dtype=np.int64)
+    value = np.full(size.size, -1, dtype=np.int64)
+    value[rows] = codes[inverse]
+    return value, taken
+
+
 def _sorted_codes(index: dict[str, int]) -> tuple[list[str], np.ndarray]:
     """The names of a name -> code map, sorted, and each code's rank among them."""
     names = sorted(index)
@@ -700,8 +726,10 @@ class _Table:
             taken = np.ones(block.line.size, dtype=bool)
             for j, kind in enumerate(("drive", "model", *kinds)):
                 cells = block.units, block.start[j], block.end[j]
-                rows[:, 1 + j], ok = (self._codes(kind, *cells) if j < 2
-                                      else _column(kind, *cells))
+                rows[:, 1 + j], ok = (
+                    _codes(self.drives, *cells, empty=False) if kind == "drive"
+                    else _codes(self.models, *cells, empty=True) if kind == "model"
+                    else _column(kind, *cells))
                 taken &= ok
             kept = taken.copy()
             for i in np.flatnonzero(~taken).tolist():
@@ -715,31 +743,6 @@ class _Table:
                 kept[i] = True
             self.cells.frombytes(rows[kept].tobytes())
         self.sort()
-
-    def _codes(self, kind: str, units: np.ndarray, start: np.ndarray,
-               end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Codes of a column of drive ids or model names, and which cells the
-        kernel took: up to ``_ID_MAX`` code points with printable, non-blank
-        ASCII at both ends, or an empty model name."""
-        names = self.drives if kind == "drive" else self.models
-        size = end - start
-        edges = units[np.stack([start, end - 1])]
-        taken = (size > 0) & (size <= _ID_MAX) & ((edges > 32) & (edges < 127)).all(axis=0)
-        if kind == "model":
-            taken |= size == 0
-        rows = np.flatnonzero(taken)
-        width = max(int(size[rows].max(initial=0)), 1)
-        offsets = np.arange(width)[:, None]
-        chars = units[np.minimum(start[rows] + offsets, units.size - 1)]
-        chars[offsets >= size[rows]] = 0
-        keys, inverse = np.unique(np.ascontiguousarray(chars.T).view(
-            f"S{width}" if units.itemsize == 1 else f"<U{width}")[:, 0], return_inverse=True)
-        codes = np.array([names.setdefault(k.decode("ascii") if isinstance(k, bytes) else k,
-                                           len(names)) for k in keys.tolist()],
-                         dtype=np.int64)
-        value = np.full(size.size, -1, dtype=np.int64)
-        value[rows] = codes[inverse]
-        return value, taken
 
     def sort(self, t: np.ndarray | None = None) -> None:
         """Sort the added rows, or the table ``t`` (whose codes are ``drives``

@@ -60,7 +60,6 @@ DEFAULT_SSD_ERROR_INCIDENCE = {
 }
 
 _DEFAULT_SSD_MODELS = {"MLC-A": 0.0695, "MLC-B": 0.143, "MLC-D": 0.125}
-_DEFAULT_HDD_MODELS = {"ST4000DM000": 0.1021, "ST12000NM0007": 0.0376}
 
 _HDD_EPOCH = dt.date(2014, 1, 17)
 
@@ -184,11 +183,6 @@ def _solve_hazard(target: float, horizon: int, multiplier: float,
     return float(brentq(survival_gap, 1e-15, hi, xtol=1e-15))
 
 
-def _assign_models(config: SynthConfig) -> list[str]:
-    names = sorted(config.models)
-    return [names[i % len(names)] for i in range(config.n_drives)]
-
-
 def _sample_failure_day(rng, hazards: np.ndarray, start: int) -> int | None:
     us = rng.random(hazards.size - start)
     hits = np.flatnonzero(us < hazards[start:])
@@ -258,8 +252,9 @@ def _error_counts(rng, n_days: int, incidence: dict) -> dict[str, np.ndarray]:
 
 def _add_bursts(rng, config: SynthConfig, fail_day: int, counts: dict, n: int,
                 key) -> None:
-    """Add each applicable burst's pre-failure ramp, one scalar Poisson draw
-    a day, to the column ``counts[key(kind)]``; a None key skips the burst."""
+    """Add each applicable burst's pre-failure ramp, one Poisson draw a day
+    in one call, to the column ``counts[key(kind)]``; a None key skips the
+    burst."""
     for spec in config.bursts:
         k = key(spec.kind)
         if k is None or not spec.applies(fail_day, config.infant_period_days):
@@ -268,8 +263,8 @@ def _add_bursts(rng, config: SynthConfig, fail_day: int, counts: dict, n: int,
             continue
         col = counts.setdefault(k, np.zeros(n, dtype=np.int64))
         first = max(0, n - spec.days)
-        for i in range(first, n):
-            col[i] += rng.poisson(spec.mean * (i - first + 1) / (n - first))
+        m = n - first
+        col[first:] += rng.poisson(spec.mean * np.arange(1, m + 1) / m)
 
 
 def _block(n: int, *columns) -> np.ndarray:
@@ -291,12 +286,9 @@ def _ssd_block(drive: int, days: np.ndarray, reads, writes, erases, pe,
                   False)
 
 
-def _generate_ssd_drive(drive: int, model: str, rng, config: SynthConfig
+def _generate_ssd_drive(drive: int, base: float, rng, config: SynthConfig
                         ) -> tuple[list[np.ndarray], _DrivePlan]:
     horizon = config.horizon_days
-    base = _solve_hazard(config.models[model], horizon,
-                         config.infant_hazard_multiplier,
-                         config.infant_period_days)
     hazards = np.full(horizon, base)
     infant = min(config.infant_period_days, horizon)
     hazards[:infant] = min(base * config.infant_hazard_multiplier, 1.0)
@@ -360,11 +352,9 @@ def _smart_id(kind: str) -> int | None:
 _HDD_DRAWS = ((1, 0, 200_000_000), (7, 0, 1_000_000), (190, 50, 80), (194, 20, 45))
 
 
-def _generate_hdd_drive(drive: int, model: str, rng, config: SynthConfig
+def _generate_hdd_drive(drive: int, base: float, rng, config: SynthConfig
                         ) -> tuple[list[np.ndarray], _DrivePlan]:
     horizon = config.horizon_days
-    base = _solve_hazard(config.models[model], horizon, 1.0,
-                         config.infant_period_days)
     hfh_start = 0.0
     if rng.random() < config.hfh_high_fraction:
         hfh_start = config.hfh_threshold * (1.1 + rng.random())
@@ -388,10 +378,8 @@ def _generate_hdd_drive(drive: int, model: str, rng, config: SynthConfig
         if fails:
             _add_bursts(rng, config, end, increments, n, _smart_id)
         hfh_cum = hfh_start + np.cumsum(hours)
-        # Scalar draws, row by row, keep the generator's draw order.
-        drawn = np.array([[rng.integers(lo, hi) for _, lo, hi in _HDD_DRAWS]
-                          for _ in range(n)], dtype=np.int64)
-        smart = {sid: drawn[:, k] for k, (sid, _, _) in enumerate(_HDD_DRAWS)}
+        sids, lows, highs = np.array(_HDD_DRAWS).T
+        smart = dict(zip(sids.tolist(), rng.integers(lows, highs, size=(n, sids.size)).T))
         increments[241] = increments.get(241, 0) + writes
         increments[242] = increments.get(242, 0) + reads
         for sid in cum:
@@ -410,18 +398,24 @@ def _generate_hdd_drive(drive: int, model: str, rng, config: SynthConfig
 def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent]]:
     """Generate a fleet and its ground-truth failure events, deterministically.
 
-    Per-drive randomness is seeded by (config.seed, drive index), so any
-    subset of drives is reproducible independently of the others.
+    Drive i has the i-th model in name order, cyclically. Per-drive
+    randomness is seeded by (config.seed, drive index), so any subset of
+    drives is reproducible independently of the others.
     """
-    models = _assign_models(config)
+    names = sorted(config.models)
     ssd = config.family == "ssd"
     generate = _generate_ssd_drive if ssd else _generate_hdd_drive
+    # Each assigned model's base hazard; an HDD fleet has no infant hazard.
+    base = [_solve_hazard(config.models[m], config.horizon_days,
+                          config.infant_hazard_multiplier if ssd else 1.0,
+                          config.infant_period_days)
+            for m in names[:config.n_drives]]
     blocks: list[np.ndarray] = []
     swaps: list[tuple[int, int]] = []
     truth: list[FailureEvent] = []
-    for i, model in enumerate(models):
+    for i in range(config.n_drives):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
-        drive_blocks, plan = generate(i, model, rng, config)
+        drive_blocks, plan = generate(i, base[i % len(names)], rng, config)
         blocks += drive_blocks
         swaps += [(i, day) for day in plan.swaps]
         for ordinal, day in enumerate(plan.failures, start=1):
@@ -431,8 +425,7 @@ def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent
     if ssd:
         rows = _mark_swaps(rows, np.array(swaps, dtype=np.int64).reshape(-1, 2),
                            config.horizon_days)
-    names = sorted(config.models)
-    rows[:, 2] = np.array([names.index(m) for m in models])[rows[:, 1]]
+    rows[:, 2] = rows[:, 1] % len(names)
     table = _Table(rows.shape[1] - 3)
     table.drives = {f"{config.family}-{i:05d}": i for i in range(config.n_drives)}
     table.models = {m: k for k, m in enumerate(names)}

@@ -311,6 +311,13 @@ ODD_INT_CELLS = ("+1", " 1", "1_0", "١", "-3", "0", "00", "2", "x", "", "1.0",
                  "9" * 18, "9" * 19, str(2**63 - 1), str(-2**63))
 
 
+#: Drive id cells that ingest's name kernel does not take (empty, blank or
+#: unprintable at an edge, longer than ``ingest._ID_MAX``, not ASCII at an
+#: edge, quoted) and cells it takes.
+ODD_DRIVE_IDS = ("", " d", "d ", "\td", "d\x7f", "x" * 64, "x" * 65, "é", "dé", "éd",
+                 "d é d", '"q,d"', '"d"', "d", "d2", "~!")
+
+
 def examples_text(examples, writer=None, comment="meta") -> str:
     buf = io.StringIO()
     (writer or write_examples_csv)(examples, buf, header_comment=comment)
@@ -367,6 +374,19 @@ class TestExamplesCsv:
                     read_examples_csv(text)
                 continue
             assert_same_read(text)
+
+    @pytest.mark.parametrize("block", [1, 3, ingest._READ_BLOCK])
+    def test_odd_drive_ids_read_as_the_row_parser_reads_them(self, monkeypatch, block):
+        # ids that ingest's name kernel leaves to the cell text beside ids it
+        # takes, in blocks of ASCII text and of wider code points alike
+        monkeypatch.setattr(ingest, "_READ_BLOCK", block)
+        rng = random.Random(block)
+        cells = [rng.choice(ODD_DRIVE_IDS) for _ in range(80)]
+        text = "a,label,drive_id,day,partition_key\n" + "".join(
+            f"1.0,0,{cell},3,3.0\n" for cell in cells)
+        assert_same_read(text)
+        assert (list(read_examples_csv(text).drive_ids)
+                == list(row_at_a_time_read(text).drive_ids))
 
     @pytest.mark.parametrize("block", [1, 2, 3, ingest._READ_BLOCK])
     def test_first_bad_row_by_line(self, monkeypatch, block):

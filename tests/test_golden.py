@@ -21,6 +21,16 @@ the folds through the reader, not through the dataset.
 The ``--input`` paths are relative, because the config hash written into
 every artifact covers the path string.
 
+The generator's own settings are pinned by ``synth`` alone on three more
+fleets (:data:`SYNTH_FLEETS`), whose telemetry and truth files must hash
+to :data:`SYNTH_GOLDEN`. Between them they use every setting the fleets
+above leave at its default or do not reach: an infant hazard multiplier
+(which an HDD fleet ignores), an HFH effect, confounders of each feature
+kind and age class, bursts for young and for old failures, a burst with a
+probability below 1, bursts longer than their segment and of a kind with
+no incidence, a model with target 0, re-entry probabilities 0 and 1, and
+fewer drives than models.
+
 A change that alters one of these files on purpose updates its hash here
 and says why.
 """
@@ -128,6 +138,55 @@ GOLDEN = {
 }
 
 
+SYNTH_FLEETS = {
+    "ssd-settings": ({
+        "family": "ssd", "n_drives": 40, "horizon_days": 60,
+        "models": {"MLC-A": 0.5, "MLC-B": 0.0, "MLC-C": 0.3},
+        "infant_hazard_multiplier": 4.0, "infant_period_days": 20,
+        "error_incidence": {"correctable": 0.3, "uncorrectable": 0.02,
+                            "timeout": 0.01},
+        "bursts": [
+            {"kind": "uncorrectable", "mean": 5.0, "days": 40, "age_class": "young"},
+            {"kind": "erase", "mean": 3.0, "days": 2, "probability": 0.5,
+             "age_class": "old"},
+            {"kind": "final_read", "mean": 2.5, "days": 3}],
+        "confounders": [
+            {"feature": "write_ops", "rate": 0.1, "mean": 100.0},
+            {"feature": "read_ops", "rate": 0.05, "mean": 80.0, "age_class": "young"},
+            {"feature": "meta", "rate": 0.05, "mean": 3.0, "age_class": "old"}],
+        "reentry_probability": 1.0, "reentry_gap_mean_days": 5.0}, 11),
+    "hdd-settings": ({
+        "family": "hdd", "n_drives": 30, "horizon_days": 60,
+        "models": {"ST-A": 0.4, "ST-B": 0.0, "ST-C": 0.2},
+        "infant_hazard_multiplier": 4.0, "infant_period_days": 20,
+        "hfh_effect": 3.0, "hfh_threshold": 300.0, "hfh_high_fraction": 0.4,
+        "error_incidence": {"smart_5": 0.02, "smart_187": 0.01, "uncorrectable": 0.5},
+        "bursts": [
+            {"kind": "smart_187", "mean": 4.0, "days": 90, "age_class": "young"},
+            {"kind": "smart_197", "mean": 2.0, "days": 3, "probability": 0.5,
+             "age_class": "old"},
+            {"kind": "uncorrectable", "mean": 5.0, "days": 3}],
+        "reentry_probability": 0.0}, 13),
+    "ssd-few": ({
+        "family": "ssd", "n_drives": 2, "horizon_days": 30,
+        "models": {"MLC-A": 0.3, "MLC-B": 0.6, "MLC-C": 0.9}}, 17),
+}
+
+SYNTH_GOLDEN = {
+    "ssd-settings/ssd_telemetry.csv":
+        "5574579e3cd4f3c8535e85a8fefc8f9ca0cc203c1332335789f9b3f80fa9d071",
+    "ssd-settings/truth.csv":
+        "8ea70b336bf89ad536085ea2124372e0c3bfaaf3e28412ab59a9d559d2e596db",
+    "hdd-settings/hdd_telemetry.csv":
+        "b4bdc69576c20d8cc7d72370122877c6069ba25caa11b76255af7f43b884a06a",
+    "hdd-settings/truth.csv":
+        "0516f805ffe8d45f8e83c3b1c4ef506204e44be3025adc71f5235872ed86cde9",
+    "ssd-few/ssd_telemetry.csv":
+        "f9ebd4406a2ca2530233ca0965f6bad026c444036a7d271d283ab7019e188e6f",
+    "ssd-few/truth.csv":
+        "fd3b23e1a73cd9975515c5651fd3927b2081bd90004fc583b80b1adcdb0284b3",
+}
+
 #: ``--model tree`` runs on the SSD fleet, each into ``tree/<subcommand>``.
 TREE_MODEL = ["--model", "tree", "--hyper", '{"min_samples_leaf": 5}']
 TREE_RUNS = {
@@ -216,6 +275,18 @@ def tree_artifact_hashes(workdir: Path) -> dict:
     return _sha256(workdir, names)
 
 
+def synth_hashes(workdir: Path) -> dict:
+    """Run ``synth`` on each of :data:`SYNTH_FLEETS`; sha256 of its telemetry
+    and truth files."""
+    names = []
+    for out, (fleet, seed) in SYNTH_FLEETS.items():
+        (workdir / f"{out}.json").write_text(json.dumps(fleet))
+        argv = ["synth", "--config", f"{out}.json", "--out", out, "--seed", str(seed)]
+        assert run(argv) == 0, argv
+        names += [f"{out}/{fleet['family']}_telemetry.csv", f"{out}/truth.csv"]
+    return _sha256(workdir, names)
+
+
 def test_count_only_artifacts_match_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert artifact_hashes(tmp_path) == GOLDEN
@@ -224,3 +295,8 @@ def test_count_only_artifacts_match_golden_hashes(tmp_path, monkeypatch):
 def test_tree_evaluation_artifacts_match_golden_hashes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert tree_artifact_hashes(tmp_path) == TREE_GOLDEN
+
+
+def test_synth_settings_match_golden_hashes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert synth_hashes(tmp_path) == SYNTH_GOLDEN

@@ -1,7 +1,9 @@
 import io
 
+import numpy as np
 import pytest
 
+from drivelife import synth
 from drivelife.ingest import parse_ssd_log, write_ssd_csv
 from drivelife.lifecycle import detect_ssd_failures
 from drivelife.synth import (BurstSpec, ConfounderSpec, SynthConfig, generate_fleet,
@@ -147,3 +149,55 @@ class TestVerify:
         report = verify_fleet(ds, truth, cfg)
         check = report.check("infant_rate_ratio")
         assert check.realized >= 3.0 and check.ok
+
+
+class TestDrawStream:
+    """The generator's batch draws take numpy's stream exactly as one scalar
+    call per cell does, and leave it at the same position. The fleets'
+    bytes rest on this for every numpy the package allows."""
+
+    NUMPY = f"batch and scalar draws differ under numpy {np.__version__}"
+    SEEDS = (0, 1, 7, 2024, 99991)
+    SIZES = (0, 1, 2, 1000)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_smart_draws_equal_row_by_row_draws(self, seed, n):
+        batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        _, lows, highs = np.array(synth._HDD_DRAWS).T
+        drawn = batch.integers(lows, highs, size=(n, lows.size))
+        rows = [[scalar.integers(lo, hi) for _, lo, hi in synth._HDD_DRAWS]
+                for _ in range(n)]
+        assert drawn.dtype == np.int64, self.NUMPY
+        assert np.array_equal(drawn, np.array(rows, dtype=np.int64).reshape(n, lows.size)), \
+            self.NUMPY
+        assert batch.random() == scalar.random(), self.NUMPY
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_burst_ramp_equals_daily_draws(self, seed, n):
+        # means below and above numpy's switch of Poisson algorithm (10),
+        # ramps shorter than, as long as and longer than the segment, and
+        # one burst skipped by its probability
+        bursts = tuple(synth.BurstSpec(kind, mean, days, probability)
+                       for kind, mean, days, probability in (
+                           ("read", 0.0, 3, 1.0), ("write", 2.5, 1, 1.0),
+                           ("meta", 20.0, 3, 1.0), ("erase", 50.0, n, 1.0),
+                           ("timeout", 7.0, n + 5, 1.0), ("response", 9.0, 4, 0.5)))
+        config = synth.SynthConfig(n_drives=1, horizon_days=2, bursts=bursts)
+        batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        counts = {"meta": np.arange(n, dtype=np.int64)}
+        expected = {k: v.copy() for k, v in counts.items()}
+        synth._add_bursts(batch, config, 0, counts, n, lambda kind: kind)
+        for spec in bursts:
+            if scalar.random() >= spec.probability:
+                continue
+            col = expected.setdefault(spec.kind, np.zeros(n, dtype=np.int64))
+            first = max(0, n - spec.days)
+            for i in range(first, n):
+                col[i] += scalar.poisson(spec.mean * (i - first + 1) / (n - first))
+        assert counts.keys() == expected.keys(), self.NUMPY
+        for kind, col in expected.items():
+            assert counts[kind].dtype == np.int64, self.NUMPY
+            assert np.array_equal(counts[kind], col), (kind, self.NUMPY)
+        assert batch.random() == scalar.random(), self.NUMPY
