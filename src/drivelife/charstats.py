@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from . import featurize
 from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS
@@ -96,8 +95,20 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float | None:
 
 
 def _centred_ranks(x: np.ndarray) -> np.ndarray:
-    """Average ranks of a non-constant series, minus their mean."""
-    r = rankdata(x, method="average")
+    """Average ranks of a non-constant series, minus their mean.
+
+    A tie group at sorted positions [s, e) ranks (s + e + 1) / 2, the
+    value ``scipy.stats.rankdata(x, method="average")`` gives it. A series
+    holding a NaN ranks all NaN, as rankdata's default NaN policy does.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    if xs.size and np.isnan(xs[-1]):  # NaN sorts last
+        return np.full(x.shape, np.nan)
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], xs.size]
+    r = np.empty(x.shape)
+    r[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
     return r - r.mean()
 
 

@@ -2,11 +2,14 @@
 
 Configuration comes from an optional JSON file (``--config``) with flag
 overrides (flags win); the seed falls back to the ``DRIVELIFE_SEED``
-environment variable and is mandatory for stochastic subcommands. Every
-artifact embeds {tool version, config hash, seed} (a ``_meta`` object in
-JSON files, a leading ``#`` comment in CSVs) and is written atomically
-(temp file + rename). Two runs with the same config, seed and input path
-strings produce byte-identical artifacts.
+environment variable and is mandatory for stochastic subcommands. The seed
+is an integer >= 0 and ``jobs`` an integer >= 1, wherever they come from.
+Every artifact but the telemetry tables embeds {tool version, config hash,
+seed} (a ``_meta`` object in JSON files, a leading ``#`` comment in CSVs);
+``{family}_telemetry.csv`` (synth) and ``{family}_dataset.csv`` (ingest)
+start at their header, as the input files they copy do. Every artifact is
+written atomically (temp file + rename). Two runs with the same config,
+seed and input path strings produce byte-identical artifacts.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 schema error,
 5 internal error. Every error but argparse's own usage messages is one
@@ -59,6 +62,17 @@ def _fail(kind: str, message: str, code: int) -> "CliError":
     return CliError(json.dumps({"error": kind, "message": message}), code)
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` if it is an integer of at least ``minimum``, else a usage error.
+
+    A bool, a float and a numeric string are not integers here.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise _fail("usage", f"bad {name} {value!r}; expected an integer "
+                    f">= {minimum}", EXIT_USAGE)
+    return value
+
+
 class _Run:
     """Resolved run context: config values, seed, output dir, artifact meta."""
 
@@ -77,23 +91,28 @@ class _Run:
                 raise _fail("usage", f"bad config file {path}: {exc}", EXIT_USAGE)
         self.config = config
         self.args = args
-        seed = getattr(args, "seed", None)
+        seed, source = getattr(args, "seed", None), "--seed"
         if seed is None:
-            seed = config.get("seed")
+            seed, source = config.get("seed"), "config seed"
         if seed is None and os.environ.get("DRIVELIFE_SEED"):
-            seed = int(os.environ["DRIVELIFE_SEED"])
+            seed, source = os.environ["DRIVELIFE_SEED"], "DRIVELIFE_SEED"
+            try:
+                seed = int(seed)
+            except ValueError:
+                pass  # rejected below, as text
         if seed is None:
             if self.command in _STOCHASTIC:
                 raise _fail("usage", f"{self.command} is stochastic: provide "
                             "--seed, a config seed, or DRIVELIFE_SEED", EXIT_USAGE)
             seed = 0
-        self.seed = int(seed)
+        self.seed = _integer(source, seed, 0)
+        jobs = self.opt("jobs")
+        self.jobs = 1 if jobs is None else _integer("--jobs", jobs, 1)
         out = self.opt("out")
         if out is None:
             raise _fail("usage", "--out is required", EXIT_USAGE)
         self.out = Path(out)
         self.out.mkdir(parents=True, exist_ok=True)
-        self.jobs = int(self.opt("jobs") or 1)
 
     def opt(self, name: str, default=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -362,6 +381,8 @@ def _characterize_options(run: _Run) -> tuple[str, list[float]]:
     try:
         thresholds = [float(t) for t in (raw.split(",") if isinstance(raw, str)
                                          else raw)]
+        if any(map(math.isnan, thresholds)):
+            raise ValueError("NaN threshold")
     except (TypeError, ValueError):
         raise _fail("usage", f"bad --thresholds {raw!r}; expected numbers, "
                     "comma-separated", EXIT_USAGE)

@@ -30,6 +30,7 @@ its errors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -281,8 +282,8 @@ class PartitionRule:
     threshold: float
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("threshold must be > 0")
+        if not 0 < self.threshold < math.inf:  # NaN too
+            raise ValueError("threshold must be finite and > 0")
         if self.attribute not in ("age", "hfh"):
             raise ValueError(f"unknown partition attribute {self.attribute!r}")
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import charstats
 from .ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, US_PER_DAY, FleetDataset,
@@ -176,11 +175,20 @@ def _solve_hazard(target: float, horizon: int, multiplier: float,
         s = (1.0 - min(multiplier * h, 1.0)) ** infant * (1.0 - h) ** mature
         return (1.0 - s) - target
 
-    hi = 1.0 / multiplier - 1e-12
+    lo, hi = 0.0, 1.0 / multiplier - 1e-12
     if survival_gap(hi) < 0:
         raise ValueError(f"target failure fraction {target} is infeasible "
                          f"within {horizon} days")
-    return float(brentq(survival_gap, 1e-15, hi, xtol=1e-15))
+    # Bisect with survival_gap(lo) < 0 <= survival_gap(hi) until the two
+    # are adjacent floats; hi is then the smallest float reaching the target.
+    while True:
+        mid = (lo + hi) / 2
+        if mid <= lo or mid >= hi:
+            return hi
+        if survival_gap(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _sample_failure_day(rng, hazards: np.ndarray, start: int) -> int | None:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivelife import charstats, cli, synth
 from drivelife.charstats import (hfh_threshold_sweep, monthly_failure_rate,
                                  nearest_rank, pe_binned_failure_rate,
                                  prefailure_error_percentiles,
@@ -81,6 +82,60 @@ class TestSpearman:
         base = spearman(xs, ys)
         transformed = spearman(xs, [math.exp(v / 1000) for v in ys])
         assert transformed == base  # ranks identical, so exactly equal
+
+
+class TestCentredRanks:
+    """The numpy ranks equal ``scipy.stats.rankdata(x) - mean`` bit for bit."""
+
+    @staticmethod
+    def scipy_ranks(x):
+        from scipy.stats import rankdata
+        r = rankdata(x, method="average")
+        return r - r.mean()
+
+    def assert_bit_equal(self, x):
+        got, want = charstats._centred_ranks(x), self.scipy_ranks(x)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 257, 10_000])
+    @pytest.mark.parametrize("distinct", [2, 5, 100, None],
+                             ids=["two_values", "five_values", "hundred", "floats"])
+    def test_equals_rankdata(self, n, distinct):
+        rng = np.random.default_rng(n)
+        x = (rng.normal(size=n) if distinct is None
+             else rng.integers(0, distinct, n).astype(float))
+        if np.all(x == x[0]):
+            x[0] += 1
+        self.assert_bit_equal(x)
+
+    def test_heavy_ties_and_signed_zero(self):
+        self.assert_bit_equal(np.array([0.0, -0.0, 0.0, 1.0, 1.0, 1.0, -2.0]))
+        self.assert_bit_equal(np.r_[np.zeros(9_999), 1.0])
+        self.assert_bit_equal(np.r_[np.full(5_000, 3.0), np.full(5_000, -3.0)])
+        self.assert_bit_equal(np.repeat(np.arange(100.0), 100)[::-1].copy())
+
+    @pytest.mark.parametrize("family", ["ssd", "hdd"])
+    def test_every_spearman_matrix_column_of_a_fleet(self, family):
+        config = synth.SynthConfig(family=family, n_drives=40, horizon_days=150,
+                                   seed=5)
+        ds, _ = synth.generate_fleet(config)
+        names = cli._SSD_CORR_FEATURES if family == "ssd" else cli._HDD_CORR_FEATURES
+        ranked = 0
+        for col in charstats._feature_columns(ds, names):
+            if not np.all(col == col[0]):
+                self.assert_bit_equal(col)
+                ranked += 1
+        assert ranked >= 3
+
+    def test_nan_ranks_all_nan(self):
+        for x in ([np.nan, 1.0, 2.0], [1.0, np.nan, 1.0], [2.0, 1.0, np.nan]):
+            assert np.isnan(charstats._centred_ranks(np.array(x))).all()
+            assert np.isnan(self.scipy_ranks(np.array(x))).all()
+
+    def test_nan_spearman_is_nan(self):
+        assert math.isnan(spearman([np.nan, 1, 2], [1, 2, 3]))
+        assert math.isnan(spearman([1, 2, 3], [3, np.nan, 1]))
 
 
 class TestSpearmanMatrix:

@@ -321,6 +321,73 @@ class TestErrors:
         assert "--thresholds" in doc["message"]
         assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
 
+    @pytest.mark.parametrize("config, extra, name", [
+        ({"seed": "x7"}, [], "config seed"), ({"seed": "7"}, [], "config seed"),
+        ({"seed": 1.5}, [], "config seed"), ({"seed": True}, [], "config seed"),
+        ({"seed": -1}, [], "config seed"), ({}, ["--seed=-1"], "--seed"),
+        ({"seed": 1, "jobs": "two"}, [], "--jobs"),
+        ({"seed": 1, "jobs": 1.0}, [], "--jobs"),
+        ({"seed": 1, "jobs": 0}, [], "--jobs"), ({"seed": 1}, ["--jobs", "0"], "--jobs"),
+        ({"seed": 1}, ["--jobs=-2"], "--jobs"),
+    ], ids=["seed_text", "seed_digits", "seed_float", "seed_bool", "seed_negative",
+            "seed_flag_negative", "jobs_text", "jobs_float", "jobs_zero",
+            "jobs_flag_zero", "jobs_flag_negative"])
+    def test_bad_seed_or_jobs_is_usage_error(self, config, extra, name, tmp_path,
+                                             capsys, monkeypatch):
+        monkeypatch.delenv("DRIVELIFE_SEED", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, doc = self._error(capsys, [
+            "evaluate", "--config", str(path), "--examples",
+            self._examples(tmp_path), "--out", str(tmp_path / "o"), *extra])
+        assert code == 2 and doc["error"] == "usage"
+        assert doc["message"].startswith(f"bad {name} ")
+        assert not (tmp_path / "o").exists()  # rejected before any output
+
+    @pytest.mark.parametrize("value", ["abc", "1.5", "true", "-3"])
+    def test_bad_env_seed_is_usage_error(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRIVELIFE_SEED", value)
+        code, doc = self._error(capsys, [
+            "evaluate", "--examples", self._examples(tmp_path),
+            "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        assert doc["message"].startswith("bad DRIVELIFE_SEED ")
+
+    def test_good_seed_and_jobs_from_config(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("DRIVELIFE_SEED", raising=False)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 4, "jobs": 2}))
+        assert run(["evaluate", "--config", str(path), "--examples",
+                    self._examples(tmp_path), "--model", "tree", "--folds", "2",
+                    "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "eval_report.json").read_text())
+        assert doc["_meta"]["seed"] == 4
+
+    def test_nan_threshold_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "hdd.json"
+        config.write_text(json.dumps(HDD_CONFIG))
+        assert run(["synth", "--config", str(config), "--seed", "2",
+                    "--out", str(tmp_path / "fleet")]) == 0
+        capsys.readouterr()
+        for raw in ("nan", "10000,NaN"):
+            code, doc = self._error(capsys, [
+                "characterize", "--family", "hdd",
+                "--input", str(tmp_path / "fleet" / "hdd_telemetry.csv"),
+                "--analysis", "hfh-sweep", "--thresholds", raw,
+                "--seed", "1", "--out", str(tmp_path / "o")])
+            assert code == 2 and doc["error"] == "usage"
+            assert "--thresholds" in doc["message"]
+            assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
+
+    @pytest.mark.parametrize("rule", ["age:nan", "hfh:NaN", "age:-nan", "age:0",
+                                      "age:inf"])
+    def test_bad_partition_threshold_is_usage_error(self, rule, tmp_path, capsys):
+        code, doc = self._error(capsys, [
+            "partition-eval", "--examples", self._examples(tmp_path),
+            "--partition", rule, "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        assert "--partition" in doc["message"]
+
     def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"seed": 1,')

@@ -214,6 +214,9 @@ class TestPartition:
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             PartitionRule("age", 0)
+        for threshold in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                PartitionRule("age", threshold)
         with pytest.raises(ValueError):
             PartitionRule("wear", 10)
 

@@ -151,6 +151,64 @@ class TestVerify:
         assert check.realized >= 3.0 and check.ok
 
 
+class TestSolveHazard:
+    """The base hazard is bisected on floats, not found by a root finder."""
+
+    GRID = [(target, horizon, multiplier, infant)
+            for target in (1e-16, 1e-9, 1e-4, 0.02, 0.1129, 0.15, 0.5, 0.9)
+            for horizon in (1, 4, 90, 120, 730, 2190)
+            for multiplier in (1.0, 1.5, 3.0, 10.0)
+            for infant in (0, 1, 90, 500)]
+
+    @staticmethod
+    def gap(target, horizon, multiplier, infant):
+        infant = min(infant, horizon)
+        mature = horizon - infant
+        return lambda h: ((1.0 - (1.0 - min(multiplier * h, 1.0)) ** infant
+                           * (1.0 - h) ** mature) - target)
+
+    @staticmethod
+    def feasible(target, horizon, multiplier, infant):
+        gap = TestSolveHazard.gap(target, horizon, multiplier, infant)
+        return gap(1.0 / multiplier - 1e-12) >= 0
+
+    def test_root_is_the_first_float_reaching_the_target(self):
+        solved = 0
+        for case in self.GRID:
+            if not self.feasible(*case):
+                continue
+            h = synth._solve_hazard(*case)
+            gap = self.gap(*case)
+            assert gap(h) >= 0 > gap(np.nextafter(h, 0.0)), case
+            solved += 1
+        assert solved > len(self.GRID) // 2
+
+    def test_root_within_brentq_tolerance(self):
+        from scipy.optimize import brentq
+        for case in self.GRID:
+            target, _, multiplier, _ = case
+            if target < 1e-15 or not self.feasible(*case):
+                continue  # brentq's bracket starts at 1e-15
+            want = brentq(self.gap(*case), 1e-15, 1.0 / multiplier - 1e-12,
+                          xtol=1e-15)
+            assert abs(synth._solve_hazard(*case) - want) <= 1e-15, case
+
+    def test_zero_target_is_zero_hazard(self):
+        assert synth._solve_hazard(0.0, 120, 3.0, 90) == 0.0
+
+    def test_tiny_target_solves(self):
+        h = synth._solve_hazard(1e-16, 120, 3.0, 90)
+        assert 0.0 < h < 1e-16
+        ds, truth = generate_fleet(SynthConfig(n_drives=4, horizon_days=10,
+                                               models={"M": 1e-16}, seed=1))
+        assert ds.n_drives == 4 and truth == []
+
+    def test_infeasible_target_raises(self):
+        with pytest.raises(ValueError, match=r"^target failure fraction 0\.9 is "
+                           r"infeasible within 1 days$"):
+            synth._solve_hazard(0.9, 1, 3.0, 0)
+
+
 class TestDrawStream:
     """The generator's batch draws take numpy's stream exactly as one scalar
     call per cell does, and leave it at the same position. The fleets'
