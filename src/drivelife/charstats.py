@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+import numpy.random
 
 from . import featurize
-from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS
+from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError
 from .lifecycle import FailureEvent, _DayWindows, _drive_codes, drive_days
 
 __all__ = [
@@ -212,6 +213,11 @@ def monthly_failure_rate(failures: Iterable[FailureEvent],
                                  np.bincount(exposed, minlength=n_bins))
 
 
+#: The most P/E bins one rate curve may have: 2^20 bins of 250 cycles reach
+#: 262 million cycles, far beyond any flash endurance rating.
+_MAX_PE_BINS = 1 << 20
+
+
 def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
                            bin_width: int = 250
                            ) -> tuple[RateCurve, list[tuple[float, float]]]:
@@ -220,7 +226,8 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     Each failure is placed at the drive's last observed P/E count at the
     failure day; exposure for a bin is the number of drives observed at
     least once inside that P/E range. Returns (rate curve, CDF points at
-    bin upper edges).
+    bin upper edges). A P/E count that needs more than ``_MAX_PE_BINS`` bins
+    is a ``SchemaError``.
     """
     if ds.family != "ssd":
         raise ValueError("pe_binned_failure_rate needs an SSD dataset")
@@ -232,6 +239,9 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     start, stop = readings.find(fail_drives, np.iinfo(np.int64).min, fail_days)
     pe_at_failure = pe[readings.order[stop[stop > start] - 1]]
     n_bins = int(pe.max(initial=0)) // bin_width + 1
+    if n_bins > _MAX_PE_BINS:
+        raise SchemaError(f"pe_cycles_cum value {int(pe.max())} needs {n_bins} bins "
+                          f"of {bin_width} cycles; at most {_MAX_PE_BINS} are allowed")
     fail_counts = np.bincount(pe_at_failure // bin_width, minlength=n_bins)
     exposure = np.bincount(_distinct_pairs(drive, pe // bin_width)[1], minlength=n_bins)
     edges = np.arange(n_bins + 1) * bin_width

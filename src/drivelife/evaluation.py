@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import numpy.random
 
 from . import learners
 from .featurize import LabeledExamples, PartitionRule, partition_dataset

@@ -65,6 +65,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+import numpy.ma
 
 __all__ = [
     "SchemaError",

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
+import numpy.random
 
 __all__ = [
     "TreeParams",
@@ -275,13 +276,36 @@ def train_forest(X, y, params: ForestParams = ForestParams(), seed: int = 0,
         return TreeModel(root, X.shape[1], tree_params)
 
     if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             trees = tuple(pool.map(build, seeds))
     else:
         trees = tuple(build(ss) for ss in seeds)
     return ForestModel(trees, X.shape[1], params, seed,
                        tuple(feature_names) if feature_names else None)
+
+
+def _exp_or_inf(v: float) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        return math.inf
+
+
+def expit(z: np.ndarray) -> np.ndarray:
+    """The logistic sigmoid ``1 / (1 + exp(-z))`` of a float array, elementwise.
+
+    ``exp`` is the C library's, through ``math.exp``, as in
+    ``scipy.special.expit``, so the bits are scipy's; numpy's SIMD
+    ``np.exp`` is off libm's by one ulp on some inputs and changes about
+    2% of the sigmoids. An ``exp(-z)`` past the float range is inf, which
+    gives 0.0.
+    """
+    neg = (-z).ravel().tolist()
+    try:
+        e = np.fromiter(map(math.exp, neg), float, len(neg))
+    except OverflowError:
+        e = np.fromiter(map(_exp_or_inf, neg), float, len(neg))
+    return (1.0 / (1.0 + e)).reshape(z.shape)
 
 
 def logistic_loss_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,

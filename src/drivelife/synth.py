@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+import numpy.random
 
 from . import charstats
 from .ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, US_PER_DAY, FleetDataset,

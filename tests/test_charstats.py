@@ -12,6 +12,7 @@ from drivelife.charstats import (hfh_threshold_sweep, monthly_failure_rate,
                                  prefailure_error_percentiles,
                                  prefailure_error_probability, spearman,
                                  spearman_matrix, write_intensity_quartiles)
+from drivelife.ingest import SchemaError
 from drivelife.lifecycle import FailureEvent, detect_ssd_failures
 
 from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
@@ -228,6 +229,16 @@ class TestPeBinnedRate:
         assert list(curve.exposure) == [2, 1, 1]
         assert list(curve.failures) == [0, 1, 0]
         assert curve.rate == [0.0, 1.0, 0.0]
+
+    def test_count_past_the_bin_cap_is_schema_error(self):
+        top = charstats._MAX_PE_BINS * 250
+        ds = ssd_dataset({"a": [ssd_rec("a", 0, pe=100), ssd_rec("a", 1, pe=top - 1)]})
+        curve, _ = pe_binned_failure_rate([], ds, bin_width=250)
+        assert len(curve.exposure) == charstats._MAX_PE_BINS
+        for pe in (top, 2**63 - 1):
+            ds = ssd_dataset({"a": [ssd_rec("a", 0, pe=100), ssd_rec("a", 1, pe=pe)]})
+            with pytest.raises(SchemaError, match=f"pe_cycles_cum value {pe} "):
+                pe_binned_failure_rate([], ds, bin_width=250)
 
 
 class TestHfhSweep:

@@ -306,6 +306,29 @@ class TestErrors:
         assert "--error-kind" in doc["message"] and "bogus" in doc["message"]
         assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
 
+    def test_pe_count_past_the_bin_cap_is_schema_error(self, tmp_path, capsys):
+        config = tmp_path / "fleet.json"
+        config.write_text(json.dumps({**SYNTH_CONFIG, "n_drives": 20}))
+        assert run(["synth", "--config", str(config), "--seed", "2",
+                    "--out", str(tmp_path / "fleet")]) == 0
+        capsys.readouterr()
+        telemetry = tmp_path / "fleet" / "ssd_telemetry.csv"
+        lines = telemetry.read_text().splitlines()
+        header = lines[0].split(",")
+        drive, pe = header.index("drive_id"), header.index("pe_cycles_cum")
+        first = lines[1].split(",")[drive]
+        for i, line in enumerate(lines[1:], start=1):
+            cells = line.split(",")
+            if cells[drive] == first and cells[pe]:
+                cells[pe] = str(2**63 - 1)
+                lines[i] = ",".join(cells)
+        telemetry.write_text("\n".join(lines) + "\n")
+        code, doc = self._error(capsys, [
+            "characterize", "--family", "ssd", "--input", str(telemetry),
+            "--analysis", "pe-rate", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 4 and doc["error"] == "schema"
+        assert f"pe_cycles_cum value {2**63 - 1} " in doc["message"]
+
     def test_non_numeric_thresholds_are_usage_error(self, tmp_path, capsys):
         config = tmp_path / "hdd.json"
         config.write_text(json.dumps(HDD_CONFIG))

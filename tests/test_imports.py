@@ -1,7 +1,11 @@
-"""``import drivelife`` loads only the scipy it runs: ``scipy.special``.
+"""What ``import drivelife`` loads, and that a run loads nothing after it.
 
-``scipy.stats`` alone takes about 0.8 s and 45 MiB to import, and
-``scipy.optimize`` about 0.26 s and 23 MiB; the package needs neither.
+The runtime needs numpy alone: no ``scipy`` module is loaded by importing
+every drivelife module (``scipy.special`` took about 0.25 s and 17 MiB
+of ``import drivelife.cli``). numpy 2 loads ``numpy.random`` and
+``numpy.ma`` on first access, so the modules that use them import them at
+the top; a run forked from an imported process, as perfbench runs are,
+then pays for no import of its own.
 """
 
 import os
@@ -19,16 +23,61 @@ import drivelife
 for info in pkgutil.iter_modules(drivelife.__path__):
     importlib.import_module(f"drivelife.{info.name}")
 print(" ".join(sorted(m for m in sys.modules if m.startswith("drivelife."))))
-print(" ".join(sorted(m for m in sys.modules
-                      if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "optimize"]))))
+print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
+# A small CLI round trip that touches every layer: synth, featurize, a
+# logistic CV, a 2-thread forest and every characterization of an SSD and an
+# HDD fleet. It prints the modules that were first imported during the run.
+ROUND_TRIP = """
+import json, sys, tempfile
+from pathlib import Path
+from drivelife.cli import run
+FLEETS = {"ssd": {"family": "ssd", "n_drives": 60, "horizon_days": 120,
+                  "models": {"MLC-A": 0.4}},
+          "hdd": {"family": "hdd", "n_drives": 40, "horizon_days": 90}}
+with tempfile.TemporaryDirectory() as tmp:
+    before = set(sys.modules)
+    out = {family: str(Path(tmp) / family) for family in FLEETS}
+    src = {family: ["--family", family, "--input",
+                    str(Path(tmp) / family / f"{family}_telemetry.csv")]
+           for family in FLEETS}
+    for family, fleet in FLEETS.items():
+        Path(out[family]).mkdir()
+        (Path(tmp) / f"{family}.json").write_text(json.dumps(fleet))
+        assert run(["synth", "--config", str(Path(tmp) / f"{family}.json"),
+                    "--seed", "3", "--out", out[family]]) == 0
+    for family, argv in (
+            ("ssd", ["featurize", "--lookahead", "7"]),
+            ("ssd", ["evaluate", "--lookahead", "7", "--model", "logreg",
+                     "--folds", "3"]),
+            ("ssd", ["train", "--lookahead", "7", "--model", "rf",
+                     "--hyper", '{"n_trees": 4}', "--jobs", "2"]),
+            ("ssd", ["characterize"]), ("hdd", ["characterize"])):
+        code = run([*argv, *src[family], "--seed", "3", "--out", out[family]])
+        assert code == 0, (argv, code)
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
 
-def test_import_loads_neither_scipy_stats_nor_optimize():
-    done = subprocess.run([sys.executable, "-c", CHECK], capture_output=True,
+# argparse translates its messages through gettext, which imports locale
+# (and its C half) when the first parser is built.
+ALLOWED_LATE = {"locale", "_locale"}
+
+
+def _python(code: str) -> str:
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True,
                           env={**os.environ, "PYTHONPATH": SRC},
                           timeout=120)
-    loaded, heavy = done.stdout.split("\n")[:2]
+    return done.stdout
+
+
+def test_import_loads_no_scipy():
+    loaded, scipy = _python(CHECK).split("\n")[:2]
     assert "drivelife.cli" in loaded.split() and "drivelife.synth" in loaded.split()
-    assert heavy == "", f"import drivelife loads {heavy}"
+    assert scipy == "", f"import drivelife loads {scipy}"
+
+
+def test_run_imports_nothing_after_import():
+    late = set(_python(ROUND_TRIP).split())
+    assert late <= ALLOWED_LATE, f"first imported during a run: {sorted(late - ALLOWED_LATE)}"

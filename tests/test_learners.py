@@ -266,6 +266,51 @@ class TestPredict:
             predict_proba(model, [1.0])
 
 
+class TestExpit:
+    """``learners.expit`` gives ``scipy.special.expit``'s bits, numpy alone."""
+
+    EDGES = [0.0, -0.0, 1e-300, -1e-300, 709.78, -709.78, 709.79, -709.79,
+             710.0, -710.0, 745.2, -745.2, 746.0, -746.0, math.inf, -math.inf,
+             math.nan]
+
+    @staticmethod
+    def assert_scipy_bits(z):
+        from scipy.special import expit
+        got, want = learners.expit(z), expit(z)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape == z.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("draw", ["normal", "uniform"])
+    def test_two_million_draws(self, draw):
+        rng = np.random.default_rng(16)
+        z = (rng.normal(0.0, 5.0, 2_000_000) if draw == "normal"
+             else rng.uniform(-800.0, 800.0, 2_000_000))
+        self.assert_scipy_bits(z)
+
+    def test_edges(self):
+        z = np.array(self.EDGES)
+        self.assert_scipy_bits(z)
+        assert learners.expit(np.array([-710.0, -746.0, -math.inf])).tolist() == [0.0] * 3
+        for v in self.EDGES:
+            self.assert_scipy_bits(np.array([v]))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (7,), (4, 5)])
+    def test_shapes(self, shape):
+        z = np.random.default_rng(3).normal(0.0, 30.0, shape)
+        self.assert_scipy_bits(z)
+
+    def test_overflow_in_a_matrix(self):
+        z = np.array([[1.0, -800.0], [math.nan, 2.0]])
+        self.assert_scipy_bits(z)
+
+    def test_input_untouched(self):
+        z = np.array([[-800.0, 0.5], [3.0, -math.inf]])
+        kept = z.copy()
+        learners.expit(z)
+        assert z.tobytes() == kept.tobytes()
+
+
 class TestLogistic:
     def test_all_positive_with_l2_saturates(self):
         rng = np.random.default_rng(0)
