@@ -252,8 +252,7 @@ def _example_builder(ds: FleetDataset, partition_attr: str | None = None
         models=model_of)
 
 
-def _examples_for(run: _Run, lookahead: int,
-                  partition_attr: str | None = None) -> featurize.LabeledExamples:
+def _examples_for(run: _Run, lookahead: int) -> featurize.LabeledExamples:
     examples_path = run.opt("examples")
     if examples_path:
         path = Path(examples_path)
@@ -261,7 +260,7 @@ def _examples_for(run: _Run, lookahead: int,
             raise _fail("io", f"examples file not found: {path}", EXIT_IO)
         with path.open() as handle:
             return featurize.read_examples_csv(handle, lookahead)
-    return _example_builder(_load_dataset(run), partition_attr)(lookahead)
+    return _example_builder(_load_dataset(run))(lookahead)
 
 
 # -- subcommands -----------------------------------------------------------
@@ -500,6 +499,11 @@ def _cmd_train(run: _Run) -> None:
     run.write_json("train_report.json", doc)
 
 
+def _write_roc(run: _Run, name: str, report: evaluation.EvalReport | None) -> None:
+    if report is not None and report.roc is not None:
+        run.write_csv(name, ["threshold", "fpr", "tpr"], report.roc.rows())
+
+
 def _cmd_evaluate(run: _Run) -> None:
     lookaheads = _lookahead_list(run)
     examples = _examples_for(run, lookaheads[0])
@@ -508,8 +512,7 @@ def _cmd_evaluate(run: _Run) -> None:
     report = evaluation.cross_validated_eval(examples, spec, k, run.seed,
                                              jobs=run.jobs)
     run.write_json("eval_report.json", report.to_dict(), indent=None)
-    if report.roc is not None:
-        run.write_csv("roc.csv", ["threshold", "fpr", "tpr"], report.roc.rows())
+    _write_roc(run, "roc.csv", report)
 
 
 def _cmd_sweep(run: _Run) -> None:
@@ -522,6 +525,7 @@ def _cmd_sweep(run: _Run) -> None:
     rows = []
     for n, report in reports.items():
         run.write_json(f"eval_report_N{n}.json", report.to_dict(), indent=None)
+        _write_roc(run, f"roc_N{n}.csv", report)
         rows.append([n, report.mean_auroc, report.std_auroc])
     run.write_csv("sweep.csv", ["lookahead", "mean_auroc", "std_auroc"], rows)
 
@@ -541,12 +545,17 @@ def _cmd_partition_eval(run: _Run) -> None:
     rule = _parse_partition(str(run.need("partition")))
     if rule is None:
         raise _fail("usage", "partition-eval needs a rule, not 'none'", EXIT_USAGE)
+    if run.opt("examples"):
+        raise _fail("usage", "partition-eval needs --input, not --examples: an "
+                    "examples table does not record which attribute its "
+                    "partition_key holds", EXIT_USAGE)
     spec = _model_spec(run)
-    examples = _examples_for(run, _lookahead_list(run)[0],
-                             partition_attr=rule.attribute)
+    lookahead = _lookahead_list(run)[0]
+    examples = _example_builder(_load_dataset(run), rule.attribute)(lookahead)
     report = evaluation.partitioned_eval(examples, rule, spec, _folds(run),
                                          run.seed, jobs=run.jobs)
-
+    for side in ("below", "above", "unsplit"):
+        _write_roc(run, f"roc_{side}.csv", getattr(report, side))
     run.write_json("partition_report.json", {
         "rule": {"attribute": rule.attribute, "threshold": rule.threshold},
         "below": None if report.below is None else report.below.to_dict(),
@@ -582,19 +591,11 @@ def _cmd_report(run: _Run) -> None:
                             for name, cmd in _REPORT_SOURCES.items())
         raise _fail("io", "no artifacts found in output directory; run one of: "
                     + missing, EXIT_IO)
-    sections = {}
-    for name in sorted(found):
-        if name.endswith(".json"):
-            doc = json.loads((run.out / name).read_text())
-            doc.pop("_meta", None)
-            sections[name] = doc
-        else:
-            sections[name] = {"artifact": name}
     missing_cmds = sorted(set(_REPORT_SOURCES.values())
                           - set(found.values()))
     run.write_json("report.json", {"artifacts": sorted(found),
                                    "missing_subcommands": missing_cmds,
-                                   "sections": sections})
+                                   "sections": found})
 
     lines = ["# drivelife run report", "",
              f"Tool version {__version__}, config hash {run.config_hash}, "

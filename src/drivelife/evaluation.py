@@ -265,7 +265,7 @@ class EvalReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        """The report document; the ROC as [threshold, fpr, tpr] rows."""
+        """The report's summaries; the pooled ROC is written apart, as a CSV."""
         return {
             "config": self.config,
             "per_fold_auroc": self.fold_auroc,
@@ -273,7 +273,6 @@ class EvalReport:
             "stdev": self.std_auroc,
             "pooled_auroc": self.pooled_auroc,
             "warnings": self.warnings,
-            "roc": None if self.roc is None else self.roc.rows(),
         }
 
     def to_json(self) -> str:

@@ -314,21 +314,32 @@ def logistic_loss_grad(w: np.ndarray, X: np.ndarray, y: np.ndarray,
 
     ``w`` holds the feature weights followed by the intercept.
     """
+    loss, grad, _ = _loss_grad_sigmoid(w, X, y, l2)
+    return loss, grad
+
+
+def _loss_grad_sigmoid(w: np.ndarray, X: np.ndarray, y: np.ndarray,
+                       l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`logistic_loss_grad` and the sigmoid of every row's score at ``w``."""
     n, p = X.shape
     z = X @ w[:p] + w[p]
     # log(1 + e^z) - y*z, computed stably
     loss = float(np.mean(np.logaddexp(0.0, z) - y * z))
     loss += 0.5 * l2 * float(w[:p] @ w[:p])
-    resid = expit(z) - y
+    s = expit(z)
+    resid = s - y
     grad = np.empty(p + 1)
     grad[:p] = X.T @ resid / n + l2 * w[:p]
     grad[p] = resid.mean()
-    return loss, grad
+    return loss, grad, s
 
 
-def _newton_direction(w: np.ndarray, X: np.ndarray, grad: np.ndarray,
+def _newton_direction(s: np.ndarray, X: np.ndarray, grad: np.ndarray,
                       l2: float) -> np.ndarray | None:
-    """Solve the Hessian of the regularized log-loss at ``w`` against ``-grad``.
+    """Solve the Hessian of the regularized log-loss against ``-grad``.
+
+    ``s`` is the sigmoid of every row's score at the current weights, as
+    :func:`_loss_grad_sigmoid` returned it with ``grad``.
 
     The Hessian is assembled from its blocks (features, then the
     unpenalized intercept), so the design matrix is never widened by a
@@ -338,7 +349,6 @@ def _newton_direction(w: np.ndarray, X: np.ndarray, grad: np.ndarray,
     least-squares direction instead; None when that fails too.
     """
     p = X.shape[1]
-    s = expit(X @ w[:p] + w[p])
     v = s * (1.0 - s) / X.shape[0]
     hess = np.empty((p + 1, p + 1))
     hess[:p, :p] = X.T @ (X * v[:, None]) + l2 * np.eye(p)
@@ -377,7 +387,7 @@ def train_logistic(X, y, l2: float = 1e-3, max_iter: int = 500,
     Xs = (X - mean) / scale
 
     w = np.zeros(X.shape[1] + 1)
-    loss, grad = logistic_loss_grad(w, Xs, yf, l2)
+    loss, grad, s = _loss_grad_sigmoid(w, Xs, yf, l2)
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
@@ -385,18 +395,18 @@ def train_logistic(X, y, l2: float = 1e-3, max_iter: int = 500,
         if math.sqrt(gnorm2) < tol:
             converged = True
             break
-        direction = _newton_direction(w, Xs, grad, l2)
+        direction = _newton_direction(s, Xs, grad, l2)
         slope = math.nan if direction is None else float(grad @ direction)
         if not slope < 0.0:  # also catches a NaN slope
             direction, slope = -grad, -gnorm2
         step = 1.0
         while True:
             w_next = w + step * direction
-            loss_next, grad_next = logistic_loss_grad(w_next, Xs, yf, l2)
+            loss_next, grad_next, s_next = _loss_grad_sigmoid(w_next, Xs, yf, l2)
             if loss_next <= loss + 1e-4 * step * slope or step < 1e-12:
                 break
             step *= 0.5
-        w, loss, grad = w_next, loss_next, grad_next
+        w, loss, grad, s = w_next, loss_next, grad_next, s_next
     return LogisticModel(w, mean, scale, l2, converged, it,
                          tuple(feature_names) if feature_names else None)
 

@@ -152,6 +152,8 @@ def test_criterion_05_protocol_invariants():
         a = cross_validated_eval(examples, spec, k, seed)
         b = cross_validated_eval(examples, spec, k, seed)
         assert a.to_json().encode() == b.to_json().encode()
+        assert (a.roc is None) == (b.roc is None)
+        assert a.roc is None or a.roc.rows() == b.roc.rows()
     _report(5, "100 evaluations: no leakage, 1:1 training ratio, raw test "
                "ratio, byte-identical reports for equal seeds")
 

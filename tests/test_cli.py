@@ -411,6 +411,43 @@ class TestErrors:
         assert code == 2 and doc["error"] == "usage"
         assert "--partition" in doc["message"]
 
+    def test_partition_eval_refuses_examples(self, tmp_path, capsys):
+        # An examples table does not record which attribute its
+        # partition_key holds: this HDD table keys on HFH, so "age:90" on it
+        # would split on HFH <= 90 h and still report attribute "age".
+        (tmp_path / "hdd.json").write_text(json.dumps(
+            {"family": "hdd", "n_drives": 60, "horizon_days": 120}))
+        assert run(["synth", "--config", str(tmp_path / "hdd.json"),
+                    "--seed", "3", "--out", str(tmp_path / "f")]) == 0
+        source = ["--family", "hdd", "--input",
+                  str(tmp_path / "f" / "hdd_telemetry.csv")]
+        assert run(["featurize", *source, "--lookahead", "0",
+                    "--out", str(tmp_path / "f")]) == 0
+        table = tmp_path / "f" / "examples_hdd_N0.csv"
+        with table.open() as handle:
+            keys = featurize.read_examples_csv(handle, 0).partition_key
+        assert (len(keys), int((keys <= 90).sum())) == (6785, 406)
+
+        rule = ["--lookahead", "0", "--partition", "age:90", "--model", "tree",
+                "--folds", "3", "--seed", "3"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"examples": str(table)}))
+        for argv in (["--examples", str(table)], ["--config", str(config)],
+                     ["--examples", str(table), *source]):
+            out = tmp_path / "o"
+            code, doc = self._error(capsys, ["partition-eval", *argv, *rule,
+                                             "--out", str(out)])
+            assert code == 2 and doc["error"] == "usage"
+            assert "--examples" in doc["message"]
+            assert "partition_key" in doc["message"]
+            assert list(out.iterdir()) == []
+        assert run(["partition-eval", *source, *rule,
+                    "--out", str(tmp_path / "o")]) == 0
+        doc = json.loads((tmp_path / "o" / "partition_report.json").read_text())
+        assert doc["rule"]["attribute"] == "age"
+        assert [doc[side]["config"]["n_examples"] for side in ("below", "above")
+                ] == [5219, 1566]
+
     def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text('{"seed": 1,')
@@ -476,4 +513,82 @@ class TestReport:
         md = (out / "report.md").read_text()
         assert "lifecycle_summary.json" in md and "eval_report.json" in md
         assert run(["report", "--out", str(out)]) == 0
+        assert (out / "report.json").read_bytes() == first
+
+
+class TestRocArtifacts:
+    """Each evaluation's pooled ROC is one CSV beside its JSON report."""
+
+    @staticmethod
+    def _csv_rows(path: Path) -> list:
+        lines = [line for line in path.read_text().splitlines()
+                 if not line.startswith("#")]
+        assert lines[0] == "threshold,fpr,tpr"
+        return [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+
+    @staticmethod
+    def _keys(doc) -> set:
+        if isinstance(doc, dict):
+            return set(doc).union(*map(TestRocArtifacts._keys, doc.values()))
+        if isinstance(doc, list):
+            return set().union(*map(TestRocArtifacts._keys, doc))
+        return set()
+
+    def test_one_csv_per_roc_and_report_lists_the_run(self, synth_dir, tmp_path,
+                                                      monkeypatch):
+        returned = {}
+        for name in ("cross_validated_eval", "lookahead_sweep",
+                     "partitioned_eval"):
+            def recorded(*args, _name=name, _fn=getattr(cli.evaluation, name),
+                         **kwargs):
+                returned[_name] = _fn(*args, **kwargs)
+                return returned[_name]
+            monkeypatch.setattr(cli.evaluation, name, recorded)
+        out = tmp_path / "run"
+        common = ["--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv"),
+                  "--model", "tree", "--hyper", '{"max_depth": 4}',
+                  "--folds", "3", "--seed", "4", "--out", str(out)]
+        assert run(["evaluate", "--lookahead", "0", *common]) == 0
+        evaluated = returned["cross_validated_eval"]
+        assert run(["sweep", "--lookahead", "0,2", *common]) == 0
+        swept = returned["lookahead_sweep"]
+        assert run(["partition-eval", "--lookahead", "0", "--partition", "age:60",
+                    *common]) == 0
+        split = returned["partitioned_eval"]
+
+        expected = {"roc.csv": evaluated, "roc_N0.csv": swept[0],
+                    "roc_N2.csv": swept[2], "roc_below.csv": split.below,
+                    "roc_above.csv": split.above, "roc_unsplit.csv": split.unsplit}
+        assert sorted(p.name for p in out.glob("roc*.csv")) == sorted(expected)
+        for name, report in expected.items():
+            assert self._csv_rows(out / name) == report.roc.rows(), name
+
+        # a side with no examples writes no ROC file
+        assert run(["partition-eval", "--lookahead", "0",
+                    "--partition", "age:100000", *common[:-1],
+                    str(tmp_path / "one_side")]) == 0
+        assert returned["partitioned_eval"].above is None
+        assert sorted(p.name for p in (tmp_path / "one_side").glob("roc*.csv")) == [
+            "roc_below.csv", "roc_unsplit.csv"]
+
+        assert run(["report", "--out", str(out)]) == 0
+        first = (out / "report.json").read_bytes()
+        for path in out.glob("*.json"):
+            assert "roc" not in self._keys(json.loads(path.read_text())), path.name
+        doc = json.loads(first)
+        listed = [line[2:] for line in (out / "report.md").read_text().splitlines()
+                  if line.startswith("- `") and "(from" in line]
+        assert [f"`{name}` (from `{cmd}`)" for name, cmd in doc["sections"].items()
+                ] == listed
+        assert list(doc["sections"]) == doc["artifacts"] == [
+            "eval_report.json", "partition_report.json", "sweep.csv"]
+
+        def no_reading(*args, **kwargs):
+            raise AssertionError("report read a file back")
+
+        with monkeypatch.context() as patch:
+            for name in ("read_text", "read_bytes", "open"):
+                patch.setattr(Path, name, no_reading)
+            patch.setattr("builtins.open", no_reading)
+            assert run(["report", "--out", str(out)]) == 0
         assert (out / "report.json").read_bytes() == first

@@ -9,8 +9,8 @@ only (no BLAS, no floating-point reductions), so their bytes do not
 depend on the machine.
 
 The tree-model evaluation artifacts (``evaluate``, ``sweep``, ``matrix``
-and ``partition-eval`` with ``--model tree`` on the small SSD fleet) are
-pinned the same way: a tree's scores are leaf fractions, its thresholds
+and ``partition-eval`` with ``--model tree`` on the small SSD fleet; each
+evaluation's JSON report and its ROC CSV) are pinned the same way: a tree's scores are leaf fractions, its thresholds
 midpoints of feature values, and AUROC and ROC rates are ratios of
 counts, so no BLAS is involved either.
 
@@ -192,10 +192,12 @@ TREE_MODEL = ["--model", "tree", "--hyper", '{"min_samples_leaf": 5}']
 TREE_RUNS = {
     "evaluate": (["--lookahead", "7"], ("eval_report.json", "roc.csv")),
     "sweep": (["--lookahead", "0,7"],
-              ("sweep.csv", "eval_report_N0.json", "eval_report_N7.json")),
+              ("sweep.csv", "eval_report_N0.json", "eval_report_N7.json",
+               "roc_N0.csv", "roc_N7.csv")),
     "matrix": (["--lookahead", "7"], ("matrix.csv",)),
     "partition-eval": (["--lookahead", "7", "--partition", "age:30"],
-                       ("partition_report.json",)),
+                       ("partition_report.json", "roc_below.csv",
+                        "roc_above.csv", "roc_unsplit.csv")),
 }
 
 #: ``evaluate --examples`` on the N7 table that ``featurize`` writes into
@@ -205,21 +207,31 @@ EXAMPLES_RUN = (["evaluate", "--examples", "ssd/examples_ssd_N7.csv",
 
 TREE_GOLDEN = {
     "tree/evaluate/eval_report.json":
-        "ad65458668d28679c084eadaab64f555a30861a0a4decfd5c3785dce33944020",
+        "b83e87c69ed8906a2172d5aa009f433c68cfe51d0b9687972f4f869fd7400678",
     "tree/evaluate/roc.csv":
         "5b9f63ee6523a28040914922ffb9f348e020e7b541c8bdb2cc7387719d989f9f",
     "tree/sweep/sweep.csv":
         "bd742facc52a7954ceea999398666b776ddc0fbc3210013188caeab11b186dc0",
     "tree/sweep/eval_report_N0.json":
-        "f1477f03412db74117382909c6a65f64e14b1c71881b08c97b212f844c507035",
+        "58e77dc335b989e1a164de56d3191fe9ec1cc74676f91de59402a6da472e3835",
     "tree/sweep/eval_report_N7.json":
-        "8b5016f01d0c7a0373dbfd1b5b2733ed35d68c6f0aad015deb6a425c67b65563",
+        "42b472a9e963e0b351572cef77af5b35d8cdb23f91454289683517d9352d6587",
+    "tree/sweep/roc_N0.csv":
+        "f91685ccf6de14beebeb971a726c73047cbb2873d45ca7b9837d1f1e1dac2e10",
+    "tree/sweep/roc_N7.csv":
+        "bedf22e5f0bc179c2c55cd92964a5cc6cc131e81d08df94db7478758a5089c01",
     "tree/matrix/matrix.csv":
         "4ac0e94e4fb6070eca6f940057e6b438719b34659daaa00a71ce89870f874be7",
     "tree/partition-eval/partition_report.json":
-        "faa133cc9c46d7a185c1d45350f33f92be56b31e0560d9ca5c9581d0b6fa4efa",
+        "32bfd7a504105aff9c377f5950297d69573218eaefb2e9a10b729eb0928a7f32",
+    "tree/partition-eval/roc_below.csv":
+        "e08beb46cccbe8e48efcd4859ff46afa731932faa86c8c72564989a0e42172dd",
+    "tree/partition-eval/roc_above.csv":
+        "210d0d119e8613e3a9e3876e64a10b3618b80f45b25f9d5b7216ed819db25be7",
+    "tree/partition-eval/roc_unsplit.csv":
+        "abb88612d3bba4deee6eb4de460706e4cb2f26abac3de73d7131fecf47972681",
     "tree/evaluate-examples/eval_report.json":
-        "aea6b2c4330cba4ccbd1b73d911ddb163a55d47940a534bc52365dee859a7c3e",
+        "1855d4aaaace69ec90d58042347283cb2c9465b5ebc1fd294d4fcd2790cdce4d",
     "tree/evaluate-examples/roc.csv":
         "20eeb0fb77da8fec739c1d83f32672ac8f18902eed72eff8b196cd456451e745",
 }

@@ -439,12 +439,13 @@ class TestNewtonSolver:
             X, l2 = np.hstack([X, X[:, :1]]), 0.0
         Xs, yf = standardized(X), y.astype(float)
         evaluations = []
+        loss_grad_sigmoid = learners._loss_grad_sigmoid
 
         def counted(*args):
             evaluations.append(args)
-            return logistic_loss_grad(*args)
+            return loss_grad_sigmoid(*args)
 
-        monkeypatch.setattr(learners, "logistic_loss_grad", counted)
+        monkeypatch.setattr(learners, "_loss_grad_sigmoid", counted)
         model = train_logistic(X, y, l2=l2)
         assert model.converged
         steps = model.n_iter - 1
@@ -497,12 +498,41 @@ class TestNewtonSolver:
     def test_bad_direction_falls_back_to_gradient(self, direction,
                                                   monkeypatch):
         monkeypatch.setattr(learners, "_newton_direction",
-                            lambda w, X, grad, l2: direction(grad))
+                            lambda s, X, grad, l2: direction(grad))
         rng = np.random.default_rng(3)
         X = rng.normal(size=(60, 2))
         y = X[:, 0] + rng.normal(size=60) > 0
         model = train_logistic(X, y, l2=1e-2, max_iter=2000)
         assert model.converged and np.isfinite(model.weights).all()
+
+    @pytest.mark.parametrize("case", ["planted", "near_separable"])
+    def test_one_sigmoid_per_loss_evaluation(self, case, planted_fleet,
+                                             monkeypatch):
+        # the Newton step reuses the sigmoid of the loss evaluation that
+        # accepted its weights
+        if case == "planted":
+            (X, y), l2 = planted_fleet, 1e-3
+        else:
+            rng = np.random.default_rng(198)
+            X = rng.normal(size=(30, 3))
+            y = X[:, 0] + 0.1 * rng.normal(size=30) > 0
+            l2 = 1e-8
+        calls = {"expit": 0, "loss": 0}
+        expit, loss_grad_sigmoid = learners.expit, learners._loss_grad_sigmoid
+
+        def counted_expit(z):
+            calls["expit"] += 1
+            return expit(z)
+
+        def counted_loss(*args):
+            calls["loss"] += 1
+            return loss_grad_sigmoid(*args)
+
+        monkeypatch.setattr(learners, "expit", counted_expit)
+        monkeypatch.setattr(learners, "_loss_grad_sigmoid", counted_loss)
+        model = train_logistic(X, y, l2=l2)
+        assert model.converged and model.n_iter > 1
+        assert calls["expit"] == calls["loss"] >= model.n_iter
 
     def test_refit_and_reload_bit_identical(self, planted_fleet):
         X, y = planted_fleet
