@@ -500,8 +500,11 @@ def _cmd_train(run: _Run) -> None:
 
 
 def _write_roc(run: _Run, name: str, report: evaluation.EvalReport | None) -> None:
+    """Write the pooled ROC as ``name``; with none, remove an earlier run's file."""
     if report is not None and report.roc is not None:
         run.write_csv(name, ["threshold", "fpr", "tpr"], report.roc.rows())
+    else:
+        (run.out / name).unlink(missing_ok=True)
 
 
 def _cmd_evaluate(run: _Run) -> None:

@@ -122,10 +122,11 @@ def undersample(examples: LabeledExamples, ratio: float = 1.0,
 
 @dataclass(frozen=True, eq=False)
 class RocCurve:
-    """One ROC point per index of three read-only float64 arrays.
+    """ROC vertices, one per index of three read-only float64 arrays.
 
-    Index 0 is the (0, 0) anchor with threshold 1.0; the last point is
-    (1, 1).
+    One vertex per change of direction: index 0 is the (0, 0) anchor with
+    threshold 1.0, the last point is (1, 1), and no point lies strictly
+    inside a horizontal or vertical run.
     """
 
     threshold: np.ndarray
@@ -164,16 +165,20 @@ def _score_groups(scores, labels) -> tuple:
 
 
 def roc_curve(scores, labels) -> RocCurve:
-    """ROC polyline with one point per distinct score; tied scores flip together.
+    """ROC polyline, one vertex per change of direction; tied scores flip together.
 
     Starts at (0, 0) and ends at (1, 1); each non-anchor point gives the
     rates when every example scoring at least that point's threshold is
-    predicted positive.
+    predicted positive. A point whose tie groups in and out both hold only
+    negatives (or both only positives) lies inside a horizontal (vertical)
+    run, is dominated by an end of that run, and is dropped.
     """
     tp, fp, thresholds, pos_total, neg_total = _score_groups(scores, labels)
-    columns = (np.concatenate(([1.0], thresholds)),
-               np.concatenate(([0.0], np.cumsum(fp) / neg_total)),
-               np.concatenate(([0.0], np.cumsum(tp) / pos_total)))
+    keep = np.ones(tp.size + 1, dtype=bool)
+    keep[1:-1] = ~((tp[:-1] == 0) & (tp[1:] == 0) | (fp[:-1] == 0) & (fp[1:] == 0))
+    columns = (np.concatenate(([1.0], thresholds))[keep],
+               np.concatenate(([0.0], np.cumsum(fp) / neg_total))[keep],
+               np.concatenate(([0.0], np.cumsum(tp) / pos_total))[keep])
     for column in columns:
         column.flags.writeable = False
     return RocCurve(*columns)

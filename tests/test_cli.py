@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -592,3 +593,47 @@ class TestRocArtifacts:
             patch.setattr("builtins.open", no_reading)
             assert run(["report", "--out", str(out)]) == 0
         assert (out / "report.json").read_bytes() == first
+
+    def test_a_side_without_a_roc_removes_the_earlier_runs_file(self, tmp_path):
+        config = tmp_path / "fleet.json"
+        config.write_text(json.dumps({"family": "ssd", "n_drives": 300,
+                                      "horizon_days": 60}))
+        assert run(["synth", "--config", str(config), "--seed", "1",
+                    "--out", str(tmp_path / "d")]) == 0
+        out = tmp_path / "part"
+        common = ["partition-eval", "--family", "ssd",
+                  "--input", str(tmp_path / "d" / "ssd_telemetry.csv"),
+                  "--model", "tree", "--lookahead", "0", "--seed", "1",
+                  "--out", str(out)]
+        assert run([*common, "--partition", "age:30"]) == 0
+        assert (out / "roc_above.csv").exists()
+        assert run([*common, "--partition", "age:100000"]) == 0
+        assert json.loads((out / "partition_report.json").read_text())["above"] is None
+        assert sorted(p.name for p in out.glob("roc*.csv")) == [
+            "roc_below.csv", "roc_unsplit.csv"]
+
+    def test_a_report_without_a_pooled_roc_removes_the_earlier_runs_file(
+            self, synth_dir, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        common = ["--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv"),
+                  "--model", "tree", "--hyper", '{"max_depth": 2}',
+                  "--folds", "3", "--seed", "4", "--out", str(out)]
+        assert run(["evaluate", "--lookahead", "0", *common]) == 0
+        assert run(["sweep", "--lookahead", "0,2", *common]) == 0
+        assert sorted(p.name for p in out.glob("roc*.csv")) == [
+            "roc.csv", "roc_N0.csv", "roc_N2.csv"]
+
+        def no_roc(report):
+            return dataclasses.replace(report, pooled_auroc=None, roc=None)
+
+        # the sweep calls cross_validated_eval itself, so each is patched alone
+        cross_validated_eval = cli.evaluation.cross_validated_eval
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.evaluation, "cross_validated_eval",
+                          lambda *a, **k: no_roc(cross_validated_eval(*a, **k)))
+            assert run(["evaluate", "--lookahead", "0", *common]) == 0
+        lookahead_sweep = cli.evaluation.lookahead_sweep
+        monkeypatch.setattr(cli.evaluation, "lookahead_sweep", lambda *a, **k: {
+            n: no_roc(r) if n == 2 else r for n, r in lookahead_sweep(*a, **k).items()})
+        assert run(["sweep", "--lookahead", "0,2", *common]) == 0
+        assert sorted(p.name for p in out.glob("roc*.csv")) == ["roc_N0.csv"]

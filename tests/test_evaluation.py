@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivelife import learners
-from drivelife.evaluation import (ModelSpec, _derived_seed, auroc,
+from drivelife.evaluation import (ModelSpec, _derived_seed, _score_groups, auroc,
                                   confusion_at_threshold,
                                   cross_model_matrix, cross_validated_eval,
                                   kfold_by_drive, lookahead_sweep,
@@ -20,8 +20,8 @@ from drivelife.learners import ForestParams
 from conftest import drive_names, labeled_examples, row_folds
 
 
-def pairwise_auroc(scores, labels):
-    """Oracle: O(P*N) loop over all (positive, negative) pairs."""
+def pairwise_concordance(scores, labels):
+    """Oracle: 2 * wins + ties over all (positive, negative) pairs, O(P*N)."""
     pos = [s for s, l in zip(scores, labels) if l]
     neg = [s for s, l in zip(scores, labels) if not l]
     wins = ties = 0
@@ -31,7 +31,21 @@ def pairwise_auroc(scores, labels):
                 wins += 1
             elif p == n:
                 ties += 1
-    return (2 * wins + ties) / (2.0 * len(pos) * len(neg))
+    return 2 * wins + ties
+
+
+def pairwise_auroc(scores, labels):
+    """Oracle: the concordance over its 2 * P * N pairs."""
+    pos = int(np.count_nonzero(labels))
+    return pairwise_concordance(scores, labels) / (2.0 * pos * (len(labels) - pos))
+
+
+def full_sweep(scores, labels):
+    """Reference: the ROC with one point per distinct score, run interiors kept."""
+    tp, fp, thresholds, pos_total, neg_total = _score_groups(scores, labels)
+    return (np.concatenate(([1.0], thresholds)),
+            np.concatenate(([0.0], np.cumsum(fp) / neg_total)),
+            np.concatenate(([0.0], np.cumsum(tp) / pos_total)))
 
 
 def toy_examples(n_drives=20, per_drive=10, signal=2.0, seed=0,
@@ -151,8 +165,9 @@ class TestRoc:
         scores = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
         labels = [True, False, True, True, False, False]
         curve = roc_curve(scores, labels)
-        expected = [(0.0, 0.0), (0.0, 1 / 3), (1 / 3, 1 / 3), (1 / 3, 2 / 3),
-                    (1 / 3, 1.0), (2 / 3, 1.0), (1.0, 1.0)]
+        # (1/3, 2/3) is inside a vertical run, (2/3, 1) inside a horizontal one
+        expected = [(0.0, 0.0), (0.0, 1 / 3), (1 / 3, 1 / 3), (1 / 3, 1.0),
+                    (1.0, 1.0)]
         assert points(curve) == expected
 
     def test_fpr_non_decreasing(self):
@@ -174,6 +189,66 @@ class TestRoc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             roc_curve([0.1, 0.2], [True, True])
+
+
+def vertex_cases():
+    """(scores, labels) with heavy ties, all-equal scores, perfect separation
+    and a single positive."""
+    rng = np.random.default_rng(18)
+    cases = [([0.5] * 6, [True, False, True, False, False, True]),
+             ([0.9, 0.8, 0.7, 0.2, 0.1], [True, True, True, False, False]),
+             (rng.random(40).tolist(), [i == 17 for i in range(40)]),
+             ([1.0, 1.0, 0.3, 0.0], [True, False, True, False])]
+    while len(cases) < 60:
+        n = int(rng.integers(2, 250))
+        scores = np.round(rng.random(n), int(rng.integers(0, 3)))
+        labels = rng.random(n) < rng.uniform(0.05, 0.95)
+        if 0 < labels.sum() < n:
+            cases.append((scores, labels))
+    return cases
+
+
+class TestRocVertices:
+    """The kept points against the full sweep (one point per distinct score)."""
+
+    @pytest.mark.parametrize("scores, labels", vertex_cases())
+    def test_vertices_against_the_full_sweep(self, scores, labels):
+        full = list(zip(*(c.tolist() for c in full_sweep(scores, labels))))
+        curve = roc_curve(scores, labels)
+        kept = [tuple(row) for row in curve.rows()]
+
+        # a subsequence of the full sweep's points, with both ends kept
+        index, it = [], iter(enumerate(full))
+        for row in kept:
+            index.append(next(i for i, f in it if f == row))
+        assert index[0] == 0 and index[-1] == len(full) - 1
+
+        # a point is dropped iff it lies strictly inside an axis-parallel run
+        for i in range(1, len(full) - 1):
+            (_, f0, t0), (_, f1, t1), (_, f2, t2) = full[i - 1:i + 2]
+            assert (i in index) != (f0 == f1 == f2 or t0 == t1 == t2), i
+
+        def best_within(points, budget):
+            return max((t, -f, th) for th, f, t in points if f <= budget)
+
+        fprs = sorted({f for _, f, _ in full})
+        for budget in fprs + [(a + b) / 2 for a, b in zip(fprs, fprs[1:])]:
+            assert best_within(kept, budget) == best_within(full, budget)
+        tprs = sorted({t for _, _, t in full})
+        for target in tprs + [(a + b) / 2 for a, b in zip(tprs, tprs[1:])]:
+            assert (min(f for _, f, t in kept if t >= target)
+                    == min(f for _, f, t in full if t >= target))
+
+        pos = int(np.count_nonzero(labels))
+        neg = len(labels) - pos
+        fp = [round(f * neg) for f in curve.fpr.tolist()]
+        tp = [round(t * pos) for t in curve.tpr.tolist()]
+        assert ([c / neg for c in fp], [c / pos for c in tp]) == (
+            curve.fpr.tolist(), curve.tpr.tolist())
+        trapezoid = sum((fp[k] - fp[k - 1]) * (tp[k - 1] + tp[k])
+                        for k in range(1, len(fp)))
+        assert trapezoid == pairwise_concordance(scores, labels)
+        assert auroc(scores, labels) == trapezoid / (2.0 * pos * neg)
 
 
 class TestAuroc:

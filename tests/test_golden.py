@@ -209,7 +209,7 @@ TREE_GOLDEN = {
     "tree/evaluate/eval_report.json":
         "b83e87c69ed8906a2172d5aa009f433c68cfe51d0b9687972f4f869fd7400678",
     "tree/evaluate/roc.csv":
-        "5b9f63ee6523a28040914922ffb9f348e020e7b541c8bdb2cc7387719d989f9f",
+        "20cbbf1e1d233b6bf552941b5fa04f0be3433ae3d590b3b5203c4fa152f2b5b6",
     "tree/sweep/sweep.csv":
         "bd742facc52a7954ceea999398666b776ddc0fbc3210013188caeab11b186dc0",
     "tree/sweep/eval_report_N0.json":
@@ -219,21 +219,21 @@ TREE_GOLDEN = {
     "tree/sweep/roc_N0.csv":
         "f91685ccf6de14beebeb971a726c73047cbb2873d45ca7b9837d1f1e1dac2e10",
     "tree/sweep/roc_N7.csv":
-        "bedf22e5f0bc179c2c55cd92964a5cc6cc131e81d08df94db7478758a5089c01",
+        "950ea13214ce6669f43d45d5221d30fb32bfad5ddac88583afab0df9a2751da1",
     "tree/matrix/matrix.csv":
         "4ac0e94e4fb6070eca6f940057e6b438719b34659daaa00a71ce89870f874be7",
     "tree/partition-eval/partition_report.json":
         "32bfd7a504105aff9c377f5950297d69573218eaefb2e9a10b729eb0928a7f32",
     "tree/partition-eval/roc_below.csv":
-        "e08beb46cccbe8e48efcd4859ff46afa731932faa86c8c72564989a0e42172dd",
+        "1c282b623d36ead744e8b185bf6733df935986e1a099fe47175e42188c9b1fb9",
     "tree/partition-eval/roc_above.csv":
-        "210d0d119e8613e3a9e3876e64a10b3618b80f45b25f9d5b7216ed819db25be7",
+        "42d11dc87401c2d501cdd52c2463010a1470eaa22dfaed7be5b430c5db52a3ad",
     "tree/partition-eval/roc_unsplit.csv":
-        "abb88612d3bba4deee6eb4de460706e4cb2f26abac3de73d7131fecf47972681",
+        "0dd98dbf5fd7e23c3543fc7aada1370a1488e02fd728fa7ac1b329e221e14e49",
     "tree/evaluate-examples/eval_report.json":
         "1855d4aaaace69ec90d58042347283cb2c9465b5ebc1fd294d4fcd2790cdce4d",
     "tree/evaluate-examples/roc.csv":
-        "20eeb0fb77da8fec739c1d83f32672ac8f18902eed72eff8b196cd456451e745",
+        "3984f1de833f93b09362f4346b8a2a7c1fd82df043997cdab1be52d4dbdc407c",
 }
 
 
