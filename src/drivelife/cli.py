@@ -4,12 +4,20 @@ Configuration comes from an optional JSON file (``--config``) with flag
 overrides (flags win); the seed falls back to the ``DRIVELIFE_SEED``
 environment variable and is mandatory for stochastic subcommands. The seed
 is an integer >= 0 and ``jobs`` an integer >= 1, wherever they come from.
-Every artifact but the telemetry tables embeds {tool version, config hash,
-seed} (a ``_meta`` object in JSON files, a leading ``#`` comment in CSVs);
-``{family}_telemetry.csv`` (synth) and ``{family}_dataset.csv`` (ingest)
-start at their header, as the input files they copy do. Every artifact is
-written atomically (temp file + rename). Two runs with the same config,
-seed and input path strings produce byte-identical artifacts.
+Every artifact but the telemetry tables and the stored dataset embeds
+{tool version, config hash, seed} (a ``_meta`` object in JSON files, a
+leading ``#`` comment in CSVs); ``{family}_telemetry.csv`` (synth) and
+``{family}_dataset.csv`` (ingest) start at their header, as the input files
+they copy do. Every artifact is written atomically (temp file + rename).
+Two runs with the same config, seed and input path strings produce
+byte-identical artifacts.
+
+Parse once: ``ingest`` also stores the dataset it parsed as
+``{family}_dataset.npz`` (see :func:`drivelife.ingest.write_dataset_npz`)
+with a key: the input's sha256, the family, ``--models/--from/--to`` and
+the tool version. A later subcommand whose ``--out`` holds that file under
+its own key loads it instead of parsing ``--input``; any other file, or one
+that cannot be read, and it parses. ``ingest`` itself always parses.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 schema error,
 5 internal error. Every error but argparse's own usage messages is one
@@ -27,6 +35,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 import traceback
@@ -35,7 +44,8 @@ from typing import Callable
 
 from . import __version__, charstats, evaluation, featurize, learners, lifecycle, synth
 from .ingest import (FleetDataset, SchemaError, _write_csv, filter_hdd,
-                     parse_hdd_csv, parse_ssd_log, write_hdd_csv, write_ssd_csv)
+                     parse_hdd_csv, parse_ssd_log, read_dataset_npz,
+                     write_dataset_npz, write_hdd_csv, write_ssd_csv)
 
 EXIT_USAGE, EXIT_IO, EXIT_SCHEMA, EXIT_INTERNAL = 2, 3, 4, 5
 
@@ -151,11 +161,12 @@ class _Run:
 
     # -- atomic artifact writers ------------------------------------------
 
-    def _atomic(self, name: str, write) -> Path:
+    def _atomic(self, name: str, write, binary: bool = False) -> Path:
         target = self.out / name
         fd, tmp = tempfile.mkstemp(dir=self.out, prefix=f".{name}.")
+        mode = {"mode": "wb"} if binary else {"mode": "w", "newline": ""}
         try:
-            with os.fdopen(fd, "w", newline="") as handle:
+            with os.fdopen(fd, **mode) as handle:
                 write(handle)
             os.replace(tmp, target)
         except BaseException:
@@ -174,26 +185,87 @@ class _Run:
         return self._atomic(name, lambda h: _write_csv(h, header, rows, self.comment()))
 
 
-def _load_dataset(run: _Run) -> FleetDataset:
-    family = run.need("family")
-    path = Path(run.need("input"))
-    if not path.exists():
-        raise _fail("io", f"input file not found: {path}", EXIT_IO)
-    with path.open() as handle:
-        if family == "hdd":
-            ds = parse_hdd_csv(handle, source=str(path))
-        elif family == "ssd":
-            ds = parse_ssd_log(handle, source=str(path))
-        else:
-            raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
-    models = run.opt("models")
-    date_from, date_to = run.opt("from"), run.opt("to")
-    if family == "hdd" and (models or date_from or date_to):
-        model_set = (set(str(models).split(",")) if models else set(ds.models()))
+def _hdd_filter(run: _Run) -> tuple[set[str] | None, dt.date, dt.date] | None:
+    """The ``--models`` set (None: every model) and the ``--from``/``--to``
+    window, or None when none of them is given."""
+    models, date_from, date_to = run.opt("models"), run.opt("from"), run.opt("to")
+    if not (models or date_from or date_to):
+        return None
+    try:
         lo = dt.date.fromisoformat(date_from) if date_from else dt.date.min
         hi = dt.date.fromisoformat(date_to) if date_to else dt.date.max
-        ds = filter_hdd(ds, model_set, lo, hi)
+    except (TypeError, ValueError) as exc:
+        raise _fail("usage", f"bad --from/--to: {exc}", EXIT_USAGE)
+    if lo > hi:
+        raise _fail("usage", f"empty date window: --from {lo} > --to {hi}", EXIT_USAGE)
+    return set(str(models).split(",")) if models else None, lo, hi
+
+
+def _input(run: _Run) -> tuple[str, Path, tuple | None]:
+    """The family, the input path and the HDD filter, checked before the
+    input is read."""
+    family = run.need("family")
+    if family not in ("hdd", "ssd"):
+        raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
+    path = Path(run.need("input"))
+    window = _hdd_filter(run) if family == "hdd" else None
+    if not path.exists():
+        raise _fail("io", f"input file not found: {path}", EXIT_IO)
+    return family, path, window
+
+
+def _dataset_key(run: _Run, family: str, path: Path) -> dict:
+    """What decides the dataset that parsing the input gives: the input's
+    sha256, the family, the filter options as given and the tool version."""
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return {"input_sha256": digest.hexdigest(), "family": family,
+            "models": run.opt("models"), "from": run.opt("from"), "to": run.opt("to"),
+            "version": __version__}
+
+
+#: A character that a text read with ``errors="surrogateescape"`` made of
+#: a byte it could not decode.
+_UNDECODED = re.compile("[\udc80-\udcff]")
+
+
+def _read_text(path: Path, read: Callable):
+    """``read`` of ``path`` opened as text; a byte that does not decode is a
+    SchemaError naming its line, counted as the text read counts lines."""
+    try:
+        with path.open() as handle:
+            return read(handle)
+    except UnicodeDecodeError as exc:
+        reason, encoding = exc.reason, exc.encoding
+    line = 1
+    with path.open(errors="surrogateescape") as handle:
+        while text := handle.read(1 << 20):
+            if bad := _UNDECODED.search(text):
+                line += text.count("\n", 0, bad.start())
+                break
+            line += text.count("\n")
+    raise SchemaError(f"line {line} of {path}: {reason}, not {encoding} text")
+
+
+def _parse(family: str, path: Path, window: tuple | None) -> FleetDataset:
+    parse = parse_hdd_csv if family == "hdd" else parse_ssd_log
+    ds = _read_text(path, lambda handle: parse(handle, source=str(path)))
+    if window is not None:
+        models, lo, hi = window
+        ds = filter_hdd(ds, models or set(ds.models()), lo, hi)
     return ds
+
+
+def _load_dataset(run: _Run) -> FleetDataset:
+    """The dataset of ``--input``: the one ``ingest`` stored in ``--out``
+    when its key is this run's, else the input parsed."""
+    family, path, window = _input(run)
+    stored = run.out / f"{family}_dataset.npz"
+    ds = (read_dataset_npz(stored, _dataset_key(run, family, path), str(path))
+          if stored.exists() else None)
+    return _parse(family, path, window) if ds is None else ds
 
 
 def _model_spec(run: _Run) -> evaluation.ModelSpec:
@@ -258,8 +330,8 @@ def _examples_for(run: _Run, lookahead: int) -> featurize.LabeledExamples:
         path = Path(examples_path)
         if not path.exists():
             raise _fail("io", f"examples file not found: {path}", EXIT_IO)
-        with path.open() as handle:
-            return featurize.read_examples_csv(handle, lookahead)
+        return _read_text(path, lambda handle: featurize.read_examples_csv(
+            handle, lookahead))
     return _example_builder(_load_dataset(run))(lookahead)
 
 
@@ -300,9 +372,13 @@ def _cmd_synth(run: _Run) -> None:
 
 
 def _cmd_ingest(run: _Run) -> None:
-    ds = _load_dataset(run)
-    name = f"{ds.family}_dataset.csv"
+    family, path, window = _input(run)
+    key = _dataset_key(run, family, path)
+    ds = _parse(family, path, window)
+    name = f"{family}_dataset.csv"
     _write_dataset(run, name, ds)
+    run._atomic(f"{family}_dataset.npz", lambda h: write_dataset_npz(ds, h, key),
+                binary=True)
     prov = ds.provenance
     run.write_json("ingest_report.json", {
         "family": ds.family,

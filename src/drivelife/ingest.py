@@ -48,14 +48,22 @@ exactly). Any other float is written as its ``repr`` and every string as
 ``csv.writer``'s, byte for byte. This is the digits-and-offsets idea of
 fast number formatting (Adams, "Ryū", PLDI 2018), kept to integers, where
 it is exact.
+
+A parsed dataset is stored whole, with a key that says what it was parsed
+from, by :func:`write_dataset_npz`, and loaded back equal by
+:func:`read_dataset_npz` when the key matches: an uncompressed zip of
+arrays in numpy's NPY format (NEP 1), as ``numpy.savez`` writes them.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as dt
+import encodings.cp437  # noqa: F401  zipfile decodes member names with it
 import io
+import json
 import re
+import zipfile
 from array import array
 from collections.abc import Mapping, Sequence as SequenceABC
 from dataclasses import dataclass
@@ -80,6 +88,8 @@ __all__ = [
     "filter_hdd",
     "write_hdd_csv",
     "write_ssd_csv",
+    "write_dataset_npz",
+    "read_dataset_npz",
 ]
 
 
@@ -387,6 +397,69 @@ class _Records(SequenceABC):
         if isinstance(i, slice):
             return [self._ds._record(self._drive, r) for r in self._rows[i]]
         return self._ds._record(self._drive, self._rows[i])
+
+
+#: Layout version of the files :func:`write_dataset_npz` writes; it is part
+#: of every key, so a file of another layout is never read as this one.
+_NPZ_FORMAT = 1
+
+
+def write_dataset_npz(ds: FleetDataset, out, key: dict) -> None:
+    """Write ``ds`` to the binary file ``out`` as an uncompressed NPZ archive.
+
+    Each member is one array in numpy's NPY format (NEP 1), in a zip, as
+    ``numpy.savez`` writes them: ``starts``, ``column.<name>`` for every
+    stored column and ``present.<name>`` for every mask that is not all
+    true. The ``meta`` member is UTF-8 JSON: ``key`` (with the layout
+    version), the family, drives and models, the names of the columns and
+    masks, and the provenance without its ``source``. Every member has the
+    zip epoch as its time, so a dataset and key give the same bytes
+    wherever they are written.
+    """
+    meta = {"key": {"format": _NPZ_FORMAT, **key}, "family": ds.family,
+            "drives": ds.drives, "models": ds._models, "columns": list(ds._columns),
+            "present": list(ds._present),
+            "provenance": {k: v for k, v in ds.provenance.items() if k != "source"}}
+    members = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+               "starts": ds.starts,
+               **{f"column.{k}": v for k, v in ds._columns.items()},
+               **{f"present.{k}": v for k, v in ds._present.items()
+                  if v is not ds._everywhere}}
+    with zipfile.ZipFile(out, "w") as archive:
+        for name, array in members.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w",
+                              force_zip64=True) as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+
+
+def read_dataset_npz(path, key: dict, source: str) -> FleetDataset | None:
+    """The dataset that :func:`write_dataset_npz` wrote to ``path`` with
+    ``key``, its provenance's ``source`` set to ``source``.
+
+    None when ``path`` holds another key, or is missing or unreadable.
+    """
+    try:
+        with zipfile.ZipFile(path) as archive:
+            def member(name: str) -> np.ndarray:
+                with archive.open(f"{name}.npy") as handle:
+                    return np.lib.format.read_array(handle, allow_pickle=False)
+
+            meta = json.loads(member("meta").tobytes())
+            if meta["key"] != {"format": _NPZ_FORMAT, **key}:
+                return None
+            starts = member("starts")
+            names = set(archive.namelist())
+            columns = {k: member(f"column.{k}") for k in meta["columns"]}
+            present = {k: member(f"present.{k}") if f"present.{k}.npy" in names
+                       else np.ones(starts[-1], dtype=bool) for k in meta["present"]}
+    except (OSError, EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        return None  # not written by write_dataset_npz, or damaged
+    provenance = {k: [tuple(v) for v in value] if k in ("rejected", "quarantined")
+                  else value for k, value in meta["provenance"].items()}
+    return FleetDataset(meta["family"], meta["drives"],
+                        np.repeat(np.arange(len(meta["drives"])), np.diff(starts)),
+                        meta["models"], columns, present,
+                        {"source": source, **provenance})
 
 
 def _last_present(present: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -96,6 +96,17 @@ class TreeModel:
     seed: int | None = None
     feature_names: tuple[str, ...] | None = None
 
+    @property
+    def n_nodes(self) -> int:
+        """Splits and leaves in the tree."""
+        count, stack = 0, [self.root]
+        while stack:
+            node = stack.pop()
+            count += 1
+            if not node.is_leaf:
+                stack += (node.left, node.right)
+        return count
+
 
 @dataclass(frozen=True)
 class ForestModel:

@@ -464,6 +464,48 @@ class TestErrors:
         assert code == 4 and doc["error"] == "schema"
         assert "line 6:" in doc["message"]
 
+    @pytest.mark.parametrize("command", ["ingest", "lifecycle"])
+    @pytest.mark.parametrize("line", [1, 5, 40], ids=["header", "row", "later_row"])
+    def test_a_byte_that_is_not_utf8_is_schema_error(self, synth_dir, tmp_path, capsys,
+                                                     command, line):
+        lines = (synth_dir / "ssd_telemetry.csv").read_bytes().split(b"\n")
+        lines[line - 1] = lines[line - 1][:3] + b"\xff" + lines[line - 1][3:]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\n".join(lines))
+        code, doc = self._error(capsys, [command, "--family", "ssd", "--input", str(bad),
+                                         "--out", str(tmp_path / "o")])
+        assert code == 4 and doc["error"] == "schema"
+        assert doc["message"].startswith(f"line {line} of {bad}:")
+
+    @pytest.mark.parametrize("line", [1, 3], ids=["header", "row"])
+    def test_examples_byte_that_is_not_utf8_is_schema_error(self, tmp_path, capsys, line):
+        path = Path(self._examples(tmp_path))
+        lines = path.read_bytes().split(b"\n")
+        lines[line - 1] = b"\xc3" + lines[line - 1]
+        path.write_bytes(b"\n".join(lines))
+        code, doc = self._error(capsys, ["evaluate", "--examples", str(path),
+                                         "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 4 and doc["error"] == "schema"
+        assert doc["message"].startswith(f"line {line} of {path}:")
+
+    @pytest.mark.parametrize("window", [["--from", "2020-13-01"], ["--to", "20x0-01-01"],
+                                        ["--from", "2020-02-01", "--to", "2020-01-31"]],
+                             ids=["bad_month", "bad_year", "from_after_to"])
+    @pytest.mark.parametrize("exists", [True, False], ids=["input", "no_input"])
+    def test_bad_date_window_is_usage_error_before_the_input_is_read(
+            self, tmp_path, capsys, monkeypatch, window, exists):
+        path = tmp_path / "hdd_telemetry.csv"
+        if exists:
+            config = tmp_path / "hdd.json"
+            config.write_text(json.dumps(HDD_CONFIG))
+            assert run(["synth", "--config", str(config), "--seed", "2",
+                        "--out", str(tmp_path)]) == 0
+        monkeypatch.setattr(cli, "parse_hdd_csv", None)  # a parse would be internal
+        code, doc = self._error(capsys, ["lifecycle", "--family", "hdd", "--input",
+                                         str(path), *window, "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        assert list((tmp_path / "o").iterdir()) == []
+
     @pytest.mark.parametrize("models, message", [
         ({"All": 0.3, "M2": 0.3}, '"All"'), ({"M1": 0.3}, "two drive models")],
         ids=["named_all", "one_model"])

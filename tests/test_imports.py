@@ -26,9 +26,11 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("drivelife."))))
 print(" ".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
-# A small CLI round trip that touches every layer: synth, featurize, a
-# logistic CV, a 2-thread forest and every characterization of an SSD and an
-# HDD fleet. It prints the modules that were first imported during the run.
+# A small CLI round trip that touches every layer: synth, ingest, featurize,
+# a logistic CV, a 2-thread forest and every characterization of an SSD and
+# an HDD fleet. Ingest stores each dataset, so the subcommands after it load
+# the stored file. It prints the modules that were first imported during the
+# run.
 ROUND_TRIP = """
 import json, sys, tempfile
 from pathlib import Path
@@ -48,6 +50,7 @@ with tempfile.TemporaryDirectory() as tmp:
         assert run(["synth", "--config", str(Path(tmp) / f"{family}.json"),
                     "--seed", "3", "--out", out[family]]) == 0
     for family, argv in (
+            ("ssd", ["ingest"]), ("hdd", ["ingest"]),
             ("ssd", ["featurize", "--lookahead", "7"]),
             ("ssd", ["evaluate", "--lookahead", "7", "--model", "logreg",
                      "--folds", "3"]),

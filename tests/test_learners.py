@@ -606,3 +606,37 @@ class TestSerialization:
         doc = json.loads(model_to_json(model))
         assert doc["kind"] == "tree"
         assert "root" in doc and "params" in doc
+
+
+def _recursive_count(node) -> int:
+    if node.is_leaf:
+        return 1
+    return 1 + _recursive_count(node.left) + _recursive_count(node.right)
+
+
+def _json_count(doc: dict) -> int:
+    return 1 + sum(_json_count(doc[side]) for side in ("left", "right") if side in doc)
+
+
+class TestNodeCount:
+    @pytest.fixture(scope="class")
+    def data(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 5))
+        return X, (X[:, 0] + rng.normal(scale=0.7, size=300)) > 0.3
+
+    @pytest.mark.parametrize("depth", [0, 1, 3, None])
+    def test_tree(self, data, depth):
+        model = train_tree(*data, TreeParams(max_depth=depth))
+        doc = json.loads(model_to_json(model))
+        assert model.n_nodes == _recursive_count(model.root) == _json_count(doc["root"])
+        if depth in (0, 1):
+            assert model.n_nodes == 2 * depth + 1
+
+    def test_forest(self, data):
+        forest = train_forest(*data, ForestParams(n_trees=7, max_depth=6), seed=2)
+        doc = json.loads(model_to_json(forest))
+        counts = [tree.n_nodes for tree in forest.trees]
+        assert counts == [_recursive_count(t.root) for t in forest.trees]
+        assert counts == [_json_count(root) for root in doc["trees"]]
+        assert len(set(counts)) > 1 and min(counts) > 1

@@ -3,12 +3,14 @@
 Usage: PYTHONPATH=src python tools/roundtrip.py OUTDIR [--compare LISTING]
 
 The SSD side is the README fleet (400 drives x 240 days, seed 7):
-lifecycle, characterize, featurize at lookaheads 0,1,2,7, evaluate rf and
-report in ``run/``; train, sweep and matrix for rf, tree and logreg;
+ingest, lifecycle, characterize, featurize at lookaheads 0,1,2,7, evaluate
+rf and report in ``run/``; train, sweep and matrix for rf, tree and logreg;
 partition-eval age:90; evaluate logreg from the input (with its report)
 and from ``examples_ssd_N7.csv``. The HDD side is 120 drives x 120 days,
-seed 3: lifecycle, characterize, featurize 0,7, train rf, evaluate
-logreg. It prints one ``sha256  path`` line per file under OUTDIR, sorted.
+seed 3: ingest, lifecycle, characterize and featurize 0,7 in ``hdd/``, train
+rf, evaluate logreg. Ingest runs first, so the subcommands after it in
+``run/`` and ``hdd/`` load the dataset it stored, and the others parse. It
+prints one ``sha256  path`` line per file under OUTDIR, sorted.
 
 Artifacts embed a hash of the input path strings, so compare two runs
 (for instance before and after a refactor) made into the same absolute
@@ -56,6 +58,7 @@ def roundtrip(out: Path) -> None:
         _cli("synth", "--config", config, "--seed", seed, "--out", directory)
 
     src = ["--family", "ssd", "--input", ssd / "ssd_telemetry.csv"]
+    _cli("ingest", *src, "--out", ssd)
     _cli("lifecycle", *src, "--out", ssd)
     _cli("characterize", *src, "--seed", 7, "--out", ssd)
     _cli("featurize", *src, "--lookahead", "0,1,2,7", "--out", ssd)
@@ -79,6 +82,7 @@ def roundtrip(out: Path) -> None:
          "--out", out / "eval_examples")
 
     src = ["--family", "hdd", "--input", hdd / "hdd_telemetry.csv"]
+    _cli("ingest", *src, "--out", hdd)
     _cli("lifecycle", *src, "--out", hdd)
     _cli("characterize", *src, "--seed", 3, "--out", hdd)
     _cli("featurize", *src, "--lookahead", "0,7", "--out", hdd)
