@@ -3,14 +3,14 @@
 Configuration comes from an optional JSON file (``--config``) with flag
 overrides (flags win); the seed falls back to the ``DRIVELIFE_SEED``
 environment variable and is mandatory for stochastic subcommands. The seed
-is an integer >= 0 and ``jobs`` an integer >= 1, wherever they come from.
+is an integer >= 0, ``jobs`` >= 1 and ``folds`` >= 2, wherever they come from.
 Every artifact but the telemetry tables and the stored dataset embeds
 {tool version, config hash, seed} (a ``_meta`` object in JSON files, a
 leading ``#`` comment in CSVs); ``{family}_telemetry.csv`` (synth) and
 ``{family}_dataset.csv`` (ingest) start at their header, as the input files
 they copy do. Every artifact is written atomically (temp file + rename).
-Two runs with the same config, seed and input path strings produce
-byte-identical artifacts.
+The config hash digests :attr:`_Run.settings`, so two runs with the same
+settings and input bytes produce byte-identical artifacts.
 
 Parse once: ``ingest`` also stores the dataset it parsed as
 ``{family}_dataset.npz`` (see :func:`drivelife.ingest.write_dataset_npz`)
@@ -83,6 +83,18 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
+#: Left out of the settings: no result depends on them, or they enter resolved.
+_UNHASHED = {"command", "out", "config", "jobs", "seed"}
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while chunk := handle.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 class _Run:
     """Resolved run context: config values, seed, output dir, artifact meta."""
 
@@ -91,8 +103,6 @@ class _Run:
         config: dict = {}
         if getattr(args, "config", None):
             path = Path(args.config)
-            if not path.exists():
-                raise _fail("io", f"config file not found: {path}", EXIT_IO)
             try:
                 config = json.loads(path.read_text())
                 if not isinstance(config, dict):
@@ -116,12 +126,8 @@ class _Run:
                             "--seed, a config seed, or DRIVELIFE_SEED", EXIT_USAGE)
             seed = 0
         self.seed = _integer(source, seed, 0)
-        jobs = self.opt("jobs")
-        self.jobs = 1 if jobs is None else _integer("--jobs", jobs, 1)
-        out = self.opt("out")
-        if out is None:
-            raise _fail("usage", "--out is required", EXIT_USAGE)
-        self.out = Path(out)
+        self.jobs = _integer("--jobs", self.opt("jobs", 1), 1)
+        self.out = Path(self.need("out"))
         self.out.mkdir(parents=True, exist_ok=True)
 
     def opt(self, name: str, default=None):
@@ -136,19 +142,22 @@ class _Run:
             raise _fail("usage", f"missing required option --{name}", EXIT_USAGE)
         return value
 
-    def echo(self) -> dict:
+    @functools.cached_property
+    def settings(self) -> dict:
+        """What decides the run's results: the command, the seed and every
+        option given by flag or config file but :data:`_UNHASHED`, with
+        ``input`` and ``examples`` as the sha256 of their bytes."""
         doc = {"command": self.command, "seed": self.seed}
-        for key in ("family", "input", "examples", "models", "from", "to",
-                    "lookahead", "partition", "model", "folds", "analysis",
-                    "jobs"):
-            value = self.opt(key)
-            if value is not None:
-                doc[key] = value
+        for name in {d.replace("_", "-") for d in vars(self.args)} | set(self.config):
+            value = self.opt(name)
+            if name not in _UNHASHED and value is not None:
+                is_file = name in ("input", "examples")
+                doc[name] = _sha256(Path(value)) if is_file else value
         return doc
 
-    @property
+    @functools.cached_property
     def config_hash(self) -> str:
-        blob = json.dumps(self.echo(), sort_keys=True).encode()
+        blob = json.dumps(self.settings, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def meta(self) -> dict:
@@ -198,7 +207,7 @@ def _hdd_filter(run: _Run) -> tuple[set[str] | None, dt.date, dt.date] | None:
         raise _fail("usage", f"bad --from/--to: {exc}", EXIT_USAGE)
     if lo > hi:
         raise _fail("usage", f"empty date window: --from {lo} > --to {hi}", EXIT_USAGE)
-    return set(str(models).split(",")) if models else None, lo, hi
+    return set(_list_opt(run, "models")) if models else None, lo, hi
 
 
 def _input(run: _Run) -> tuple[str, Path, tuple | None]:
@@ -209,19 +218,13 @@ def _input(run: _Run) -> tuple[str, Path, tuple | None]:
         raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
     path = Path(run.need("input"))
     window = _hdd_filter(run) if family == "hdd" else None
-    if not path.exists():
-        raise _fail("io", f"input file not found: {path}", EXIT_IO)
     return family, path, window
 
 
-def _dataset_key(run: _Run, family: str, path: Path) -> dict:
+def _dataset_key(run: _Run, family: str) -> dict:
     """What decides the dataset that parsing the input gives: the input's
     sha256, the family, the filter options as given and the tool version."""
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        while chunk := handle.read(1 << 16):
-            digest.update(chunk)
-    return {"input_sha256": digest.hexdigest(), "family": family,
+    return {"input_sha256": run.settings["input"], "family": family,
             "models": run.opt("models"), "from": run.opt("from"), "to": run.opt("to"),
             "version": __version__}
 
@@ -263,7 +266,7 @@ def _load_dataset(run: _Run) -> FleetDataset:
     when its key is this run's, else the input parsed."""
     family, path, window = _input(run)
     stored = run.out / f"{family}_dataset.npz"
-    ds = (read_dataset_npz(stored, _dataset_key(run, family, path), str(path))
+    ds = (read_dataset_npz(stored, _dataset_key(run, family), str(path))
           if stored.exists() else None)
     return _parse(family, path, window) if ds is None else ds
 
@@ -284,31 +287,36 @@ def _model_spec(run: _Run) -> evaluation.ModelSpec:
 
 
 def _folds(run: _Run) -> int:
-    k = run.opt("folds", 5)
-    if not str(k).isdigit() or int(k) < 2:
-        raise _fail("usage", f"bad --folds {k!r}; expected an integer >= 2", EXIT_USAGE)
-    return int(k)
+    return _integer("--folds", run.opt("folds", 5), 2)
 
 
-def _parse_partition(text: str) -> featurize.PartitionRule | None:
-    if text == "none":
-        return None
-    try:
-        attr, threshold = text.split(":")
-        return featurize.PartitionRule(attr, float(threshold))
-    except ValueError:
-        raise _fail("usage", f"bad --partition {text!r}; expected "
-                    "age:<days>, hfh:<hours>, or none", EXIT_USAGE)
+def _list_opt(run: _Run, name: str, default: str | None = None) -> list[str]:
+    """The items of a comma-list option, stripped: a comma-separated string,
+    or a scalar or a JSON list of scalars from a config file."""
+    raw = run.opt(name, default)
+    items = raw.split(",") if isinstance(raw, str) else (
+        raw if isinstance(raw, list) else [raw])
+    if not all(type(v) in (str, int, float) for v in items):
+        raise _fail("usage", f"bad --{name} {raw!r}; expected a comma-separated "
+                    "string or a JSON list of scalars", EXIT_USAGE)
+    return [str(v).strip() for v in items]
 
 
 def _lookahead_list(run: _Run) -> list[int]:
-    raw = run.opt("lookahead", "0")
-    cells = [str(v).strip() for v in (raw if isinstance(raw, list)
-                                       else str(raw).split(","))]
-    if not cells or not all(v.isdigit() for v in cells):
-        raise _fail("usage", f"bad --lookahead {raw!r}; expected days >= 0, "
-                    "comma-separated", EXIT_USAGE)
+    cells = _list_opt(run, "lookahead", "0")
+    if not cells or not all(v.isdecimal() for v in cells):
+        raise _fail("usage", f"bad --lookahead {run.opt('lookahead')!r}; expected "
+                    "days >= 0, comma-separated", EXIT_USAGE)
     return [int(v) for v in cells]
+
+
+def _partition_attr(run: _Run, attr: str | None) -> str | None:
+    """``attr``, when the ``--family`` fleet has that partition attribute."""
+    known = ("age", "hfh") if run.need("family") == "hdd" else ("age",)
+    if attr not in (None, *known):
+        raise _fail("usage", f"bad partition attribute {attr!r} for --family "
+                    f"{run.opt('family')}; expected {' or '.join(known)}", EXIT_USAGE)
+    return attr
 
 
 def _example_builder(ds: FleetDataset, partition_attr: str | None = None
@@ -327,11 +335,8 @@ def _example_builder(ds: FleetDataset, partition_attr: str | None = None
 def _examples_for(run: _Run, lookahead: int) -> featurize.LabeledExamples:
     examples_path = run.opt("examples")
     if examples_path:
-        path = Path(examples_path)
-        if not path.exists():
-            raise _fail("io", f"examples file not found: {path}", EXIT_IO)
-        return _read_text(path, lambda handle: featurize.read_examples_csv(
-            handle, lookahead))
+        return _read_text(Path(examples_path), lambda handle:
+                          featurize.read_examples_csv(handle, lookahead))
     return _example_builder(_load_dataset(run))(lookahead)
 
 
@@ -344,8 +349,7 @@ def _write_dataset(run: _Run, name: str, ds: FleetDataset) -> None:
 
 
 def _cmd_synth(run: _Run) -> None:
-    raw = dict(run.config)
-    raw.pop("seed", None)
+    raw = {key: value for key, value in run.config.items() if key != "seed"}
     bursts = tuple(synth.BurstSpec(**b) for b in raw.pop("bursts", [{}]))
     confounders = tuple(synth.ConfounderSpec(**c)
                         for c in raw.pop("confounders", []))
@@ -373,7 +377,7 @@ def _cmd_synth(run: _Run) -> None:
 
 def _cmd_ingest(run: _Run) -> None:
     family, path, window = _input(run)
-    key = _dataset_key(run, family, path)
+    key = _dataset_key(run, family)
     ds = _parse(family, path, window)
     name = f"{family}_dataset.csv"
     _write_dataset(run, name, ds)
@@ -443,8 +447,13 @@ def _rate_rows(curve: charstats.RateCurve):
                int(curve.exposure[i]), curve.rate[i]]
 
 
-def _characterize_options(run: _Run) -> tuple[str, list[float]]:
-    """The error kind and the HFH thresholds, checked before any analysis runs."""
+_ANALYSES = ("all", "correlations", "monthly-rate", "pe-rate", "hfh-sweep",
+             "prefailure-prob", "prefailure-percentiles", "write-quartiles")
+
+
+def _characterize_options(run: _Run) -> tuple[str, list[float], set[str]]:
+    """The error kind, the HFH thresholds and the analyses, checked before
+    any analysis runs."""
     family = run.need("family")
     kind = str(run.opt("error-kind",
                        "uncorrectable" if family == "ssd" else "smart_187"))
@@ -452,26 +461,27 @@ def _characterize_options(run: _Run) -> tuple[str, list[float]]:
         charstats.check_error_kind(family, kind)
     except ValueError as exc:
         raise _fail("usage", f"bad --error-kind: {exc}", EXIT_USAGE)
-    raw = run.opt("thresholds", "10000,20000,30000,40000,50000,60000")
     try:
-        thresholds = [float(t) for t in (raw.split(",") if isinstance(raw, str)
-                                         else raw)]
+        thresholds = [float(t) for t in _list_opt(
+            run, "thresholds", "10000,20000,30000,40000,50000,60000")]
         if any(map(math.isnan, thresholds)):
             raise ValueError("NaN threshold")
-    except (TypeError, ValueError):
-        raise _fail("usage", f"bad --thresholds {raw!r}; expected numbers, "
-                    "comma-separated", EXIT_USAGE)
-    return kind, thresholds
+    except ValueError:
+        raise _fail("usage", f"bad --thresholds {run.opt('thresholds')!r}; "
+                    "expected numbers, comma-separated", EXIT_USAGE)
+    wanted = set(_list_opt(run, "analysis", "all"))
+    if unknown := wanted - set(_ANALYSES):
+        raise _fail("usage", f"unknown --analysis {', '.join(sorted(unknown))}; "
+                    f"expected a comma list of {', '.join(_ANALYSES)}", EXIT_USAGE)
+    return kind, thresholds, wanted
 
 
 def _cmd_characterize(run: _Run) -> None:
-    kind, thresholds = _characterize_options(run)
+    kind, thresholds, wanted = _characterize_options(run)
     ds = _load_dataset(run)
     failures = lifecycle.detect_failures(ds)
-    which = str(run.opt("analysis", "all"))
     summary: dict = {"family": ds.family, "n_drives": ds.n_drives,
                      "n_failures": len(failures)}
-    wanted = {w.strip() for w in which.split(",")}
     def on(name): return "all" in wanted or name in wanted
 
     rate_header = ["bin_lo", "bin_hi", "failures", "exposure", "rate"]
@@ -480,9 +490,7 @@ def _cmd_characterize(run: _Run) -> None:
         matrix = charstats.spearman_matrix(ds, names)
         rows = []
         for i, a in enumerate(matrix.labels):
-            for j, b in enumerate(matrix.labels):
-                if j < i:
-                    continue
+            for j, b in enumerate(matrix.labels[i:], start=i):
                 defined = bool(matrix.defined[i, j])
                 rows.append([a, b, matrix.rho[i, j] if defined else "",
                              int(defined)])
@@ -521,12 +529,10 @@ def _cmd_characterize(run: _Run) -> None:
     if on("prefailure-percentiles"):
         pct = (90.0, 99.0)
         table = charstats.prefailure_error_percentiles(failures, ds, kind, pct)
-        rows = []
-        for offset, values in table.items():
-            for p in pct:
-                rows.append([offset, p, None if values is None else values[p]])
         run.write_csv("prefailure_percentiles.csv",
-                      ["days_before_failure", "percentile", "count"], rows)
+                      ["days_before_failure", "percentile", "count"],
+                      [[offset, p, None if values is None else values[p]]
+                       for offset, values in table.items() for p in pct])
         summary["prefailure-percentiles"] = {
             "kind": kind, "artifact": "prefailure_percentiles.csv"}
     if on("write-quartiles") and ds.family == "ssd":
@@ -539,8 +545,9 @@ def _cmd_characterize(run: _Run) -> None:
 
 
 def _cmd_featurize(run: _Run) -> None:
+    attr = _partition_attr(run, run.opt("partition-attr"))
     ds = _load_dataset(run)
-    build = _example_builder(ds, run.opt("partition-attr"))
+    build = _example_builder(ds, attr)
     index = {}
     for n in _lookahead_list(run):
         examples = build(n)
@@ -584,12 +591,9 @@ def _write_roc(run: _Run, name: str, report: evaluation.EvalReport | None) -> No
 
 
 def _cmd_evaluate(run: _Run) -> None:
-    lookaheads = _lookahead_list(run)
-    examples = _examples_for(run, lookaheads[0])
-    spec = _model_spec(run)
-    k = _folds(run)
-    report = evaluation.cross_validated_eval(examples, spec, k, run.seed,
-                                             jobs=run.jobs)
+    examples = _examples_for(run, _lookahead_list(run)[0])
+    report = evaluation.cross_validated_eval(examples, _model_spec(run), _folds(run),
+                                             run.seed, jobs=run.jobs)
     run.write_json("eval_report.json", report.to_dict(), indent=None)
     _write_roc(run, "roc.csv", report)
 
@@ -621,13 +625,18 @@ def _cmd_matrix(run: _Run) -> None:
 
 
 def _cmd_partition_eval(run: _Run) -> None:
-    rule = _parse_partition(str(run.need("partition")))
-    if rule is None:
-        raise _fail("usage", "partition-eval needs a rule, not 'none'", EXIT_USAGE)
+    text = str(run.need("partition"))
+    try:
+        attr, threshold = text.split(":")
+        rule = featurize.PartitionRule(attr, float(threshold))
+    except ValueError:
+        raise _fail("usage", f"bad --partition {text!r}; expected "
+                    "age:<days> or hfh:<hours>", EXIT_USAGE)
     if run.opt("examples"):
         raise _fail("usage", "partition-eval needs --input, not --examples: an "
                     "examples table does not record which attribute its "
                     "partition_key holds", EXIT_USAGE)
+    _partition_attr(run, rule.attribute)
     spec = _model_spec(run)
     lookahead = _lookahead_list(run)[0]
     examples = _example_builder(_load_dataset(run), rule.attribute)(lookahead)
@@ -660,28 +669,23 @@ _REPORT_SOURCES = {
 
 
 def _cmd_report(run: _Run) -> None:
-    found = {}
-    for name, producer in _REPORT_SOURCES.items():
-        path = run.out / name
-        if path.exists():
-            found[name] = producer
+    found = {name: producer for name, producer in _REPORT_SOURCES.items()
+             if (run.out / name).exists()}
     if not found:
         missing = ", ".join(f"{cmd} -> {name}"
                             for name, cmd in _REPORT_SOURCES.items())
         raise _fail("io", "no artifacts found in output directory; run one of: "
                     + missing, EXIT_IO)
-    missing_cmds = sorted(set(_REPORT_SOURCES.values())
-                          - set(found.values()))
+    missing_cmds = sorted(set(_REPORT_SOURCES.values()) - set(found.values()))
     run.write_json("report.json", {"artifacts": sorted(found),
                                    "missing_subcommands": missing_cmds,
                                    "sections": found})
 
     lines = ["# drivelife run report", "",
              f"Tool version {__version__}, config hash {run.config_hash}, "
-             f"seed {run.seed}; artifacts in `{run.out}`.", "",
+             f"seed {run.seed}.", "",
              "## Artifacts", ""]
-    for name in sorted(found):
-        lines.append(f"- `{name}` (from `{found[name]}`)")
+    lines += [f"- `{name}` (from `{found[name]}`)" for name in sorted(found)]
     if missing_cmds:
         lines += ["", "## Not yet produced", ""]
         lines += [f"- `{cmd}`" for cmd in missing_cmds]
@@ -717,12 +721,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
         p.add_argument("--jobs", type=int, help="worker pool size (default 1)")
-        if name in ("ingest", "lifecycle", "characterize", "featurize",
-                    "sweep", "matrix", "train", "evaluate", "partition-eval"):
+        if name not in ("synth", "report"):
             p.add_argument("--family", choices=["hdd", "ssd"])
             p.add_argument("--input", help="telemetry CSV")
             p.add_argument("--models", help="comma-separated model whitelist (hdd)")
-            p.add_argument("--from", dest="from_", metavar="YYYY-MM-DD")
+            p.add_argument("--from", metavar="YYYY-MM-DD")
             p.add_argument("--to", metavar="YYYY-MM-DD")
         if name in ("featurize", "train", "evaluate", "sweep", "matrix",
                     "partition-eval"):
@@ -734,21 +737,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--hyper", help="hyperparameter JSON object")
             p.add_argument("--folds", type=int)
         if name == "partition-eval":
-            p.add_argument("--partition", help="age:90 | hfh:40000 | none")
+            p.add_argument("--partition", help="age:90 | hfh:40000")
         if name == "featurize":
             p.add_argument("--partition-attr", choices=["age", "hfh"])
         if name == "characterize":
             p.add_argument("--analysis", help="comma list or 'all'")
-            p.add_argument("--error-kind", dest="error_kind")
+            p.add_argument("--error-kind")
             p.add_argument("--thresholds", help="HFH sweep thresholds")
     return parser
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # argparse stores --from as from_; normalize for _Run.opt lookups
-    if hasattr(args, "from_"):
-        setattr(args, "from", args.from_)
     try:
         context = _Run(args)
         _COMMANDS[args.command](context)

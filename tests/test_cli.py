@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,90 @@ class TestParser:
         assert second != self._config_hash(tmp_path / "first")
 
 
+class TestConfigHash:
+    """``config_hash`` digests the resolved settings and the input bytes."""
+
+    @pytest.fixture(scope="class")
+    def hdd_input(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("hdd")
+        (out / "fleet.json").write_text(json.dumps(HDD_CONFIG))
+        assert run(["synth", "--config", str(out / "fleet.json"), "--seed", "2",
+                    "--out", str(out)]) == 0
+        return ["--family", "hdd", "--input", str(out / "hdd_telemetry.csv")]
+
+    @staticmethod
+    def _hash(argv: list, out: Path, report: str) -> str:
+        assert run([*argv, "--out", str(out)]) == 0, argv
+        return json.loads((out / report).read_text())["_meta"]["config_hash"]
+
+    def _pair(self, tmp_path, argv, report, first, second) -> tuple[str, str]:
+        return (self._hash([*argv, *first], tmp_path / "first", report),
+                self._hash([*argv, *second], tmp_path / "second", report))
+
+    def test_hyper_decides_the_hash(self, synth_dir, tmp_path):
+        argv = ["train", "--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv"),
+                "--model", "rf", "--lookahead", "7", "--seed", "1"]
+        first, second = self._pair(tmp_path, argv, "train_report.json",
+                                   ["--hyper", '{"n_trees": 3}'],
+                                   ["--hyper", '{"n_trees": 5}'])
+        assert first != second
+
+    def test_jobs_does_not_decide_the_hash(self, synth_dir, tmp_path):
+        argv = ["train", "--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv"),
+                "--model", "rf", "--hyper", '{"n_trees": 3}', "--seed", "1"]
+        first, second = self._pair(tmp_path, argv, "train_report.json",
+                                   ["--jobs", "1"], ["--jobs", "2"])
+        assert first == second
+        assert dir_snapshot(tmp_path / "first") == dir_snapshot(tmp_path / "second")
+
+    def test_synth_settings_decide_the_hash(self, tmp_path):
+        hashes = []
+        for n_drives in (60, 61):
+            config = tmp_path / f"fleet{n_drives}.json"
+            config.write_text(json.dumps(SYNTH_CONFIG | {"n_drives": n_drives,
+                                                         "horizon_days": 30}))
+            hashes.append(self._hash(["synth", "--config", str(config), "--seed", "7"],
+                                     tmp_path / str(n_drives), "manifest.json"))
+        assert hashes[0] != hashes[1]
+
+    @pytest.mark.parametrize("argv, report, first, second", [
+        (["characterize", "--analysis", "prefailure-prob", "--seed", "1"],
+         "characterization.json", ["--error-kind", "smart_187"],
+         ["--error-kind", "smart_5"]),
+        (["characterize", "--analysis", "hfh-sweep", "--seed", "1"],
+         "characterization.json", ["--thresholds", "10000,40000"],
+         ["--thresholds", "10000,50000"]),
+        (["featurize", "--lookahead", "0"], "featurize_report.json",
+         ["--partition-attr", "age"], ["--partition-attr", "hfh"]),
+    ], ids=["error_kind", "thresholds", "partition_attr"])
+    def test_analysis_options_decide_the_hash(self, hdd_input, tmp_path, argv, report,
+                                              first, second):
+        hashes = self._pair(tmp_path, [*argv, *hdd_input], report, first, second)
+        assert hashes[0] != hashes[1]
+
+    def test_a_run_does_not_depend_on_its_paths(self, tmp_path):
+        outs = []
+        for i, root in enumerate((tmp_path / "a", tmp_path / "b" / "deeper")):
+            root.mkdir(parents=True)
+            (root / "fleet.json").write_text(json.dumps(SYNTH_CONFIG | {
+                "n_drives": 30, "horizon_days": 60}))
+            out = root / "run"
+            assert run(["synth", "--config", str(root / "fleet.json"), "--seed", "7",
+                        "--out", str(out)]) == 0
+            telemetry = root / f"input{i}" / f"telemetry{i}.csv"
+            telemetry.parent.mkdir()
+            shutil.copyfile(out / "ssd_telemetry.csv", telemetry)
+            source = ["--family", "ssd", "--input", str(telemetry), "--out", str(out)]
+            for argv in (["ingest"], ["featurize", "--lookahead", "0,7"],
+                         ["evaluate", "--lookahead", "7", "--model", "tree",
+                          "--folds", "3", "--seed", "7"]):
+                assert run([*argv, *source]) == 0, argv
+            assert run(["report", "--out", str(out)]) == 0
+            outs.append(dir_snapshot(out))
+        assert "report.md" in outs[0] and "ssd_dataset.npz" in outs[0]
+        assert outs[0] == outs[1]
+
+
 class TestErrors:
     def test_unknown_flag_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -289,9 +374,10 @@ class TestErrors:
         ["--hyper", '{"n_trees": 3'],
         ["--lookahead", "x"],
         ["--lookahead=-1"],
+        ["--lookahead", "\u00b2"],
         ["--folds", "1"],
     ], ids=["hyper_field", "hyper_json", "lookahead_text", "lookahead_negative",
-            "one_fold"])
+            "lookahead_superscript", "one_fold"])
     def test_bad_option_is_usage_error(self, extra, tmp_path, capsys):
         code, doc = self._error(capsys, [
             "evaluate", "--examples", self._examples(tmp_path), "--model", "rf",
@@ -506,6 +592,48 @@ class TestErrors:
         assert code == 2 and doc["error"] == "usage"
         assert list((tmp_path / "o").iterdir()) == []
 
+    @pytest.mark.parametrize("argv, config", [
+        (["characterize", "--analysis", "corelations", "--seed", "1"], {}),
+        (["featurize", "--partition-attr", "hfh"], {}),
+        (["partition-eval", "--partition", "hfh:40000", "--seed", "1"], {}),
+        (["featurize"], {"partition-attr": "bogus"}),
+        (["featurize", "--family", "hdd"], {"partition-attr": "bogus"}),
+    ], ids=["unknown_analysis", "featurize_ssd_hfh", "partition_eval_ssd_hfh",
+            "config_attr_ssd", "config_attr_hdd"])
+    def test_bad_analysis_or_partition_attribute_is_usage_error_before_the_input_is_read(
+            self, tmp_path, capsys, argv, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"family": "ssd", **config}))
+        code, doc = self._error(capsys, [
+            *argv, "--config", str(path), "--input", str(tmp_path / "missing.csv"),
+            "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        if "--analysis" in argv:
+            assert "corelations" in doc["message"]
+            assert "correlations, monthly-rate" in doc["message"]
+        else:
+            assert "partition attribute" in doc["message"]
+
+    @pytest.mark.parametrize("config", [
+        {"models": [["ST-A"]]}, {"models": {"ST-A": 1}}, {"analysis": [None]},
+        {"thresholds": [True]}, {"lookahead": [[0]]}],
+        ids=["models_nested", "models_object", "analysis_null", "thresholds_bool",
+             "lookahead_nested"])
+    def test_a_config_list_of_other_than_scalars_is_usage_error(self, tmp_path, capsys,
+                                                               config):
+        (tmp_path / "hdd.json").write_text(json.dumps(HDD_CONFIG))
+        assert run(["synth", "--config", str(tmp_path / "hdd.json"), "--seed", "2",
+                    "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        command = "featurize" if "lookahead" in config else "characterize"
+        code, doc = self._error(capsys, [
+            command, "--family", "hdd", "--input", str(tmp_path / "hdd_telemetry.csv"),
+            "--config", str(tmp_path / "config.json"), "--seed", "1",
+            "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage"
+        assert f"bad --{next(iter(config))} " in doc["message"]
+
     @pytest.mark.parametrize("models, message", [
         ({"All": 0.3, "M2": 0.3}, '"All"'), ({"M1": 0.3}, "two drive models")],
         ids=["named_all", "one_model"])
@@ -534,6 +662,39 @@ class TestErrors:
         assert code == 5 and doc["error"] == "internal"
         assert doc["message"] == "RuntimeError: boom"
         assert "Traceback" in doc["traceback"]
+
+
+class TestConfigLists:
+    """A comma-list option from a config file may be a JSON list."""
+
+    def test_a_json_list_acts_as_its_comma_string(self, tmp_path):
+        (tmp_path / "hdd.json").write_text(json.dumps(
+            HDD_CONFIG | {"models": {"ST-A": 0.2, "ST-B": 0.3}}))
+        assert run(["synth", "--config", str(tmp_path / "hdd.json"), "--seed", "2",
+                    "--out", str(tmp_path)]) == 0
+        source = ["--family", "hdd", "--input", str(tmp_path / "hdd_telemetry.csv")]
+        lists = {"models": ["ST-B"], "analysis": ["monthly-rate", "hfh-sweep"],
+                 "thresholds": [10000, 40000.5], "lookahead": [0, 7]}
+        (tmp_path / "lists.json").write_text(json.dumps(lists))
+        strings = {key: ",".join(map(str, value)) for key, value in lists.items()}
+        for command, keys in {"ingest": ["models"],
+                              "characterize": ["models", "analysis", "thresholds"],
+                              "featurize": ["models", "lookahead"]}.items():
+            argv = [command, *source, "--seed", "1", "--out"]
+            assert run([*argv, str(tmp_path / "lists"),
+                        "--config", str(tmp_path / "lists.json")]) == 0, command
+            assert run([*argv, str(tmp_path / "strings"),
+                        *[f"--{key}={strings[key]}" for key in keys]]) == 0, command
+        written = {name: dir_snapshot(tmp_path / name) for name in ("lists", "strings")}
+        assert sorted(written["lists"]) == sorted(written["strings"])
+        assert {"rates_monthly.csv", "rates_hfh.csv", "examples_hdd_N0.csv",
+                "examples_hdd_N7.csv"} <= set(written["lists"])
+        assert "correlations.csv" not in written["lists"]
+        report = json.loads(written["lists"]["ingest_report.json"])
+        assert report["models"] == ["ST-B"] and report["n_drives"] > 0
+        assert written["lists"]["hdd_dataset.csv"] == written["strings"]["hdd_dataset.csv"]
+        rows = written["lists"]["rates_hfh.csv"].decode().splitlines()
+        assert [row.split(",")[0] for row in rows[2:]] == ["10000.0", "40000.5"]
 
 
 class TestReport:

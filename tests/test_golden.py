@@ -18,9 +18,6 @@ counts, so no BLAS is involved either.
 is pinned too: it reads the examples CSV back, so its drive column becomes
 the folds through the reader, not through the dataset.
 
-The ``--input`` paths are relative, because the config hash written into
-every artifact covers the path string.
-
 The generator's own settings are pinned by ``synth`` alone on three more
 fleets (:data:`SYNTH_FLEETS`), whose telemetry and truth files must hash
 to :data:`SYNTH_GOLDEN`. Between them they use every setting the fleets
@@ -74,67 +71,67 @@ GOLDEN = {
     "ssd/ssd_telemetry.csv":
         "50a88c9cf24910ae06fd38efe2cf791783c0ff5f997283dce885b1e65782cd30",
     "ssd/truth.csv":
-        "7adb5c69e504bb9ff8de4390b67a3182a09e8fab591c0efd75e76cb7235b1a1c",
+        "ea24415c446dd62e52e568701a5c22e3bd898c5a830385006fdd9f1ff302bf5c",
     "ssd/ingest/ssd_dataset.csv":
         "50a88c9cf24910ae06fd38efe2cf791783c0ff5f997283dce885b1e65782cd30",
     "ssd/ingest/ingest_report.json":
-        "a56ff36b8e1af202e8b1e8ffbc1f21721bf946ad80319a04560455475ae7880a",
+        "a40e68e42876768b67f9034fa745311ce3f481d83d5803866e6bee5e8945e6fc",
     "hdd/hdd_telemetry.csv":
         "e4f89c8962aaf95b98eaad2f1ccee15906817a3e13a8e9df3b24c34c4dcb0688",
     "hdd/truth.csv":
-        "d98a472406f749b4e35a9b72fbe1cfb021bf253ab16652d42be4125561aae915",
+        "324123c2592b2c191bc8184e6eaf3accd5e662ce28168757fbffba42716dcc33",
     "hdd/ingest/hdd_dataset.csv":
         "e4f89c8962aaf95b98eaad2f1ccee15906817a3e13a8e9df3b24c34c4dcb0688",
     "hdd/ingest/ingest_report.json":
-        "b9640b171f0bc746200afef73d20c97634bf15fb3bdcbc7c44c90233313952ee",
+        "77d239cf368fad517668764acde08f3d82d0cf0833b45c28fa7f41ee594b2186",
     "hdd/filtered/hdd_dataset.csv":
         "bc5cd2540ef0ada535d96c7ec6a3bd04b3bacd4b995faf0e5ae4a6d8ec214e57",
     "hdd/filtered/ingest_report.json":
-        "76a16fda7369f501e69f12a3e3c59785fecb847a573e3afa435d867a1564440b",
+        "eca16da7ece2914318239842fff239d6efb4aaa2120bad795f913fb5a93d605d",
     "ssd/failures.csv":
-        "d0a15e5d6555201d7ef44662605947b50d5f00e641fe3cfc8f2bbefb4e9b1537",
+        "761bdf1e0c85071f8774f4ba5c775ee55c125b35a290082e423beb9dc655da34",
     "ssd/periods.csv":
-        "803dce781330c749af418a7ff1ac3c47256ef912bcdc25abd1ef60a32abf4d2d",
+        "b160d7445a231920ffeba157499e6b0a6ed36d327db893fdfe1ccda334657567",
     "ssd/repairs.csv":
-        "f14e7998159104b30b84994688c3e4f1073ec65f9b5b697e11f9c32c0fb7c70a",
+        "cc86861b515160c89fedc53e23a0dac0adf2e82f9273a9d19e62a699272e7199",
     "ssd/rates_monthly.csv":
-        "a1d0da0d37632b63311d396de2f75fe4afd8448b9d6ac44aeb5497450877c8cb",
+        "6afc86d7a33afa2f34ec5deb816d9ce6b9da190b0bfbda16a0fc5b970b8743ad",
     "ssd/prefailure_prob.csv":
-        "811feca143d340ce7ee0332a5f26a170a15702562bd63c6aa065fa7686b3dc1a",
+        "f3c58e5428879bcec00321a18c376512a02a5d07e52631c3e453d3147fdc26f5",
     "ssd/prefailure_percentiles.csv":
-        "b2f8528435a1cf190b07397c7baa1f213b88ea8f1d5f4f0eb3a24b034aa5ba59",
+        "c3d57c1b5f83152dcdb23e1d057a79b1569f0a413402f98b21c2e7640f4675a0",
     "ssd/examples_ssd_N0.csv":
-        "5ad96dca1a6d5d2c6581b3fc8f3f2917ee90f71ddcbcf79d2309a219ec15b7db",
+        "29d8800a2e7b59521c7b6b196795778f143a96be645f1bed4431d729d7f0fbe0",
     "ssd/examples_ssd_N7.csv":
-        "5f624ef5d5d6c3180f42b4367f09d45fbbfea6a42bfb06fe83a83f1369f7c91d",
+        "4a5b54c7bc0b3eb6634e4d70f12518cde52984d36aa1a62d0bc504897c0e43c1",
     "hdd/failures.csv":
-        "d6a0b0d39a2e7a14ea176445aa3d3b5e2f3cff733552e9012642d2e91ccad391",
+        "eae98afe03bca5a32fb3937136134f4f9f6375109c4886c908cd72f8cda97511",
     "hdd/periods.csv":
-        "75d3a2b8719ec2196dc32c8a8cf412fc7a0b991c14149ae4537b7c83a22521ab",
+        "0d09371f38b2d589f0302c71d4dd2f122fad994dda1fa20b1b3c864f8ea3b6d6",
     "hdd/repairs.csv":
-        "9cecf872527de593a33e5362e6dc4a3f1d954bb96bc9e9a2ce753c58212b204a",
+        "0b7c288fabf6271ff4f33b83b96dfba03ce2ceab886bbb6b312c9b49d2d418df",
     "hdd/rates_monthly.csv":
-        "58e07835d570d384d2acda8c3a5a2ce30e50059e64006c301aedcfbcde58f252",
+        "8a6c662a9c0949f6461337b128271c899b6f056f23686c9df6e43b5afe1eb749",
     "hdd/prefailure_prob.csv":
-        "55734897084747c674cf409dadb3d5e93082b56ada6c1838a3a6082386ee125b",
+        "e4cb416c30ec5a1e523193d802506164cb0ccd74971f4399d13055439d9ce0fc",
     "hdd/prefailure_percentiles.csv":
-        "40031651ae4de7301a9af9179982673284145f5607620a2f708ff3a103cbc73b",
+        "a3c9823b2efc09910bc9a90298cf4d711333f6b90984a150a225c59c4826fe7d",
     "hdd/examples_hdd_N0.csv":
-        "e01e7e6b752bbe3d22a5d06749862a5d22f082c089ef656b980c15146ebc0ced",
+        "592c1c07171801b8ce860dda8db1574bf907f83af96cd2126ee5cf9311807643",
     "hdd/examples_hdd_N7.csv":
-        "c676bbc94b63597e84a73a22f3bbd5311c6d2f94b974cd5d3b870606fde1bae6",
+        "81ec9fd12c728e3876beecdc74071cf3f61141a06bf4c928cae01ec7a01ddc24",
     "ssd/rates_pe.csv":
-        "dee515fd7b70af47c7a622b3c9ea7d60c1c99774aeac3cb03328be5c4d50bd4b",
+        "8357551928f52c45a81060781424414d4b7c0db2132b2fc135bacb56dc49a7fe",
     "ssd/pe_failure_cdf.csv":
-        "a9063bad2562e43690144372c51ebf422cdc014ff049f5127ba513bc11e1a314",
+        "03fd810ad11ec11b9ddefe3c5d0ee3631ea737ec3e5e5d6c3394e478142e2e96",
     "ssd/write_quartiles.csv":
-        "9494395f109bad24f889bd8c9a8f0121937575e5c930ae2ad4263b0c1f041c44",
+        "635f2aeaa99b967ae5cdd20b4722a623991bb27b394c34bec55f7ba569559c16",
     "ssd/manifest.json":
-        "798d768527021dbfe1e37cf6991a5c153338b27a55c8c835edb25bd56cd0dfc8",
+        "d695ed1d935d74fa5d6829a9d59705619faa1b70cb1bbd93f81d5bd45d7b18ba",
     "hdd/rates_hfh.csv":
-        "8f940fc3ac16b83e086668e5a0038d6045c8eb49fdff862a9d4c5cee5108a55e",
+        "5a081e819e9c7fc78b0c58d65c77f12c104736e7e48216b280d564ae7946fcef",
     "hdd/manifest.json":
-        "da09c34ef3debb7cf5446400614738eb4ebe49a8024d018716fb7ab2a200d7cf",
+        "8f5e357e83596105ffb7c44de59fea05bcadbe35e62ce84d8e76d9ab8fa1142a",
 }
 
 
@@ -176,15 +173,15 @@ SYNTH_GOLDEN = {
     "ssd-settings/ssd_telemetry.csv":
         "5574579e3cd4f3c8535e85a8fefc8f9ca0cc203c1332335789f9b3f80fa9d071",
     "ssd-settings/truth.csv":
-        "8ea70b336bf89ad536085ea2124372e0c3bfaaf3e28412ab59a9d559d2e596db",
+        "6ef70debba6d6e02bc6177152cdbc5cf63b36223ae08ae8a1144d7467b19bf27",
     "hdd-settings/hdd_telemetry.csv":
         "b4bdc69576c20d8cc7d72370122877c6069ba25caa11b76255af7f43b884a06a",
     "hdd-settings/truth.csv":
-        "0516f805ffe8d45f8e83c3b1c4ef506204e44be3025adc71f5235872ed86cde9",
+        "cc7d350a2fd97a5f29b12f02a8a28d5adec33a9add2de519817f50b079094f00",
     "ssd-few/ssd_telemetry.csv":
         "f9ebd4406a2ca2530233ca0965f6bad026c444036a7d271d283ab7019e188e6f",
     "ssd-few/truth.csv":
-        "fd3b23e1a73cd9975515c5651fd3927b2081bd90004fc583b80b1adcdb0284b3",
+        "56b002c7efde100a527d677375f05a4ea8466bb7b616f3f9abdd6e24d32187c2",
 }
 
 #: ``--model tree`` runs on the SSD fleet, each into ``tree/<subcommand>``.
@@ -207,33 +204,33 @@ EXAMPLES_RUN = (["evaluate", "--examples", "ssd/examples_ssd_N7.csv",
 
 TREE_GOLDEN = {
     "tree/evaluate/eval_report.json":
-        "b83e87c69ed8906a2172d5aa009f433c68cfe51d0b9687972f4f869fd7400678",
+        "8a7f46a93087254b661eb32e21d67413c2603e322676b4d9df502b51f3fca928",
     "tree/evaluate/roc.csv":
-        "20cbbf1e1d233b6bf552941b5fa04f0be3433ae3d590b3b5203c4fa152f2b5b6",
+        "fa62cb293478acebe278f7b5ad7899ac3279cdf3244a669e2c066d9df82c160c",
     "tree/sweep/sweep.csv":
-        "bd742facc52a7954ceea999398666b776ddc0fbc3210013188caeab11b186dc0",
+        "b4578585625610e5e7a856969b0ab533a39f942d23d7d150103466158a29f89d",
     "tree/sweep/eval_report_N0.json":
-        "58e77dc335b989e1a164de56d3191fe9ec1cc74676f91de59402a6da472e3835",
+        "90e36959555816a6cef412465938e22db2bedc6d4e14efe41c238dee62123556",
     "tree/sweep/eval_report_N7.json":
-        "42b472a9e963e0b351572cef77af5b35d8cdb23f91454289683517d9352d6587",
+        "e69ab699952e6f80f196558a017a7e2cf33597ecf2860511de28be639d6aeac7",
     "tree/sweep/roc_N0.csv":
-        "f91685ccf6de14beebeb971a726c73047cbb2873d45ca7b9837d1f1e1dac2e10",
+        "41183586e038291f208994a9eb4c57e50ae74026f13223dd70028695d07aa91e",
     "tree/sweep/roc_N7.csv":
-        "950ea13214ce6669f43d45d5221d30fb32bfad5ddac88583afab0df9a2751da1",
+        "e470a8303f8b44e901b4dd0be9a5be57d254de2c9f45a0a2ec57b7dc5502d16e",
     "tree/matrix/matrix.csv":
-        "4ac0e94e4fb6070eca6f940057e6b438719b34659daaa00a71ce89870f874be7",
+        "c5a34cf8a361fd39eb66300442334dd0e475d9b9db964dec37c5ac20c6203bcd",
     "tree/partition-eval/partition_report.json":
-        "32bfd7a504105aff9c377f5950297d69573218eaefb2e9a10b729eb0928a7f32",
+        "d1d9c817b6b65876bf5b5c7d66ae421685d6d0c2cc870d810c4385dc47a71c85",
     "tree/partition-eval/roc_below.csv":
-        "1c282b623d36ead744e8b185bf6733df935986e1a099fe47175e42188c9b1fb9",
+        "7b97794eaa9ebac9296ec932b69caca2dac657f96987db704942889c2d48f733",
     "tree/partition-eval/roc_above.csv":
-        "42d11dc87401c2d501cdd52c2463010a1470eaa22dfaed7be5b430c5db52a3ad",
+        "8da74d148d8bf196c1133c4050682398cf9020757ea128f3af49dc6ec1265b55",
     "tree/partition-eval/roc_unsplit.csv":
-        "0dd98dbf5fd7e23c3543fc7aada1370a1488e02fd728fa7ac1b329e221e14e49",
+        "dd68ad4229afa91c8638980344faf57916d8e0b7e8197a3ace64d05351604105",
     "tree/evaluate-examples/eval_report.json":
-        "1855d4aaaace69ec90d58042347283cb2c9465b5ebc1fd294d4fcd2790cdce4d",
+        "d62a2f1ec900b39f510a027ec17eafd93e2997e7f09b814b80d959384707a6fa",
     "tree/evaluate-examples/roc.csv":
-        "3984f1de833f93b09362f4346b8a2a7c1fd82df043997cdab1be52d4dbdc407c",
+        "47b047191efdc032158eba7883f0ff82641509e4a520b3ab7de3df7b4a64e582",
 }
 
 

@@ -12,12 +12,10 @@ rf, evaluate logreg. Ingest runs first, so the subcommands after it in
 ``run/`` and ``hdd/`` load the dataset it stored, and the others parse. It
 prints one ``sha256  path`` line per file under OUTDIR, sorted.
 
-Artifacts embed a hash of the input path strings, so compare two runs
-(for instance before and after a refactor) made into the same absolute
-OUTDIR, one after the other. With ``--compare LISTING`` the run's lines are
-diffed against a listing saved from an earlier run: the differing lines are
-printed as a unified diff and the exit status is 1, or 0 when every artifact
-and its path are equal.
+With ``--compare LISTING`` the run's lines are diffed against a listing
+saved from an earlier run, into this or any other OUTDIR (for instance
+before a refactor): the differing lines are printed as a unified diff and
+the exit status is 1, or 0 when every artifact and its path are equal.
 """
 
 from __future__ import annotations
