@@ -42,6 +42,8 @@ import traceback
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__, charstats, evaluation, featurize, learners, lifecycle, synth
 from .ingest import (FleetDataset, SchemaError, _write_csv, filter_hdd,
                      parse_hdd_csv, parse_ssd_log, read_dataset_npz,
@@ -77,7 +79,7 @@ def _integer(name: str, value, minimum: int) -> int:
 
     A bool, a float and a numeric string are not integers here.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if not learners._whole(value, minimum):
         raise _fail("usage", f"bad {name} {value!r}; expected an integer "
                     f">= {minimum}", EXIT_USAGE)
     return value
@@ -302,12 +304,33 @@ def _list_opt(run: _Run, name: str, default: str | None = None) -> list[str]:
     return [str(v).strip() for v in items]
 
 
+#: The calendar's span in days: no failure lies farther ahead than this.
+_MAX_LOOKAHEAD = (dt.date.max - dt.date.min).days
+
+
 def _lookahead_list(run: _Run) -> list[int]:
     cells = _list_opt(run, "lookahead", "0")
-    if not cells or not all(v.isdecimal() for v in cells):
+    days = [int(v) for v in cells if v.isdecimal()]
+    if not cells or len(days) < len(cells) or max(days) > _MAX_LOOKAHEAD:
         raise _fail("usage", f"bad --lookahead {run.opt('lookahead')!r}; expected "
-                    "days >= 0, comma-separated", EXIT_USAGE)
-    return [int(v) for v in cells]
+                    f"days from 0 to {_MAX_LOOKAHEAD}, comma-separated", EXIT_USAGE)
+    return days
+
+
+def _fittable(examples: featurize.LabeledExamples, spec: evaluation.ModelSpec,
+              k: int | None = None) -> featurize.LabeledExamples:
+    """``examples``, when ``spec`` and ``k`` folds fit them; else a usage error,
+    raised before any fit."""
+    subset = {"rf": spec.forest.features_per_split,
+              "tree": spec.tree.features_per_split}.get(spec.kind)
+    n_features = examples.X.shape[1]
+    if isinstance(subset, int) and subset > n_features:
+        raise _fail("usage", f"bad --hyper features_per_split {subset}; expected at "
+                    f"most {n_features}, the examples' feature count", EXIT_USAGE)
+    if k is not None and k > (n_drives := np.unique(examples.drive).size):
+        raise _fail("usage", f"bad --folds {k}; expected at most {n_drives}, the "
+                    "examples' drive count", EXIT_USAGE)
+    return examples
 
 
 def _partition_attr(run: _Run, attr: str | None) -> str | None:
@@ -562,8 +585,8 @@ def _cmd_featurize(run: _Run) -> None:
 
 def _cmd_train(run: _Run) -> None:
     lookaheads = _lookahead_list(run)
-    examples = _examples_for(run, lookaheads[0])
     spec = _model_spec(run)
+    examples = _fittable(_examples_for(run, lookaheads[0]), spec)
     balanced = evaluation.undersample(examples, 1.0,
                                       evaluation._derived_seed(run.seed, 0, 0))
     model = spec.train(balanced.X, balanced.y,
@@ -591,9 +614,10 @@ def _write_roc(run: _Run, name: str, report: evaluation.EvalReport | None) -> No
 
 
 def _cmd_evaluate(run: _Run) -> None:
-    examples = _examples_for(run, _lookahead_list(run)[0])
-    report = evaluation.cross_validated_eval(examples, _model_spec(run), _folds(run),
-                                             run.seed, jobs=run.jobs)
+    spec, k = _model_spec(run), _folds(run)
+    examples = _fittable(_examples_for(run, _lookahead_list(run)[0]), spec, k)
+    report = evaluation.cross_validated_eval(examples, spec, k, run.seed,
+                                             jobs=run.jobs)
     run.write_json("eval_report.json", report.to_dict(), indent=None)
     _write_roc(run, "roc.csv", report)
 
@@ -603,8 +627,9 @@ def _cmd_sweep(run: _Run) -> None:
     spec = _model_spec(run)
     k = _folds(run)
     lookaheads = sorted(_lookahead_list(run))
-    reports = evaluation.lookahead_sweep(_example_builder(ds), lookaheads, spec,
-                                         k, run.seed, jobs=run.jobs)
+    build = _example_builder(ds)
+    reports = evaluation.lookahead_sweep(lambda n: _fittable(build(n), spec, k),
+                                         lookaheads, spec, k, run.seed, jobs=run.jobs)
     rows = []
     for n, report in reports.items():
         run.write_json(f"eval_report_N{n}.json", report.to_dict(), indent=None)
@@ -616,9 +641,9 @@ def _cmd_sweep(run: _Run) -> None:
 def _cmd_matrix(run: _Run) -> None:
     ds = _load_dataset(run)
     spec = _model_spec(run)
-    examples = _example_builder(ds)(_lookahead_list(run)[0])
-    result = evaluation.cross_model_matrix(examples, spec, _folds(run), run.seed,
-                                           jobs=run.jobs)
+    k = _folds(run)
+    examples = _fittable(_example_builder(ds)(_lookahead_list(run)[0]), spec, k)
+    result = evaluation.cross_model_matrix(examples, spec, k, run.seed, jobs=run.jobs)
     run.write_csv("matrix.csv", ["train_model", "test_model", "auroc"],
                   [[i, j, result["auroc"][(i, j)]] for i in result["train_labels"]
                    for j in result["test_labels"]])
@@ -639,9 +664,11 @@ def _cmd_partition_eval(run: _Run) -> None:
     _partition_attr(run, rule.attribute)
     spec = _model_spec(run)
     lookahead = _lookahead_list(run)[0]
-    examples = _example_builder(_load_dataset(run), rule.attribute)(lookahead)
-    report = evaluation.partitioned_eval(examples, rule, spec, _folds(run),
-                                         run.seed, jobs=run.jobs)
+    k = _folds(run)
+    examples = _fittable(_example_builder(_load_dataset(run), rule.attribute)(lookahead),
+                         spec, k)
+    report = evaluation.partitioned_eval(examples, rule, spec, k, run.seed,
+                                         jobs=run.jobs)
     for side in ("below", "above", "unsplit"):
         _write_roc(run, f"roc_{side}.csv", getattr(report, side))
     run.write_json("partition_report.json", {

@@ -231,6 +231,12 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("rf", "tree", "logreg"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        learners._check(learners._finite(self.l2) and self.l2 >= 0, "l2", self.l2,
+                        "a finite number >= 0")
+        learners._check(learners._whole(self.max_iter, 1), "max_iter",
+                        self.max_iter, "an integer >= 1")
+        learners._check(learners._finite(self.tol) and self.tol > 0, "tol", self.tol,
+                        "a finite number > 0")
 
     def train(self, X, y, seed: int, feature_names=None, jobs: int = 1):
         if self.kind == "rf":

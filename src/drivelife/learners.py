@@ -9,7 +9,15 @@ consecutive distinct sorted values; the winning candidate minimizes the
 weighted Gini impurity ``(n_l*g_l + n_r*g_r) / n``, ties broken by lowest
 feature index then lowest threshold. The score is computed from integer
 class counts with one division per term, so an exhaustive re-enumeration
-using the same textbook formula reproduces it bit for bit.
+using the same textbook formula reproduces it bit for bit. A node scores
+all of its sampled features at once, as the exact greedy split finder of
+XGBoost does (Chen & Guestrin, KDD '16, section 4.1): one stable 2-D sort
+of their columns (ascending feature index) and one cumulative count of
+positives down each column give every candidate's class counts. A
+candidate lies between two unequal sorted values and leaves at least
+``min_samples_leaf`` rows on each side; the candidates are listed feature
+by feature, thresholds ascending within a feature, so the first minimum of
+their scores is the tie-break above.
 
 Models are immutable once trained and serialize to self-describing JSON;
 a reloaded model predicts bit-identically (floats round-trip via repr).
@@ -21,7 +29,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import numpy.random
@@ -44,11 +52,41 @@ __all__ = [
 ]
 
 
+def _whole(value, minimum: int) -> bool:
+    """Whether ``value`` is an int of at least ``minimum``; a bool is not an int here."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite int or float; a bool is not a number here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check(ok: bool, name: str, value, expected: str) -> None:
+    if not ok:
+        raise ValueError(f"bad {name} {value!r}; expected {expected}")
+
+
+def _check_growth(params: "TreeParams | ForestParams") -> None:
+    """ValueError unless the fields that grow each tree are in range."""
+    _check(params.max_depth is None or _whole(params.max_depth, 0), "max_depth",
+           params.max_depth, "null or an integer >= 0")
+    _check(_whole(params.min_samples_leaf, 1), "min_samples_leaf",
+           params.min_samples_leaf, "an integer >= 1")
+    subset = params.features_per_split
+    _check(subset is None or subset == "sqrt" or _whole(subset, 1),
+           "features_per_split", subset, 'null, "sqrt" or an integer >= 1')
+
+
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: int | None = None
     min_samples_leaf: int = 1
     features_per_split: int | str | None = None  # None=all, "sqrt"=ceil(sqrt(p))
+
+    def __post_init__(self):
+        _check_growth(self)
 
 
 @dataclass(frozen=True)
@@ -58,6 +96,12 @@ class ForestParams:
     min_samples_leaf: int = 1
     features_per_split: int | str | None = "sqrt"
     bootstrap: bool = True
+
+    def __post_init__(self):
+        _check(_whole(self.n_trees, 1), "n_trees", self.n_trees, "an integer >= 1")
+        _check(isinstance(self.bootstrap, bool), "bootstrap", self.bootstrap,
+               "true or false")
+        _check_growth(self)
 
 
 def _tree_params(params: ForestParams) -> TreeParams:
@@ -99,13 +143,17 @@ class TreeModel:
     @property
     def n_nodes(self) -> int:
         """Splits and leaves in the tree."""
-        count, stack = 0, [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack += (node.left, node.right)
-        return count
+        return sum(1 for _ in _preorder(self.root))
+
+
+def _preorder(root: TreeNode) -> Iterator[TreeNode]:
+    """The nodes under ``root``, each before its left and then its right subtree."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not node.is_leaf:
+            stack += (node.right, node.left)
 
 
 @dataclass(frozen=True)
@@ -155,47 +203,41 @@ def _gini(n: int, pos: int) -> float:
     return 1.0 - p * p - q * q
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, feature_ids: Sequence[int],
+def _best_split(X: np.ndarray, y: np.ndarray, feature_ids: np.ndarray,
                 min_samples_leaf: int) -> tuple[float, int, float] | None:
     """Lowest-weighted-Gini (score, feature, midpoint threshold), or None.
 
-    Features are scanned in ascending index order and candidates in
-    ascending threshold order with strict improvement, which realizes the
-    tie-break: lowest feature index, then lowest threshold.
+    The sampled features are scored together, one column each, ascending;
+    the first minimum over the candidates in feature-major order realizes
+    the tie-break: lowest feature index, then lowest threshold.
     """
     n = y.shape[0]
-    best: tuple[float, int, float] | None = None
-    y_int = y.astype(np.int64)
-    for f in sorted(feature_ids):
-        xs_all = X[:, f]
-        if (xs_all == xs_all[0]).all():
-            continue  # constant at this node: no threshold separates it
-        order = np.argsort(xs_all, kind="stable")
-        xs = xs_all[order]
-        pos_cum = np.cumsum(y_int[order])
-        total_pos = pos_cum[-1]
-        nl = np.arange(1, n, dtype=np.int64)
-        valid = xs[:-1] != xs[1:]
-        if min_samples_leaf > 1:
-            valid &= (nl >= min_samples_leaf) & ((n - nl) >= min_samples_leaf)
-        if not valid.any():
-            continue
-        lp = pos_cum[:-1]
-        nr = n - nl
-        rp = total_pos - lp
-        pl = lp / nl
-        ql = (nl - lp) / nl
-        gl = 1.0 - pl * pl - ql * ql
-        pr = rp / nr
-        qr = (nr - rp) / nr
-        gr = 1.0 - pr * pr - qr * qr
-        scores = (nl * gl + nr * gr) / n
-        scores[~valid] = np.inf
-        i = int(np.argmin(scores))  # first minimum: lowest threshold wins
-        score = float(scores[i])
-        if best is None or score < best[0]:
-            best = (score, int(f), float((xs[i] + xs[i + 1]) / 2))
-    return best
+    features = np.sort(feature_ids)
+    columns = X[:, features]
+    order = np.argsort(columns, axis=0, kind="stable")
+    xs = np.take_along_axis(columns, order, axis=0)
+    pos_cum = np.cumsum(y.astype(np.int64)[order], axis=0)
+    valid = xs[:-1] != xs[1:]
+    if min_samples_leaf > 1:
+        sizes = np.arange(1, n)[:, None]
+        valid &= (sizes >= min_samples_leaf) & ((n - sizes) >= min_samples_leaf)
+    j, i = np.nonzero(valid.T)  # the candidates, feature-major
+    if i.size == 0:
+        return None
+    nl = i + 1
+    lp = pos_cum[i, j]
+    nr = n - nl
+    rp = pos_cum[-1, j] - lp
+    pl = lp / nl
+    ql = (nl - lp) / nl
+    gl = 1.0 - pl * pl - ql * ql
+    pr = rp / nr
+    qr = (nr - rp) / nr
+    gr = 1.0 - pr * pr - qr * qr
+    scores = (nl * gl + nr * gr) / n
+    best = int(np.argmin(scores))
+    i, j = i[best], j[best]
+    return float(scores[best]), int(features[j]), float((xs[i, j] + xs[i + 1, j]) / 2)
 
 
 def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: TreeParams,
@@ -210,7 +252,7 @@ def _grow(X: np.ndarray, y: np.ndarray, depth: int, params: TreeParams,
     if n_subset is not None and n_subset < p:
         feature_ids = rng.choice(p, size=n_subset, replace=False)
     else:
-        feature_ids = range(p)
+        feature_ids = np.arange(p)
     found = _best_split(X, y, feature_ids, params.min_samples_leaf)
     if found is None:
         return node
@@ -230,10 +272,9 @@ def _resolve_subset(spec: int | str | None, p: int) -> int | None:
         return None
     if spec == "sqrt":
         return math.ceil(math.sqrt(p))
-    k = int(spec)
-    if not 1 <= k <= p:
-        raise ValueError(f"features_per_split {k} outside [1, {p}]")
-    return k
+    if spec > p:
+        raise ValueError(f"features_per_split {spec} exceeds the {p} features")
+    return spec
 
 
 def _check_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -463,17 +504,6 @@ def predict_proba(model, x) -> float | np.ndarray:
     return float(out[0]) if single else out
 
 
-def _accumulate_decreases(node: TreeNode, acc: np.ndarray, n_root: int) -> None:
-    if node.is_leaf:
-        return
-    decrease = (node.n_samples * node.impurity
-                - node.left.n_samples * node.left.impurity
-                - node.right.n_samples * node.right.impurity) / n_root
-    acc[node.feature] += decrease
-    _accumulate_decreases(node.left, acc, n_root)
-    _accumulate_decreases(node.right, acc, n_root)
-
-
 def feature_importance(model: ForestModel) -> ImportanceRanking:
     """Mean decrease in Gini impurity per feature, normalized to sum 1.
 
@@ -482,7 +512,12 @@ def feature_importance(model: ForestModel) -> ImportanceRanking:
     """
     total = np.zeros(model.n_features)
     for tree in model.trees:
-        _accumulate_decreases(tree.root, total, tree.root.n_samples)
+        for node in _preorder(tree.root):
+            if not node.is_leaf:
+                total[node.feature] += (node.n_samples * node.impurity
+                                        - node.left.n_samples * node.left.impurity
+                                        - node.right.n_samples * node.right.impurity
+                                        ) / tree.root.n_samples
     total /= len(model.trees)
     mass = total.sum()
     if mass <= 0:

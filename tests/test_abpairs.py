@@ -1,6 +1,7 @@
 """The verdict of ``tools/abpairs.py`` on fixed samples; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,35 @@ def test_unequal_samples_rejected():
         verdict([1.0], [1.0, 2.0], "lower")
 
 
+def test_session_record_from_fixed_samples():
+    seeds = list(range(5, 15))
+    samples = {"parent": [{"wall_s": p, "peak_rss_mb": 47.0} for p in PARENT],
+               "change": [{"wall_s": p - 0.04, "peak_rss_mb": 47.25} for p in PARENT]}
+    verdicts = {name: verdict([r[name] for r in samples["parent"]],
+                              [r[name] for r in samples["change"]], "lower",
+                              bound, claim=name == "wall_s")
+                for name, bound in (("wall_s", 0.25), ("peak_rss_mb", 0.1))}
+    commits = {"parent": "8" * 40, "change": None}
+    doc = json.loads(json.dumps(abpairs.session_record("w", seeds, 60.0, commits,
+                                                       samples, verdicts)))
+    assert set(doc) == {"workload", "seeds", "pairs", "seconds", "nproc", "commits",
+                        "pair_metrics", "verdicts"}
+    assert (doc["workload"], doc["seeds"], doc["pairs"], doc["seconds"]) == (
+        "w", seeds, 10, 60.0)
+    assert isinstance(doc["nproc"], int) and doc["nproc"] >= 1
+    assert doc["commits"] == commits
+    assert doc["pair_metrics"][3] == {"seed": 8, "parent": samples["parent"][3],
+                                      "change": samples["change"][3]}
+    assert [p["seed"] for p in doc["pair_metrics"]] == seeds
+    assert doc["verdicts"]["wall_s"]["holds"] is True
+    assert doc["verdicts"]["peak_rss_mb"]["wins"] == 0
+    assert doc["verdicts"]["peak_rss_mb"]["parent"] == [47.0, 47.0, 47.0]
+
+
+def test_head_commit_outside_a_work_tree(tmp_path):
+    assert abpairs.head_commit(tmp_path) is None
+
+
 FAKE_RUN = '''import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 wall = {wall} + seed % 3 * 0.001
@@ -92,7 +122,10 @@ def _main(parent: Path, change: Path) -> int:
 def test_main_on_stand_in_checkouts(tmp_path, capsys):
     parent = _checkout(tmp_path / "parent", 0.2)
     assert _main(parent, _checkout(tmp_path / "faster", 0.1)) == 0
-    assert "claim holds" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "claim holds" in out
+    record = json.loads(out.splitlines()[-1])
+    assert record["seeds"] == [5, 6, 7, 8] and record["verdicts"]["wall_s"]["holds"]
     assert _main(parent, _checkout(tmp_path / "same", 0.2)) == 1
     out = _main(parent, _checkout(tmp_path / "bigger", 0.1, rss=120.0))
     assert out == 1 and "worse by more than its bound 0.1" in capsys.readouterr().out

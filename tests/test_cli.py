@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -336,6 +337,9 @@ class TestConfigHash:
         assert outs[0] == outs[1]
 
 
+_PAST_DRIVES = r"bad --folds 1000; expected at most (\d+), the examples' drive count"
+
+
 class TestErrors:
     def test_unknown_flag_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -376,13 +380,54 @@ class TestErrors:
         ["--lookahead=-1"],
         ["--lookahead", "\u00b2"],
         ["--folds", "1"],
+        ["--hyper", '{"n_trees": 0}'],
+        ["--hyper", '{"n_trees": -1}'],
+        ["--hyper", '{"features_per_split": 99}'],
+        ["--hyper", '{"bootstrap": "no"}'],
+        ["--model", "tree", "--hyper", '{"min_samples_leaf": -3, "max_depth": 1.5}'],
+        ["--model", "tree", "--hyper", '{"features_per_split": 2}'],
+        ["--model", "logreg", "--hyper", '{"l2": "x"}'],
+        ["--model", "logreg", "--hyper", '{"l2": -1}'],
+        ["--model", "logreg", "--hyper", '{"max_iter": 0}'],
+        ["--model", "logreg", "--hyper", '{"tol": -1}'],
+        ["--lookahead", "99999999999999999999"],
+        ["--folds", "1000"],
     ], ids=["hyper_field", "hyper_json", "lookahead_text", "lookahead_negative",
-            "lookahead_superscript", "one_fold"])
+            "lookahead_superscript", "one_fold", "hyper_no_trees",
+            "hyper_negative_trees", "hyper_subset_past_features",
+            "hyper_bootstrap_text", "hyper_tree_leaf_depth", "hyper_tree_subset",
+            "hyper_l2_text", "hyper_l2_negative", "hyper_no_iterations",
+            "hyper_tol_negative", "lookahead_past_calendar", "folds_past_drives"])
     def test_bad_option_is_usage_error(self, extra, tmp_path, capsys):
         code, doc = self._error(capsys, [
             "evaluate", "--examples", self._examples(tmp_path), "--model", "rf",
             "--seed", "1", "--out", str(tmp_path / "o"), *extra])
-        assert code == 2 and doc["error"] == "usage"
+        assert code == 2 and doc["error"] == "usage" and "traceback" not in doc
+
+    @pytest.mark.parametrize("argv, message", [
+        (["featurize", "--lookahead", "99999999999999999999"],
+         r"bad --lookahead '99999999999999999999'; expected days from 0 to "
+         r"(3652058), comma-separated"),
+        (["evaluate", "--folds", "1000"], _PAST_DRIVES),
+        (["sweep", "--lookahead", "0,2", "--folds", "1000"], _PAST_DRIVES),
+        (["matrix", "--folds", "1000"], _PAST_DRIVES),
+        (["partition-eval", "--partition", "age:60", "--folds", "1000"], _PAST_DRIVES),
+        (["train", "--hyper", '{"features_per_split": 99}'],
+         r"bad --hyper features_per_split 99; expected at most (\d+), the "
+         r"examples' feature count"),
+    ], ids=["featurize_lookahead", "evaluate_folds", "sweep_folds", "matrix_folds",
+            "partition_folds", "train_subset"])
+    def test_out_of_range_is_usage_error_before_any_fit(self, argv, message, synth_dir,
+                                                         tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+        monkeypatch.setattr(cli.evaluation.ModelSpec, "train", no_fit)
+        code, doc = self._error(capsys, [
+            *argv, "--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv"),
+            "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 2 and doc["error"] == "usage" and "traceback" not in doc
+        limit = re.fullmatch(message, doc["message"])  # names the value and its limit
+        assert limit and 1 < int(limit[1]) < int(re.search(r"\d+", doc["message"])[0])
 
     def test_bad_error_kind_is_usage_error(self, synth_dir, tmp_path, capsys):
         code, doc = self._error(capsys, [

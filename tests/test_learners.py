@@ -6,7 +6,7 @@ import pytest
 
 import drivelife as dl
 from drivelife import featurize, learners, lifecycle
-from drivelife.evaluation import undersample
+from drivelife.evaluation import ModelSpec, undersample
 from drivelife.featurize import label_lookahead
 from drivelife.learners import (ForestParams, TreeParams, feature_importance,
                                 logistic_loss_grad, model_from_json,
@@ -44,9 +44,10 @@ def exhaustive_best_split(X, y, min_samples_leaf=1):
     return best
 
 
-def best_split_without_skip(X, y, feature_ids, min_samples_leaf):
-    """``learners._best_split`` before it skipped constant features, as the
-    reference that the skip changes no split."""
+def best_split_per_feature(X, y, feature_ids, min_samples_leaf):
+    """Reference for the batched ``learners._best_split``: one sort, one
+    cumulative sum and one running-best comparison per sampled feature, in
+    ascending index order, with no feature skipped."""
     n = y.shape[0]
     best = None
     y_int = y.astype(np.int64)
@@ -100,29 +101,40 @@ class TestTree:
 
     def test_root_split_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(42)
+        mirrored_winners = 0
         for trial in range(60):
             n = int(rng.integers(4, 51))
             p = int(rng.integers(1, 5))
             X = np.round(rng.normal(size=(n, p)) * 3, 1)  # induce ties
-            # Constant columns, which the split search skips, at random places.
+            # Constant columns, which have no candidate, at random places.
             for value in rng.choice([0.0, -2.5, 7.0], size=int(rng.integers(0, 3))):
                 X = np.insert(X, int(rng.integers(0, X.shape[1] + 1)), value, axis=1)
+            # A negated copy of a column splits the rows as it does, at the
+            # mirrored candidate, so the two tie on every split: the lower
+            # index must win, wherever the candidate lies in its column.
+            X = np.insert(X, int(rng.integers(0, X.shape[1] + 1)),
+                          -X[:, int(rng.integers(0, X.shape[1]))], axis=1)
             y = rng.random(n) < 0.5
             if y.all() or not y.any():
                 continue
-            model = train_tree(X, y)
-            expected = exhaustive_best_split(X, y)
             root_gini = gini(list(y))
-            if expected is None or expected[0] >= root_gini:
-                assert model.root.is_leaf
-            else:
-                assert model.root.feature == expected[1]
-                assert model.root.threshold == expected[2]
+            for leaf in (1, 2, 3):
+                model = train_tree(X, y, TreeParams(min_samples_leaf=leaf))
+                expected = exhaustive_best_split(X, y, leaf)
+                if expected is None or expected[0] >= root_gini:
+                    assert model.root.is_leaf
+                else:
+                    assert model.root.feature == expected[1]
+                    assert model.root.threshold == expected[2]
+                    f = expected[1]
+                    mirrored_winners += any((X[:, g] == -X[:, f]).all()
+                                          for g in range(X.shape[1]) if g != f)
+        assert mirrored_winners > 10  # the cross-feature tie was exercised
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_constant_feature_skip_keeps_every_model(self, monkeypatch, seed):
-        """Forests and trees equal those grown by the split search without
-        the constant-feature skip (its in-test copy), down to the JSON."""
+    def test_batched_search_equals_per_feature_loop(self, monkeypatch, seed):
+        """Forests and trees equal those grown by the per-feature reference
+        search, down to the JSON."""
         rng = np.random.default_rng(seed)
         n = 120
         X = np.column_stack([
@@ -136,7 +148,7 @@ class TestTree:
                               bootstrap=seed != 1)
         fitted = [model_to_json(train_forest(X, y, params, seed=seed)),
                   model_to_json(train_tree(X, y))]
-        monkeypatch.setattr(learners, "_best_split", best_split_without_skip)
+        monkeypatch.setattr(learners, "_best_split", best_split_per_feature)
         assert fitted == [model_to_json(train_forest(X, y, params, seed=seed)),
                           model_to_json(train_tree(X, y))]
 
@@ -545,7 +557,44 @@ class TestNewtonSolver:
                                                        model.n_iter)
 
 
+def recursive_importance(model):
+    """``feature_importance(model).entries`` by the recursive walk that the
+    preorder walk replaced, as the reference that it adds the same terms in
+    the same order."""
+    def accumulate(node, acc, n_root):
+        if node.is_leaf:
+            return
+        acc[node.feature] += (node.n_samples * node.impurity
+                              - node.left.n_samples * node.left.impurity
+                              - node.right.n_samples * node.right.impurity) / n_root
+        accumulate(node.left, acc, n_root)
+        accumulate(node.right, acc, n_root)
+
+    total = np.zeros(model.n_features)
+    for tree in model.trees:
+        accumulate(tree.root, total, tree.root.n_samples)
+    total /= len(model.trees)
+    scores = total / total.sum()
+    names = model.feature_names or tuple(f"f{i}" for i in range(model.n_features))
+    order = sorted(range(len(names)), key=lambda i: (-scores[i], names[i]))
+    return tuple((names[i], float(scores[i])) for i in order)
+
+
 class TestImportance:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_entries_equal_recursive_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 160
+        X = np.round(rng.normal(size=(n, 7)), 1)  # ties within and across columns
+        X[:, 5] = X[:, 1]
+        y = rng.random(n) < 0.2 + 0.5 * (X[:, 2] > 0)
+        params = ForestParams(n_trees=8, max_depth=(None, 4, 7, None)[seed],
+                              min_samples_leaf=1 + seed % 3,
+                              features_per_split=("sqrt", 3, None, 1)[seed],
+                              bootstrap=seed != 2)
+        forest = train_forest(X, y, params, seed=seed)
+        assert feature_importance(forest).entries == recursive_importance(forest)
+
     def _planted(self, seed=0):
         rng = np.random.default_rng(seed)
         n = 300
@@ -606,6 +655,50 @@ class TestSerialization:
         doc = json.loads(model_to_json(model))
         assert doc["kind"] == "tree"
         assert "root" in doc and "params" in doc
+
+
+class TestParams:
+    @pytest.mark.parametrize("make, name", [
+        (lambda: ForestParams(n_trees=0), "n_trees"),
+        (lambda: ForestParams(n_trees=-1), "n_trees"),
+        (lambda: ForestParams(n_trees=True), "n_trees"),
+        (lambda: ForestParams(n_trees=10.0), "n_trees"),
+        (lambda: ForestParams(bootstrap="no"), "bootstrap"),
+        (lambda: ForestParams(bootstrap=1), "bootstrap"),
+        (lambda: ForestParams(max_depth=-1), "max_depth"),
+        (lambda: ForestParams(features_per_split=0), "features_per_split"),
+        (lambda: TreeParams(max_depth=1.5), "max_depth"),
+        (lambda: TreeParams(max_depth=False), "max_depth"),
+        (lambda: TreeParams(min_samples_leaf=-3), "min_samples_leaf"),
+        (lambda: TreeParams(min_samples_leaf=0), "min_samples_leaf"),
+        (lambda: TreeParams(features_per_split="log2"), "features_per_split"),
+        (lambda: TreeParams(features_per_split=2.0), "features_per_split"),
+        (lambda: TreeParams(features_per_split=True), "features_per_split"),
+        (lambda: ModelSpec("logreg", l2="x"), "l2"),
+        (lambda: ModelSpec("logreg", l2=-1), "l2"),
+        (lambda: ModelSpec("logreg", l2=math.inf), "l2"),
+        (lambda: ModelSpec("logreg", l2=math.nan), "l2"),
+        (lambda: ModelSpec("logreg", max_iter=0), "max_iter"),
+        (lambda: ModelSpec("logreg", max_iter=True), "max_iter"),
+        (lambda: ModelSpec("logreg", max_iter=50.0), "max_iter"),
+        (lambda: ModelSpec("logreg", tol=-1), "tol"),
+        (lambda: ModelSpec("logreg", tol=0.0), "tol"),
+        (lambda: ModelSpec("logreg", tol=math.nan), "tol"),
+    ])
+    def test_bad_value_raises(self, make, name):
+        with pytest.raises(ValueError, match=f"^bad {name} "):
+            make()
+
+    def test_boundary_values_accepted(self):
+        ForestParams(n_trees=1, max_depth=0, min_samples_leaf=1,
+                     features_per_split=1, bootstrap=False)
+        TreeParams(max_depth=None, features_per_split="sqrt")
+        ModelSpec("logreg", l2=0, max_iter=1, tol=1e-300)
+
+    def test_features_per_split_past_the_features_raises(self):
+        with pytest.raises(ValueError, match="features_per_split 3 exceeds the 2"):
+            train_forest(np.eye(4)[:, :2], [True, False, True, False],
+                         ForestParams(n_trees=2, features_per_split=3))
 
 
 def _recursive_count(node) -> int:

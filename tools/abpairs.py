@@ -17,6 +17,11 @@ parent's interquartile range. Any other metric is flagged when its median
 is worse than the parent's by more than its ``bound``, a fraction of the
 parent's median.
 
+The last line of output is the session record, one JSON object: the
+workload, seeds, pairs and seconds, ``nproc``, each checkout's ``git
+rev-parse HEAD`` (null outside a git work tree), every pair's metrics and
+each end-to-end metric's verdict. Saved, it is a ``BENCH_*.json`` file.
+
 Exit status: 0 when the claim holds (or none is made) and nothing is
 flagged, 1 otherwise, 2 as soon as a run fails or reports an incorrect
 result.
@@ -27,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -82,6 +88,28 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def head_commit(checkout: Path) -> str | None:
+    """``git rev-parse HEAD`` in ``checkout``; None outside a git work tree."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def session_record(workload: str, seeds: list[int], seconds: float,
+                   commits: dict, samples: dict, verdicts: dict) -> dict:
+    """The session as one JSON-ready object: what ran, where, every pair's
+    metrics (``samples[side][i]``) and each metric's verdict."""
+    return {"workload": workload, "seeds": seeds, "pairs": len(seeds),
+            "seconds": seconds, "nproc": len(os.sched_getaffinity(0)),
+            "commits": commits,
+            "pair_metrics": [{"seed": seed, "parent": p, "change": c} for seed, p, c
+                              in zip(seeds, samples["parent"], samples["change"])],
+            "verdicts": verdicts}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -108,11 +136,13 @@ def main(argv=None) -> int:
             f"{samples['change'][-1][s['name']]:.4g}" for s in specs), flush=True)
 
     ok = True
+    verdicts = {}
     for spec in specs:
         name = spec["name"]
-        v = verdict([r[name] for r in samples["parent"]],
-                    [r[name] for r in samples["change"]], spec["better"],
-                    spec.get("bound"), claim=name == args.claim)
+        v = verdicts[name] = verdict([r[name] for r in samples["parent"]],
+                                     [r[name] for r in samples["change"]],
+                                     spec["better"], spec.get("bound"),
+                                     claim=name == args.claim)
         p, c = v["parent"], v["change"]
         notes = [] if v["holds"] is None else [
             "claim holds" if v["holds"] else "claim fails"]
@@ -124,6 +154,10 @@ def main(argv=None) -> int:
               f"change {c[1]:.4g} [{c[0]:.4g}, {c[2]:.4g}] {spec['unit']}  "
               f"change better in {v['wins']}/{v['pairs']}{moved}"
               + "".join(f"  {n}" for n in notes))
+    seeds = [args.seed_base + i for i in range(args.pairs)]
+    commits = {side: head_commit(getattr(args, side)) for side in samples}
+    print(json.dumps(session_record(args.workload, seeds, args.seconds, commits,
+                                    samples, verdicts)))
     return 0 if ok else 1
 
 
