@@ -2,8 +2,11 @@
 
 Configuration comes from an optional JSON file (``--config``) with flag
 overrides (flags win); the seed falls back to the ``DRIVELIFE_SEED``
-environment variable and is mandatory for stochastic subcommands. The seed
-is an integer >= 0, ``jobs`` >= 1 and ``folds`` >= 2, wherever they come from.
+environment variable and is mandatory for stochastic subcommands. A
+subcommand takes only the options it reads (:data:`_OPTIONS`) and checks them
+before it opens an input or makes ``--out``, but for two checks against the
+data (``features_per_split`` and ``--folds``), made after the read and before
+any fit.
 Every artifact but the telemetry tables and the stored dataset embeds
 {tool version, config hash, seed} (a ``_meta`` object in JSON files, a
 leading ``#`` comment in CSVs); ``{family}_telemetry.csv`` (synth) and
@@ -40,7 +43,7 @@ import sys
 import tempfile
 import traceback
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -51,8 +54,9 @@ from .ingest import (FleetDataset, SchemaError, _write_csv, filter_hdd,
 
 EXIT_USAGE, EXIT_IO, EXIT_SCHEMA, EXIT_INTERNAL = 2, 3, 4, 5
 
-_STOCHASTIC = {"synth", "characterize", "train", "evaluate", "sweep",
-               "matrix", "partition-eval"}
+#: The subcommands that fit models, and the ones that draw random numbers.
+_FITS = ("train", "evaluate", "sweep", "matrix", "partition-eval")
+_STOCHASTIC = {"synth", "characterize", *_FITS}
 
 _REPAIR_HORIZONS = (1, 10, 30, 100, 365, 730, 1095, math.inf)
 
@@ -98,24 +102,28 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Resolved run context: config values, seed, output dir, artifact meta."""
+    """Resolved run context: config values, seed, output dir, artifact meta,
+    and every option the subcommand reads (:data:`_OPTIONS`), checked before
+    any input is opened or ``--out`` is made; one it does not read is None."""
+
+    jobs = examples = family = input = window = lookaheads = spec = folds = None
+    partition = partition_attr = error_kind = thresholds = analyses = None
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
-        config: dict = {}
-        if getattr(args, "config", None):
+        self.config: dict = {}
+        if args.config:
             path = Path(args.config)
             try:
-                config = json.loads(path.read_text())
-                if not isinstance(config, dict):
+                self.config = json.loads(path.read_text())
+                if not isinstance(self.config, dict):
                     raise ValueError("not a JSON object")
             except ValueError as exc:
                 raise _fail("usage", f"bad config file {path}: {exc}", EXIT_USAGE)
-        self.config = config
         self.args = args
-        seed, source = getattr(args, "seed", None), "--seed"
+        seed, source = args.seed, "--seed"
         if seed is None:
-            seed, source = config.get("seed"), "config seed"
+            seed, source = self.config.get("seed"), "config seed"
         if seed is None and os.environ.get("DRIVELIFE_SEED"):
             seed, source = os.environ["DRIVELIFE_SEED"], "DRIVELIFE_SEED"
             try:
@@ -128,9 +136,26 @@ class _Run:
                             "--seed, a config seed, or DRIVELIFE_SEED", EXIT_USAGE)
             seed = 0
         self.seed = _integer(source, seed, 0)
-        self.jobs = _integer("--jobs", self.opt("jobs", 1), 1)
         self.out = Path(self.need("out"))
-        self.out.mkdir(parents=True, exist_ok=True)
+        def reads(name): return self.command in _OPTIONS[name][0]
+        if reads("jobs"):
+            self.jobs = _integer("--jobs", self.opt("jobs", 1), 1)
+        if reads("examples"):
+            self.examples = self.opt("examples")
+        if reads("input") and not self.examples:
+            self.family, self.input, self.window = _input(self)
+        if reads("lookahead"):
+            self.lookaheads = _lookahead_list(self)
+        if reads("model"):
+            self.spec = _model_spec(self)
+        if reads("folds"):
+            self.folds = _integer("--folds", self.opt("folds", 5), 2)
+        if reads("partition"):
+            self.partition = _partition_rule(self)
+        if reads("partition-attr"):
+            self.partition_attr = _partition_attr(self, self.opt("partition-attr"))
+        if reads("analysis"):
+            self.error_kind, self.thresholds, self.analyses = _characterize_options(self)
 
     def opt(self, name: str, default=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -173,6 +198,7 @@ class _Run:
     # -- atomic artifact writers ------------------------------------------
 
     def _atomic(self, name: str, write, binary: bool = False) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
         target = self.out / name
         fd, tmp = tempfile.mkstemp(dir=self.out, prefix=f".{name}.")
         mode = {"mode": "wb"} if binary else {"mode": "w", "newline": ""}
@@ -196,12 +222,20 @@ class _Run:
         return self._atomic(name, lambda h: _write_csv(h, header, rows, self.comment()))
 
 
-def _hdd_filter(run: _Run) -> tuple[set[str] | None, dt.date, dt.date] | None:
-    """The ``--models`` set (None: every model) and the ``--from``/``--to``
-    window, or None when none of them is given."""
+def _input(run: _Run) -> tuple[str, Path, tuple | None]:
+    """The family, the input path and the HDD filter: the ``--models`` set
+    (None: every model) and the ``--from``/``--to`` window, or None when none
+    of them is given. SSDs take none of them."""
+    family = run.need("family")
+    if family not in ("hdd", "ssd"):
+        raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
+    path = Path(run.need("input"))
     models, date_from, date_to = run.opt("models"), run.opt("from"), run.opt("to")
     if not (models or date_from or date_to):
-        return None
+        return family, path, None
+    if family == "ssd":
+        raise _fail("usage", "bad --models/--from/--to for --family ssd; they "
+                    "filter HDD data only", EXIT_USAGE)
     try:
         lo = dt.date.fromisoformat(date_from) if date_from else dt.date.min
         hi = dt.date.fromisoformat(date_to) if date_to else dt.date.max
@@ -209,24 +243,13 @@ def _hdd_filter(run: _Run) -> tuple[set[str] | None, dt.date, dt.date] | None:
         raise _fail("usage", f"bad --from/--to: {exc}", EXIT_USAGE)
     if lo > hi:
         raise _fail("usage", f"empty date window: --from {lo} > --to {hi}", EXIT_USAGE)
-    return set(_list_opt(run, "models")) if models else None, lo, hi
+    return family, path, (set(_list_opt(run, "models")) if models else None, lo, hi)
 
 
-def _input(run: _Run) -> tuple[str, Path, tuple | None]:
-    """The family, the input path and the HDD filter, checked before the
-    input is read."""
-    family = run.need("family")
-    if family not in ("hdd", "ssd"):
-        raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
-    path = Path(run.need("input"))
-    window = _hdd_filter(run) if family == "hdd" else None
-    return family, path, window
-
-
-def _dataset_key(run: _Run, family: str) -> dict:
+def _dataset_key(run: _Run) -> dict:
     """What decides the dataset that parsing the input gives: the input's
     sha256, the family, the filter options as given and the tool version."""
-    return {"input_sha256": run.settings["input"], "family": family,
+    return {"input_sha256": run.settings["input"], "family": run.family,
             "models": run.opt("models"), "from": run.opt("from"), "to": run.opt("to"),
             "version": __version__}
 
@@ -254,11 +277,11 @@ def _read_text(path: Path, read: Callable):
     raise SchemaError(f"line {line} of {path}: {reason}, not {encoding} text")
 
 
-def _parse(family: str, path: Path, window: tuple | None) -> FleetDataset:
-    parse = parse_hdd_csv if family == "hdd" else parse_ssd_log
-    ds = _read_text(path, lambda handle: parse(handle, source=str(path)))
-    if window is not None:
-        models, lo, hi = window
+def _parse(run: _Run) -> FleetDataset:
+    parse = parse_hdd_csv if run.family == "hdd" else parse_ssd_log
+    ds = _read_text(run.input, lambda handle: parse(handle, source=str(run.input)))
+    if run.window is not None:
+        models, lo, hi = run.window
         ds = filter_hdd(ds, models or set(ds.models()), lo, hi)
     return ds
 
@@ -266,11 +289,10 @@ def _parse(family: str, path: Path, window: tuple | None) -> FleetDataset:
 def _load_dataset(run: _Run) -> FleetDataset:
     """The dataset of ``--input``: the one ``ingest`` stored in ``--out``
     when its key is this run's, else the input parsed."""
-    family, path, window = _input(run)
-    stored = run.out / f"{family}_dataset.npz"
-    ds = (read_dataset_npz(stored, _dataset_key(run, family), str(path))
+    stored = run.out / f"{run.family}_dataset.npz"
+    ds = (read_dataset_npz(stored, _dataset_key(run), str(run.input))
           if stored.exists() else None)
-    return _parse(family, path, window) if ds is None else ds
+    return _parse(run) if ds is None else ds
 
 
 def _model_spec(run: _Run) -> evaluation.ModelSpec:
@@ -286,10 +308,6 @@ def _model_spec(run: _Run) -> evaluation.ModelSpec:
         return evaluation.ModelSpec(kind, **hyper)  # logreg; raises on unknown kinds
     except (TypeError, ValueError) as exc:
         raise _fail("usage", f"bad --model {kind!r} or --hyper: {exc}", EXIT_USAGE)
-
-
-def _folds(run: _Run) -> int:
-    return _integer("--folds", run.opt("folds", 5), 2)
 
 
 def _list_opt(run: _Run, name: str, default: str | None = None) -> list[str]:
@@ -314,13 +332,17 @@ def _lookahead_list(run: _Run) -> list[int]:
     if not cells or len(days) < len(cells) or max(days) > _MAX_LOOKAHEAD:
         raise _fail("usage", f"bad --lookahead {run.opt('lookahead')!r}; expected "
                     f"days from 0 to {_MAX_LOOKAHEAD}, comma-separated", EXIT_USAGE)
+    if len(days) > 1 and run.command not in ("featurize", "sweep"):
+        raise _fail("usage", f"bad --lookahead {run.opt('lookahead')!r}; {run.command} "
+                    "fits one lookahead, only featurize and sweep take a list", EXIT_USAGE)
     return days
 
 
-def _fittable(examples: featurize.LabeledExamples, spec: evaluation.ModelSpec,
-              k: int | None = None) -> featurize.LabeledExamples:
-    """``examples``, when ``spec`` and ``k`` folds fit them; else a usage error,
-    raised before any fit."""
+def _fittable(run: _Run, examples: featurize.LabeledExamples
+              ) -> featurize.LabeledExamples:
+    """``examples``, when the run's model and ``--folds`` (if it reads them)
+    fit them; else a usage error, raised before any fit."""
+    spec, k = run.spec, run.folds
     subset = {"rf": spec.forest.features_per_split,
               "tree": spec.tree.features_per_split}.get(spec.kind)
     n_features = examples.X.shape[1]
@@ -335,11 +357,27 @@ def _fittable(examples: featurize.LabeledExamples, spec: evaluation.ModelSpec,
 
 def _partition_attr(run: _Run, attr: str | None) -> str | None:
     """``attr``, when the ``--family`` fleet has that partition attribute."""
-    known = ("age", "hfh") if run.need("family") == "hdd" else ("age",)
+    known = ("age", "hfh") if run.family == "hdd" else ("age",)
     if attr not in (None, *known):
         raise _fail("usage", f"bad partition attribute {attr!r} for --family "
-                    f"{run.opt('family')}; expected {' or '.join(known)}", EXIT_USAGE)
+                    f"{run.family}; expected {' or '.join(known)}", EXIT_USAGE)
     return attr
+
+
+def _partition_rule(run: _Run) -> featurize.PartitionRule:
+    text = str(run.need("partition"))
+    try:
+        attr, threshold = text.split(":")
+        rule = featurize.PartitionRule(attr, float(threshold))
+    except ValueError:
+        raise _fail("usage", f"bad --partition {text!r}; expected "
+                    "age:<days> or hfh:<hours>", EXIT_USAGE)
+    if run.examples:
+        raise _fail("usage", "partition-eval needs --input, not --examples: an "
+                    "examples table does not record which attribute its "
+                    "partition_key holds", EXIT_USAGE)
+    _partition_attr(run, rule.attribute)
+    return rule
 
 
 def _example_builder(ds: FleetDataset, partition_attr: str | None = None
@@ -356,9 +394,8 @@ def _example_builder(ds: FleetDataset, partition_attr: str | None = None
 
 
 def _examples_for(run: _Run, lookahead: int) -> featurize.LabeledExamples:
-    examples_path = run.opt("examples")
-    if examples_path:
-        return _read_text(Path(examples_path), lambda handle:
+    if run.examples:
+        return _read_text(Path(run.examples), lambda handle:
                           featurize.read_examples_csv(handle, lookahead))
     return _example_builder(_load_dataset(run))(lookahead)
 
@@ -373,10 +410,10 @@ def _write_dataset(run: _Run, name: str, ds: FleetDataset) -> None:
 
 def _cmd_synth(run: _Run) -> None:
     raw = {key: value for key, value in run.config.items() if key != "seed"}
-    bursts = tuple(synth.BurstSpec(**b) for b in raw.pop("bursts", [{}]))
-    confounders = tuple(synth.ConfounderSpec(**c)
-                        for c in raw.pop("confounders", []))
     try:
+        bursts = tuple(synth.BurstSpec(**b) for b in raw.pop("bursts", [{}]))
+        confounders = tuple(synth.ConfounderSpec(**c)
+                            for c in raw.pop("confounders", []))
         config = synth.SynthConfig(**raw, bursts=bursts, confounders=confounders,
                                    seed=run.seed)
     except (TypeError, ValueError) as exc:
@@ -399,12 +436,11 @@ def _cmd_synth(run: _Run) -> None:
 
 
 def _cmd_ingest(run: _Run) -> None:
-    family, path, window = _input(run)
-    key = _dataset_key(run, family)
-    ds = _parse(family, path, window)
-    name = f"{family}_dataset.csv"
+    key = _dataset_key(run)
+    ds = _parse(run)
+    name = f"{run.family}_dataset.csv"
     _write_dataset(run, name, ds)
-    run._atomic(f"{family}_dataset.npz", lambda h: write_dataset_npz(ds, h, key),
+    run._atomic(f"{run.family}_dataset.npz", lambda h: write_dataset_npz(ds, h, key),
                 binary=True)
     prov = ds.provenance
     run.write_json("ingest_report.json", {
@@ -475,13 +511,11 @@ _ANALYSES = ("all", "correlations", "monthly-rate", "pe-rate", "hfh-sweep",
 
 
 def _characterize_options(run: _Run) -> tuple[str, list[float], set[str]]:
-    """The error kind, the HFH thresholds and the analyses, checked before
-    any analysis runs."""
-    family = run.need("family")
+    """The error kind, the HFH thresholds and the analyses."""
     kind = str(run.opt("error-kind",
-                       "uncorrectable" if family == "ssd" else "smart_187"))
+                       "uncorrectable" if run.family == "ssd" else "smart_187"))
     try:
-        charstats.check_error_kind(family, kind)
+        charstats.check_error_kind(run.family, kind)
     except ValueError as exc:
         raise _fail("usage", f"bad --error-kind: {exc}", EXIT_USAGE)
     try:
@@ -500,7 +534,7 @@ def _characterize_options(run: _Run) -> tuple[str, list[float], set[str]]:
 
 
 def _cmd_characterize(run: _Run) -> None:
-    kind, thresholds, wanted = _characterize_options(run)
+    kind, wanted = run.error_kind, run.analyses
     ds = _load_dataset(run)
     failures = lifecycle.detect_failures(ds)
     summary: dict = {"family": ds.family, "n_drives": ds.n_drives,
@@ -533,7 +567,7 @@ def _cmd_characterize(run: _Run) -> None:
         summary["pe-rate"] = {"bins": len(curve.failures),
                               "artifact": "rates_pe.csv"}
     if on("hfh-sweep") and ds.family == "hdd":
-        sweep = charstats.hfh_threshold_sweep(failures, ds, thresholds)
+        sweep = charstats.hfh_threshold_sweep(failures, ds, run.thresholds)
         run.write_csv("rates_hfh.csv",
                       ["threshold", "small_rate", "large_rate", "large_share"],
                       [[t, *rates] for t, rates in sweep["per_threshold"].items()])
@@ -568,11 +602,10 @@ def _cmd_characterize(run: _Run) -> None:
 
 
 def _cmd_featurize(run: _Run) -> None:
-    attr = _partition_attr(run, run.opt("partition-attr"))
     ds = _load_dataset(run)
-    build = _example_builder(ds, attr)
+    build = _example_builder(ds, run.partition_attr)
     index = {}
-    for n in _lookahead_list(run):
+    for n in run.lookaheads:
         examples = build(n)
         name = f"examples_{ds.family}_N{n}.csv"
         run._atomic(name, lambda h, e=examples: featurize.write_examples_csv(
@@ -584,9 +617,8 @@ def _cmd_featurize(run: _Run) -> None:
 
 
 def _cmd_train(run: _Run) -> None:
-    lookaheads = _lookahead_list(run)
-    spec = _model_spec(run)
-    examples = _fittable(_examples_for(run, lookaheads[0]), spec)
+    spec, lookahead = run.spec, run.lookaheads[0]
+    examples = _fittable(run, _examples_for(run, lookahead))
     balanced = evaluation.undersample(examples, 1.0,
                                       evaluation._derived_seed(run.seed, 0, 0))
     model = spec.train(balanced.X, balanced.y,
@@ -594,7 +626,7 @@ def _cmd_train(run: _Run) -> None:
                        feature_names=examples.names, jobs=run.jobs)
     run.write_json("model.json", json.loads(learners.model_to_json(model)),
                    indent=None)
-    doc = {"model": spec.config(), "lookahead": lookaheads[0],
+    doc = {"model": spec.config(), "lookahead": lookahead,
            "n_train": balanced.n, "n_positive": balanced.n_positive,
            "artifact": "model.json"}
     if spec.kind == "logreg":
@@ -614,22 +646,18 @@ def _write_roc(run: _Run, name: str, report: evaluation.EvalReport | None) -> No
 
 
 def _cmd_evaluate(run: _Run) -> None:
-    spec, k = _model_spec(run), _folds(run)
-    examples = _fittable(_examples_for(run, _lookahead_list(run)[0]), spec, k)
-    report = evaluation.cross_validated_eval(examples, spec, k, run.seed,
+    examples = _fittable(run, _examples_for(run, run.lookaheads[0]))
+    report = evaluation.cross_validated_eval(examples, run.spec, run.folds, run.seed,
                                              jobs=run.jobs)
     run.write_json("eval_report.json", report.to_dict(), indent=None)
     _write_roc(run, "roc.csv", report)
 
 
 def _cmd_sweep(run: _Run) -> None:
-    ds = _load_dataset(run)
-    spec = _model_spec(run)
-    k = _folds(run)
-    lookaheads = sorted(_lookahead_list(run))
-    build = _example_builder(ds)
-    reports = evaluation.lookahead_sweep(lambda n: _fittable(build(n), spec, k),
-                                         lookaheads, spec, k, run.seed, jobs=run.jobs)
+    build = _example_builder(_load_dataset(run))
+    reports = evaluation.lookahead_sweep(lambda n: _fittable(run, build(n)),
+                                         sorted(run.lookaheads), run.spec, run.folds,
+                                         run.seed, jobs=run.jobs)
     rows = []
     for n, report in reports.items():
         run.write_json(f"eval_report_N{n}.json", report.to_dict(), indent=None)
@@ -639,36 +667,19 @@ def _cmd_sweep(run: _Run) -> None:
 
 
 def _cmd_matrix(run: _Run) -> None:
-    ds = _load_dataset(run)
-    spec = _model_spec(run)
-    k = _folds(run)
-    examples = _fittable(_example_builder(ds)(_lookahead_list(run)[0]), spec, k)
-    result = evaluation.cross_model_matrix(examples, spec, k, run.seed, jobs=run.jobs)
+    examples = _fittable(run, _example_builder(_load_dataset(run))(run.lookaheads[0]))
+    result = evaluation.cross_model_matrix(examples, run.spec, run.folds, run.seed,
+                                           jobs=run.jobs)
     run.write_csv("matrix.csv", ["train_model", "test_model", "auroc"],
                   [[i, j, result["auroc"][(i, j)]] for i in result["train_labels"]
                    for j in result["test_labels"]])
 
 
 def _cmd_partition_eval(run: _Run) -> None:
-    text = str(run.need("partition"))
-    try:
-        attr, threshold = text.split(":")
-        rule = featurize.PartitionRule(attr, float(threshold))
-    except ValueError:
-        raise _fail("usage", f"bad --partition {text!r}; expected "
-                    "age:<days> or hfh:<hours>", EXIT_USAGE)
-    if run.opt("examples"):
-        raise _fail("usage", "partition-eval needs --input, not --examples: an "
-                    "examples table does not record which attribute its "
-                    "partition_key holds", EXIT_USAGE)
-    _partition_attr(run, rule.attribute)
-    spec = _model_spec(run)
-    lookahead = _lookahead_list(run)[0]
-    k = _folds(run)
-    examples = _fittable(_example_builder(_load_dataset(run), rule.attribute)(lookahead),
-                         spec, k)
-    report = evaluation.partitioned_eval(examples, rule, spec, k, run.seed,
-                                         jobs=run.jobs)
+    rule = run.partition
+    build = _example_builder(_load_dataset(run), rule.attribute)
+    report = evaluation.partitioned_eval(_fittable(run, build(run.lookaheads[0])), rule,
+                                         run.spec, run.folds, run.seed, jobs=run.jobs)
     for side in ("below", "above", "unsplit"):
         _write_roc(run, f"roc_{side}.csv", getattr(report, side))
     run.write_json("partition_report.json", {
@@ -682,15 +693,10 @@ def _cmd_partition_eval(run: _Run) -> None:
 
 
 _REPORT_SOURCES = {
-    "manifest.json": "synth",
-    "ingest_report.json": "ingest",
-    "lifecycle_summary.json": "lifecycle",
-    "characterization.json": "characterize",
-    "featurize_report.json": "featurize",
-    "train_report.json": "train",
-    "eval_report.json": "evaluate",
-    "sweep.csv": "sweep",
-    "matrix.csv": "matrix",
+    "manifest.json": "synth", "ingest_report.json": "ingest",
+    "lifecycle_summary.json": "lifecycle", "characterization.json": "characterize",
+    "featurize_report.json": "featurize", "train_report.json": "train",
+    "eval_report.json": "evaluate", "sweep.csv": "sweep", "matrix.csv": "matrix",
     "partition_report.json": "partition-eval",
 }
 
@@ -721,17 +727,36 @@ def _cmd_report(run: _Run) -> None:
 
 
 _COMMANDS = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "lifecycle": _cmd_lifecycle,
-    "characterize": _cmd_characterize,
-    "featurize": _cmd_featurize,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "matrix": _cmd_matrix,
-    "partition-eval": _cmd_partition_eval,
-    "report": _cmd_report,
+    "synth": _cmd_synth, "ingest": _cmd_ingest, "lifecycle": _cmd_lifecycle,
+    "characterize": _cmd_characterize, "featurize": _cmd_featurize,
+    "train": _cmd_train, "evaluate": _cmd_evaluate, "sweep": _cmd_sweep,
+    "matrix": _cmd_matrix, "partition-eval": _cmd_partition_eval, "report": _cmd_report,
+}
+_READERS = tuple(name for name in _COMMANDS if name not in ("synth", "report"))
+
+#: Each option, the subcommands that read it and its argparse keywords. A
+#: subcommand accepts exactly the options it reads, and :class:`_Run` checks
+#: each of them before any input is opened.
+_OPTIONS: dict[str, tuple[Collection[str], dict]] = {
+    "config": (_COMMANDS, {"help": "JSON config file; flags override it"}),
+    "seed": (_COMMANDS, {"type": int}),
+    "out": (_COMMANDS, {"help": "output directory"}),
+    "jobs": (_FITS, {"type": int, "help": "worker pool size (default 1)"}),
+    "family": (_READERS, {"choices": ["hdd", "ssd"]}),
+    "input": (_READERS, {"help": "telemetry CSV"}),
+    "models": (_READERS, {"help": "comma-separated model whitelist (hdd)"}),
+    "from": (_READERS, {"metavar": "YYYY-MM-DD"}),
+    "to": (_READERS, {"metavar": "YYYY-MM-DD"}),
+    "lookahead": (("featurize", *_FITS), {"help": "days; featurize, sweep: a list"}),
+    "examples": (("train", "evaluate", "partition-eval"), {"help": "examples CSV"}),
+    "model": (_FITS, {"choices": ["rf", "tree", "logreg"]}),
+    "hyper": (_FITS, {"help": "hyperparameter JSON object"}),
+    "folds": (_FITS[1:], {"type": int}),
+    "partition": (("partition-eval",), {"help": "age:90 | hfh:40000"}),
+    "partition-attr": (("featurize",), {"choices": ["age", "hfh"]}),
+    "analysis": (("characterize",), {"help": "comma list or 'all'"}),
+    "error-kind": (("characterize",), {}),
+    "thresholds": (("characterize",), {"help": "HFH sweep thresholds"}),
 }
 
 
@@ -744,41 +769,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--jobs", type=int, help="worker pool size (default 1)")
-        if name not in ("synth", "report"):
-            p.add_argument("--family", choices=["hdd", "ssd"])
-            p.add_argument("--input", help="telemetry CSV")
-            p.add_argument("--models", help="comma-separated model whitelist (hdd)")
-            p.add_argument("--from", metavar="YYYY-MM-DD")
-            p.add_argument("--to", metavar="YYYY-MM-DD")
-        if name in ("featurize", "train", "evaluate", "sweep", "matrix",
-                    "partition-eval"):
-            p.add_argument("--lookahead", help="days, comma-separated for sweep")
-        if name in ("train", "evaluate", "partition-eval"):
-            p.add_argument("--examples", help="examples CSV from featurize")
-        if name in ("train", "evaluate", "sweep", "matrix", "partition-eval"):
-            p.add_argument("--model", choices=["rf", "tree", "logreg"])
-            p.add_argument("--hyper", help="hyperparameter JSON object")
-            p.add_argument("--folds", type=int)
-        if name == "partition-eval":
-            p.add_argument("--partition", help="age:90 | hfh:40000")
-        if name == "featurize":
-            p.add_argument("--partition-attr", choices=["age", "hfh"])
-        if name == "characterize":
-            p.add_argument("--analysis", help="comma list or 'all'")
-            p.add_argument("--error-kind")
-            p.add_argument("--thresholds", help="HFH sweep thresholds")
+        for option, (commands, keywords) in _OPTIONS.items():
+            if name in commands:
+                p.add_argument(f"--{option}", **keywords)
     return parser
 
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        context = _Run(args)
-        _COMMANDS[args.command](context)
+        _COMMANDS[args.command](_Run(args))
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code

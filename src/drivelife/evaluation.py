@@ -146,12 +146,18 @@ class ConfusionMatrix:
     fn: int
 
 
-def _score_groups(scores, labels) -> tuple:
-    """Descending-score tie groups (tp counts, fp counts, scores), plus class totals."""
+def _paired(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` as floats and ``labels`` as bools, 1-D and of equal length."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels).astype(bool)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise ValueError("scores and labels must be 1-D of equal length")
+    return scores, labels
+
+
+def _score_groups(scores, labels) -> tuple:
+    """Descending-score tie groups (tp counts, fp counts, scores), plus class totals."""
+    scores, labels = _paired(scores, labels)
     pos_total = int(labels.sum())
     neg_total = labels.size - pos_total
     if pos_total == 0 or neg_total == 0:
@@ -205,8 +211,7 @@ def confusion_at_threshold(scores, labels, alpha: float
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels).astype(bool)
+    scores, labels = _paired(scores, labels)
     pred = scores > alpha
     tp = int(np.sum(pred & labels))
     fp = int(np.sum(pred & ~labels))

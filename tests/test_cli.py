@@ -244,7 +244,7 @@ class TestParser:
     def test_options_do_not_reach_the_next_run(self, hdd_input, tmp_path):
         alone = ["ingest", "--family", "hdd", "--input", hdd_input]
         assert run([*alone, "--models", "ST-A", "--from", "2000-01-01",
-                    "--jobs", "2", "--out", str(tmp_path / "first")]) == 0
+                    "--out", str(tmp_path / "first")]) == 0
         assert run([*alone, "--out", str(tmp_path / "second")]) == 0
         cli._build_parser.cache_clear()
         assert run([*alone, "--out", str(tmp_path / "alone")]) == 0
@@ -436,7 +436,7 @@ class TestErrors:
             "--error-kind", "bogus", "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2 and doc["error"] == "usage"
         assert "--error-kind" in doc["message"] and "bogus" in doc["message"]
-        assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
+        assert not (tmp_path / "o").exists()  # no analysis ran
 
     def test_pe_count_past_the_bin_cap_is_schema_error(self, tmp_path, capsys):
         config = tmp_path / "fleet.json"
@@ -474,7 +474,7 @@ class TestErrors:
             "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2 and doc["error"] == "usage"
         assert "--thresholds" in doc["message"]
-        assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
+        assert not (tmp_path / "o").exists()  # no analysis ran
 
     @pytest.mark.parametrize("config, extra, name", [
         ({"seed": "x7"}, [], "config seed"), ({"seed": "7"}, [], "config seed"),
@@ -532,7 +532,7 @@ class TestErrors:
                 "--seed", "1", "--out", str(tmp_path / "o")])
             assert code == 2 and doc["error"] == "usage"
             assert "--thresholds" in doc["message"]
-            assert list((tmp_path / "o").iterdir()) == []  # no analysis ran
+            assert not (tmp_path / "o").exists()  # no analysis ran
 
     @pytest.mark.parametrize("rule", ["age:nan", "hfh:NaN", "age:-nan", "age:0",
                                       "age:inf"])
@@ -572,7 +572,7 @@ class TestErrors:
             assert code == 2 and doc["error"] == "usage"
             assert "--examples" in doc["message"]
             assert "partition_key" in doc["message"]
-            assert list(out.iterdir()) == []
+            assert not out.exists()
         assert run(["partition-eval", *source, *rule,
                     "--out", str(tmp_path / "o")]) == 0
         doc = json.loads((tmp_path / "o" / "partition_report.json").read_text())
@@ -635,7 +635,7 @@ class TestErrors:
         code, doc = self._error(capsys, ["lifecycle", "--family", "hdd", "--input",
                                          str(path), *window, "--out", str(tmp_path / "o")])
         assert code == 2 and doc["error"] == "usage"
-        assert list((tmp_path / "o").iterdir()) == []
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, config", [
         (["characterize", "--analysis", "corelations", "--seed", "1"], {}),
@@ -707,6 +707,88 @@ class TestErrors:
         assert code == 5 and doc["error"] == "internal"
         assert doc["message"] == "RuntimeError: boom"
         assert "Traceback" in doc["traceback"]
+
+
+class TestOptionTable:
+    """A subcommand accepts exactly the options it reads, and checks each of
+    them before it opens any input or makes ``--out``."""
+
+    @staticmethod
+    def _usage_error(capsys, argv: list, out: Path) -> str:
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        doc = json.loads(lines[0])
+        assert doc["error"] == "usage" and "traceback" not in doc
+        assert not out.exists()
+        return doc["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--lookahead", "x"], ["sweep", "--hyper", "{bad"],
+        ["matrix", "--folds", "1"], ["featurize", "--lookahead", "x"]],
+        ids=["sweep_lookahead", "sweep_hyper", "matrix_folds", "featurize_lookahead"])
+    def test_bad_option_with_a_missing_input_is_usage_error(self, argv, tmp_path, capsys):
+        message = self._usage_error(capsys, [
+            *argv, "--family", "ssd", "--input", str(tmp_path / "missing.csv"),
+            "--seed", "1"], tmp_path / "o")
+        assert message.startswith(f"bad {argv[1]} ") or f" or {argv[1]}:" in message
+
+    def test_bad_lookahead_reads_no_dataset(self, synth_dir, tmp_path, capsys,
+                                            monkeypatch):
+        source = ["--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv"),
+                  "--out", str(tmp_path / "run")]
+        assert run(["ingest", *source]) == 0
+        before = dir_snapshot(tmp_path / "run")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the dataset was read")
+        monkeypatch.setattr(cli, "_parse", no_read)
+        monkeypatch.setattr(cli, "read_dataset_npz", no_read)
+        assert run(["sweep", *source, "--lookahead", "x", "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert dir_snapshot(tmp_path / "run") == before
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--folds", "3"], ["featurize", "--jobs", "2"],
+        ["report", "--jobs", "2"]], ids=["train_folds", "featurize_jobs", "report_jobs"])
+    def test_an_option_the_subcommand_does_not_read_is_refused(self, argv, tmp_path,
+                                                               capsys):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "matrix", "partition-eval"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_a_lookahead_list_where_one_is_fitted_is_usage_error(self, command, given,
+                                                                 tmp_path, capsys):
+        (tmp_path / "config.json").write_text(json.dumps({"lookahead": [0, 7]}))
+        lookahead = (["--lookahead", "0,7"] if given == "flag"
+                     else ["--config", str(tmp_path / "config.json")])
+        partition = ["--partition", "age:90"] if command == "partition-eval" else []
+        message = self._usage_error(capsys, [
+            command, *lookahead, *partition, "--family", "ssd",
+            "--input", str(tmp_path / "missing.csv"), "--seed", "1"], tmp_path / "o")
+        assert message.startswith("bad --lookahead ")
+        assert f"{command} fits one lookahead" in message
+
+    @pytest.mark.parametrize("flag", [["--models", "X"], ["--from", "2020-01-01"],
+                                      ["--to", "2020-01-01"]],
+                             ids=["models", "from", "to"])
+    def test_an_hdd_filter_on_ssds_is_usage_error(self, flag, tmp_path, capsys):
+        message = self._usage_error(capsys, [
+            "ingest", "--family", "ssd", "--input", str(tmp_path / "missing.csv"),
+            *flag], tmp_path / "o")
+        assert message.startswith("bad --models/--from/--to for --family ssd;")
+
+    def test_a_bad_burst_is_usage_error(self, tmp_path, capsys):
+        (tmp_path / "fleet.json").write_text(json.dumps(
+            SYNTH_CONFIG | {"bursts": [{"kind": "uncorrectable", "bogus": 1}]}))
+        message = self._usage_error(capsys, [
+            "synth", "--config", str(tmp_path / "fleet.json"), "--seed", "1"],
+            tmp_path / "o")
+        assert message.startswith("bad synth config: ") and "bogus" in message
 
 
 class TestConfigLists:

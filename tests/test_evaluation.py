@@ -303,6 +303,13 @@ class TestConfusion:
         _, tpr, fpr = confusion_at_threshold([0.9], [True], 0.5)
         assert fpr is None and tpr == 1.0
 
+    @pytest.mark.parametrize("scores, labels", [
+        ([0.9], [True, False, True]), ([0.9, 0.1, 0.7], [True])],
+        ids=["one_score", "one_label"])
+    def test_unequal_lengths_raise(self, scores, labels):
+        with pytest.raises(ValueError, match="1-D of equal length"):
+            confusion_at_threshold(scores, labels, 0.5)
+
     def test_counts_partition_population(self):
         rng = np.random.default_rng(1)
         scores = rng.random(80)
