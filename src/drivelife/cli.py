@@ -31,6 +31,7 @@ error (an exception no other code covers) adds its ``traceback``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import datetime as dt
 import functools
@@ -48,7 +49,7 @@ from typing import Callable, Collection
 import numpy as np
 
 from . import __version__, charstats, evaluation, featurize, learners, lifecycle, synth
-from .ingest import (FleetDataset, SchemaError, _write_csv, filter_hdd,
+from .ingest import (FleetDataset, SchemaError, _write_columns, _write_csv, filter_hdd,
                      parse_hdd_csv, parse_ssd_log, read_dataset_npz,
                      write_dataset_npz, write_hdd_csv, write_ssd_csv)
 
@@ -91,6 +92,9 @@ def _integer(name: str, value, minimum: int) -> int:
 
 #: Left out of the settings: no result depends on them, or they enter resolved.
 _UNHASHED = {"command", "out", "config", "jobs", "seed"}
+
+#: The options that name and filter the telemetry input.
+_INPUT_OPTIONS = ("input", "family", "models", "from", "to")
 
 
 def _sha256(path: Path) -> str:
@@ -156,6 +160,11 @@ class _Run:
             self.partition_attr = _partition_attr(self, self.opt("partition-attr"))
         if reads("analysis"):
             self.error_kind, self.thresholds, self.analyses = _characterize_options(self)
+        if self.examples and (flags := [f"--{name}" for name in _INPUT_OPTIONS
+                                        if getattr(args, name) is not None]):
+            raise _fail("usage", f"bad {', '.join(flags)} with --examples; the "
+                        "examples table is the input, so they would be ignored",
+                        EXIT_USAGE)
 
     def opt(self, name: str, default=None):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -197,29 +206,40 @@ class _Run:
 
     # -- atomic artifact writers ------------------------------------------
 
-    def _atomic(self, name: str, write, binary: bool = False) -> Path:
+    @contextlib.contextmanager
+    def _replacing(self, name: str, binary: bool = False):
+        """A temp file in ``--out``, renamed to ``name`` when the block ends
+        and removed when it raises."""
         self.out.mkdir(parents=True, exist_ok=True)
-        target = self.out / name
         fd, tmp = tempfile.mkstemp(dir=self.out, prefix=f".{name}.")
         mode = {"mode": "wb"} if binary else {"mode": "w", "newline": ""}
         try:
             with os.fdopen(fd, **mode) as handle:
-                write(handle)
-            os.replace(tmp, target)
+                yield handle
+            os.replace(tmp, self.out / name)
         except BaseException:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        return target
 
-    def write_json(self, name: str, doc: dict, indent: int | None = 1) -> Path:
+    def _atomic(self, name: str, write, binary: bool = False) -> None:
+        with self._replacing(name, binary) as handle:
+            write(handle)
+
+    def write_json(self, name: str, doc: dict, indent: int | None = 1) -> None:
         """``doc`` after its ``_meta``, keys sorted; ``indent=None`` is one line."""
         doc = {"_meta": self.meta(), **doc}
-        return self._atomic(name, lambda h: h.write(
+        self._atomic(name, lambda h: h.write(
             json.dumps(doc, sort_keys=True, indent=indent) + "\n"))
 
-    def write_csv(self, name: str, header: list, rows) -> Path:
-        return self._atomic(name, lambda h: _write_csv(h, header, rows, self.comment()))
+    def write_csv(self, name: str, header: list, rows) -> None:
+        self._atomic(name, lambda h: _write_csv(h, header, rows, self.comment()))
+
+    def write_columns(self, name: str, header: list, n: int, columns) -> None:
+        """``write_csv`` of ``n`` rows given as column batches (see
+        :func:`drivelife.ingest._write_columns`)."""
+        self._atomic(name, lambda h: _write_columns(h, header, n, columns,
+                                                    self.comment()))
 
 
 def _input(run: _Run) -> tuple[str, Path, tuple | None]:
@@ -382,15 +402,12 @@ def _partition_rule(run: _Run) -> featurize.PartitionRule:
 
 def _example_builder(ds: FleetDataset, partition_attr: str | None = None
                      ) -> Callable[[int], featurize.LabeledExamples]:
-    """Build failures, periods and features once; label per lookahead N."""
-    failures = lifecycle.detect_failures(ds)
-    periods = lifecycle.extract_operational_periods(ds, failures)
-    feats = featurize.make_features(ds)
-    attr = partition_attr or ("hfh" if ds.family == "hdd" else "age")
-    model_of = ds.model_of
-    return lambda lookahead: featurize.label_lookahead(
-        feats, failures, lookahead, periods, partition_attr=attr,
-        models=model_of)
+    """Build failures, periods, features and the kept rows once; label per
+    lookahead N."""
+    failures = lifecycle.failure_table(ds)
+    return featurize.example_builder(
+        featurize.make_features(ds), failures, lifecycle.period_table(ds, failures),
+        partition_attr or ("hfh" if ds.family == "hdd" else "age"), ds.drive_models)
 
 
 def _examples_for(run: _Run, lookahead: int) -> featurize.LabeledExamples:
@@ -468,13 +485,20 @@ def _write_cdf(run: _Run, stem: str, sample: lifecycle.CensoredSample) -> None:
 
 def _cmd_lifecycle(run: _Run) -> None:
     ds = _load_dataset(run)
-    failures = lifecycle.detect_failures(ds)
-    periods = lifecycle.extract_operational_periods(ds, failures)
+    table = lifecycle.failure_table(ds)
+    failures = lifecycle.failure_events(ds, table)
+    periods = lifecycle.period_table(ds, table)
     spells = lifecycle.build_repair_spells(ds, failures)
-    run.write_csv("failures.csv", ["drive", "family", "age_days", "ordinal"],
-                  [[e.drive, e.family, e.age_days, e.ordinal] for e in failures])
-    run.write_csv("periods.csv", ["drive", "start_day", "end_day", "terminal"],
-                  [[p.drive, p.start_day, p.end_day, p.terminal] for p in periods])
+    run.write_columns("failures.csv", ["drive", "family", "age_days", "ordinal"],
+                      len(failures), lambda rows: (
+                          (ds.drives, table.drive[rows]),
+                          ((ds.family,), np.zeros_like(table.drive[rows])),
+                          table.day[rows], table.ordinal[rows]))
+    run.write_columns("periods.csv", ["drive", "start_day", "end_day", "terminal"],
+                      periods.drive.size, lambda rows: (
+                          (ds.drives, periods.drive[rows]), periods.start[rows],
+                          periods.end[rows], (("censored", "failure"),
+                                              periods.failed[rows].astype(np.int64))))
     run.write_csv("repairs.csv",
                   ["drive", "fail_day", "reentry_day", "preswap_gap_days"],
                   [[s.drive, s.fail_day, s.reentry_day, s.preswap_gap_days]
@@ -604,14 +628,15 @@ def _cmd_characterize(run: _Run) -> None:
 def _cmd_featurize(run: _Run) -> None:
     ds = _load_dataset(run)
     build = _example_builder(ds, run.partition_attr)
-    index = {}
-    for n in run.lookaheads:
-        examples = build(n)
-        name = f"examples_{ds.family}_N{n}.csv"
-        run._atomic(name, lambda h, e=examples: featurize.write_examples_csv(
-            e, h, header_comment=run.comment()))
-        index[str(n)] = {"artifact": name, "n_examples": examples.n,
-                         "n_positive": examples.n_positive}
+    tables = [build(n) for n in run.lookaheads]
+    names = [f"examples_{ds.family}_N{n}.csv" for n in run.lookaheads]
+    with contextlib.ExitStack() as files:
+        featurize.write_examples_tables(
+            tables, [files.enter_context(run._replacing(name)) for name in names],
+            header_comment=run.comment())
+    index = {str(n): {"artifact": name, "n_examples": examples.n,
+                      "n_positive": examples.n_positive}
+             for n, name, examples in zip(run.lookaheads, names, tables)}
     run.write_json("featurize_report.json",
                    {"family": ds.family, "lookaheads": index})
 
@@ -655,8 +680,9 @@ def _cmd_evaluate(run: _Run) -> None:
 
 def _cmd_sweep(run: _Run) -> None:
     build = _example_builder(_load_dataset(run))
-    reports = evaluation.lookahead_sweep(lambda n: _fittable(run, build(n)),
-                                         sorted(run.lookaheads), run.spec, run.folds,
+    lookaheads = sorted(run.lookaheads)
+    _fittable(run, build(lookaheads[0]))  # every N's table has the same rows
+    reports = evaluation.lookahead_sweep(build, lookaheads, run.spec, run.folds,
                                          run.seed, jobs=run.jobs)
     rows = []
     for n, report in reports.items():
@@ -778,7 +804,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](_Run(args))
+        context = _Run(args)
+        context.settings  # hashes every input file before anything is read or fit
+        _COMMANDS[args.command](context)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.exit_code

@@ -179,7 +179,12 @@ def roc_curve(scores, labels) -> RocCurve:
     negatives (or both only positives) lies inside a horizontal (vertical)
     run, is dominated by an end of that run, and is dropped.
     """
-    tp, fp, thresholds, pos_total, neg_total = _score_groups(scores, labels)
+    return _roc(_score_groups(scores, labels))
+
+
+def _roc(groups: tuple) -> RocCurve:
+    """The ROC vertices of ``_score_groups``' groups (see :func:`roc_curve`)."""
+    tp, fp, thresholds, pos_total, neg_total = groups
     keep = np.ones(tp.size + 1, dtype=bool)
     keep[1:-1] = ~((tp[:-1] == 0) & (tp[1:] == 0) | (fp[:-1] == 0) & (fp[1:] == 0))
     columns = (np.concatenate(([1.0], thresholds))[keep],
@@ -196,7 +201,12 @@ def auroc(scores, labels) -> float:
     Equals P(random positive outscores random negative) with ties counted
     half; computed as (2*wins + ties) / (2*P*N) in integer arithmetic.
     """
-    tp, fp, _, pos_total, neg_total = _score_groups(scores, labels)
+    return _area(_score_groups(scores, labels))
+
+
+def _area(groups: tuple) -> float:
+    """The AUROC of ``_score_groups``' groups (see :func:`auroc`)."""
+    tp, fp, _, pos_total, neg_total = groups
     tp_above = np.cumsum(tp) - tp
     total = int(np.sum(fp * (2 * tp_above + tp)))
     return total / (2.0 * pos_total * neg_total)
@@ -381,9 +391,11 @@ def _eval_report(examples: LabeledExamples, spec: ModelSpec, fold_of: np.ndarray
     fold_auroc, warnings, oof_scores, scored = _run_cv(
         examples, spec, fold_of, k, seed, jobs)
     mean, std = _mean_std(fold_auroc)
-    pooled = _masked_auroc(oof_scores, examples.y, scored)
-    curve = (roc_curve(oof_scores[scored], examples.y[scored])
-             if pooled is not None else None)
+    pooled = curve = None
+    ys = examples.y[scored]
+    if 0 < ys.sum() < ys.size:  # one sort serves the AUROC and the curve
+        groups = _score_groups(oof_scores[scored], ys)
+        pooled, curve = _area(groups), _roc(groups)
     report = EvalReport(config, fold_auroc, mean, std, pooled, curve, warnings)
     return report, oof_scores, scored
 
@@ -400,17 +412,24 @@ def cross_validated_eval(examples: LabeledExamples, spec: ModelSpec,
 def lookahead_sweep(builder: Callable[[int], LabeledExamples],
                     lookaheads: Sequence[int], spec: ModelSpec,
                     k: int = 5, seed: int = 0, jobs: int = 1) -> dict:
-    """One cross-validated evaluation per lookahead N, same folds throughout."""
+    """One cross-validated evaluation per lookahead N, same folds throughout.
+
+    The rows' folds are looked up again only when an N's rows are not the
+    previous N's (the same ``drive`` and ``drive_ids`` objects), so one
+    :func:`drivelife.featurize.example_builder`'s tables share one lookup.
+    """
     if list(lookaheads) != sorted(lookaheads):
         raise ValueError("lookahead list must be sorted ascending")
     reports = {}
-    folds = None
+    folds = shared = None
     for n in lookaheads:
         examples = builder(n)
-        if folds is None:
-            folds = _drive_folds(examples, k, seed)[0]
-        reports[n] = cross_validated_eval(examples, spec, k, seed,
-                                          jobs=jobs, folds=folds)
+        if (shared is None or shared.drive is not examples.drive
+                or shared.drive_ids is not examples.drive_ids):
+            shared = examples
+            folds, fold_of = _drive_folds(examples, k, seed, folds)
+        config = _eval_config(spec, folds, seed, examples, undersample_ratio=1.0)
+        reports[n] = _eval_report(examples, spec, fold_of, folds.k, seed, config, jobs)[0]
     return reports
 
 

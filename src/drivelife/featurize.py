@@ -17,8 +17,18 @@ with per-drive kernels over the rows, never record by record; matrices
 are columnar (one float64 array per dataset) because fleets run to
 millions of drive-days.
 
-Examples CSVs are written by ``ingest``'s column-batch writer and read
-back through its blocks (``_header``/``_blocks``), a column at a time. A
+Labels come from one :func:`example_builder` per feature matrix: the
+rows the periods keep, their features, drives, days and partition keys
+are taken once, and each lookahead N adds only its labels, so every N's
+table shares those arrays. :func:`label_lookahead` is the builder called
+at one N.
+
+Examples CSVs are written by ``ingest``'s column-batch writer. The tables
+of one builder differ only in their one-byte label cells, so
+:func:`write_examples_tables` formats each batch of their shared rows once
+and writes it to every table's stream with that table's labels set at the
+cell ends the formatter gives. They are read back through ``ingest``'s
+blocks (``_header``/``_blocks``), a column at a time. A
 feature or ``partition_key`` cell written ``[0-9]{1,15}\\.0`` is read as
 its digits' integer value, which is exact as a float (10**15 < 2**53),
 and a label or day cell of 1 to 18 ASCII digits by ``ingest``'s count
@@ -30,17 +40,19 @@ its errors.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
-                     _blocks, _codes, _column, _digits, _header, _last_present,
-                     _previous_present, _sorted_codes, _write_columns)
-from .lifecycle import (FailureEvent, OperationalPeriod, _DayWindows, _drive_codes,
-                        drive_days)
+                     _WRITE_BATCH, _blocks, _codes, _column, _digits, _format_rows,
+                     _header, _last_present, _previous_present, _sorted_codes,
+                     _write_columns, _write_csv)
+from .lifecycle import (FailureEvent, FailureTable, OperationalPeriod, PeriodTable,
+                        _DayWindows, _drive_codes, _event_table, drive_days)
 
 __all__ = [
     "FeatureMatrix",
@@ -52,9 +64,11 @@ __all__ = [
     "make_features",
     "carry_forward",
     "counter_increments",
+    "example_builder",
     "label_lookahead",
     "partition_dataset",
     "write_examples_csv",
+    "write_examples_tables",
     "read_examples_csv",
 ]
 
@@ -232,6 +246,49 @@ class LabeledExamples:
             self.lookahead, self.drive_models)
 
 
+def example_builder(feats: FeatureMatrix, failures: FailureTable,
+                    periods: PeriodTable | None = None, partition_attr: str = "age",
+                    drive_models: Sequence[str] | None = None
+                    ) -> Callable[[int], LabeledExamples]:
+    """Label ``feats`` at any lookahead N, from what every N shares, built once.
+
+    The tables' drive codes index ``feats.drive_ids`` (-1 matches no row);
+    only their drive and day columns are read. Built once: the rows kept
+    (those inside a period, or every row when ``periods`` is None), their
+    features, drives, days and partition keys, and the row index by
+    (drive, day). Each call then labels the kept rows at its N, with one
+    window lookup over the failures; every table it returns shares the
+    arrays of the kept rows, and only ``y`` and ``lookahead`` differ. The
+    rules are those of :func:`label_lookahead`.
+    """
+    if partition_attr == "age":
+        key = feats.days.astype(float)
+    elif partition_attr == "hfh":
+        if feats.hfh_max is None:
+            raise ValueError("hfh partition key needs an HDD feature matrix")
+        key = feats.hfh_max.astype(float)
+    else:
+        raise ValueError(f"unknown partition attribute {partition_attr!r}")
+    rows = _DayWindows(feats.drive, feats.days)
+    keep = (None if periods is None
+            else rows.covered(periods.drive, periods.start, periods.end))
+    shared = LabeledExamples(feats.names, feats.X, np.zeros(feats.n_rows, dtype=bool),
+                             feats.drive, feats.drive_ids, feats.days, key, 0,
+                             drive_models)
+    if keep is not None and not keep.all():
+        shared = shared.subset(keep)
+    else:
+        keep = None
+
+    def build(lookahead: int) -> LabeledExamples:
+        if lookahead < 0:
+            raise ValueError("lookahead must be >= 0")
+        y = rows.covered(failures.drive, failures.day - lookahead, failures.day)
+        return dataclasses.replace(shared, y=y if keep is None else y[keep],
+                                   lookahead=lookahead)
+    return build
+
+
 def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
                     lookahead: int,
                     periods: Sequence[OperationalPeriod] | None = None,
@@ -244,34 +301,18 @@ def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
     every operational period (post-failure inactivity and repair gaps)
     produce no examples. ``partition_attr`` selects the per-row partition
     key: "age" (drive-age days) or "hfh" (max-to-date head flying hours).
+    This is :func:`example_builder` called at one N.
     """
-    if lookahead < 0:
-        raise ValueError("lookahead must be >= 0")
-    rows = _DayWindows(feats.drive, feats.days)
-    keep = np.ones(feats.n_rows, dtype=bool)
-    if periods is not None:
-        keep = rows.covered(_drive_codes(feats.drive_ids, (p.drive for p in periods)),
-                            [p.start_day for p in periods],
-                            [p.end_day for p in periods])
-    failures = list(failures)
-    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
-    y = rows.covered(_drive_codes(feats.drive_ids, (ev.drive for ev in failures)),
-                     fail_days - lookahead, fail_days)
-
-    if partition_attr == "age":
-        key = feats.days.astype(float)
-    elif partition_attr == "hfh":
-        if feats.hfh_max is None:
-            raise ValueError("hfh partition key needs an HDD feature matrix")
-        key = feats.hfh_max.astype(float)
-    else:
-        raise ValueError(f"unknown partition attribute {partition_attr!r}")
-
+    drives = feats.drive_ids
+    spans = None if periods is None else PeriodTable(
+        _drive_codes(drives, (p.drive for p in periods)),
+        *(np.array([getattr(p, name) for p in periods], dtype=np.int64)
+          for name in ("start_day", "end_day")),
+        np.array([p.terminal == "failure" for p in periods], dtype=bool))
     drive_models = (None if models is None
-                    else tuple(models.get(d, "") for d in feats.drive_ids))
-    out = LabeledExamples(feats.names, feats.X, y, feats.drive, feats.drive_ids,
-                          feats.days, key, lookahead, drive_models)
-    return out.subset(keep) if not keep.all() else out
+                    else tuple(models.get(d, "") for d in drives))
+    return example_builder(feats, _event_table(drives, list(failures)), spans,
+                           partition_attr, drive_models)(lookahead)
 
 
 @dataclass(frozen=True)
@@ -295,14 +336,55 @@ def partition_dataset(examples: LabeledExamples,
     return examples.subset(below), examples.subset(~below)
 
 
+_EXAMPLE_TAIL = ("label", "drive_id", "day", "partition_key")
+
+
+def _example_cells(examples: LabeledExamples, rows: slice) -> tuple:
+    """A batch of rows' cells, in the examples CSV's column order."""
+    return (examples.X[rows], examples.y[rows],
+            (examples.drive_ids, examples.drive[rows]), examples.days[rows],
+            examples.partition_key[rows])
+
+
 def write_examples_csv(examples: LabeledExamples, out,
                        header_comment: str | None = None) -> None:
     """Write labeled examples: feature columns then label,drive_id,day,partition_key."""
-    _write_columns(out, [*examples.names, "label", "drive_id", "day", "partition_key"],
-                   examples.n, lambda rows: (
-                       examples.X[rows], examples.y[rows],
-                       (examples.drive_ids, examples.drive[rows]), examples.days[rows],
-                       examples.partition_key[rows]), header_comment)
+    _write_columns(out, [*examples.names, *_EXAMPLE_TAIL], examples.n,
+                   lambda rows: _example_cells(examples, rows), header_comment)
+
+
+def write_examples_tables(tables: Sequence[LabeledExamples], outs: Sequence,
+                          header_comment: str | None = None) -> None:
+    """Write each of ``tables`` to its stream in ``outs``, byte for byte as
+    :func:`write_examples_csv` writes it, formatting their shared text once.
+
+    The tables share their rows, as one :func:`example_builder`'s tables
+    at several lookaheads do: every array but ``y`` is the same object in
+    each; other tables, or another number of streams, raise ValueError.
+    Each batch of ``_WRITE_BATCH`` rows is formatted once, by ``ingest``'s
+    formatter. A label cell is one byte, ``0`` or ``1``, just before the
+    cell end the formatter gives, so each table's text is that batch with
+    its own labels set there. Memory is bounded by one batch.
+    """
+    if len(outs) != len(tables):
+        raise ValueError("write_examples_tables needs one stream per table")
+    if not tables:
+        return
+    first = tables[0]
+    shared = ("names", "X", "drive", "drive_ids", "days", "partition_key")
+    if any(getattr(t, name) is not getattr(first, name)
+           for t in tables[1:] for name in shared):
+        raise ValueError("the tables do not share their rows")
+    header = [*first.names, *_EXAMPLE_TAIL]
+    for out in outs:
+        _write_csv(out, header, (), header_comment)
+    for lo in range(0, first.n, _WRITE_BATCH):
+        rows = slice(lo, lo + _WRITE_BATCH)
+        text, ends = _format_rows(_example_cells(first, rows))
+        label = ends[len(first.names)::len(header)] - 1
+        for table, out in zip(tables, outs):
+            text[label] = np.where(table.y[rows], ord("1"), ord("0"))
+            out.write(str(text, "utf-8", "surrogatepass"))
 
 
 def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
@@ -319,7 +401,7 @@ def read_examples_csv(stream, lookahead: int = 0) -> LabeledExamples:
     kernel's grammar goes whole through :func:`_parse_example`.
     """
     header, lines, line = _header(stream)
-    if header[-4:] != ["label", "drive_id", "day", "partition_key"]:
+    if tuple(header[-4:]) != _EXAMPLE_TAIL:
         raise SchemaError("not an examples CSV: trailing columns mismatch")
     names = tuple(header[:-4])
     code: dict[str, int] = {}  # drive id -> its code, numbered as coded

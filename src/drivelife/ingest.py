@@ -328,10 +328,15 @@ class FleetDataset:
         return self._columns[name]
 
     @property
+    def drive_models(self) -> tuple[str, ...]:
+        """Per drive, in ``drives`` order: the model of its first row."""
+        codes = self._columns["model"][self.starts[:-1]].tolist()
+        return tuple(self._models[c] for c in codes)
+
+    @property
     def model_of(self) -> dict[str, str]:
         """Drive -> the model of its first row."""
-        codes = self._columns["model"][self.starts[:-1]].tolist()
-        return {d: self._models[c] for d, c in zip(self.drives, codes)}
+        return dict(zip(self.drives, self.drive_models))
 
     def models(self) -> list[str]:
         return sorted(set(self.model_of.values()))
@@ -1043,7 +1048,8 @@ def _write_columns(out, header: Sequence[str], n: int,
     ``columns(rows)`` gives a batch's cells (see :func:`_format_rows`)."""
     _write_csv(out, header, (), comment)
     for lo in range(0, n, _WRITE_BATCH):
-        out.write(_format_rows(columns(slice(lo, lo + _WRITE_BATCH))))
+        text, _ = _format_rows(columns(slice(lo, lo + _WRITE_BATCH)))
+        out.write(str(text, "utf-8", "surrogatepass"))
 
 
 #: Integer-valued floats below this are written as their digits and ".0",
@@ -1051,8 +1057,10 @@ def _write_columns(out, header: Sequence[str], n: int,
 _FLOAT_DIGITS_BELOW = 2.0**53
 
 
-def _format_rows(blocks: Sequence) -> str:
-    """CSV text of a batch of rows, built a column at a time as one byte buffer.
+def _format_rows(blocks: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """CSV text of a batch of rows, built a column at a time as one byte buffer,
+    and the offset in it of each cell's end (the comma or newline after it),
+    row by row.
 
     ``blocks`` are cell blocks of one length n, each one of:
 
@@ -1062,8 +1070,9 @@ def _format_rows(blocks: Sequence) -> str:
       [0, 2**53) is its digits and ``.0``, any other its ``repr``;
     * ``(names, codes)``: each cell is the string ``names[code]``.
 
-    The text equals what ``csv.writer(out, lineterminator="\\n").writerows``
-    writes for the cells' Python values, byte for byte.
+    Decoded as UTF-8 (surrogates passed through), the text equals what
+    ``csv.writer(out, lineterminator="\\n").writerows`` writes for the cells'
+    Python values, character for character.
     """
     strs: list[str] = []  # the batch's strings; text code 0 is the empty cell
 
@@ -1136,8 +1145,10 @@ def _texts(strs: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _format(mag: np.ndarray, neg: np.ndarray, dot: np.ndarray, code: np.ndarray,
-            texts: tuple[np.ndarray, np.ndarray, np.ndarray], width: int) -> str:
-    """The text of cells in row-major order, ``width`` per row: cell i is
+            texts: tuple[np.ndarray, np.ndarray, np.ndarray], width: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The UTF-8 text of cells in row-major order, ``width`` per row, and
+    the offset of each cell's separator: cell i is
     text ``code[i]`` of ``texts`` (see :func:`_texts`), or when ``code[i]``
     is -1 its number: ``-`` if ``neg[i]``, the digits of ``mag[i]``, and
     ``.0`` if ``dot[i]``.
@@ -1187,7 +1198,7 @@ def _format(mag: np.ndarray, neg: np.ndarray, dot: np.ndarray, code: np.ndarray,
     step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
     buf[np.repeat(sep[cells] - length, length) + step] = blob[
         np.repeat(origin[code[cells]], length) + step]
-    return str(buf, "utf-8", "surrogatepass")
+    return buf, sep
 
 
 def write_ssd_csv(ds: FleetDataset, out, header_comment: str | None = None) -> None:

@@ -18,14 +18,19 @@ Drive age sources:
   any anchor, days since the drive's first row.
 
 Everything here reads the dataset's columns (``FleetDataset.column``,
-``flag`` and ``time``); loops run per failure or per drive, never per row.
+``flag`` and ``time``) and builds column tables: :func:`failure_table`
+(drive code, age day, ordinal, degenerate flag) and :func:`period_table`
+(drive code, start, end, terminal flag), in numpy. The one loop runs per
+failure, to find its re-entry; none runs per drive or per row.
+:func:`detect_failures` and :func:`extract_operational_periods` are object
+views of the tables.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,7 +43,12 @@ __all__ = [
     "CensoredSample",
     "SSD_TRIM_BOUND_DAYS",
     "LONG_LIMBO_DAYS",
+    "FailureTable",
+    "PeriodTable",
     "drive_days",
+    "failure_table",
+    "failure_events",
+    "period_table",
     "detect_hdd_failures",
     "detect_ssd_failures",
     "detect_failures",
@@ -145,14 +155,57 @@ def drive_days(ds: FleetDataset) -> np.ndarray:
                     ds.time - ds.time[first])
 
 
-def _events(ds: FleetDataset, rows: np.ndarray, days: np.ndarray,
-            degenerate: np.ndarray) -> list[FailureEvent]:
-    """One FailureEvent per row (increasing), numbered per drive from 1."""
-    drive = ds.row_drive()[rows]
-    ordinal = np.arange(rows.size) - np.searchsorted(drive, drive) + 1
+class FailureTable(NamedTuple):
+    """Failures as columns, one entry per failure: the drive's code (its
+    index into the dataset's ``drives``), the age day, the 1-based ordinal
+    among the drive's failures, and whether it is degenerate (an SSD swap
+    without operational activity before it)."""
+
+    drive: np.ndarray       # int64
+    day: np.ndarray         # int64
+    ordinal: np.ndarray     # int64
+    degenerate: np.ndarray  # bool
+
+
+class PeriodTable(NamedTuple):
+    """Operational periods as columns, one entry per period: the drive's
+    code, the start and end days, and whether the period ends in a failure
+    (else it is censored)."""
+
+    drive: np.ndarray   # int64
+    start: np.ndarray   # int64
+    end: np.ndarray     # int64
+    failed: np.ndarray  # bool
+
+
+def failure_events(ds: FleetDataset, table: FailureTable) -> list[FailureEvent]:
+    """The FailureEvents of a failure table of ``ds``, in its order."""
     return [FailureEvent(ds.drives[d], day, k, ds.family, g)
-            for d, day, k, g in zip(drive.tolist(), days.tolist(),
-                                    ordinal.tolist(), degenerate.tolist())]
+            for d, day, k, g in zip(*(c.tolist() for c in table))]
+
+
+def _event_table(drives: Sequence[str],
+                 failures: Sequence[FailureEvent]) -> FailureTable:
+    """The failure table of FailureEvents, in their order; a drive not in
+    ``drives`` gets code -1."""
+    return FailureTable(_drive_codes(drives, (ev.drive for ev in failures)),
+                        *(np.array([getattr(ev, name) for ev in failures], dtype=dtype)
+                          for name, dtype in (("age_days", np.int64),
+                                              ("ordinal", np.int64),
+                                              ("degenerate", bool))))
+
+
+def _dataset_events(ds: FleetDataset, failures: Iterable[FailureEvent]
+                    ) -> tuple[list[FailureEvent], FailureTable]:
+    """The events and their table; an event of a drive the dataset lacks
+    raises ValueError."""
+    failures = list(failures)
+    table = _event_table(ds.drives, failures)
+    if (unknown := np.flatnonzero(table.drive < 0)).size:
+        ev = failures[unknown[0]]
+        raise ValueError(f"drive {ev.drive!r} has no flagged row for "
+                         f"failure {ev.ordinal}")
+    return failures, table
 
 
 def _drive_codes(drives: Sequence[str], names: Iterable[str]) -> np.ndarray:
@@ -201,12 +254,48 @@ class _DayWindows:
         return mask
 
 
+def _ssd_failure_rows(ds: FleetDataset, days: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each swap's row, failure day and degenerate flag, by the backward
+    inactivity trim of :func:`detect_ssd_failures`."""
+    swaps = np.flatnonzero(ds.flag("swap_event"))
+    drive = ds.row_drive()[swaps]
+    # In scope: after the drive's previous swap, up to the swap itself.
+    scope = np.maximum(ds.starts[drive], np.concatenate(([0], swaps[:-1] + 1)))
+    active = (ds.column("read_ops")[0] != 0) | (ds.column("write_ops")[0] != 0)
+    last_active = _last_present(active, ds.starts)[swaps]
+    # The drive's last row on a day before the trim bound, or -1.
+    rows = _DayWindows(ds.row_drive(), days)
+    begin, end = rows.find(drive, np.iinfo(np.int64).min,
+                           days[swaps] - SSD_TRIM_BOUND_DAYS - 1)
+    before_bound = np.where(end > begin, rows.order[end - 1], -1)
+    # The backward scan stops at whichever of the two comes first.
+    stop = np.maximum(last_active, before_bound)
+    found = stop >= scope
+    return swaps, days[np.where(found, stop, scope)], ~found
+
+
+def failure_table(ds: FleetDataset) -> FailureTable:
+    """Every failure of the fleet, in drive and row order, numbered per
+    drive from 1: one per failure-flagged HDD row (see
+    :func:`detect_hdd_failures`) or per SSD swap (see
+    :func:`detect_ssd_failures`)."""
+    days = drive_days(ds)
+    if ds.family == "hdd":
+        rows = np.flatnonzero(ds.flag("failed"))
+        day, degenerate = days[rows], np.zeros(rows.size, dtype=bool)
+    else:
+        rows, day, degenerate = _ssd_failure_rows(ds, days)
+    drive = ds.row_drive()[rows]
+    ordinal = np.arange(rows.size) - np.searchsorted(drive, drive) + 1
+    return FailureTable(drive, day, ordinal, degenerate)
+
+
 def detect_hdd_failures(ds: FleetDataset) -> list[FailureEvent]:
     """One FailureEvent per failure-flagged HDD row, in drive/time order."""
     if ds.family != "hdd":
         raise ValueError("detect_hdd_failures needs an HDD dataset")
-    rows = np.flatnonzero(ds.flag("failed"))
-    return _events(ds, rows, drive_days(ds)[rows], np.zeros(rows.size, dtype=bool))
+    return failure_events(ds, failure_table(ds))
 
 
 def detect_ssd_failures(ds: FleetDataset) -> list[FailureEvent]:
@@ -222,32 +311,16 @@ def detect_ssd_failures(ds: FleetDataset) -> list[FailureEvent]:
     """
     if ds.family != "ssd":
         raise ValueError("detect_ssd_failures needs an SSD dataset")
-    days = drive_days(ds)
-    swaps = np.flatnonzero(ds.flag("swap_event"))
-    drive = ds.row_drive()[swaps]
-    # In scope: after the drive's previous swap, up to the swap itself.
-    scope = np.maximum(ds.starts[drive], np.concatenate(([0], swaps[:-1] + 1)))
-    active = (ds.column("read_ops")[0] != 0) | (ds.column("write_ops")[0] != 0)
-    last_active = _last_present(active, ds.starts)[swaps]
-    # The drive's last row on a day before the trim bound, or -1.
-    rows = _DayWindows(ds.row_drive(), days)
-    begin, end = rows.find(drive, np.iinfo(np.int64).min,
-                           days[swaps] - SSD_TRIM_BOUND_DAYS - 1)
-    before_bound = np.where(end > begin, rows.order[end - 1], -1)
-    # The backward scan stops at whichever of the two comes first.
-    stop = np.maximum(last_active, before_bound)
-    found = stop >= scope
-    return _events(ds, swaps, days[np.where(found, stop, scope)], ~found)
+    return failure_events(ds, failure_table(ds))
 
 
 def detect_failures(ds: FleetDataset) -> list[FailureEvent]:
-    return detect_hdd_failures(ds) if ds.family == "hdd" else detect_ssd_failures(ds)
+    return failure_events(ds, failure_table(ds))
 
 
-def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray,
-                         failures: Sequence[FailureEvent]
-                         ) -> list[tuple[int, int | None]]:
-    """(swap day, re-entry day or None) of each failure, in order.
+def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray, failures: FailureTable
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per failure: the swap day, the re-entry day, and whether there is one.
 
     A failure is anchored at its drive's ordinal-th flagged row: the swap
     row for SSDs, the failed row for HDDs. The swap day is the day of
@@ -255,22 +328,70 @@ def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray,
     row after the anchor whose day exceeds the swap day; HDD ages can
     repeat or run backward, so an older row before the failure is never
     its re-entry. A failure without its flagged row raises ValueError.
+    The lookup loops per failure.
     """
-    codes = _drive_codes(ds.drives, (ev.drive for ev in failures)).tolist()
     flagged = np.flatnonzero(ds.flag("swap_event" if ds.family == "ssd"
                                      else "failed"))
     first = np.searchsorted(flagged, ds.starts)  # per drive, into ``flagged``
-    out = []
-    for ev, drive in zip(failures, codes):
-        if drive < 0 or not 0 < ev.ordinal <= first[drive + 1] - first[drive]:
-            raise ValueError(f"drive {ev.drive!r} has no flagged row for "
-                             f"failure {ev.ordinal}")
-        anchor = flagged[first[drive] + ev.ordinal - 1]
-        swap = int(days[anchor]) if ds.family == "ssd" else ev.age_days
-        later = days[anchor + 1:ds.starts[drive + 1]]
-        after = np.flatnonzero(later > swap)
-        out.append((swap, int(later[after[0]]) if after.size else None))
-    return out
+    drive, ordinal = failures.drive, failures.ordinal
+    known = (drive >= 0) & (drive < ds.n_drives)
+    count = np.append(np.diff(first), 0)  # flagged rows per drive; 0 unknown
+    valid = (ordinal > 0) & (ordinal <= count[np.where(known, drive, -1)])
+    if (bad := np.flatnonzero(~valid)).size:
+        i = bad[0]
+        name = ds.drives[drive[i]] if known[i] else f"code {drive[i]}"
+        raise ValueError(f"drive {name!r} has no flagged row for "
+                         f"failure {ordinal[i]}")
+    anchor = flagged[first[drive] + ordinal - 1]
+    swap = days[anchor] if ds.family == "ssd" else failures.day
+    reentry = np.zeros(anchor.size, dtype=np.int64)
+    returned = np.zeros(anchor.size, dtype=bool)
+    for i, (row, end, day) in enumerate(zip(anchor.tolist(),
+                                            ds.starts[drive + 1].tolist(),
+                                            swap.tolist())):
+        after = np.flatnonzero(days[row + 1:end] > day)
+        if after.size:
+            reentry[i], returned[i] = days[row + 1 + after[0]], True
+    return swap, reentry, returned
+
+
+def period_table(ds: FleetDataset, failures: FailureTable) -> PeriodTable:
+    """Cut each drive's observation span into failure-terminated and censored
+    periods (see :func:`extract_operational_periods`), in drive order, the
+    failure periods by age and then the censored one."""
+    days = drive_days(ds)
+    _, reentry, returned = _swaps_and_reentries(ds, days, failures)
+    order = np.lexsort((failures.ordinal, failures.day, failures.drive))
+    drive, day = failures.drive[order], failures.day[order]
+    reentry, returned = reentry[order], returned[order]
+    # A drive's first failure starts from its first row, each later one from
+    # the re-entry of the one before; a failure at the age of the one before
+    # lies in that one's period.
+    first = np.ones(drive.size, dtype=bool)
+    first[1:] = drive[1:] != drive[:-1]
+    opens = first.copy()
+    opens[1:] |= day[1:] > day[:-1]
+    start, has_start = days[ds.starts[drive]], first.copy()
+    start[1:] = np.where(first[1:], start[1:], reentry[:-1])
+    has_start[1:] |= returned[:-1]
+    begin = np.where(has_start, np.minimum(start, day), day)
+    # Every drive ends in a censored period from its first row or from its
+    # last failure's re-entry, when there is one, to its oldest age.
+    last = np.ones(drive.size, dtype=bool)
+    last[:-1] = first[1:]
+    censored_start = days[ds.starts[:-1]]
+    censored = np.ones(ds.n_drives, dtype=bool)
+    censored_start[drive[last]] = reentry[last]
+    censored[drive[last]] = returned[last]
+    oldest = np.maximum.reduceat(days, ds.starts[:-1]) if days.size else days
+    codes = np.flatnonzero(censored)
+    table = PeriodTable(*(np.concatenate(pair) for pair in (
+        (drive[opens], codes), (begin[opens], censored_start[codes]),
+        (day[opens], oldest[codes]),
+        (np.ones(np.count_nonzero(opens), dtype=bool),
+         np.zeros(codes.size, dtype=bool)))))
+    order = np.argsort(2 * table.drive + ~table.failed, kind="stable")
+    return PeriodTable(*(column[order] for column in table))
 
 
 def extract_operational_periods(ds: FleetDataset,
@@ -287,40 +408,24 @@ def extract_operational_periods(ds: FleetDataset,
     lies in that one's period, and a censored period ends at the drive's
     oldest age. A drive's periods therefore have non-negative length, do
     not overlap, and hold each failure once; for ages that increase along
-    the rows, this is the row-order walk.
+    the rows, this is the row-order walk. This is the object view of
+    :func:`period_table`.
     """
-    failures = list(failures)
-    days = drive_days(ds)
-    by_drive: dict[str, list] = {}
-    for ev, (_, reentry) in zip(failures, _swaps_and_reentries(ds, days, failures)):
-        by_drive.setdefault(ev.drive, []).append((ev, reentry))
-    oldest = np.maximum.reduceat(days, ds.starts[:-1]) if days.size else days
-    periods = []
-    for drive, start, last_day in zip(ds.drives, days[ds.starts[:-1]].tolist(),
-                                       oldest.tolist()):
-        end = None
-        for ev, reentry in sorted(by_drive.get(drive, ()),
-                                  key=lambda e: (e[0].age_days, e[0].ordinal)):
-            if end is None or ev.age_days > end:
-                end = ev.age_days
-                begin = end if start is None else min(start, end)
-                periods.append(OperationalPeriod(drive, begin, end, "failure"))
-            start = reentry
-        if start is not None:  # a re-entry lies after every failure before it
-            periods.append(OperationalPeriod(drive, start, last_day, "censored"))
-    return periods
+    table = period_table(ds, _dataset_events(ds, failures)[1])
+    return [OperationalPeriod(ds.drives[d], start, end,
+                              "failure" if failed else "censored")
+            for d, start, end, failed in zip(*(c.tolist() for c in table))]
 
 
 def build_repair_spells(ds: FleetDataset,
                         failures: Iterable[FailureEvent]) -> list[RepairSpell]:
     """One RepairSpell per failure: pre-swap gap (SSD) and re-entry day if any."""
-    failures = list(failures)
-    spells = []
-    for ev, (swap_day, reentry) in zip(
-            failures, _swaps_and_reentries(ds, drive_days(ds), failures)):
-        gap = swap_day - ev.age_days if ds.family == "ssd" else None
-        spells.append(RepairSpell(ev.drive, ev.age_days, reentry, gap))
-    return spells
+    failures, table = _dataset_events(ds, failures)
+    swap, reentry, returned = _swaps_and_reentries(ds, drive_days(ds), table)
+    return [RepairSpell(ev.drive, ev.age_days, day if back else None,
+                        s - ev.age_days if ds.family == "ssd" else None)
+            for ev, s, day, back in zip(failures, swap.tolist(), reentry.tolist(),
+                                        returned.tolist())]
 
 
 def repair_stats(spells: Sequence[RepairSpell], horizons: Sequence[float],
@@ -395,16 +500,17 @@ def censored_cdf(sample: CensoredSample,
     return points, sample.censored_count / total
 
 
-def period_length_sample(periods: Iterable[OperationalPeriod]) -> CensoredSample:
+def period_length_sample(periods: PeriodTable | Iterable[OperationalPeriod]
+                         ) -> CensoredSample:
     """Time-to-failure sample: failure-terminated lengths, censored periods counted."""
-    values = []
-    censored = 0
-    for p in periods:
-        if p.terminal == "failure":
-            values.append(p.length)
-        else:
-            censored += 1
-    return CensoredSample(tuple(values), censored)
+    if isinstance(periods, PeriodTable):
+        lengths, failed = periods.end - periods.start, periods.failed
+    else:
+        periods = list(periods)
+        lengths = np.array([p.length for p in periods], dtype=np.int64)
+        failed = np.array([p.terminal == "failure" for p in periods], dtype=bool)
+    return CensoredSample(tuple(lengths[failed].tolist()),
+                          int(np.count_nonzero(~failed)))
 
 
 def repair_duration_sample(spells: Iterable[RepairSpell]) -> CensoredSample:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from drivelife import cli, featurize
+from drivelife import cli, evaluation, featurize
 from drivelife.cli import run
 
 SYNTH_CONFIG = {
@@ -134,6 +134,25 @@ class TestPipeline:
         report = json.loads((tmp_path / "train_report.json").read_text())
         assert report["feature_importance"]
         assert (tmp_path / "model.json").exists()
+
+    def test_featurize_lookahead_list_equals_single_runs(self, synth_dir, tmp_path):
+        source = ["--family", "ssd", "--input", str(synth_dir / "ssd_telemetry.csv")]
+        assert run(["featurize", *source, "--lookahead", "0,1,2,7",
+                    "--out", str(tmp_path / "all")]) == 0
+        tables = set()
+        for n in (0, 1, 2, 7):
+            name = f"examples_ssd_N{n}.csv"
+            assert run(["featurize", *source, "--lookahead", str(n),
+                        "--out", str(tmp_path / f"N{n}")]) == 0
+            comment, text = (tmp_path / "all" / name).read_bytes().split(b"\n", 1)
+            single_comment, single = (tmp_path / f"N{n}" / name).read_bytes().split(
+                b"\n", 1)
+            # The runs' options differ, so only their config hashes do.
+            assert re.sub(rb"config_hash=\w+", b"", comment) == \
+                re.sub(rb"config_hash=\w+", b"", single_comment)
+            assert text == single
+            tables.add(text)
+        assert len(tables) == 4
 
     def test_logreg_train_report_records_convergence(self, synth_dir, tmp_path):
         argv = ["train", "--family", "ssd", "--model", "logreg", "--seed", "3",
@@ -579,6 +598,56 @@ class TestErrors:
         assert doc["rule"]["attribute"] == "age"
         assert [doc[side]["config"]["n_examples"] for side in ("below", "above")
                 ] == [5219, 1566]
+
+    @staticmethod
+    def _count_fits(monkeypatch) -> list:
+        fits = []
+        train = evaluation.ModelSpec.train
+
+        def counting(spec, *args, **kwargs):
+            fits.append(spec.kind)
+            return train(spec, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation.ModelSpec, "train", counting)
+        return fits
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    @pytest.mark.parametrize("extra", [
+        ["--input", "missing.csv"], ["--family", "ssd"], ["--models", "ST-A"],
+        ["--from", "2015-01-01"], ["--to", "2015-01-01"],
+        ["--family", "hdd", "--input", "missing.csv"]],
+        ids=["input", "family", "models", "from", "to", "family_input"])
+    def test_input_options_beside_examples_are_usage_errors(
+            self, tmp_path, capsys, monkeypatch, command, extra):
+        fits = self._count_fits(monkeypatch)
+        out = tmp_path / "o"
+        code, doc = self._error(capsys, [
+            command, "--examples", self._examples(tmp_path), *extra,
+            "--model", "tree", "--seed", "1", "--out", str(out)])
+        assert code == 2 and doc["error"] == "usage"
+        assert all(flag in doc["message"] for flag in extra if flag.startswith("--"))
+        assert "--examples" in doc["message"]
+        assert fits == [] and not out.exists()
+
+    def test_unreadable_config_input_beside_examples_fails_before_any_fit(
+            self, tmp_path, capsys, monkeypatch):
+        # A config file may name an input for other subcommands; it is hashed,
+        # so a file that cannot be read stops the run before anything is fit.
+        fits = self._count_fits(monkeypatch)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"input": str(tmp_path / "missing.csv")}))
+        out = tmp_path / "o"
+        code, doc = self._error(capsys, [
+            "evaluate", "--config", str(config), "--examples",
+            self._examples(tmp_path), "--model", "tree", "--folds", "2",
+            "--seed", "1", "--out", str(out)])
+        assert code == 3 and doc["error"] == "io"
+        assert fits == [] and not out.exists()
+        config.write_text(json.dumps({"input": self._examples(tmp_path)}))
+        assert run(["evaluate", "--config", str(config), "--examples",
+                    self._examples(tmp_path), "--model", "tree", "--folds", "2",
+                    "--seed", "1", "--out", str(out)]) == 0
+        assert fits == ["tree"] * 2
 
     def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -66,13 +66,13 @@ def hdd_input(tmp_path_factory) -> Path:
 def seen(monkeypatch):
     """The datasets the CLI analyses and the parses it makes."""
     record = {"datasets": [], "parses": 0}
-    detect = lifecycle.detect_failures
+    detect = lifecycle.failure_table
 
     def detecting(ds):
         record["datasets"].append(ds)
         return detect(ds)
 
-    monkeypatch.setattr(lifecycle, "detect_failures", detecting)
+    monkeypatch.setattr(lifecycle, "failure_table", detecting)
     for name in ("parse_ssd_log", "parse_hdd_csv"):
         def parsing(*args, _parse=getattr(cli, name), **kwargs):
             record["parses"] += 1
