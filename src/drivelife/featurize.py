@@ -48,9 +48,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
-                     _WRITE_BATCH, _blocks, _codes, _column, _digits, _format_rows,
-                     _header, _last_present, _previous_present, _sorted_codes,
-                     _write_columns, _write_csv)
+                     _WRITE_BATCH, _PresentScans, _blocks, _codes, _column, _digits,
+                     _format_rows, _header, _sorted_codes, _write_columns, _write_csv)
 from .lifecycle import (FailureEvent, FailureTable, OperationalPeriod, PeriodTable,
                         _DayWindows, _drive_codes, _event_table, drive_days)
 
@@ -123,9 +122,20 @@ def carry_forward(values: np.ndarray, present: np.ndarray,
     """Each row's last present value of its drive; 0 before the drive's first.
 
     Takes a :meth:`FleetDataset.column` and its ``starts``, as do the
-    kernels below.
+    kernels below. When every cell is present, as the dataset's shared
+    all-true mask says, no last-present scan is made: the result is a copy
+    of ``values``.
     """
-    last = _last_present(present, starts)
+    carried = _carry_forward(values, present, _PresentScans(starts))
+    return carried.copy() if carried is values else carried
+
+
+def _carry_forward(values: np.ndarray, present: np.ndarray,
+                   scans: _PresentScans) -> np.ndarray:
+    """:func:`carry_forward`, but ``values`` itself when every cell is present."""
+    if present.all():
+        return values
+    last = scans.last(present)
     return np.where(last >= 0, values[last], 0)
 
 
@@ -137,10 +147,24 @@ def counter_increments(values: np.ndarray, present: np.ndarray,
     value. A drive's first present cell and every absent cell count 0. A
     negative difference is a counter reset: it counts 0 and is flagged.
     Differences are taken in int64, so they are exact for every count.
+    When every cell is present, no previous-present scan is made: the
+    increment is the difference from the row before, with each drive's
+    first row set to 0.
     """
-    prev = _previous_present(present, starts)
-    diff = np.where(present & (prev >= 0), values - values[prev], 0)
-    return np.maximum(diff, 0), diff < 0
+    return _counter_increments(values, present, _PresentScans(starts))
+
+
+def _counter_increments(values: np.ndarray, present: np.ndarray,
+                        scans: _PresentScans) -> tuple[np.ndarray, np.ndarray]:
+    if present.all():
+        diff = np.zeros_like(values)
+        np.subtract(values[1:], values[:-1], out=diff[1:])
+        diff[scans.firsts] = 0
+    else:
+        prev = scans.previous(present)
+        diff = np.where(present & (prev >= 0), values - values[prev], 0)
+    reset = diff < 0
+    return np.maximum(diff, 0, out=diff), reset
 
 
 def _accumulate(ufunc: np.ufunc, a: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -174,8 +198,9 @@ def make_features_ssd(ds: FleetDataset) -> FeatureMatrix:
     for j, name in enumerate(_SSD_DAILY):
         X[:, j] = ds.column(name)[0]
     X[:, n_daily:2 * n_daily] = _accumulate(np.add, X[:, :n_daily], starts)
+    scans = _PresentScans(starts)
     for j, name in enumerate(_SSD_NAMES[2 * n_daily:-1], start=2 * n_daily):
-        X[:, j] = carry_forward(*ds.column(name), starts)
+        X[:, j] = _carry_forward(*ds.column(name), scans)
     days = drive_days(ds)
     X[:, -1] = days
     return FeatureMatrix("ssd", _SSD_NAMES, X, ds.row_drive(), ds.drives, days)
@@ -195,11 +220,12 @@ def make_features_hdd(ds: FleetDataset) -> FeatureMatrix:
     starts = ds.starts
     X = np.empty((ds.n_records, len(_HDD_NAMES)))
     reset = np.zeros(ds.n_records, dtype=bool)
+    scans = _PresentScans(starts)
     for j, sid in enumerate(HDD_SMART_IDS):
         values, present = ds.column(f"smart_{sid}")
-        X[:, j] = carry_forward(values, present, starts)
+        X[:, j] = _carry_forward(values, present, scans)
         if sid in HDD_DIFF_IDS:
-            diff, flag = counter_increments(values, present, starts)
+            diff, flag = _counter_increments(values, present, scans)
             X[:, _HDD_NAMES.index(f"smart_{sid}_diff")] = diff
             reset |= flag
     X[:, -2] = X[:, HDD_SMART_IDS.index(187)]  # smart_187_cum: the carried smart_187

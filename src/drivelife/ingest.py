@@ -474,11 +474,29 @@ def _last_present(present: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.where(last >= first, last, -1)
 
 
-def _previous_present(present: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per row: the index of its drive's last present row before it, or -1."""
-    prev = np.roll(_last_present(present, starts), 1)
-    prev[starts[:-1][np.diff(starts) > 0]] = -1
-    return prev
+class _PresentScans:
+    """The last-present index of masks over one ``starts``, built once per
+    distinct mask: a mask that is, or equals, one given before reuses it."""
+
+    def __init__(self, starts: np.ndarray):
+        self.starts = starts
+        self.firsts = starts[:-1][np.diff(starts) > 0]  # each drive's first row
+        self._seen: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def last(self, present: np.ndarray) -> np.ndarray:
+        """Per row: the index of its drive's last present row at or before it, or -1."""
+        for mask, last in self._seen:
+            if mask is present or np.array_equal(mask, present):
+                return last
+        last = _last_present(present, self.starts)
+        self._seen.append((present, last))
+        return last
+
+    def previous(self, present: np.ndarray) -> np.ndarray:
+        """Per row: the index of its drive's last present row before it, or -1."""
+        prev = np.roll(self.last(present), 1)
+        prev[self.firsts] = -1
+        return prev
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -543,9 +561,8 @@ class _Block:
 
 
 def _units(text: str) -> np.ndarray:
-    """The code points of ``text`` and a final newline, so that the position
-    just past the last cell is an index too."""
-    text += "\n"
+    """The code points of ``text``, which ends with a newline added after the
+    last line, so that the position just past the last cell is an index too."""
     if text.isascii():
         return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
@@ -575,7 +592,7 @@ def _split(chunk: list[str], line: int, width: int,
     any other carriage return, a newline before the line's end, or a line
     longer than the reader's field size limit.
     """
-    text = "".join(chunk)
+    text = "".join([*chunk, "\n"])
     size = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
     if '"' in text or size.max() > csv.field_size_limit():
         return None
@@ -586,7 +603,7 @@ def _split(chunk: list[str], line: int, width: int,
     crlf = newline & (size > 1)
     crlf[crlf] = units[end[crlf] - 2] == 13
     if (np.count_nonzero(newline) != np.count_nonzero(units == 10) - 1
-            or np.count_nonzero(crlf) != text.count("\r")):
+            or np.count_nonzero(crlf) != np.count_nonzero(units == 13)):
         return None
     begin, stop = end - size, end - newline - crlf
     commas = np.flatnonzero(units == 44)
@@ -638,7 +655,7 @@ def _tokenize(chunk: list[str], lines: Iterator[str], line: int, width: int,
         reader.line_num, len(found),
         [(n, f"expected {width} fields, got {len(row)}")
          for n, row in found if len(row) != width],
-        np.array([n for n, _ in rows], dtype=np.int64), _units("".join(cells)),
+        np.array([n for n, _ in rows], dtype=np.int64), _units("".join([*cells, "\n"])),
         (end - size).reshape(-1, len(cols)).T, end.reshape(-1, len(cols)).T,
         lambda i: rows[i][1], error)
 
@@ -651,7 +668,8 @@ def _column(kind: str, units: np.ndarray, start: np.ndarray,
     ASCII digits, or empty (absent, -1; an ``error`` count 0; never a
     ``time``), a ``flag`` of ``0``, ``1`` or empty, and a ``date`` written
     ``YYYY-MM-DD``. It reads a count's digits right-aligned and takes their
-    dot product with powers of ten.
+    dot product with powers of ten, and a date's day ordinal by calendar
+    arithmetic (:func:`_ordinals`).
     """
     size = end - start
     if kind == "flag":
@@ -664,10 +682,10 @@ def _column(kind: str, units: np.ndarray, start: np.ndarray,
         digits = chars[[0, 1, 2, 3, 5, 6, 8, 9]]
         shaped = ((chars[[4, 7]] == ord("-") - 48).all(axis=0)
                   & ((digits >= 0) & (digits <= 9)).all(axis=0))
-        dates, inverse = np.unique(_POW10[-8:] @ digits[:, shaped], return_inverse=True)
+        dates, inverse = np.unique(_POW10[-8:] @ digits, return_inverse=True)
         value = np.zeros(size.size, dtype=np.int64)
-        value[ten[shaped]] = np.array([_ordinal(d) for d in dates.tolist()],
-                                      dtype=np.int64)[inverse]
+        value[ten] = np.where(shaped, _ordinals(dates // 10_000, dates // 100 % 100,
+                                                dates % 100)[inverse], 0)
         return value, value > 0
     value, taken = _digits(units, start, end)
     if kind != "time":
@@ -687,19 +705,29 @@ def _digits(units: np.ndarray, start: np.ndarray,
     size = end - start
     width = int(min(size.max(initial=0), 18))
     offsets = np.arange(-width, 0)[:, None]
-    digit = units[end + offsets] - 48  # a unit below "0" wraps past 9
+    digit = units.take(end + offsets) - 48  # a unit below "0" wraps past 9
     digit *= offsets >= -size
     return (_POW10[18 - width:] @ digit,
             (size > 0) & (size <= 18) & (digit.max(axis=0, initial=0) <= 9))
 
 
-def _ordinal(yyyymmdd: int) -> int:
-    """The day ordinal of a date written as digits YYYYMMDD; 0 if there is no such day."""
-    try:
-        return dt.date(yyyymmdd // 10_000, yyyymmdd // 100 % 100,
-                       yyyymmdd % 100).toordinal()
-    except ValueError:
-        return 0
+#: Days in each month, and days before it, in a year that is not a leap year.
+_MONTH_DAYS = np.array([31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_MONTH_START = np.cumsum(_MONTH_DAYS) - _MONTH_DAYS
+
+
+def _ordinals(year: np.ndarray, month: np.ndarray, day: np.ndarray) -> np.ndarray:
+    """The day ordinals (``datetime.date.toordinal``) of year, month and day
+    numbers; 0 where there is no such day. The proleptic Gregorian count of
+    ``datetime``: the days of the years before, of the months before, and
+    the day."""
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    m = np.clip(month, 1, 12) - 1
+    valid = ((year >= 1) & (year <= 9999) & (month >= 1) & (month <= 12)
+             & (day >= 1) & (day <= _MONTH_DAYS[m] + (leap & (m == 1))))
+    y = year - 1
+    return np.where(valid, y * 365 + y // 4 - y // 100 + y // 400 + _MONTH_START[m]
+                    + (leap & (m > 1)) + day, 0)
 
 
 #: A count is ASCII digits, optionally with a fraction of zeros ("12.0"), and
@@ -743,16 +771,19 @@ def _codes(names: dict[str, int], units: np.ndarray, start: np.ndarray,
         taken |= size == 0
     rows = np.flatnonzero(taken)
     width = max(int(size[rows].max(initial=0)), 1)
-    offsets = np.arange(width)[:, None]
-    chars = units[np.minimum(start[rows] + offsets, units.size - 1)]
-    chars[offsets >= size[rows]] = 0
-    keys, inverse = np.unique(np.ascontiguousarray(chars.T).view(
+    offsets = np.arange(width)
+    chars = units.take(np.minimum(start[rows, None] + offsets, units.size - 1))
+    chars[offsets >= size[rows, None]] = 0
+    # A run of cells repeating a name is looked up once.
+    head = np.ones(rows.size, dtype=bool)
+    head[1:] = (chars[1:] != chars[:-1]).any(axis=1)
+    keys, inverse = np.unique(chars[head].view(
         f"S{width}" if units.itemsize == 1 else f"<U{width}")[:, 0], return_inverse=True)
     codes = np.array([names.setdefault(k.decode("ascii") if isinstance(k, bytes) else k,
                                        len(names)) for k in keys.tolist()],
                      dtype=np.int64)
     value = np.full(size.size, -1, dtype=np.int64)
-    value[rows] = codes[inverse]
+    value[rows] = codes[inverse][np.cumsum(head) - 1]
     return value, taken
 
 
@@ -820,7 +851,8 @@ class _Table:
                 rows[i, 1:] = (self.drives.setdefault(drive, len(self.drives)),
                                self.models.setdefault(model, len(self.models)), *fields)
                 kept[i] = True
-            self.cells.frombytes(rows[kept].tobytes())
+            rows = rows if kept.all() else rows[kept]
+            self.cells.frombytes(rows.view(np.uint8).ravel())  # no bytes copy
         self.sort()
 
     def sort(self, t: np.ndarray | None = None) -> None:
@@ -837,11 +869,18 @@ class _Table:
         self.same_key[1:] = (drive[1:] == drive[:-1]) & (time[1:] == time[:-1])
 
     def conflicts(self) -> np.ndarray:
-        """In sorted order: a row of the previous row's key with other content."""
-        fields = self.t[self.order, 1:]
-        same = np.ones(self.order.size, dtype=bool)
-        same[1:] = (fields[1:] == fields[:-1]).all(axis=1)
-        return self.same_key & ~same
+        """In sorted order: a row of the previous row's key with other content.
+
+        Only the rows whose (drive, time) key repeats the previous row's
+        (``same_key``) are compared with that row, over every field but the
+        line; every other row is no conflict, so a table without a repeated
+        key compares nothing.
+        """
+        pos = np.flatnonzero(self.same_key)
+        conflict = np.zeros(self.order.size, dtype=bool)
+        conflict[pos] = (self.t[self.order[pos], 1:]
+                         != self.t[self.order[pos - 1], 1:]).any(axis=1)
+        return conflict
 
     def at(self, pos: int) -> tuple[int, str, int]:
         """Line, drive id and time of the row at a sorted position."""
@@ -855,16 +894,16 @@ class _Table:
     def dataset(self, family: str, rows: np.ndarray, fields: Sequence[str],
                 provenance: dict | None) -> FleetDataset:
         """The dataset of the given rows; ``fields`` names columns 3, 4, ..."""
-        columns = {"model": self.model_rank[self.t[rows, 2]].astype(np.int32)}
+        columns = {"model": self.model_rank[self.t[:, 2].take(rows)].astype(np.int32)}
         present: dict = {}
         for col, name in enumerate(fields, start=3):
-            cells = self.t[rows, col]
+            cells = self.t[:, col].take(rows)
             if name in _FLAGS[family]:
-                columns[name] = cells.astype(bool)
+                cells = cells.astype(bool)
             elif name in _SSD_COUNT_FIELDS or name.startswith("smart_"):
-                columns[name], present[name] = np.maximum(cells, 0), cells >= 0
-            else:
-                columns[name] = cells
+                present[name] = cells >= 0
+                np.maximum(cells, 0, out=cells)  # an absent count reads 0
+            columns[name] = cells
         return FleetDataset(family, self.names, self.drive[rows], self.model_names,
                             columns, present, provenance)
 
@@ -984,11 +1023,13 @@ def _ssd_dataset(table: _Table, source: str) -> FleetDataset:
         line, name, ts = table.at(pos)
         table.rejected.append((line, f"duplicate row for ({name}, ts={ts})"))
     walked = table.order[~table.same_key & (seen == 0)]
-    starts = np.searchsorted(table.drive[walked], np.arange(len(table.names) + 1))
+    scans = _PresentScans(
+        np.searchsorted(table.drive[walked], np.arange(len(table.names) + 1)))
     for name in ("pe_cycles_cum", "bad_blocks_factory_cum", "bad_blocks_new_cum"):
         values = table.t[walked, 3 + _SSD_FIELDS.index(name)]
-        prev = _previous_present(values >= 0, starts)
-        bad = np.flatnonzero((values >= 0) & (prev >= 0) & (values < values[prev]))
+        present = values >= 0
+        prev = scans.previous(present)
+        bad = np.flatnonzero(present & (prev >= 0) & (values < values[prev]))
         for pos in bad.tolist():
             reasons.setdefault(table.drive[walked[pos]], (
                 f"{name} decreases ({values[prev[pos]]} -> {values[pos]})"))

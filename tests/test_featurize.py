@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drivelife import charstats, ingest
-from drivelife.ingest import SchemaError
-from drivelife.featurize import (PartitionRule, label_lookahead,
+from drivelife.ingest import HDD_SMART_IDS, SchemaError, _last_present, parse_hdd_csv
+from drivelife.featurize import (HDD_DIFF_IDS, PartitionRule, carry_forward,
+                                 counter_increments, label_lookahead,
                                  make_features_hdd,
                                  make_features_ssd, partition_dataset,
                                  read_examples_csv, write_examples_csv)
@@ -131,6 +132,105 @@ class TestHddFeatures:
                 hdd_rec("A", 2, smart={240: 30})]
         feats = make_features_hdd(hdd_dataset({"A": recs}))
         assert list(feats.hfh_max) == [10, 10, 30]
+
+
+def general_carry(values, present, starts):
+    """carry_forward by its general formula: a gather at the last-present scan."""
+    last = _last_present(present, starts)
+    return np.where(last >= 0, values[last], 0)
+
+
+def general_increments(values, present, starts):
+    """counter_increments by its general formula: a difference from the value
+    at the previous-present scan."""
+    prev = np.roll(_last_present(present, starts), 1)
+    prev[starts[:-1][np.diff(starts) > 0]] = -1
+    diff = np.where(present & (prev >= 0), values - values[prev], 0)
+    return np.maximum(diff, 0), diff < 0
+
+
+def assert_bit_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+#: Counts near 0 and near 2**62, so that a drive's counter can reset and
+#: differences are large.
+COUNTS = st.one_of(st.integers(0, 9), st.integers(2**62 - 3, 2**62 + 3))
+
+
+class TestAllTrueKernels:
+    """An all-true mask takes no scan; its results are the general formula's."""
+
+    @given(st.lists(st.lists(COUNTS, min_size=1, max_size=5), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_all_true_mask_equals_the_general_formula(self, drives):
+        starts = np.cumsum([0] + [len(d) for d in drives])
+        values = np.array([v for d in drives for v in d], dtype=np.int64)
+        present = np.ones(values.size, dtype=bool)
+        carried = carry_forward(values, present, starts)
+        assert_bit_equal(carried, general_carry(values, present, starts))
+        assert not np.shares_memory(carried, values)
+        for got, want in zip(counter_increments(values, present, starts),
+                             general_increments(values, present, starts)):
+            assert_bit_equal(got, want)
+
+    def test_single_rows_resets_and_zero_rows(self):
+        starts = np.array([0, 1, 2, 5])
+        values = np.array([7, 2**62, 2**62 + 1, 3, 2**62], dtype=np.int64)
+        diff, reset = counter_increments(values, np.ones(5, dtype=bool), starts)
+        assert diff.tolist() == [0, 0, 0, 0, 2**62 - 3]
+        assert reset.tolist() == [False, False, False, True, False]
+        empty = np.zeros(0, dtype=np.int64)
+        for got in (carry_forward(empty, empty > 0, np.array([0])),
+                    *counter_increments(empty, empty > 0, np.array([0]))):
+            assert got.size == 0
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hdd_features_equal_a_per_column_reference(self, data):
+        """Fully reported, partly absent and never reported SMART ids, the
+        last both as an all-empty column and as no column."""
+        full, partial, empty = (9, 187, 241), (5, 12, 240), (197,)
+        cells = st.one_of(COUNTS.map(str), st.just(""))
+        lines = ["date,serial_number,model,failure,"
+                 + ",".join(f"smart_{sid}_raw" for sid in full + partial + empty)]
+        for drive in range(data.draw(st.integers(1, 4))):
+            for day in range(data.draw(st.integers(1, 5))):
+                row = [str(data.draw(COUNTS)) for _ in full]
+                row += [data.draw(cells) for _ in partial] + ["" for _ in empty]
+                lines.append(f"2015-01-0{day + 1},S{drive},M,0," + ",".join(row))
+        ds = parse_hdd_csv("\n".join(lines) + "\n")
+        columns = {}
+        reset = np.zeros(ds.n_records, dtype=bool)
+        for sid in HDD_SMART_IDS:
+            values, present = ds.column(f"smart_{sid}")
+            columns[f"smart_{sid}"] = general_carry(values, present, ds.starts)
+            if sid in HDD_DIFF_IDS:
+                diff, flag = general_increments(values, present, ds.starts)
+                columns[f"smart_{sid}_diff"] = diff
+                reset |= flag
+        columns["smart_187_cum"] = columns["smart_187"]
+        columns["counter_reset"] = reset
+        feats = make_features_hdd(ds)
+        want = np.column_stack([columns[name] for name in feats.names]).astype(float)
+        assert_bit_equal(feats.X, want)
+
+    def test_ssd_carried_counters_equal_the_general_formula(self):
+        """Bare swap-marker rows leave the three carried counters absent on
+        the same rows, in masks that are equal but not one object."""
+        recs = {"a": [ssd_rec("a", 0, pe=4, bbf=2, bbn=1),
+                      ssd_rec("a", 1, reads=None, writes=None, erases=None, pe=None,
+                              bbf=None, bbn=None, swap=True),
+                      ssd_rec("a", 2, pe=6, bbf=2, bbn=3)],
+                "b": [ssd_rec("b", 0, reads=None, writes=None, erases=None, pe=None,
+                              bbf=None, bbn=None, swap=True),
+                      ssd_rec("b", 1, pe=1, bbf=5, bbn=0)]}
+        ds = ssd_dataset(recs)
+        feats = make_features_ssd(ds)
+        for name in ("pe_cycles_cum", "bad_blocks_factory_cum", "bad_blocks_new_cum"):
+            want = general_carry(*ds.column(name), ds.starts).astype(float)
+            assert_bit_equal(feats.X[:, feats.names.index(name)].copy(), want)
 
 
 class TestLabeling:

@@ -23,8 +23,8 @@ SSD_HEADER = ("drive_id,model,timestamp_us,read_ops,write_ops,erase_ops,"
 
 
 def ssd_row(drive="s1", ts=0, reads=10, writes=5, erases=1, pe=1, swap=0,
-            uncorrectable=0):
-    return (f"{drive},MLC-A,{ts},{reads},{writes},{erases},{pe},0,0,2,0,"
+            uncorrectable=0, bbf=2):
+    return (f"{drive},MLC-A,{ts},{reads},{writes},{erases},{pe},0,0,{bbf},0,"
             f"0,0,0,0,0,0,0,0,{uncorrectable},0,{swap}")
 
 
@@ -128,6 +128,15 @@ class TestParseSsd:
         assert "s1" not in ds.records
         (drive, reason), = ds.provenance["quarantined"]
         assert drive == "s1" and "pe_cycles_cum" in reason
+
+    def test_decrease_across_an_absent_cell_quarantined(self):
+        """The absent cell is skipped in its own counter only: P/E, present
+        on every row, does not hide the factory bad-block count's decrease."""
+        rows = [ssd_row(ts=0, pe=1, bbf=2), ssd_row(ts=86400000000, pe=2, bbf=""),
+                ssd_row(ts=172800000000, pe=3, bbf=1)]
+        ds = parse_ssd_log(SSD_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert ds.provenance["quarantined"] == [
+            ("s1", "bad_blocks_factory_cum decreases (2 -> 1)")]
 
     def test_three_drive_fixture_day_counts(self):
         rows = []

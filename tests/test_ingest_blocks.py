@@ -21,6 +21,7 @@ import datetime as dt
 import io
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,6 +270,23 @@ def test_every_odd_cell_in_every_column_matches_the_reference(family, quoted):
     text = "\n".join(lines) + "\n"
     for block in (1, 7, 4_096):
         _assert_same(parse, reference, text, "str", block)
+
+
+@pytest.mark.parametrize("year", [0, 1, 2, 4, 100, 400, 1600, 1900, 1970, 2000, 2004,
+                                  2014, 2100, 2400, 9999, 10000])
+def test_date_ordinals_are_datetime_ordinals(year):
+    """Every month and day number from 0 to past the end, in common, leap and
+    century years and outside ``datetime``'s years."""
+    month, day = (a.ravel() for a in np.meshgrid(np.arange(14), np.arange(33)))
+
+    def ordinal(m, d):
+        try:
+            return dt.date(year, m, d).toordinal()
+        except ValueError:
+            return 0
+
+    got = ingest._ordinals(np.full(month.size, year), month, day)
+    assert got.tolist() == [ordinal(m, d) for m, d in zip(month.tolist(), day.tolist())]
 
 
 def test_reference_agrees_on_an_overlong_cell():

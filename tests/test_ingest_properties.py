@@ -5,13 +5,19 @@
   duplicate rows among the rejected ones. An SSD row can also belong to a
   quarantined drive; those rows are counted from the input.
 * parse -> write -> parse gives an equal dataset.
+* The duplicate, conflict and quarantine rules give what a reference gives
+  that compares every sorted neighbour pair over all fields and builds
+  every present-row index afresh, at any block size.
 """
 
 import io
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drivelife import ingest
 from drivelife.ingest import (SchemaError, parse_hdd_csv, parse_ssd_log,
                               write_hdd_csv, write_ssd_csv)
 
@@ -119,3 +125,63 @@ def test_parse_write_parse_round_trips(family, data):
     assert again == ds
     assert again.provenance["rejected_count"] == 0
     assert again.provenance.get("quarantined", []) == []
+
+
+# -- duplicates, conflicts and quarantines against a reference ---------------
+
+
+def _conflicts_everywhere(table):
+    """Every sorted row against the row before it, over all fields but the line."""
+    fields = table.t[table.order, 1:]
+    same = np.ones(table.order.size, dtype=bool)
+    same[1:] = (fields[1:] == fields[:-1]).all(axis=1)
+    return table.same_key & ~same
+
+
+class _FreshScans(ingest._PresentScans):
+    """Present-row indexes built anew for every mask, none reused."""
+
+    def last(self, present):
+        self._seen.clear()
+        return super().last(present)
+
+
+def _outcome(parse, text):
+    ds = parse(text)
+    prov = ds.provenance
+    return ds, prov["data_rows"], prov["rejected"], prov.get("quarantined")
+
+
+#: Few keys and few values, so that rows repeat a key often: exact copies,
+#: rows of one key with other content, and, for SSD drives, cumulative
+#: counters that are absent on some rows and decrease on others.
+KEYED = {
+    "hdd": (parse_hdd_csv, HDD_HEADER, _rows(st.builds(
+        lambda date, serial, model, failed, cells: ",".join(
+            [date, serial, model, "", failed]
+            + [c for cell in cells for c in ("", cell)]),
+        st.sampled_from(["2014-01-17", "2014-01-18"]), st.sampled_from(["A", "B"]),
+        st.sampled_from(["ST-A", "ST-B"]), st.sampled_from(["0", "1"]),
+        st.lists(st.sampled_from(["", "3", "4"]), min_size=len(HDD_SMART),
+                 max_size=len(HDD_SMART))))),
+    "ssd": (parse_ssd_log, SSD_HEADER, _rows(st.builds(
+        lambda drive, ts, cells, flags: ",".join(
+            [drive, "MLC-A", ts, *cells[:4], *flags[:2], *cells[4:], flags[2]]),
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["0", "86400000000", "172800000000"]),
+        st.lists(st.sampled_from(["", "1", "2"]), min_size=16, max_size=16),
+        st.lists(st.sampled_from(["0", "1"]), min_size=3, max_size=3)))),
+}
+
+
+@given(st.sampled_from(sorted(KEYED)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_repeated_keys_match_the_all_pairs_reference(family, data):
+    parse, header, rows = KEYED[family]
+    text = "\n".join([header, *data.draw(rows)]) + "\n"
+    with mock.patch.object(ingest._Table, "conflicts", _conflicts_everywhere), \
+            mock.patch.object(ingest, "_PresentScans", _FreshScans):
+        want = _outcome(parse, text)
+    for block in (1, 3, ingest._READ_BLOCK):
+        with mock.patch.object(ingest, "_READ_BLOCK", block):
+            assert _outcome(parse, text) == want
