@@ -19,7 +19,7 @@ config = dl.SynthConfig(
 )
 fleet, truth = dl.generate_fleet(config)
 
-failures = dl.detect_ssd_failures(fleet)
+failures = dl.detect_failures(fleet)
 planted = {(e.drive, e.age_days) for e in truth}
 recovered = {(e.drive, e.age_days) for e in failures}
 print(f"{len(failures)} failures detected; "

@@ -15,7 +15,7 @@ config = dl.SynthConfig(
     seed=99,
 )
 fleet, _ = dl.generate_fleet(config)
-failures = dl.detect_ssd_failures(fleet)
+failures = dl.detect_failures(fleet)
 print(f"{fleet.n_drives} drives, {len(failures)} failures")
 
 features = ["err_uncorrectable_cum", "err_final_read_cum", "err_erase_cum",

@@ -24,13 +24,13 @@ from .ingest import (
 from .lifecycle import (
     CensoredSample,
     FailureEvent,
+    FailureTable,
     OperationalPeriod,
+    PeriodTable,
     RepairSpell,
     build_repair_spells,
     censored_cdf,
     detect_failures,
-    detect_hdd_failures,
-    detect_ssd_failures,
     extract_operational_periods,
     failure_count_distribution,
     repair_stats,

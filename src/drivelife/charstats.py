@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import numpy.random
 
 from . import featurize
 from .ingest import FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError
-from .lifecycle import FailureEvent, _DayWindows, _drive_codes, drive_days
+from .lifecycle import FailureTable, _DayWindows, drive_days
 
 __all__ = [
     "CorrelationMatrix",
@@ -194,15 +194,13 @@ def _distinct_pairs(drive: np.ndarray, bins: np.ndarray) -> tuple[np.ndarray, np
     return keys // width, values[keys % width]
 
 
-def monthly_failure_rate(failures: Iterable[FailureEvent],
-                         ds: FleetDataset) -> RateCurve:
+def monthly_failure_rate(failures: FailureTable, ds: FleetDataset) -> RateCurve:
     """Failures per exposed drive per month of drive age.
 
     Exposure for month m is the number of drives with at least one record
     in that age month; months with zero exposure get a None rate.
     """
-    fail_months = np.array([ev.age_days // DAYS_PER_MONTH for ev in failures],
-                           dtype=np.int64)
+    fail_months = failures.day // DAYS_PER_MONTH
     # One entry per (drive, age month) that has a record.
     exposed = _distinct_pairs(ds.row_drive(), drive_days(ds) // DAYS_PER_MONTH)[1]
     n_bins = int(max(exposed.max(initial=-1), fail_months.max(initial=-1))) + 1
@@ -218,7 +216,7 @@ def monthly_failure_rate(failures: Iterable[FailureEvent],
 _MAX_PE_BINS = 1 << 20
 
 
-def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
+def pe_binned_failure_rate(failures: FailureTable, ds: FleetDataset,
                            bin_width: int = 250
                            ) -> tuple[RateCurve, list[tuple[float, float]]]:
     """Failure rate and failure CDF against cumulative P/E cycles.
@@ -234,9 +232,8 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     pe, observed = ds.column("pe_cycles_cum")
     pe, drive = pe[observed], ds.row_drive()[observed]
     readings = _DayWindows(drive, drive_days(ds)[observed])
-    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
-    fail_drives = _drive_codes(ds.drives, (ev.drive for ev in failures))
-    start, stop = readings.find(fail_drives, np.iinfo(np.int64).min, fail_days)
+    start, stop = readings.find(failures.codes_in(ds.drives), np.iinfo(np.int64).min,
+                                failures.day)
     pe_at_failure = pe[readings.order[stop[stop > start] - 1]]
     n_bins = int(pe.max(initial=0)) // bin_width + 1
     if n_bins > _MAX_PE_BINS:
@@ -253,7 +250,7 @@ def pe_binned_failure_rate(failures: Sequence[FailureEvent], ds: FleetDataset,
     return curve, cdf
 
 
-def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
+def hfh_threshold_sweep(failures: FailureTable, ds: FleetDataset,
                         thresholds: Sequence[float]) -> dict:
     """Failure rate of small- vs large-HFH drive classes per threshold.
 
@@ -264,7 +261,7 @@ def hfh_threshold_sweep(failures: Iterable[FailureEvent], ds: FleetDataset,
     """
     if ds.family != "hdd":
         raise ValueError("hfh_threshold_sweep needs an HDD dataset")
-    codes = _drive_codes(ds.drives, (ev.drive for ev in failures))
+    codes = failures.codes_in(ds.drives)
     failed = np.zeros(ds.n_drives, dtype=bool)
     failed[codes[codes >= 0]] = True
     hfh, reported = ds.column("smart_240")
@@ -320,7 +317,7 @@ def _daily_error_series(ds: FleetDataset, kind: str):
     return _DayWindows(drive[hit], days[hit]), counts[hit], drive, days
 
 
-def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetDataset,
+def prefailure_error_probability(failures: FailureTable, ds: FleetDataset,
                                  kind: str, windows: Sequence[int],
                                  seed: int = 0) -> dict:
     """P(>=1 error of `kind` in the n days ending at the failure day), per n.
@@ -333,9 +330,7 @@ def prefailure_error_probability(failures: Sequence[FailureEvent], ds: FleetData
     if any(n < 1 for n in windows):
         raise ValueError("window sizes must be >= 1")
     errors, _, drive, days = _daily_error_series(ds, kind)
-
-    fail_drives = _drive_codes(ds.drives, (ev.drive for ev in failures))
-    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
+    fail_drives, fail_days = failures.codes_in(ds.drives), failures.day
     prob: dict[int, float | None] = {}
     for n in windows:
         start, stop = errors.find(fail_drives, fail_days - n + 1, fail_days)
@@ -367,7 +362,7 @@ def nearest_rank(values: Sequence[float], pct: float) -> float:
     return ordered[k - 1]
 
 
-def prefailure_error_percentiles(failures: Sequence[FailureEvent], ds: FleetDataset,
+def prefailure_error_percentiles(failures: FailureTable, ds: FleetDataset,
                                  kind: str, percentiles: Sequence[float],
                                  offsets: Sequence[int] = tuple(range(8))) -> dict:
     """Upper percentiles of nonzero error counts at each day-before-failure offset.
@@ -376,8 +371,7 @@ def prefailure_error_percentiles(failures: Sequence[FailureEvent], ds: FleetData
     zero counts are excluded. Offsets with no nonzero counts map to None.
     """
     errors, nonzero, _, _ = _daily_error_series(ds, kind)
-    fail_drives = _drive_codes(ds.drives, (ev.drive for ev in failures))
-    fail_days = np.array([ev.age_days for ev in failures], dtype=np.int64)
+    fail_drives, fail_days = failures.codes_in(ds.drives), failures.day
     out: dict[int, dict[float, float] | None] = {}
     for d in offsets:
         start, stop = errors.find(fail_drives, fail_days - d, fail_days - d)

@@ -485,17 +485,16 @@ def _write_cdf(run: _Run, stem: str, sample: lifecycle.CensoredSample) -> None:
 
 def _cmd_lifecycle(run: _Run) -> None:
     ds = _load_dataset(run)
-    table = lifecycle.failure_table(ds)
-    failures = lifecycle.failure_events(ds, table)
-    periods = lifecycle.period_table(ds, table)
+    failures = lifecycle.failure_table(ds)
+    periods = lifecycle.period_table(ds, failures)
     spells = lifecycle.build_repair_spells(ds, failures)
     run.write_columns("failures.csv", ["drive", "family", "age_days", "ordinal"],
                       len(failures), lambda rows: (
-                          (ds.drives, table.drive[rows]),
-                          ((ds.family,), np.zeros_like(table.drive[rows])),
-                          table.day[rows], table.ordinal[rows]))
+                          (ds.drives, failures.drive[rows]),
+                          ((ds.family,), np.zeros_like(failures.drive[rows])),
+                          failures.day[rows], failures.ordinal[rows]))
     run.write_columns("periods.csv", ["drive", "start_day", "end_day", "terminal"],
-                      periods.drive.size, lambda rows: (
+                      len(periods), lambda rows: (
                           (ds.drives, periods.drive[rows]), periods.start[rows],
                           periods.end[rows], (("censored", "failure"),
                                               periods.failed[rows].astype(np.int64))))
@@ -530,12 +529,30 @@ def _rate_rows(curve: charstats.RateCurve):
                int(curve.exposure[i]), curve.rate[i]]
 
 
-_ANALYSES = ("all", "correlations", "monthly-rate", "pe-rate", "hfh-sweep",
-             "prefailure-prob", "prefailure-percentiles", "write-quartiles")
+#: Each analysis and the families it applies to; ``all`` selects every
+#: analysis that applies to the ``--family``.
+_ANALYSES = {"correlations": ("hdd", "ssd"), "monthly-rate": ("hdd", "ssd"),
+             "pe-rate": ("ssd",), "hfh-sweep": ("hdd",),
+             "prefailure-prob": ("hdd", "ssd"), "prefailure-percentiles": ("hdd", "ssd"),
+             "write-quartiles": ("ssd",)}
 
 
 def _characterize_options(run: _Run) -> tuple[str, list[float], set[str]]:
-    """The error kind, the HFH thresholds and the analyses."""
+    """The error kind, the HFH thresholds and the analyses to run. Each
+    analysis named applies to the ``--family``, and ``--error-kind`` or
+    ``--thresholds``, given by flag, is read by an analysis that runs."""
+    wanted = set(_list_opt(run, "analysis", "all"))
+    applies = [name for name, families in _ANALYSES.items() if run.family in families]
+    if bad := sorted(wanted - {"all", *applies}):
+        raise _fail("usage", f"bad --analysis {', '.join(bad)} for --family {run.family}"
+                    f"; expected a comma list of all, {', '.join(applies)}", EXIT_USAGE)
+    analyses = {name for name in applies if "all" in wanted or name in wanted}
+    for option, readers in (("error-kind", {"prefailure-prob", "prefailure-percentiles"}),
+                            ("thresholds", {"hfh-sweep"})):
+        if getattr(run.args, option.replace("-", "_")) is not None \
+                and not analyses & readers:
+            raise _fail("usage", f"bad --{option} without {' or '.join(sorted(readers))}"
+                        "; no other analysis reads it", EXIT_USAGE)
     kind = str(run.opt("error-kind",
                        "uncorrectable" if run.family == "ssd" else "smart_187"))
     try:
@@ -550,11 +567,7 @@ def _characterize_options(run: _Run) -> tuple[str, list[float], set[str]]:
     except ValueError:
         raise _fail("usage", f"bad --thresholds {run.opt('thresholds')!r}; "
                     "expected numbers, comma-separated", EXIT_USAGE)
-    wanted = set(_list_opt(run, "analysis", "all"))
-    if unknown := wanted - set(_ANALYSES):
-        raise _fail("usage", f"unknown --analysis {', '.join(sorted(unknown))}; "
-                    f"expected a comma list of {', '.join(_ANALYSES)}", EXIT_USAGE)
-    return kind, thresholds, wanted
+    return kind, thresholds, analyses
 
 
 def _cmd_characterize(run: _Run) -> None:
@@ -563,10 +576,9 @@ def _cmd_characterize(run: _Run) -> None:
     failures = lifecycle.detect_failures(ds)
     summary: dict = {"family": ds.family, "n_drives": ds.n_drives,
                      "n_failures": len(failures)}
-    def on(name): return "all" in wanted or name in wanted
 
     rate_header = ["bin_lo", "bin_hi", "failures", "exposure", "rate"]
-    if on("correlations"):
+    if "correlations" in wanted:
         names = _SSD_CORR_FEATURES if ds.family == "ssd" else _HDD_CORR_FEATURES
         matrix = charstats.spearman_matrix(ds, names)
         rows = []
@@ -579,25 +591,25 @@ def _cmd_characterize(run: _Run) -> None:
                       ["feature_a", "feature_b", "rho", "defined"], rows)
         summary["correlations"] = {"features": list(matrix.labels),
                                    "artifact": "correlations.csv"}
-    if on("monthly-rate"):
+    if "monthly-rate" in wanted:
         curve = charstats.monthly_failure_rate(failures, ds)
         run.write_csv("rates_monthly.csv", rate_header, _rate_rows(curve))
         summary["monthly-rate"] = {"bins": len(curve.failures),
                                    "artifact": "rates_monthly.csv"}
-    if on("pe-rate") and ds.family == "ssd":
+    if "pe-rate" in wanted:
         curve, cdf = charstats.pe_binned_failure_rate(failures, ds)
         run.write_csv("rates_pe.csv", rate_header, _rate_rows(curve))
         run.write_csv("pe_failure_cdf.csv", ["pe_upper_edge", "F"], cdf)
         summary["pe-rate"] = {"bins": len(curve.failures),
                               "artifact": "rates_pe.csv"}
-    if on("hfh-sweep") and ds.family == "hdd":
+    if "hfh-sweep" in wanted:
         sweep = charstats.hfh_threshold_sweep(failures, ds, run.thresholds)
         run.write_csv("rates_hfh.csv",
                       ["threshold", "small_rate", "large_rate", "large_share"],
                       [[t, *rates] for t, rates in sweep["per_threshold"].items()])
         summary["hfh-sweep"] = {"excluded_drives": sweep["excluded"],
                                 "artifact": "rates_hfh.csv"}
-    if on("prefailure-prob"):
+    if "prefailure-prob" in wanted:
         windows = [1, 2, 3, 5, 7, 14, 30]
         probs = charstats.prefailure_error_probability(failures, ds, kind,
                                                        windows, seed=run.seed)
@@ -607,7 +619,7 @@ def _cmd_characterize(run: _Run) -> None:
                        for n in windows])
         summary["prefailure-prob"] = {"kind": kind,
                                       "artifact": "prefailure_prob.csv"}
-    if on("prefailure-percentiles"):
+    if "prefailure-percentiles" in wanted:
         pct = (90.0, 99.0)
         table = charstats.prefailure_error_percentiles(failures, ds, kind, pct)
         run.write_csv("prefailure_percentiles.csv",
@@ -616,7 +628,7 @@ def _cmd_characterize(run: _Run) -> None:
                        for offset, values in table.items() for p in pct])
         summary["prefailure-percentiles"] = {
             "kind": kind, "artifact": "prefailure_percentiles.csv"}
-    if on("write-quartiles") and ds.family == "ssd":
+    if "write-quartiles" in wanted:
         quartiles = charstats.write_intensity_quartiles(ds)
         run.write_csv("write_quartiles.csv", ["age_month", "q1", "median", "q3"],
                       [[m, q1, q2, q3] for m, (q1, q2, q3) in quartiles.items()])

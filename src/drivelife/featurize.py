@@ -43,15 +43,14 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .ingest import (FleetDataset, HDD_SMART_IDS, SSD_ERROR_KINDS, SchemaError,
                      _WRITE_BATCH, _PresentScans, _blocks, _codes, _column, _digits,
                      _format_rows, _header, _sorted_codes, _write_columns, _write_csv)
-from .lifecycle import (FailureEvent, FailureTable, OperationalPeriod, PeriodTable,
-                        _DayWindows, _drive_codes, _event_table, drive_days)
+from .lifecycle import FailureTable, PeriodTable, _DayWindows, drive_days
 
 __all__ = [
     "FeatureMatrix",
@@ -278,10 +277,11 @@ def example_builder(feats: FeatureMatrix, failures: FailureTable,
                     ) -> Callable[[int], LabeledExamples]:
     """Label ``feats`` at any lookahead N, from what every N shares, built once.
 
-    The tables' drive codes index ``feats.drive_ids`` (-1 matches no row);
-    only their drive and day columns are read. Built once: the rows kept
-    (those inside a period, or every row when ``periods`` is None), their
-    features, drives, days and partition keys, and the row index by
+    Only the tables' drive and day columns are read, their drives recoded
+    into ``feats.drive_ids`` (a drive the matrix lacks matches no row).
+    Built once: the rows kept (those inside a period, or every row when
+    ``periods`` is None), their features, drives, days and partition keys,
+    and the row index by
     (drive, day). Each call then labels the kept rows at its N, with one
     window lookup over the failures; every table it returns shares the
     arrays of the kept rows, and only ``y`` and ``lookahead`` differ. The
@@ -296,8 +296,9 @@ def example_builder(feats: FeatureMatrix, failures: FailureTable,
     else:
         raise ValueError(f"unknown partition attribute {partition_attr!r}")
     rows = _DayWindows(feats.drive, feats.days)
-    keep = (None if periods is None
-            else rows.covered(periods.drive, periods.start, periods.end))
+    failed = failures.codes_in(feats.drive_ids)
+    keep = (None if periods is None else rows.covered(
+        periods.codes_in(feats.drive_ids), periods.start, periods.end))
     shared = LabeledExamples(feats.names, feats.X, np.zeros(feats.n_rows, dtype=bool),
                              feats.drive, feats.drive_ids, feats.days, key, 0,
                              drive_models)
@@ -309,15 +310,14 @@ def example_builder(feats: FeatureMatrix, failures: FailureTable,
     def build(lookahead: int) -> LabeledExamples:
         if lookahead < 0:
             raise ValueError("lookahead must be >= 0")
-        y = rows.covered(failures.drive, failures.day - lookahead, failures.day)
+        y = rows.covered(failed, failures.day - lookahead, failures.day)
         return dataclasses.replace(shared, y=y if keep is None else y[keep],
                                    lookahead=lookahead)
     return build
 
 
-def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
-                    lookahead: int,
-                    periods: Sequence[OperationalPeriod] | None = None,
+def label_lookahead(feats: FeatureMatrix, failures: FailureTable, lookahead: int,
+                    periods: PeriodTable | None = None,
                     partition_attr: str = "age",
                     models: dict[str, str] | None = None) -> LabeledExamples:
     """Attach fails-within-N labels to feature rows.
@@ -329,16 +329,10 @@ def label_lookahead(feats: FeatureMatrix, failures: Iterable[FailureEvent],
     key: "age" (drive-age days) or "hfh" (max-to-date head flying hours).
     This is :func:`example_builder` called at one N.
     """
-    drives = feats.drive_ids
-    spans = None if periods is None else PeriodTable(
-        _drive_codes(drives, (p.drive for p in periods)),
-        *(np.array([getattr(p, name) for p in periods], dtype=np.int64)
-          for name in ("start_day", "end_day")),
-        np.array([p.terminal == "failure" for p in periods], dtype=bool))
     drive_models = (None if models is None
-                    else tuple(models.get(d, "") for d in drives))
-    return example_builder(feats, _event_table(drives, list(failures)), spans,
-                           partition_attr, drive_models)(lookahead)
+                    else tuple(models.get(d, "") for d in feats.drive_ids))
+    return example_builder(feats, failures, periods, partition_attr,
+                           drive_models)(lookahead)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ __all__ = [
     "TreeParams",
     "ForestParams",
     "TreeNode",
+    "TreeModel",
     "ForestModel",
     "LogisticModel",
     "ImportanceRanking",
@@ -46,6 +47,7 @@ __all__ = [
     "train_logistic",
     "predict_proba",
     "feature_importance",
+    "expit",
     "logistic_loss_grad",
     "model_to_json",
     "model_from_json",

@@ -21,16 +21,17 @@ Everything here reads the dataset's columns (``FleetDataset.column``,
 ``flag`` and ``time``) and builds column tables: :func:`failure_table`
 (drive code, age day, ordinal, degenerate flag) and :func:`period_table`
 (drive code, start, end, terminal flag), in numpy. The one loop runs per
-failure, to find its re-entry; none runs per drive or per row.
-:func:`detect_failures` and :func:`extract_operational_periods` are object
-views of the tables.
+failure, to find its re-entry; none runs per drive or per row. A table also
+holds the drive names its codes index, and iterating it yields its rows as
+:class:`FailureEvent` or :class:`OperationalPeriod` objects.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,10 +48,7 @@ __all__ = [
     "PeriodTable",
     "drive_days",
     "failure_table",
-    "failure_events",
     "period_table",
-    "detect_hdd_failures",
-    "detect_ssd_failures",
     "detect_failures",
     "extract_operational_periods",
     "build_repair_spells",
@@ -155,64 +153,61 @@ def drive_days(ds: FleetDataset) -> np.ndarray:
                     ds.time - ds.time[first])
 
 
-class FailureTable(NamedTuple):
+class _DriveTable:
+    """Columns with one entry per row, whose ``drive`` codes index the
+    table's ``drives``; ``len`` is the row count."""
+
+    def __len__(self) -> int:
+        return self.drive.size
+
+    def codes_in(self, drives: Sequence[str]) -> np.ndarray:
+        """The rows' drive codes as indexes into ``drives``: the table's own
+        when ``drives`` is its name list, else recoded by name, with -1 (which
+        matches no row) for a drive not in ``drives``."""
+        if drives is self.drives:
+            return self.drive
+        index = {d: i for i, d in enumerate(drives)}
+        return np.array([index.get(n, -1) for n in self.drives] + [-1],
+                        dtype=np.int64)[self.drive]
+
+
+@dataclass(frozen=True, eq=False)
+class FailureTable(_DriveTable):
     """Failures as columns, one entry per failure: the drive's code (its
-    index into the dataset's ``drives``), the age day, the 1-based ordinal
-    among the drive's failures, and whether it is degenerate (an SSD swap
-    without operational activity before it)."""
+    index into ``drives``), the age day, the 1-based ordinal among the
+    drive's failures, and whether it is degenerate (an SSD swap without
+    operational activity before it). Iterating yields the FailureEvents."""
 
     drive: np.ndarray       # int64
     day: np.ndarray         # int64
     ordinal: np.ndarray     # int64
     degenerate: np.ndarray  # bool
+    drives: Sequence[str]
+    family: str
+
+    def __iter__(self) -> Iterator[FailureEvent]:
+        for d, day, k, g in zip(self.drive.tolist(), self.day.tolist(),
+                                self.ordinal.tolist(), self.degenerate.tolist()):
+            yield FailureEvent(self.drives[d], day, k, self.family, g)
 
 
-class PeriodTable(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class PeriodTable(_DriveTable):
     """Operational periods as columns, one entry per period: the drive's
     code, the start and end days, and whether the period ends in a failure
-    (else it is censored)."""
+    (else it is censored). Iterating yields the OperationalPeriods."""
 
     drive: np.ndarray   # int64
     start: np.ndarray   # int64
     end: np.ndarray     # int64
     failed: np.ndarray  # bool
+    drives: Sequence[str]
 
-
-def failure_events(ds: FleetDataset, table: FailureTable) -> list[FailureEvent]:
-    """The FailureEvents of a failure table of ``ds``, in its order."""
-    return [FailureEvent(ds.drives[d], day, k, ds.family, g)
-            for d, day, k, g in zip(*(c.tolist() for c in table))]
-
-
-def _event_table(drives: Sequence[str],
-                 failures: Sequence[FailureEvent]) -> FailureTable:
-    """The failure table of FailureEvents, in their order; a drive not in
-    ``drives`` gets code -1."""
-    return FailureTable(_drive_codes(drives, (ev.drive for ev in failures)),
-                        *(np.array([getattr(ev, name) for ev in failures], dtype=dtype)
-                          for name, dtype in (("age_days", np.int64),
-                                              ("ordinal", np.int64),
-                                              ("degenerate", bool))))
-
-
-def _dataset_events(ds: FleetDataset, failures: Iterable[FailureEvent]
-                    ) -> tuple[list[FailureEvent], FailureTable]:
-    """The events and their table; an event of a drive the dataset lacks
-    raises ValueError."""
-    failures = list(failures)
-    table = _event_table(ds.drives, failures)
-    if (unknown := np.flatnonzero(table.drive < 0)).size:
-        ev = failures[unknown[0]]
-        raise ValueError(f"drive {ev.drive!r} has no flagged row for "
-                         f"failure {ev.ordinal}")
-    return failures, table
-
-
-def _drive_codes(drives: Sequence[str], names: Iterable[str]) -> np.ndarray:
-    """Each name's index in ``drives``, or -1 for a name not in it: the one
-    place names become the codes rows carry (per failure, period or drive)."""
-    index = {d: i for i, d in enumerate(drives)}
-    return np.array([index.get(n, -1) for n in names], dtype=np.int64)
+    def __iter__(self) -> Iterator[OperationalPeriod]:
+        for d, start, end, failed in zip(self.drive.tolist(), self.start.tolist(),
+                                         self.end.tolist(), self.failed.tolist()):
+            yield OperationalPeriod(self.drives[d], start, end,
+                                    "failure" if failed else "censored")
 
 
 class _DayWindows:
@@ -257,7 +252,7 @@ class _DayWindows:
 def _ssd_failure_rows(ds: FleetDataset, days: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each swap's row, failure day and degenerate flag, by the backward
-    inactivity trim of :func:`detect_ssd_failures`."""
+    inactivity trim of :func:`failure_table`."""
     swaps = np.flatnonzero(ds.flag("swap_event"))
     drive = ds.row_drive()[swaps]
     # In scope: after the drive's previous swap, up to the swap itself.
@@ -277,9 +272,17 @@ def _ssd_failure_rows(ds: FleetDataset, days: np.ndarray
 
 def failure_table(ds: FleetDataset) -> FailureTable:
     """Every failure of the fleet, in drive and row order, numbered per
-    drive from 1: one per failure-flagged HDD row (see
-    :func:`detect_hdd_failures`) or per SSD swap (see
-    :func:`detect_ssd_failures`)."""
+    drive from 1: one per failure-flagged HDD row, or per SSD swap.
+
+    An SSD failure day is recovered from its swap by backward inactivity
+    trimming: rows after the previous swap and up to (and including) the
+    swap day are scanned backward; reported-but-inactive days (zero reads
+    and writes; a missing summary counts as inactive) are trimmed, bounded
+    at ``SSD_TRIM_BOUND_DAYS`` before the swap day. The failure lands on
+    the last active day, or on the last day before that bound if it comes
+    first in the scan; if neither is in scope the event degenerates to the
+    drive's first in-scope row.
+    """
     days = drive_days(ds)
     if ds.family == "hdd":
         rows = np.flatnonzero(ds.flag("failed"))
@@ -288,39 +291,18 @@ def failure_table(ds: FleetDataset) -> FailureTable:
         rows, day, degenerate = _ssd_failure_rows(ds, days)
     drive = ds.row_drive()[rows]
     ordinal = np.arange(rows.size) - np.searchsorted(drive, drive) + 1
-    return FailureTable(drive, day, ordinal, degenerate)
+    return FailureTable(drive, day, ordinal, degenerate, ds.drives, ds.family)
 
 
-def detect_hdd_failures(ds: FleetDataset) -> list[FailureEvent]:
-    """One FailureEvent per failure-flagged HDD row, in drive/time order."""
-    if ds.family != "hdd":
-        raise ValueError("detect_hdd_failures needs an HDD dataset")
-    return failure_events(ds, failure_table(ds))
-
-
-def detect_ssd_failures(ds: FleetDataset) -> list[FailureEvent]:
-    """Recover SSD failure days from swap events by backward inactivity trimming.
-
-    For each swap: rows after the previous swap and up to (and including)
-    the swap day are scanned backward; reported-but-inactive days (zero
-    reads and writes; a missing summary counts as inactive) are trimmed,
-    bounded at ``SSD_TRIM_BOUND_DAYS`` before the swap day. The failure
-    lands on the last active day, or on the last day before that bound if
-    it comes first in the scan; if neither is in scope the event
-    degenerates to the drive's first in-scope row.
-    """
-    if ds.family != "ssd":
-        raise ValueError("detect_ssd_failures needs an SSD dataset")
-    return failure_events(ds, failure_table(ds))
-
-
-def detect_failures(ds: FleetDataset) -> list[FailureEvent]:
-    return failure_events(ds, failure_table(ds))
+def detect_failures(ds: FleetDataset) -> FailureTable:
+    """The fleet's failures: :func:`failure_table`."""
+    return failure_table(ds)
 
 
 def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray, failures: FailureTable
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per failure: the swap day, the re-entry day, and whether there is one.
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per failure: its drive's code in ``ds``, the swap day, the re-entry
+    day, and whether there is one.
 
     A failure is anchored at its drive's ordinal-th flagged row: the swap
     row for SSDs, the failed row for HDDs. The swap day is the day of
@@ -333,13 +315,14 @@ def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray, failures: FailureTa
     flagged = np.flatnonzero(ds.flag("swap_event" if ds.family == "ssd"
                                      else "failed"))
     first = np.searchsorted(flagged, ds.starts)  # per drive, into ``flagged``
-    drive, ordinal = failures.drive, failures.ordinal
+    drive, ordinal = failures.codes_in(ds.drives), failures.ordinal
     known = (drive >= 0) & (drive < ds.n_drives)
     count = np.append(np.diff(first), 0)  # flagged rows per drive; 0 unknown
     valid = (ordinal > 0) & (ordinal <= count[np.where(known, drive, -1)])
     if (bad := np.flatnonzero(~valid)).size:
-        i = bad[0]
-        name = ds.drives[drive[i]] if known[i] else f"code {drive[i]}"
+        i, code = bad[0], failures.drive[bad[0]]
+        name = (failures.drives[code] if 0 <= code < len(failures.drives)
+                else f"code {code}")
         raise ValueError(f"drive {name!r} has no flagged row for "
                          f"failure {ordinal[i]}")
     anchor = flagged[first[drive] + ordinal - 1]
@@ -352,17 +335,31 @@ def _swaps_and_reentries(ds: FleetDataset, days: np.ndarray, failures: FailureTa
         after = np.flatnonzero(days[row + 1:end] > day)
         if after.size:
             reentry[i], returned[i] = days[row + 1 + after[0]], True
-    return swap, reentry, returned
+    return drive, swap, reentry, returned
 
 
 def period_table(ds: FleetDataset, failures: FailureTable) -> PeriodTable:
     """Cut each drive's observation span into failure-terminated and censored
-    periods (see :func:`extract_operational_periods`), in drive order, the
-    failure periods by age and then the censored one."""
+    periods, in drive order, the failure periods by age and then the
+    censored one.
+
+    The first period runs from the drive's first row to its first
+    failure (terminal ``failure``) or its oldest row (``censored``); each
+    post-failure re-entry opens another period.
+
+    Periods are cut on the age axis, taking failures by age. HDD ages can
+    repeat or run backward (SMART 9 stalls or resets), so a period starts
+    no later than its failure, a failure at the age of the previous one
+    lies in that one's period, and a censored period ends at the drive's
+    oldest age. A drive's periods therefore have non-negative length, do
+    not overlap, and hold each failure once; for ages that increase along
+    the rows, this is the row-order walk. A failure of a drive without its
+    flagged row in ``ds`` raises ValueError.
+    """
     days = drive_days(ds)
-    _, reentry, returned = _swaps_and_reentries(ds, days, failures)
-    order = np.lexsort((failures.ordinal, failures.day, failures.drive))
-    drive, day = failures.drive[order], failures.day[order]
+    drive, _, reentry, returned = _swaps_and_reentries(ds, days, failures)
+    order = np.lexsort((failures.ordinal, failures.day, drive))
+    drive, day = drive[order], failures.day[order]
     reentry, returned = reentry[order], returned[order]
     # A drive's first failure starts from its first row, each later one from
     # the re-entry of the one before; a failure at the age of the one before
@@ -385,43 +382,21 @@ def period_table(ds: FleetDataset, failures: FailureTable) -> PeriodTable:
     censored[drive[last]] = returned[last]
     oldest = np.maximum.reduceat(days, ds.starts[:-1]) if days.size else days
     codes = np.flatnonzero(censored)
-    table = PeriodTable(*(np.concatenate(pair) for pair in (
+    columns = [np.concatenate(pair) for pair in (  # drive, start, end, failed
         (drive[opens], codes), (begin[opens], censored_start[codes]),
         (day[opens], oldest[codes]),
         (np.ones(np.count_nonzero(opens), dtype=bool),
-         np.zeros(codes.size, dtype=bool)))))
-    order = np.argsort(2 * table.drive + ~table.failed, kind="stable")
-    return PeriodTable(*(column[order] for column in table))
+         np.zeros(codes.size, dtype=bool)))]
+    order = np.argsort(2 * columns[0] + ~columns[3], kind="stable")
+    return PeriodTable(*(column[order] for column in columns), ds.drives)
 
 
-def extract_operational_periods(ds: FleetDataset,
-                                failures: Iterable[FailureEvent]) -> list[OperationalPeriod]:
-    """Cut each drive's observation span into failure-terminated and censored periods.
-
-    The first period runs from the drive's first row to its first
-    failure (terminal ``failure``) or its oldest row (``censored``); each
-    post-failure re-entry opens another period.
-
-    Periods are cut on the age axis, taking failures by age. HDD ages can
-    repeat or run backward (SMART 9 stalls or resets), so a period starts
-    no later than its failure, a failure at the age of the previous one
-    lies in that one's period, and a censored period ends at the drive's
-    oldest age. A drive's periods therefore have non-negative length, do
-    not overlap, and hold each failure once; for ages that increase along
-    the rows, this is the row-order walk. This is the object view of
-    :func:`period_table`.
-    """
-    table = period_table(ds, _dataset_events(ds, failures)[1])
-    return [OperationalPeriod(ds.drives[d], start, end,
-                              "failure" if failed else "censored")
-            for d, start, end, failed in zip(*(c.tolist() for c in table))]
+extract_operational_periods = period_table  # its older name, kept for callers
 
 
-def build_repair_spells(ds: FleetDataset,
-                        failures: Iterable[FailureEvent]) -> list[RepairSpell]:
+def build_repair_spells(ds: FleetDataset, failures: FailureTable) -> list[RepairSpell]:
     """One RepairSpell per failure: pre-swap gap (SSD) and re-entry day if any."""
-    failures, table = _dataset_events(ds, failures)
-    swap, reentry, returned = _swaps_and_reentries(ds, drive_days(ds), table)
+    _, swap, reentry, returned = _swaps_and_reentries(ds, drive_days(ds), failures)
     return [RepairSpell(ev.drive, ev.age_days, day if back else None,
                         s - ev.age_days if ds.family == "ssd" else None)
             for ev, s, day, back in zip(failures, swap.tolist(), reentry.tolist(),
@@ -437,44 +412,37 @@ def repair_stats(spells: Sequence[RepairSpell], horizons: Sequence[float],
     """
     if list(horizons) != sorted(horizons):
         raise ValueError("horizons must be sorted ascending")
-    n_spells = len(spells)
+    days = [s.repair_days for s in spells]
     out = {}
     for horizon in horizons:
-        if n_spells == 0:
-            out[horizon] = (0.0, 0.0)
-            continue
-        if math.isinf(horizon):
-            hits = sum(1 for s in spells if s.repair_days is None)
-        else:
-            hits = sum(1 for s in spells
-                       if s.repair_days is not None and s.repair_days <= horizon)
-        out[horizon] = (hits / n_spells,
-                        hits / total_drives if total_drives else 0.0)
+        hits = (days.count(None) if math.isinf(horizon)
+                else sum(d is not None and d <= horizon for d in days))
+        out[horizon] = ((hits / len(days), hits / total_drives if total_drives else 0.0)
+                        if days else (0.0, 0.0))
     return out
 
 
-def failure_count_distribution(failures: Iterable[FailureEvent],
-                               total_drives: int) -> dict[int, tuple[float, float | None]]:
+def failure_count_distribution(failures: FailureTable, total_drives: int
+                               ) -> dict[int, tuple[float | None, float | None]]:
     """Map k -> (share of all drives with k failures, share of failed drives).
 
-    The failed-drive share is None for k=0. Raises if the population is
-    smaller than the number of distinct failed drives.
+    The failed-drive share is None for k=0, and with no drives both shares
+    are. Raises if the population is smaller than the number of distinct
+    failed drives.
     """
-    per_drive: dict[str, int] = {}
-    for ev in failures:
-        per_drive[ev.drive] = max(per_drive.get(ev.drive, 0), ev.ordinal)
-    n_failed = len(per_drive)
+    drives, at = np.unique(failures.drive, return_inverse=True)
+    most = np.zeros(drives.size, dtype=np.int64)  # per failed drive: its failures
+    np.maximum.at(most, at, failures.ordinal)
+    n_failed = drives.size
     if total_drives < n_failed:
         raise ValueError(
             f"population ({total_drives}) smaller than failed drives ({n_failed})")
-    counts: dict[int, int] = {}
-    for k in per_drive.values():
-        counts[k] = counts.get(k, 0) + 1
-    dist: dict[int, tuple[float, float | None]] = {
+    if total_drives == 0:
+        return {0: (None, None)}
+    dist: dict[int, tuple[float | None, float | None]] = {
         0: ((total_drives - n_failed) / total_drives, None)}
-    for k in sorted(counts):
-        dist[k] = (counts[k] / total_drives,
-                   counts[k] / n_failed if n_failed else None)
+    for k, count in zip(*(a.tolist() for a in np.unique(most, return_counts=True))):
+        dist[k] = (count / total_drives, count / n_failed)
     return dist
 
 
@@ -489,41 +457,22 @@ def censored_cdf(sample: CensoredSample,
         raise ValueError("empty sample")
     if list(grid) != sorted(grid):
         raise ValueError("grid must be sorted ascending")
-    values = sorted(sample.values)
-    total = sample.total
-    points = []
-    idx = 0
-    for t in grid:
-        while idx < len(values) and values[idx] <= t:
-            idx += 1
-        points.append((t, idx / total))
-    return points, sample.censored_count / total
+    values, total = sorted(sample.values), sample.total
+    return ([(t, bisect.bisect_right(values, t) / total) for t in grid],
+            sample.censored_count / total)
 
 
-def period_length_sample(periods: PeriodTable | Iterable[OperationalPeriod]
-                         ) -> CensoredSample:
+def period_length_sample(periods: PeriodTable) -> CensoredSample:
     """Time-to-failure sample: failure-terminated lengths, censored periods counted."""
-    if isinstance(periods, PeriodTable):
-        lengths, failed = periods.end - periods.start, periods.failed
-    else:
-        periods = list(periods)
-        lengths = np.array([p.length for p in periods], dtype=np.int64)
-        failed = np.array([p.terminal == "failure" for p in periods], dtype=bool)
-    return CensoredSample(tuple(lengths[failed].tolist()),
-                          int(np.count_nonzero(~failed)))
+    lengths = periods.end - periods.start
+    return CensoredSample(tuple(lengths[periods.failed].tolist()),
+                          int(np.count_nonzero(~periods.failed)))
 
 
 def repair_duration_sample(spells: Iterable[RepairSpell]) -> CensoredSample:
     """Time-to-repair sample: completed repair lengths, unfinished ones censored."""
-    values = []
-    censored = 0
-    for s in spells:
-        d = s.repair_days
-        if d is None:
-            censored += 1
-        else:
-            values.append(d)
-    return CensoredSample(tuple(values), censored)
+    days = [s.repair_days for s in spells]
+    return CensoredSample(tuple(d for d in days if d is not None), days.count(None))
 
 
 def preswap_gap_sample(spells: Iterable[RepairSpell]) -> CensoredSample:

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import datetime as dt
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import compress
 
 import numpy as np
 import numpy.random
@@ -31,7 +32,7 @@ import numpy.random
 from . import charstats
 from .ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, US_PER_DAY, FleetDataset,
                      _SSD_COUNT_FIELDS, _SSD_FIELDS, _Table)
-from .lifecycle import FailureEvent, _DayWindows, _drive_codes, drive_days
+from .lifecycle import FailureTable, _DayWindows, drive_days
 
 __all__ = [
     "BurstSpec",
@@ -404,12 +405,14 @@ def _generate_hdd_drive(drive: int, base: float, rng, config: SynthConfig
     return blocks, plan
 
 
-def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent]]:
-    """Generate a fleet and its ground-truth failure events, deterministically.
+def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, FailureTable]:
+    """Generate a fleet and its ground-truth failures, deterministically.
 
     Drive i has the i-th model in name order, cyclically. Per-drive
     randomness is seeded by (config.seed, drive index), so any subset of
-    drives is reproducible independently of the others.
+    drives is reproducible independently of the others. The truth lists
+    the failures by drive index, then ordinal; its codes index the
+    dataset's ``drives``.
     """
     names = sorted(config.models)
     ssd = config.family == "ssd"
@@ -421,22 +424,21 @@ def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent
             for m in names[:config.n_drives]]
     blocks: list[np.ndarray] = []
     swaps: list[tuple[int, int]] = []
-    truth: list[FailureEvent] = []
+    failures: list[tuple[int, int, int]] = []  # (drive index, day, ordinal)
     for i in range(config.n_drives):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, i]))
         drive_blocks, plan = generate(i, base[i % len(names)], rng, config)
         blocks += drive_blocks
         swaps += [(i, day) for day in plan.swaps]
-        for ordinal, day in enumerate(plan.failures, start=1):
-            truth.append(FailureEvent(f"{config.family}-{i:05d}", day, ordinal,
-                                      config.family))
+        failures += [(i, day, k) for k, day in enumerate(plan.failures, start=1)]
     rows = np.concatenate(blocks)
     if ssd:
         rows = _mark_swaps(rows, np.array(swaps, dtype=np.int64).reshape(-1, 2),
                            config.horizon_days)
     rows[:, 2] = rows[:, 1] % len(names)
     table = _Table(rows.shape[1] - 3)
-    table.drives = {f"{config.family}-{i:05d}": i for i in range(config.n_drives)}
+    serials = [f"{config.family}-{i:05d}" for i in range(config.n_drives)]
+    table.drives = {serial: i for i, serial in enumerate(serials)}
     table.models = {m: k for k, m in enumerate(names)}
     table.sort(rows)
     fields = (_SSD_FIELDS if ssd
@@ -444,7 +446,10 @@ def generate_fleet(config: SynthConfig) -> tuple[FleetDataset, list[FailureEvent
     provenance = {"source": "synthetic", "seed": config.seed,
                   "filters": [], "rejected": [], "rejected_count": 0,
                   "quarantined": []}
-    return table.dataset(config.family, table.order, fields, provenance), truth
+    ds = table.dataset(config.family, table.order, fields, provenance)
+    truth = FailureTable(*np.array(failures, dtype=np.int64).reshape(-1, 3).T,
+                         np.zeros(len(failures), dtype=bool), serials, config.family)
+    return ds, replace(truth, drive=truth.codes_in(ds.drives), drives=ds.drives)
 
 
 def _mark_swaps(rows: np.ndarray, swaps: np.ndarray, horizon: int) -> np.ndarray:
@@ -495,7 +500,7 @@ _INCIDENCE_REL_TOL = 0.2
 _INFANT_RATIO_FLOOR = 3.0
 
 
-def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
+def verify_fleet(ds: FleetDataset, truth: FailureTable,
                  config: SynthConfig) -> CalibrationReport:
     """Recompute realized failure fractions, error incidence, and infant ratio.
 
@@ -508,28 +513,24 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
     infant multiplier is configured.
     """
     checks: list[CalibrationCheck] = []
-    failed_by_model: dict[str, set] = {}
-    drives_by_model: dict[str, list] = {}
-    model_of = ds.model_of
-    for drive, model in model_of.items():
-        drives_by_model.setdefault(model, []).append(drive)
-    for ev in truth:
-        failed_by_model.setdefault(model_of[ev.drive], set()).add(ev.drive)
+    codes = truth.codes_in(ds.drives)
+    failed = np.zeros(ds.n_drives, dtype=bool)
+    failed[codes[codes >= 0]] = True
+    population = Counter(ds.drive_models)
+    failed_by_model = Counter(compress(ds.drive_models, failed.tolist()))
 
     if not (config.family == "hdd" and config.hfh_effect > 1.0):
         for model in sorted(config.models):
-            population = drives_by_model.get(model, [])
-            if not population:
+            if not population[model]:
                 continue
-            realized = len(failed_by_model.get(model, ())) / len(population)
+            realized = failed_by_model[model] / population[model]
             target = config.models[model]
             checks.append(CalibrationCheck(
                 f"failed_fraction[{model}]", target, realized, _FRACTION_TOL,
                 abs(realized - target) <= _FRACTION_TOL))
-        total_failed = len({ev.drive for ev in truth})
-        overall_target = (sum(config.models[m] * len(drives_by_model.get(m, ()))
-                              for m in config.models) / max(ds.n_drives, 1))
-        realized = total_failed / max(ds.n_drives, 1)
+        overall_target = (sum(config.models[m] * population[m] for m in config.models)
+                          / max(ds.n_drives, 1))
+        realized = int(failed.sum()) / max(ds.n_drives, 1)
         checks.append(CalibrationCheck("failed_fraction[all]", overall_target,
                                        realized, _FRACTION_TOL,
                                        abs(realized - overall_target) <= _FRACTION_TOL))
@@ -539,10 +540,8 @@ def verify_fleet(ds: FleetDataset, truth: Sequence[FailureEvent],
         # exclude them when measuring the incidence of burst-affected kinds.
         burst_kinds = {spec.kind for spec in config.bursts if spec.mean > 0}
         burst_span = max((spec.days for spec in config.bursts), default=0)
-        fail_days = np.array([ev.age_days for ev in truth], dtype=np.int64)
         in_burst = _DayWindows(ds.row_drive(), drive_days(ds)).covered(
-            _drive_codes(ds.drives, (ev.drive for ev in truth)),
-            fail_days - burst_span + 1, fail_days)
+            codes, truth.day - burst_span + 1, truth.day)
         reported = ds.column("read_ops")[1]  # bare swap markers carry no summary
         clean = reported & ~in_burst
         day_total, clean_total = int(reported.sum()), int(clean.sum())

@@ -6,6 +6,7 @@ import pytest
 from drivelife.featurize import LabeledExamples
 from drivelife.ingest import (FleetDataset, HddDailyRecord, SsdDailyRecord,
                               US_PER_DAY)
+from drivelife.lifecycle import FailureTable, PeriodTable
 
 
 def ssd_rec(drive, day, reads=100, writes=50, erases=5, pe="auto", swap=False,
@@ -48,6 +49,30 @@ def labeled_examples(names, X, y, drives, days, key, lookahead=0,
         dict(zip(drives, models))[d] for d in drive_ids)
     return LabeledExamples(names, X, y, drive.astype(np.int64), drive_ids.tolist(),
                            days, key, lookahead, drive_models)
+
+
+def table_of(rows, kind=FailureTable, family="ssd"):
+    """The ``kind`` table, FailureTable or PeriodTable, whose rows are
+    ``rows``, FailureEvents or OperationalPeriods, in their order.
+
+    Its drive codes index its own name list, the rows' drive names in order
+    of first appearance, so a function that takes it recodes them into its
+    dataset's drives by name. An empty failure table has ``family``.
+    """
+    rows = list(rows)
+    drives = list(dict.fromkeys(r.drive for r in rows))
+    index = {d: i for i, d in enumerate(drives)}
+    code = np.array([index[r.drive] for r in rows], dtype=np.int64)
+
+    def column(name, dtype=np.int64):
+        return np.array([getattr(r, name) for r in rows], dtype=dtype)
+    if kind is PeriodTable:
+        return PeriodTable(code, column("start_day"), column("end_day"),
+                           np.array([r.terminal == "failure" for r in rows], dtype=bool),
+                           drives)
+    return FailureTable(code, column("age_days"), column("ordinal"),
+                        column("degenerate", bool), drives,
+                        rows[0].family if rows else family)
 
 
 def drive_names(table) -> np.ndarray:

@@ -22,7 +22,7 @@ from drivelife.learners import (ForestParams, TreeParams, feature_importance,
                                 logistic_loss_grad, train_forest, train_tree)
 
 from conftest import (drive_names, labeled_examples, row_folds, ssd_dataset,
-                      ssd_rec)
+                      ssd_rec, table_of)
 from test_charstats import rank_then_pearson
 from test_learners import exhaustive_best_split, gini
 
@@ -169,11 +169,11 @@ def _labeling_fixture():
         "D": drive("D", [0]),
         "E": drive("E", range(10)),
     })
-    failures = [dl.FailureEvent("A", 8, 1, "ssd"),
-                dl.FailureEvent("B", 5, 1, "ssd"),
-                dl.FailureEvent("B", 12, 2, "ssd"),
-                dl.FailureEvent("D", 0, 1, "ssd"),
-                dl.FailureEvent("E", 9, 1, "ssd")]
+    failures = table_of([dl.FailureEvent("A", 8, 1, "ssd"),
+                         dl.FailureEvent("B", 5, 1, "ssd"),
+                         dl.FailureEvent("B", 12, 2, "ssd"),
+                         dl.FailureEvent("D", 0, 1, "ssd"),
+                         dl.FailureEvent("E", 9, 1, "ssd")])
     return ds, failures
 
 
@@ -209,7 +209,7 @@ def test_criterion_07_ssd_failure_rule_recovery():
     cfg = dl.SynthConfig(family="ssd", n_drives=2000, horizon_days=730,
                          models={"MLC-X": 0.1129}, seed=11)
     ds, truth = dl.generate_fleet(cfg)
-    detected = dl.detect_ssd_failures(ds)
+    detected = dl.detect_failures(ds)
     planted = {(e.drive, e.ordinal): e.age_days for e in truth}
     found = {(e.drive, e.ordinal): e.age_days for e in detected}
     assert set(found) == set(planted)
@@ -336,7 +336,7 @@ def test_criterion_11_optional_real_data_characterization():
     fleet = dl.FleetDataset.from_records("hdd", merged)
     fleet = dl.filter_hdd(fleet, BACKBLAZE_MODELS, dt.date(2014, 1, 17),
                           dt.date(2019, 12, 31))
-    failures = dl.detect_hdd_failures(fleet)
+    failures = dl.detect_failures(fleet)
 
     failed_drives = {e.drive for e in failures}
     share_all = len(failed_drives) / fleet.n_drives

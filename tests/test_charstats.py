@@ -13,9 +13,9 @@ from drivelife.charstats import (hfh_threshold_sweep, monthly_failure_rate,
                                  prefailure_error_probability, spearman,
                                  spearman_matrix, write_intensity_quartiles)
 from drivelife.ingest import SchemaError
-from drivelife.lifecycle import FailureEvent, detect_ssd_failures
+from drivelife.lifecycle import FailureEvent, detect_failures
 
-from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
+from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec, table_of
 
 
 def rank_then_pearson(x, y):
@@ -184,27 +184,27 @@ class TestMonthlyFailureRate:
                             for i in range(n)})
 
     def test_no_failures_all_zero(self):
-        curve = monthly_failure_rate([], self._fleet())
+        curve = monthly_failure_rate(table_of([]), self._fleet())
         assert all(r == 0.0 for r in curve.rate)
 
     def test_hand_counted_rates(self):
         ds = self._fleet(10, 180)  # months 0..5
-        failures = [FailureEvent("d0", 3, 1, "ssd"),
-                    FailureEvent("d1", 12, 1, "ssd"),
-                    FailureEvent("d2", 100, 1, "ssd")]
+        failures = table_of([FailureEvent("d0", 3, 1, "ssd"),
+                             FailureEvent("d1", 12, 1, "ssd"),
+                             FailureEvent("d2", 100, 1, "ssd")])
         curve = monthly_failure_rate(failures, ds)
         assert curve.rate == [0.2, 0.0, 0.0, 0.1, 0.0, 0.0]
         assert list(curve.exposure) == [10] * 6
 
     def test_empty_month_is_absent(self):
         ds = ssd_dataset({"d0": [ssd_rec("d0", 0), ssd_rec("d0", 70)]})
-        curve = monthly_failure_rate([], ds)
+        curve = monthly_failure_rate(table_of([]), ds)
         assert curve.rate[1] is None  # no records in month 1
         assert curve.exposure[1] == 0
 
     def test_rates_bounded(self):
         ds = self._fleet(5, 90)
-        failures = [FailureEvent(f"d{i}", 2, 1, "ssd") for i in range(5)]
+        failures = table_of(FailureEvent(f"d{i}", 2, 1, "ssd") for i in range(5))
         curve = monthly_failure_rate(failures, ds)
         assert all(r is None or 0.0 <= r <= 1.0 for r in curve.rate)
         assert all(f <= e for f, e in zip(curve.failures, curve.exposure))
@@ -213,7 +213,7 @@ class TestMonthlyFailureRate:
 class TestPeBinnedRate:
     def test_single_failure_cdf_hits_one_in_first_bin(self):
         ds = ssd_dataset({"d": [ssd_rec("d", day, pe=100) for day in range(3)]})
-        failures = [FailureEvent("d", 2, 1, "ssd")]
+        failures = table_of([FailureEvent("d", 2, 1, "ssd")])
         curve, cdf = pe_binned_failure_rate(failures, ds, bin_width=250)
         assert cdf[0] == (250.0, 1.0)
 
@@ -223,7 +223,7 @@ class TestPeBinnedRate:
             "b": [ssd_rec("b", 0, pe=120)],
             "c": [ssd_rec("c", 0, pe=600)],
         })
-        failures = [FailureEvent("a", 1, 1, "ssd")]
+        failures = table_of([FailureEvent("a", 1, 1, "ssd")])
         curve, _ = pe_binned_failure_rate(failures, ds, bin_width=250)
         # bins: [0,250): a,b ; [250,500): a ; [500,750): c
         assert list(curve.exposure) == [2, 1, 1]
@@ -233,12 +233,12 @@ class TestPeBinnedRate:
     def test_count_past_the_bin_cap_is_schema_error(self):
         top = charstats._MAX_PE_BINS * 250
         ds = ssd_dataset({"a": [ssd_rec("a", 0, pe=100), ssd_rec("a", 1, pe=top - 1)]})
-        curve, _ = pe_binned_failure_rate([], ds, bin_width=250)
+        curve, _ = pe_binned_failure_rate(table_of([]), ds, bin_width=250)
         assert len(curve.exposure) == charstats._MAX_PE_BINS
         for pe in (top, 2**63 - 1):
             ds = ssd_dataset({"a": [ssd_rec("a", 0, pe=100), ssd_rec("a", 1, pe=pe)]})
             with pytest.raises(SchemaError, match=f"pe_cycles_cum value {pe} "):
-                pe_binned_failure_rate([], ds, bin_width=250)
+                pe_binned_failure_rate(table_of([]), ds, bin_width=250)
 
 
 class TestHfhSweep:
@@ -254,7 +254,8 @@ class TestHfhSweep:
 
     def test_hand_partitioned_rates(self):
         ds = self._fleet()
-        failures = [FailureEvent("c", 1, 1, "hdd"), FailureEvent("e", 1, 1, "hdd")]
+        failures = table_of([FailureEvent("c", 1, 1, "hdd"),
+                             FailureEvent("e", 1, 1, "hdd")])
         sweep = hfh_threshold_sweep(failures, ds, [10])
         small, large, share = sweep["per_threshold"][10]
         assert small == pytest.approx(0.0)       # a, b small; none failed
@@ -264,7 +265,8 @@ class TestHfhSweep:
 
     def test_infinite_threshold_means_all_small(self):
         ds = self._fleet()
-        failures = [FailureEvent("c", 1, 1, "hdd"), FailureEvent("e", 1, 1, "hdd")]
+        failures = table_of([FailureEvent("c", 1, 1, "hdd"),
+                             FailureEvent("e", 1, 1, "hdd")])
         sweep = hfh_threshold_sweep(failures, ds, [math.inf])
         small, large, share = sweep["per_threshold"][math.inf]
         assert small == pytest.approx(2 / 5)  # overall rate of the 5 covered drives
@@ -272,7 +274,7 @@ class TestHfhSweep:
 
     def test_class_partition_is_exhaustive(self):
         ds = self._fleet()
-        sweep = hfh_threshold_sweep([], ds, [10])
+        sweep = hfh_threshold_sweep(table_of([], family="hdd"), ds, [10])
         _, _, share = sweep["per_threshold"][10]
         n_with_hfh = 5
         assert share * n_with_hfh + (1 - share) * n_with_hfh == n_with_hfh
@@ -293,7 +295,7 @@ class TestPrefailureErrors:
                 for day in range(5)]
         recs.append(ssd_rec("d", 6, reads=0, writes=0, swap=True))
         ds = ssd_dataset({"d": recs})
-        failures = detect_ssd_failures(ds)
+        failures = detect_failures(ds)
         out = prefailure_error_probability(failures, ds, "uncorrectable",
                                            [1, 2, 7], seed=0)
         assert all(v == 1.0 for v in out["probability"].values())
@@ -309,7 +311,7 @@ class TestPrefailureErrors:
             recs.append(ssd_rec(name, 11, reads=0, writes=0, swap=True))
             drives[name] = recs
         ds = ssd_dataset(drives)
-        failures = detect_ssd_failures(ds)
+        failures = detect_failures(ds)
         assert all(ev.age_days == 9 for ev in failures)
         out = prefailure_error_probability(failures, ds, "meta", [1, 3], seed=1)
         assert out["probability"][1] == pytest.approx(1 / 3)
@@ -317,7 +319,7 @@ class TestPrefailureErrors:
 
     def test_probability_monotone_in_window(self):
         ds = self._burst_fleet()
-        failures = detect_ssd_failures(ds)
+        failures = detect_failures(ds)
         out = prefailure_error_probability(failures, ds, "uncorrectable",
                                            [1, 2, 5, 10], seed=3)
         values = [out["probability"][n] for n in (1, 2, 5, 10)]
@@ -325,7 +327,7 @@ class TestPrefailureErrors:
 
     def test_baseline_below_prefailure_on_burst_data(self):
         ds = self._burst_fleet()
-        failures = detect_ssd_failures(ds)
+        failures = detect_failures(ds)
         out = prefailure_error_probability(failures, ds, "uncorrectable",
                                            [2], seed=5)
         assert out["probability"][2] == 1.0
@@ -333,12 +335,12 @@ class TestPrefailureErrors:
 
     def test_no_failures_probabilities_absent(self):
         ds = self._burst_fleet()
-        out = prefailure_error_probability([], ds, "uncorrectable", [3], seed=0)
+        out = prefailure_error_probability(table_of([]), ds, "uncorrectable", [3], seed=0)
         assert out["probability"][3] is None
 
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
-            prefailure_error_probability([], self._burst_fleet(),
+            prefailure_error_probability(table_of([]), self._burst_fleet(),
                                          "uncorrectable", [0])
 
 
@@ -347,7 +349,7 @@ class TestPrefailurePercentiles:
         recs = [ssd_rec("d", day) for day in range(5)]
         recs.append(ssd_rec("d", 6, reads=0, writes=0, swap=True))
         ds = ssd_dataset({"d": recs})
-        failures = detect_ssd_failures(ds)
+        failures = detect_failures(ds)
         table = prefailure_error_percentiles(failures, ds, "uncorrectable",
                                              [50], offsets=[0, 1])
         assert table == {0: None, 1: None}
@@ -361,7 +363,7 @@ class TestPrefailurePercentiles:
             recs.append(ssd_rec(name, 4, reads=0, writes=0, swap=True))
             drives[name] = recs
         ds = ssd_dataset(drives)
-        failures = detect_ssd_failures(ds)
+        failures = detect_failures(ds)
         assert all(ev.age_days == 2 for ev in failures)
         table = prefailure_error_percentiles(failures, ds, "read", [50],
                                              offsets=[1])

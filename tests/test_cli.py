@@ -110,6 +110,32 @@ class TestPipeline:
         sidecar = json.loads((tmp_path / "ttf_cdf.json").read_text())
         assert 0.0 <= sidecar["censored_mass"] <= 1.0
 
+    @pytest.mark.parametrize("family", ["ssd", "hdd"])
+    def test_header_only_input(self, tmp_path, family):
+        """A fleet with no drives: every reader exits 0, and the shares of
+        0 of 0 drives are undefined."""
+        fleet = tmp_path / "fleet"
+        (tmp_path / "fleet.json").write_text(json.dumps(
+            (SYNTH_CONFIG if family == "ssd" else HDD_CONFIG) | {"n_drives": 2,
+                                                                 "horizon_days": 3}))
+        assert run(["synth", "--config", str(tmp_path / "fleet.json"), "--seed", "1",
+                    "--out", str(fleet)]) == 0
+        telemetry = fleet / f"{family}_telemetry.csv"
+        telemetry.write_text(telemetry.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        for argv in (["ingest"], ["lifecycle"], ["characterize", "--seed", "1"],
+                     ["featurize"]):
+            assert run([*argv, "--family", family, "--input", str(telemetry),
+                        "--out", str(out)]) == 0, argv
+        summary = json.loads((out / "lifecycle_summary.json").read_text())
+        assert (summary["n_drives"], summary["n_failures"]) == (0, 0)
+        assert summary["failure_count_distribution"] == {
+            "0": {"share_of_drives": None, "share_of_failed": None}}
+        assert (out / "failures.csv").read_text().splitlines()[1:] == [
+            "drive,family,age_days,ordinal"]
+        report = json.loads((out / "featurize_report.json").read_text())
+        assert report["lookaheads"]["0"]["n_examples"] == 0
+
     def test_evaluate_on_synth_output(self, synth_dir, tmp_path):
         assert run(["evaluate", "--family", "ssd",
                     "--input", str(synth_dir / "ssd_telemetry.csv"),
@@ -706,27 +732,57 @@ class TestErrors:
         assert code == 2 and doc["error"] == "usage"
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("argv, config", [
-        (["characterize", "--analysis", "corelations", "--seed", "1"], {}),
-        (["featurize", "--partition-attr", "hfh"], {}),
-        (["partition-eval", "--partition", "hfh:40000", "--seed", "1"], {}),
-        (["featurize"], {"partition-attr": "bogus"}),
-        (["featurize", "--family", "hdd"], {"partition-attr": "bogus"}),
-    ], ids=["unknown_analysis", "featurize_ssd_hfh", "partition_eval_ssd_hfh",
-            "config_attr_ssd", "config_attr_hdd"])
+    @pytest.mark.parametrize("argv, config, message", [
+        (["characterize", "--analysis", "corelations", "--seed", "1"], {},
+         "bad --analysis corelations for --family ssd; expected a comma list of "
+         "all, correlations, monthly-rate"),
+        (["characterize", "--analysis", "hfh-sweep", "--seed", "1"], {},
+         "bad --analysis hfh-sweep for --family ssd"),
+        (["characterize", "--family", "hdd", "--analysis", "pe-rate", "--seed", "1"],
+         {}, "bad --analysis pe-rate for --family hdd"),
+        (["characterize", "--family", "hdd", "--seed", "1"],
+         {"analysis": "monthly-rate,write-quartiles"},
+         "bad --analysis write-quartiles for --family hdd"),
+        (["characterize", "--analysis", "correlations", "--thresholds", "5,6",
+          "--seed", "1"], {}, "bad --thresholds without hfh-sweep"),
+        (["characterize", "--thresholds", "5,6", "--seed", "1"], {},
+         "bad --thresholds without hfh-sweep"),
+        (["characterize", "--family", "hdd", "--analysis", "monthly-rate",
+          "--error-kind", "smart_5", "--seed", "1"], {},
+         "bad --error-kind without prefailure-percentiles or prefailure-prob"),
+        (["featurize", "--partition-attr", "hfh"], {}, "bad partition attribute"),
+        (["partition-eval", "--partition", "hfh:40000", "--seed", "1"], {},
+         "bad partition attribute"),
+        (["featurize"], {"partition-attr": "bogus"}, "bad partition attribute"),
+        (["featurize", "--family", "hdd"], {"partition-attr": "bogus"},
+         "bad partition attribute"),
+    ], ids=["unknown_analysis", "ssd_hfh_sweep", "hdd_pe_rate", "config_hdd_quartiles",
+            "unread_thresholds", "ssd_thresholds", "unread_error_kind",
+            "featurize_ssd_hfh", "partition_eval_ssd_hfh", "config_attr_ssd",
+            "config_attr_hdd"])
     def test_bad_analysis_or_partition_attribute_is_usage_error_before_the_input_is_read(
-            self, tmp_path, capsys, argv, config):
+            self, tmp_path, capsys, argv, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"family": "ssd", **config}))
         code, doc = self._error(capsys, [
             *argv, "--config", str(path), "--input", str(tmp_path / "missing.csv"),
             "--out", str(tmp_path / "o")])
         assert code == 2 and doc["error"] == "usage"
-        if "--analysis" in argv:
-            assert "corelations" in doc["message"]
-            assert "correlations, monthly-rate" in doc["message"]
-        else:
-            assert "partition attribute" in doc["message"]
+        assert doc["message"].startswith(message)
+        assert not (tmp_path / "o").exists()
+
+    def test_analyses_of_one_family_are_skipped_by_all(self, synth_dir, tmp_path):
+        """``all`` runs the analyses of the ``--family``, and a config file may
+        hold options that only the other family's analyses read."""
+        (tmp_path / "config.json").write_text(json.dumps({"thresholds": "5,6"}))
+        assert run(["characterize", "--family", "ssd",
+                    "--input", str(synth_dir / "ssd_telemetry.csv"),
+                    "--config", str(tmp_path / "config.json"), "--seed", "1",
+                    "--out", str(tmp_path / "o")]) == 0
+        summary = json.loads((tmp_path / "o" / "characterization.json").read_text())
+        assert set(summary) - {"_meta", "family", "n_drives", "n_failures"} == {
+            "correlations", "monthly-rate", "pe-rate", "prefailure-prob",
+            "prefailure-percentiles", "write-quartiles"}
 
     @pytest.mark.parametrize("config", [
         {"models": [["ST-A"]]}, {"models": {"ST-A": 1}}, {"analysis": [None]},

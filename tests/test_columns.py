@@ -21,7 +21,7 @@ from drivelife.featurize import (HDD_DIFF_IDS, make_features_hdd,
 from drivelife.ingest import HDD_SMART_IDS, SSD_ERROR_KINDS
 from drivelife.lifecycle import FailureEvent, drive_days
 
-from conftest import drive_names, hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
+from conftest import drive_names, hdd_dataset, hdd_rec, ssd_dataset, ssd_rec, table_of
 
 BIG = 2**63 - 1
 
@@ -113,15 +113,16 @@ def days_by_drive(ds):
 
 
 def random_failures(rng: random.Random, ds):
-    """Failures of about half the drives, and of three drives without rows
-    whose names sort before, between and after the fleet's."""
+    """A failure table of about half the drives, and of three drives without
+    rows whose names sort before, between and after the fleet's, on a name
+    list of its own."""
     out = []
     for drive, days in days_by_drive(ds).items():
         if days.size and rng.random() < 0.5:
             day = int(rng.choice(list(days))) + rng.choice((-3, 0, 0, 2))
             out.append(FailureEvent(drive, day, 1, ds.family))
-    return out + [FailureEvent(d, 5, 1, ds.family)
-                  for d in ("A-no-rows", ds.drives[0] + "-no-rows", "no-rows")]
+    return table_of(out + [FailureEvent(d, 5, 1, ds.family)
+                           for d in ("A-no-rows", ds.drives[0] + "-no-rows", "no-rows")])
 
 
 # -- references: the per-record loops ----------------------------------------
@@ -461,7 +462,8 @@ def test_monthly_rate_matches_record_loop(family, seed):
     rng = random.Random(seed)
     ds = FLEET_MAKERS[family](rng)
     failures = random_failures(rng, ds)
-    for events in (failures, [ev for ev in failures if ev.age_days >= 0], []):
+    for events in (failures, table_of([ev for ev in failures if ev.age_days >= 0]),
+                   table_of([])):
         assert outcome(charstats.monthly_failure_rate, events, ds) == \
             outcome(ref_monthly_rate, events, ds)
 

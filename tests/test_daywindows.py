@@ -13,16 +13,20 @@ back-to-back swaps, bare swap markers and inactive runs longer than the
 trim bound.
 """
 
+import dataclasses
+import datetime as dt
 import random
 
 import numpy as np
 import pytest
 
 from drivelife import charstats, featurize, lifecycle
+from drivelife.ingest import filter_hdd
 from drivelife.lifecycle import (SSD_TRIM_BOUND_DAYS, FailureEvent,
-                                 OperationalPeriod, _DayWindows, drive_days)
+                                 OperationalPeriod, PeriodTable, _DayWindows,
+                                 drive_days)
 
-from conftest import drive_names, hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
+from conftest import drive_names, hdd_dataset, hdd_rec, ssd_dataset, ssd_rec, table_of
 
 
 def random_hdd_fleet(rng: random.Random, n_drives: int = 12):
@@ -372,17 +376,20 @@ class TestAgainstPerEventScans:
         ds = make_fleet(family, seed)
         ref = ref_hdd_failures(ds) if ds.family == "hdd" else ref_ssd_failures(ds)
         # repr also tells a numpy integer from a Python int.
-        assert repr(lifecycle.detect_failures(ds)) == repr(ref)
+        assert repr(list(lifecycle.detect_failures(ds))) == repr(ref)
 
 
     def test_periods_and_spells(self, family, seed):
         ds = make_fleet(family, seed)
-        failures = lifecycle.detect_failures(ds)
-        # repr also tells a numpy integer from a Python int.
-        assert repr(lifecycle.extract_operational_periods(ds, failures)) == \
-            repr(ref_periods(ds, failures))
-        assert repr(lifecycle.build_repair_spells(ds, failures)) == \
-            repr(ref_spells(ds, failures))
+        # The dataset's own failure table, and the same failures on another
+        # name list, recoded by name.
+        for failures in (lifecycle.detect_failures(ds),
+                         table_of(reversed(list(lifecycle.detect_failures(ds))))):
+            # repr also tells a numpy integer from a Python int.
+            assert repr(list(lifecycle.extract_operational_periods(ds, failures))) == \
+                repr(ref_periods(ds, failures))
+            assert repr(lifecycle.build_repair_spells(ds, failures)) == \
+                repr(ref_spells(ds, failures))
 
     def test_labels(self, family, seed):
         ds = make_fleet(family, seed)
@@ -390,11 +397,15 @@ class TestAgainstPerEventScans:
         feats = featurize.make_features(ds)
         failures = lifecycle.detect_failures(ds)
         periods = lifecycle.extract_operational_periods(ds, failures)
-        failures += [FailureEvent(d, 3, 1, family) for d in ghosts(ds)]
-        periods += [OperationalPeriod(rng.choice(ds.drives), 30, 10, "censored"),
-                    OperationalPeriod(rng.choice(ds.drives), -50, 2, "censored"),
-                    OperationalPeriod(rng.choice(ds.drives), 40, 10**6, "censored"),
-                    *(OperationalPeriod(d, 0, 10, "censored") for d in ghosts(ds))]
+        # Tables on another name list, with drives the dataset lacks.
+        failures = table_of([*failures, *(FailureEvent(d, 3, 1, family)
+                                           for d in ghosts(ds))])
+        periods = table_of([
+            *periods, OperationalPeriod(rng.choice(ds.drives), 30, 10, "censored"),
+            OperationalPeriod(rng.choice(ds.drives), -50, 2, "censored"),
+            OperationalPeriod(rng.choice(ds.drives), 40, 10**6, "censored"),
+            *(OperationalPeriod(d, 0, 10, "censored") for d in ghosts(ds))],
+            PeriodTable)
         for lookahead in (0, 1, 7, 400):
             ex = featurize.label_lookahead(feats, failures, lookahead, periods)
             y, keep = ref_labels(feats, failures, lookahead, periods)
@@ -408,8 +419,8 @@ class TestAgainstPerEventScans:
 
     def test_prefailure_statistics(self, family, seed):
         ds = make_fleet(family, seed)
-        failures = lifecycle.detect_failures(ds)
-        failures += [FailureEvent(d, 3, 1, family) for d in ghosts(ds)]
+        failures = table_of([*lifecycle.detect_failures(ds),
+                             *(FailureEvent(d, 3, 1, family) for d in ghosts(ds))])
         windows = [1, 2, 7, 30, 500]
         assert repr(charstats.prefailure_error_probability(
             failures, ds, kind_of(ds), windows, seed=seed)) == \
@@ -418,6 +429,36 @@ class TestAgainstPerEventScans:
         assert repr(charstats.prefailure_error_percentiles(
             failures, ds, kind_of(ds), (50.0, 90.0), offsets)) == \
             repr(ref_percentiles(failures, ds, kind_of(ds), (50.0, 90.0), offsets))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_failures_of_the_unfiltered_fleet(seed):
+    """The failure table of an HDD fleet, read with its ``filter_hdd`` subset:
+    its codes are recoded into the subset's drives by name, and a failure of
+    a drive the subset lacks matches nothing, as the per-event references
+    and a table coded on the subset's own drives read them."""
+    ds = make_fleet("hdd", seed)
+    first = dt.date.fromordinal(int(ds.time.min()))
+    sub = filter_hdd(ds, ds.models(), first + dt.timedelta(days=15),
+                     first + dt.timedelta(days=60))
+    failures = lifecycle.failure_table(ds)
+    names = [failures.drives[c] for c in failures.drive]
+    on_sub = dataclasses.replace(failures, drives=sub.drives, drive=np.array(
+        [sub.drives.index(n) if n in sub.drives else -1 for n in names]))
+    windows, pct, offsets = [1, 2, 7, 30], (50.0, 90.0), range(-2, 9)
+    for table in (failures, on_sub):
+        assert repr(charstats.prefailure_error_probability(
+            table, sub, "smart_187", windows, seed=seed)) == \
+            repr(ref_probability(failures, sub, "smart_187", windows, seed))
+        assert repr(charstats.prefailure_error_percentiles(
+            table, sub, "smart_187", pct, offsets)) == \
+            repr(ref_percentiles(failures, sub, "smart_187", pct, offsets))
+    feats = featurize.make_features(sub)
+    everything = [OperationalPeriod(d, -10**9, 10**9, "censored") for d in sub.drives]
+    for lookahead in (0, 7):
+        for table in (failures, on_sub):
+            ex = featurize.label_lookahead(feats, table, lookahead)
+            assert (ex.y == ref_labels(feats, failures, lookahead, everything)[0]).all()
 
 
 @pytest.mark.parametrize("draws", [1, 3])

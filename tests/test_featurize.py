@@ -14,11 +14,11 @@ from drivelife.featurize import (HDD_DIFF_IDS, PartitionRule, carry_forward,
                                  make_features_hdd,
                                  make_features_ssd, partition_dataset,
                                  read_examples_csv, write_examples_csv)
-from drivelife.lifecycle import (FailureEvent, detect_ssd_failures,
+from drivelife.lifecycle import (FailureEvent, detect_failures,
                                  extract_operational_periods)
 
 from conftest import (drive_names, hdd_dataset, hdd_rec, labeled_examples,
-                      ssd_dataset, ssd_rec)
+                      ssd_dataset, ssd_rec, table_of)
 
 
 class TestSsdFeatures:
@@ -239,28 +239,28 @@ class TestLabeling:
         return make_features_ssd(ssd_dataset({"d": recs}))
 
     def test_n0_labels_only_failure_day(self):
-        examples = label_lookahead(self._feats(), [FailureEvent("d", 8, 1, "ssd")], 0)
+        examples = label_lookahead(self._feats(), table_of([FailureEvent("d", 8, 1, "ssd")]), 0)
         assert examples.y.sum() == 1
         assert examples.days[examples.y][0] == 8
 
     def test_n2_labels_window(self):
-        examples = label_lookahead(self._feats(), [FailureEvent("d", 8, 1, "ssd")], 2)
+        examples = label_lookahead(self._feats(), table_of([FailureEvent("d", 8, 1, "ssd")]), 2)
         positive_days = sorted(examples.days[examples.y])
         assert positive_days == [6, 7, 8]
         assert 5 not in positive_days
 
     def test_no_failures_all_negative(self):
-        examples = label_lookahead(self._feats(), [], 7)
+        examples = label_lookahead(self._feats(), table_of([]), 7)
         assert examples.y.sum() == 0
 
     def test_positive_counts_monotone_in_lookahead(self):
-        failures = [FailureEvent("d", 8, 1, "ssd")]
+        failures = table_of([FailureEvent("d", 8, 1, "ssd")])
         counts = [label_lookahead(self._feats(), failures, n).n_positive
                   for n in (0, 1, 2, 7)]
         assert counts == sorted(counts)
 
     def test_gap_days_produce_no_examples(self, simple_ssd):
-        failures = detect_ssd_failures(simple_ssd)
+        failures = detect_failures(simple_ssd)
         periods = extract_operational_periods(simple_ssd, failures)
         feats = make_features_ssd(simple_ssd)
         examples = label_lookahead(feats, failures, 0, periods)
@@ -271,8 +271,8 @@ class TestLabeling:
     def test_partition_key_sources(self):
         recs = [hdd_rec("A", 0, smart={240: 7}), hdd_rec("A", 1, smart={240: 9})]
         feats = make_features_hdd(hdd_dataset({"A": recs}))
-        by_age = label_lookahead(feats, [], 0, partition_attr="age")
-        by_hfh = label_lookahead(feats, [], 0, partition_attr="hfh")
+        by_age = label_lookahead(feats, table_of([]), 0, partition_attr="age")
+        by_hfh = label_lookahead(feats, table_of([]), 0, partition_attr="hfh")
         assert list(by_age.partition_key) == [0, 1]
         assert list(by_hfh.partition_key) == [7, 9]
 
@@ -280,7 +280,7 @@ class TestLabeling:
 class TestPartition:
     def _examples(self, keys):
         feats = self._feats_for(len(keys))
-        examples = label_lookahead(feats, [], 0)
+        examples = label_lookahead(feats, table_of([]), 0)
         examples.partition_key = np.asarray(keys, dtype=float)
         return examples
 
@@ -452,7 +452,7 @@ class TestExamplesCsv:
         recs = [ssd_rec("d", day, reads=day * 3 + 1,
                         errors={"read": day % 2}) for day in range(6)]
         feats = make_features_ssd(ssd_dataset({"d": recs}))
-        examples = label_lookahead(feats, [FailureEvent("d", 5, 1, "ssd")], 1)
+        examples = label_lookahead(feats, table_of([FailureEvent("d", 5, 1, "ssd")]), 1)
         buf = io.StringIO()
         write_examples_csv(examples, buf, header_comment="meta")
         again = read_examples_csv(buf.getvalue(), lookahead=1)

@@ -8,10 +8,14 @@ the top; a run forked from an imported process, as perfbench runs are,
 then pays for no import of its own.
 """
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import drivelife
 
@@ -84,3 +88,31 @@ def test_import_loads_no_scipy():
 def test_run_imports_nothing_after_import():
     late = set(_python(ROUND_TRIP).split())
     assert late <= ALLOWED_LATE, f"first imported during a run: {sorted(late - ALLOWED_LATE)}"
+
+
+def _package_imports() -> dict[str, list[str]]:
+    """Each module ``drivelife/__init__.py`` imports from: the names it imports."""
+    tree = ast.parse(Path(drivelife.__file__).read_text())
+    return {node.module: [alias.name for alias in node.names]
+            for node in tree.body if isinstance(node, ast.ImportFrom) and node.level}
+
+
+def _public_definitions(module) -> set[str]:
+    """The names a module's top level defines (def, class or assignment) and
+    that do not start with ``_``; imported names are not definitions."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else []):
+            names |= {t.id for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("name", sorted(_package_imports()))
+def test_all_lists_the_public_definitions(name):
+    module = importlib.import_module(f"drivelife.{name}")
+    assert sorted(module.__all__) == sorted(_public_definitions(module))
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert set(_package_imports()[name]) <= set(module.__all__)

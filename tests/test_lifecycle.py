@@ -6,37 +6,36 @@ import pytest
 from drivelife.featurize import make_features
 from drivelife.lifecycle import (CensoredSample, build_repair_spells,
                                  censored_cdf, detect_failures,
-                                 detect_hdd_failures, detect_ssd_failures,
                                  drive_days, extract_operational_periods,
                                  failure_count_distribution,
                                  period_length_sample, repair_duration_sample,
                                  preswap_gap_sample, repair_stats, FailureEvent,
                                  RepairSpell)
 
-from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec
+from conftest import hdd_dataset, hdd_rec, ssd_dataset, ssd_rec, table_of
 
 
 class TestHddFailures:
     def test_no_flags_no_events(self):
         ds = hdd_dataset({"A": [hdd_rec("A", d) for d in range(5)]})
-        assert detect_hdd_failures(ds) == []
+        assert list(detect_failures(ds)) == []
 
     def test_flag_on_third_observed_day(self):
         ds = hdd_dataset({"A": [hdd_rec("A", 0), hdd_rec("A", 1),
                                 hdd_rec("A", 2, failed=True)]})
-        (ev,) = detect_hdd_failures(ds)
+        (ev,) = detect_failures(ds)
         assert ev.age_days == 2 and ev.ordinal == 1 and ev.family == "hdd"
 
     def test_smart9_age_source(self):
         ds = hdd_dataset({"A": [hdd_rec("A", 0, smart={9: 2400}),
                                 hdd_rec("A", 1, failed=True, smart={9: 2424})]})
-        (ev,) = detect_hdd_failures(ds)
+        (ev,) = detect_failures(ds)
         assert ev.age_days == 101
 
     def test_repair_and_refailure_ordinals(self):
         recs = [hdd_rec("A", 0), hdd_rec("A", 1, failed=True),
                 hdd_rec("A", 30), hdd_rec("A", 31, failed=True)]
-        (e1, e2) = detect_hdd_failures(hdd_dataset({"A": recs}))
+        (e1, e2) = detect_failures(hdd_dataset({"A": recs}))
         assert (e1.ordinal, e2.ordinal) == (1, 2)
         assert (e1.age_days, e2.age_days) == (1, 31)
 
@@ -60,18 +59,18 @@ class TestHddFailures:
 
 class TestSsdFailures:
     def test_trailing_inactivity_trimmed(self, simple_ssd):
-        (ev,) = detect_ssd_failures(simple_ssd)
+        (ev,) = detect_failures(simple_ssd)
         assert ev.age_days == 7 and not ev.degenerate
 
     def test_active_day_immediately_before_swap(self):
         recs = [ssd_rec("d", 1), ssd_rec("d", 2),
                 ssd_rec("d", 3, reads=0, writes=0, swap=True)]
-        (ev,) = detect_ssd_failures(ssd_dataset({"d": recs}))
+        (ev,) = detect_failures(ssd_dataset({"d": recs}))
         assert ev.age_days == 2
 
     def test_active_swap_day_is_the_failure_day(self):
         recs = [ssd_rec("d", 1), ssd_rec("d", 2, swap=True)]
-        (ev,) = detect_ssd_failures(ssd_dataset({"d": recs}))
+        (ev,) = detect_failures(ssd_dataset({"d": recs}))
         assert ev.age_days == 2
 
     def test_two_swaps_with_reentry(self):
@@ -79,19 +78,19 @@ class TestSsdFailures:
                 ssd_rec("d", 4, reads=0, writes=0, swap=True),
                 ssd_rec("d", 20), ssd_rec("d", 21),
                 ssd_rec("d", 25, reads=0, writes=0, swap=True)]
-        events = detect_ssd_failures(ssd_dataset({"d": recs}))
+        events = detect_failures(ssd_dataset({"d": recs}))
         assert [(e.age_days, e.ordinal) for e in events] == [(1, 1), (21, 2)]
 
     def test_swap_with_no_activity_is_degenerate(self):
         recs = [ssd_rec("d", 3, reads=0, writes=0, swap=True)]
-        (ev,) = detect_ssd_failures(ssd_dataset({"d": recs}))
+        (ev,) = detect_failures(ssd_dataset({"d": recs}))
         assert ev.degenerate and ev.age_days == 3
 
     def test_trim_bounded_at_30_days(self):
         recs = [ssd_rec("d", 0)]
         recs += [ssd_rec("d", day, reads=0, writes=0) for day in range(1, 50)]
         recs.append(ssd_rec("d", 50, reads=0, writes=0, swap=True))
-        (ev,) = detect_ssd_failures(ssd_dataset({"d": recs}))
+        (ev,) = detect_failures(ssd_dataset({"d": recs}))
         # the active day 0 lies beyond the 30-day bound; the trim stops at
         # the first record past the cutoff (swap day 50 - 30 = 20, so day 19)
         assert ev.age_days == 19
@@ -114,13 +113,13 @@ class TestSsdFailures:
                     day += rng.randint(1, 5)
             records[f"d{i}"] = recs
         ds = ssd_dataset(records)
-        assert len(detect_ssd_failures(ds)) == total_swaps
+        assert len(detect_failures(ds)) == total_swaps
 
 
 class TestOperationalPeriods:
     def test_never_failing_drive(self):
         ds = hdd_dataset({"A": [hdd_rec("A", d) for d in range(101)]})
-        (p,) = extract_operational_periods(ds, [])
+        (p,) = extract_operational_periods(ds, table_of([], family="hdd"))
         assert (p.start_day, p.end_day, p.terminal) == (0, 100, "censored")
         assert p.length == 100
 
@@ -129,7 +128,7 @@ class TestOperationalPeriods:
                 + [hdd_rec("A", 7, failed=True)]
                 + [hdd_rec("A", d) for d in range(30, 61)])
         ds = hdd_dataset({"A": recs})
-        failures = detect_hdd_failures(ds)
+        failures = detect_failures(ds)
         p1, p2 = extract_operational_periods(ds, failures)
         assert (p1.start_day, p1.end_day, p1.terminal) == (0, 7, "failure")
         assert (p2.start_day, p2.end_day, p2.terminal) == (30, 60, "censored")
@@ -137,11 +136,11 @@ class TestOperationalPeriods:
     def test_failure_on_last_day(self):
         recs = [hdd_rec("A", 0), hdd_rec("A", 1, failed=True)]
         ds = hdd_dataset({"A": recs})
-        (p,) = extract_operational_periods(ds, detect_hdd_failures(ds))
+        (p,) = extract_operational_periods(ds, detect_failures(ds))
         assert p.terminal == "failure"
 
     def test_failure_period_count_equals_events(self, simple_ssd):
-        failures = detect_ssd_failures(simple_ssd)
+        failures = detect_failures(simple_ssd)
         periods = extract_operational_periods(simple_ssd, failures)
         assert (sum(1 for p in periods if p.terminal == "failure")
                 == len(failures))
@@ -149,7 +148,7 @@ class TestOperationalPeriods:
 
 class TestRepairs:
     def test_spell_fields_ssd(self, simple_ssd):
-        failures = detect_ssd_failures(simple_ssd)
+        failures = detect_failures(simple_ssd)
         (spell,) = build_repair_spells(simple_ssd, failures)
         assert spell.fail_day == 7
         assert spell.preswap_gap_days == 6  # swap on day 13
@@ -159,7 +158,7 @@ class TestRepairs:
         recs = [ssd_rec("d", 1), ssd_rec("d", 3, reads=0, writes=0, swap=True),
                 ssd_rec("d", 10)]
         ds = ssd_dataset({"d": recs})
-        (spell,) = build_repair_spells(ds, detect_ssd_failures(ds))
+        (spell,) = build_repair_spells(ds, detect_failures(ds))
         assert spell.fail_day == 1 and spell.preswap_gap_days == 2
         assert spell.reentry_day == 10
         assert spell.repair_days == 7  # re-entry minus swap day
@@ -169,7 +168,7 @@ class TestRepairs:
         # failure at 0 h the next. The older row comes before the failure.
         ds = hdd_dataset({"A": [hdd_rec("A", 0, smart={9: 24000}),
                                 hdd_rec("A", 1, failed=True, smart={9: 0})]})
-        failures = detect_hdd_failures(ds)
+        failures = detect_failures(ds)
         assert build_repair_spells(ds, failures) == [RepairSpell("A", 0, None, None)]
         assert [(p.start_day, p.end_day, p.terminal)
                 for p in extract_operational_periods(ds, failures)] == [
@@ -185,7 +184,7 @@ class TestRepairs:
             ds = ssd_dataset({"A": [ssd_rec("A", 0), ssd_rec("A", 1)],
                               "B": [ssd_rec("B", 0, swap=True)]})
         with pytest.raises(ValueError, match="no flagged row for failure 1"):
-            build_repair_spells(ds, [FailureEvent("A", 0, 1, family)])
+            build_repair_spells(ds, table_of([FailureEvent("A", 0, 1, family)]))
 
     def test_hand_counted_fractions(self):
         spells = [RepairSpell("a", 0, 1), RepairSpell("b", 0, 10),
@@ -217,26 +216,31 @@ class TestFailureCountDistribution:
     def test_hand_count(self):
         events = [e for drive, n in (("A", 2), ("B", 1))
                   for e in _events(drive, n)]
-        dist = failure_count_distribution(events, total_drives=10)
+        dist = failure_count_distribution(table_of(events), total_drives=10)
         assert dist[0] == (0.8, None)
         assert dist[1] == (0.1, 0.5)
         assert dist[2] == (0.1, 0.5)
 
     def test_no_failures(self):
-        dist = failure_count_distribution([], total_drives=7)
+        dist = failure_count_distribution(table_of([]), total_drives=7)
         assert dist == {0: (1.0, None)}
+
+    def test_no_drives(self):
+        # 0 of 0 drives: every share is undefined.
+        assert failure_count_distribution(table_of([]), total_drives=0) == {
+            0: (None, None)}
 
     def test_population_too_small(self):
         events = _events("A", 1) + _events("B", 1)
         with pytest.raises(ValueError):
-            failure_count_distribution(events, total_drives=1)
+            failure_count_distribution(table_of(events), total_drives=1)
 
     def test_shares_sum_to_one(self):
         rng = random.Random(0)
         events = []
         for i in range(40):
             events += _events(f"d{i}", rng.randint(1, 4))
-        dist = failure_count_distribution(events, total_drives=100)
+        dist = failure_count_distribution(table_of(events), total_drives=100)
         assert abs(sum(a for a, _ in dist.values()) - 1.0) < 1e-12
         assert abs(sum(b for k, (_, b) in dist.items() if k >= 1) - 1.0) < 1e-12
 
@@ -281,7 +285,7 @@ class TestCensoredCdf:
 
 class TestSampleBuilders:
     def test_period_and_repair_samples(self, simple_ssd):
-        failures = detect_ssd_failures(simple_ssd)
+        failures = detect_failures(simple_ssd)
         periods = extract_operational_periods(simple_ssd, failures)
         spells = build_repair_spells(simple_ssd, failures)
         ttf = period_length_sample(periods)

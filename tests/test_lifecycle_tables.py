@@ -12,17 +12,20 @@ The builder and the shared-text writer are checked against
 """
 
 import dataclasses
+import datetime as dt
 import io
 import random
 
 import numpy as np
 import pytest
 
-from drivelife import cli, featurize, lifecycle, synth
+from drivelife import charstats, cli, featurize, lifecycle, synth
 from drivelife.featurize import LabeledExamples
+from drivelife.ingest import filter_hdd
 from drivelife.ingest import _WRITE_BATCH
-from drivelife.lifecycle import FailureTable, OperationalPeriod
+from drivelife.lifecycle import FailureTable, OperationalPeriod, PeriodTable
 
+from conftest import table_of
 from test_daywindows import FLEETS, TRIM_FLEETS, make_fleet
 
 
@@ -63,21 +66,22 @@ def walk_periods(ds, failures):
     return periods
 
 
+def columns(table):
+    """The four columns of a failure or period table."""
+    return [getattr(table, field.name) for field in dataclasses.fields(table)[:4]]
+
+
 def table_rows(table):
-    return list(zip(*(column.tolist() for column in table)))
-
-
-def period_objects(ds, table):
-    return [OperationalPeriod(ds.drives[d], s, e, "failure" if f else "censored")
-            for d, s, e, f in table_rows(table)]
+    return list(zip(*(column.tolist() for column in columns(table))))
 
 
 def event_table(ds, failures):
+    """The failure table of events, coded on ``ds.drives`` itself."""
     return FailureTable(
         np.array([ds.drives.index(ev.drive) for ev in failures], dtype=np.int64),
         np.array([ev.age_days for ev in failures], dtype=np.int64),
         np.array([ev.ordinal for ev in failures], dtype=np.int64),
-        np.array([ev.degenerate for ev in failures], dtype=bool))
+        np.array([ev.degenerate for ev in failures], dtype=bool), ds.drives, ds.family)
 
 
 @pytest.mark.parametrize("family,seed", FLEETS + TRIM_FLEETS)
@@ -86,23 +90,25 @@ class TestTablesAgainstTheWalk:
         ds = make_fleet(family, seed)
         table = lifecycle.failure_table(ds)
         assert all(column.dtype == dtype for column, dtype in
-                   zip(table, (np.int64, np.int64, np.int64, bool)))
+                   zip(columns(table), (np.int64, np.int64, np.int64, bool)))
+        assert table.drives is ds.drives and table.family == ds.family
+        assert len(table) == table.drive.size
         assert table_rows(table) == table_rows(event_table(
             ds, lifecycle.detect_failures(ds)))
-        assert lifecycle.failure_events(ds, table) == lifecycle.detect_failures(ds)
 
     def test_period_table(self, family, seed):
         ds = make_fleet(family, seed)
         failures = lifecycle.detect_failures(ds)
         table = lifecycle.period_table(ds, lifecycle.failure_table(ds))
         assert all(column.dtype == dtype for column, dtype in
-                   zip(table, (np.int64, np.int64, np.int64, bool)))
+                   zip(columns(table), (np.int64, np.int64, np.int64, bool)))
+        assert table.drives is ds.drives and len(table) == table.drive.size
         # repr also tells a numpy integer from a Python int.
-        assert repr(period_objects(ds, table)) == repr(walk_periods(ds, failures))
-        assert repr(lifecycle.extract_operational_periods(ds, failures)) == \
+        assert repr(list(table)) == repr(walk_periods(ds, failures))
+        assert repr(list(lifecycle.extract_operational_periods(ds, failures))) == \
             repr(walk_periods(ds, failures))
-        assert lifecycle.period_length_sample(table) == \
-            lifecycle.period_length_sample(walk_periods(ds, failures))
+        assert lifecycle.period_length_sample(table) == lifecycle.period_length_sample(
+            table_of(walk_periods(ds, failures), PeriodTable))
 
     def test_failures_in_any_order_and_subset(self, family, seed):
         ds = make_fleet(family, seed)
@@ -112,8 +118,9 @@ class TestTablesAgainstTheWalk:
             some = [ev for ev in failures if rng.random() < 0.6]
             some += rng.sample(some, min(2, len(some)))  # a failure listed twice
             rng.shuffle(some)
-            table = lifecycle.period_table(ds, event_table(ds, some))
-            assert repr(period_objects(ds, table)) == repr(walk_periods(ds, some))
+            for table in (event_table(ds, some), table_of(some)):
+                periods = lifecycle.period_table(ds, table)
+                assert repr(list(periods)) == repr(walk_periods(ds, some))
 
 
 def test_fleets_reach_every_case_of_the_walk():
@@ -139,9 +146,36 @@ def test_period_table_rejects_a_failure_without_its_flagged_row(family):
     for drive, ordinal in ((table.drive[0], 99), (table.drive[0], 0), (-1, 1),
                            (ds.n_drives, 1)):
         bad = FailureTable(np.array([drive]), np.array([3]), np.array([ordinal]),
-                           np.array([False]))
+                           np.array([False]), ds.drives, family)
         with pytest.raises(ValueError, match="has no flagged row for failure"):
             lifecycle.period_table(ds, bad)
+    # A drive the dataset lacks, on another name list, is named by its name.
+    ghost = table_of([lifecycle.FailureEvent("ghost", 3, 1, family)])
+    for build in (lifecycle.period_table, lifecycle.build_repair_spells):
+        with pytest.raises(ValueError, match="drive 'ghost' has no flagged row for "
+                           "failure 1"):
+            build(ds, ghost)
+
+
+def test_failures_of_the_unfiltered_fleet_on_a_model_subset():
+    """Read with its one-model ``filter_hdd`` subset, an HDD fleet's failure
+    table gives what the subset's own gives to the HFH sweep and the labels:
+    the other models' failures match no drive of the subset."""
+    ds, _ = synth.generate_fleet(synth.SynthConfig(family="hdd", n_drives=90,
+                                                   horizon_days=120, seed=5))
+    model = ds.models()[0]
+    sub = filter_hdd(ds, [model], dt.date.min, dt.date.max)
+    failures, own = lifecycle.failure_table(ds), lifecycle.failure_table(sub)
+    assert 0 < len(own) < len(failures) and sub.n_drives < ds.n_drives
+    thresholds = [0, 1000, 5000, 10**6]
+    assert charstats.hfh_threshold_sweep(failures, sub, thresholds) == \
+        charstats.hfh_threshold_sweep(own, sub, thresholds)
+    feats, periods = featurize.make_features(sub), lifecycle.period_table(sub, own)
+    full, subset = (featurize.example_builder(feats, table, periods)
+                    for table in (failures, own))
+    for n in (0, 7):
+        assert_same_examples(full(n), subset(n))
+    assert subset(7).n_positive > 0
 
 
 # -- one builder for every lookahead ---------------------------------------------

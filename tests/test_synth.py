@@ -5,7 +5,7 @@ import pytest
 
 from drivelife import synth
 from drivelife.ingest import parse_ssd_log, write_ssd_csv
-from drivelife.lifecycle import detect_ssd_failures
+from drivelife.lifecycle import detect_failures
 from drivelife.synth import (BurstSpec, ConfounderSpec, SynthConfig, generate_fleet,
                              verify_fleet)
 
@@ -53,7 +53,7 @@ class TestGenerate:
         cfg = SynthConfig(n_drives=30, horizon_days=120, models={"M": 0.0},
                           seed=1)
         ds, truth = generate_fleet(cfg)
-        assert truth == []
+        assert list(truth) == []
         assert not any(r.swap_event for d in ds.drives for r in ds.records[d])
 
     def test_calibration_against_fleet_targets(self):
@@ -77,7 +77,8 @@ class TestGenerate:
             family=family, n_drives=8, horizon_days=60, models={"M": 0.3},
             error_incidence=incidence, seed=5))
             for incidence in ({other: 0.05}, {kind: 0.0, other: 0.05})]
-        assert fleets[0] == fleets[1]
+        assert fleets[0][0] == fleets[1][0]
+        assert list(fleets[0][1]) == list(fleets[1][1])
 
     def test_same_seed_byte_identical_csv(self):
         cfg = SynthConfig(n_drives=25, horizon_days=90, seed=9)
@@ -108,10 +109,34 @@ class TestGenerate:
         cfg = SynthConfig(n_drives=150, horizon_days=200, models={"M": 0.25},
                           seed=3)
         ds, truth = generate_fleet(cfg)
-        detected = detect_ssd_failures(ds)
+        detected = detect_failures(ds)
         planted = {(e.drive, e.age_days, e.ordinal) for e in truth}
         found = {(e.drive, e.age_days, e.ordinal) for e in detected}
         assert planted == found
+
+    def test_truth_is_a_table_on_the_fleet_drives(self):
+        cfg = SynthConfig(n_drives=150, horizon_days=200, models={"M": 0.25},
+                          reentry_probability=1.0, seed=3)
+        ds, truth = generate_fleet(cfg)
+        assert truth.drives is ds.drives and truth.family == "ssd"
+        names = [truth.drives[c] for c in truth.drive]
+        assert names == [ev.drive for ev in truth]
+        # Rows by generator index, then ordinal.
+        keys = [(int(name.split("-")[1]), k)
+                for name, k in zip(names, truth.ordinal.tolist())]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+        assert max(k for _, k in keys) > 1
+
+    def test_truth_order_is_not_name_order_past_99999_drives(self):
+        # ssd-100000 sorts before ssd-10001: the truth keeps generator order
+        # while its codes are positions in the name-sorted ds.drives.
+        cfg = SynthConfig(n_drives=100_002, horizon_days=2, models={"M": 0.3}, seed=1)
+        ds, truth = generate_fleet(cfg)
+        assert truth.drives is ds.drives
+        assert ds.drives.index("ssd-100000") < ds.drives.index("ssd-10001")
+        index = [int(truth.drives[c].split("-")[1]) for c in truth.drive]
+        assert index == sorted(index) and index[-1] >= 100_000
+        assert [ev.drive for ev in truth] == [f"ssd-{i:05d}" for i in index]
 
     def test_hdd_fleet_has_daily_smart_snapshots(self):
         cfg = SynthConfig(family="hdd", n_drives=12, horizon_days=90,
@@ -201,7 +226,7 @@ class TestSolveHazard:
         assert 0.0 < h < 1e-16
         ds, truth = generate_fleet(SynthConfig(n_drives=4, horizon_days=10,
                                                models={"M": 1e-16}, seed=1))
-        assert ds.n_drives == 4 and truth == []
+        assert ds.n_drives == 4 and list(truth) == []
 
     def test_infeasible_target_raises(self):
         with pytest.raises(ValueError, match=r"^target failure fraction 0\.9 is "
