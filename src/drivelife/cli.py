@@ -3,23 +3,24 @@
 Configuration comes from an optional JSON file (``--config``) with flag
 overrides (flags win); the seed falls back to the ``DRIVELIFE_SEED``
 environment variable and is mandatory for stochastic subcommands. A
-subcommand takes only the options it reads (:data:`_OPTIONS`) and checks them
-before it opens an input or makes ``--out``, but for two checks against the
-data (``features_per_split`` and ``--folds``), made after the read and before
-any fit.
+subcommand takes only the options it reads (:data:`_OPTIONS`) and resolves
+and checks them before it opens an input or makes ``--out``, but for three
+checks against the data (``features_per_split``, ``--folds`` and ``train``'s
+two classes), made after the read and before any fit.
 Every artifact but the telemetry tables and the stored dataset embeds
 {tool version, config hash, seed} (a ``_meta`` object in JSON files, a
 leading ``#`` comment in CSVs); ``{family}_telemetry.csv`` (synth) and
 ``{family}_dataset.csv`` (ingest) start at their header, as the input files
 they copy do. Every artifact is written atomically (temp file + rename).
-The config hash digests :attr:`_Run.settings`, so two runs with the same
-settings and input bytes produce byte-identical artifacts.
+The config hash digests :attr:`_Run.settings`, the options as resolved, so
+two runs that decide the same results from the same input bytes, however
+their options are spelled, produce byte-identical artifacts.
 
 Parse once: ``ingest`` also stores the dataset it parsed as
 ``{family}_dataset.npz`` (see :func:`drivelife.ingest.write_dataset_npz`)
-with a key: the input's sha256, the family, ``--models/--from/--to`` and
-the tool version. A later subcommand whose ``--out`` holds that file under
-its own key loads it instead of parsing ``--input``; any other file, or one
+with a key: the input's sha256, the family, the resolved HDD filter and the
+tool version. A later subcommand whose ``--out`` holds that file under its
+own key loads it instead of parsing ``--input``; any other file, or one
 that cannot be read, and it parses. ``ingest`` itself always parses.
 
 Exit codes: 0 success, 2 usage error, 3 I/O error, 4 schema error,
@@ -90,9 +91,6 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
-#: Left out of the settings: no result depends on them, or they enter resolved.
-_UNHASHED = {"command", "out", "config", "jobs", "seed"}
-
 #: The options that name and filter the telemetry input.
 _INPUT_OPTIONS = ("input", "family", "models", "from", "to")
 
@@ -111,7 +109,7 @@ class _Run:
     any input is opened or ``--out`` is made; one it does not read is None."""
 
     jobs = examples = family = input = window = lookaheads = spec = folds = None
-    partition = partition_attr = error_kind = thresholds = analyses = None
+    partition = partition_attr = error_kind = thresholds = analyses = synth = None
 
     def __init__(self, args: argparse.Namespace):
         self.command = args.command
@@ -142,10 +140,12 @@ class _Run:
         self.seed = _integer(source, seed, 0)
         self.out = Path(self.need("out"))
         def reads(name): return self.command in _OPTIONS[name][0]
+        if self.command == "synth":
+            self.synth = _synth_config(self)
         if reads("jobs"):
             self.jobs = _integer("--jobs", self.opt("jobs", 1), 1)
-        if reads("examples"):
-            self.examples = self.opt("examples")
+        if reads("examples") and (examples := self.opt("examples")):
+            self.examples = Path(examples)
         if reads("input") and not self.examples:
             self.family, self.input, self.window = _input(self)
         if reads("lookahead"):
@@ -180,21 +180,23 @@ class _Run:
 
     @functools.cached_property
     def settings(self) -> dict:
-        """What decides the run's results: the command, the seed and every
-        option given by flag or config file but :data:`_UNHASHED`, with
-        ``input`` and ``examples`` as the sha256 of their bytes."""
-        doc = {"command": self.command, "seed": self.seed}
-        for name in {d.replace("_", "-") for d in vars(self.args)} | set(self.config):
-            value = self.opt(name)
-            if name not in _UNHASHED and value is not None:
-                is_file = name in ("input", "examples")
-                doc[name] = _sha256(Path(value)) if is_file else value
-        return doc
+        """What decides the run's results: the command, the seed and each option
+        the subcommand reads, as resolved, with a file as the sha256 of its
+        bytes; not ``jobs``, ``out`` or ``config``, which decide none."""
+        doc = {"command": self.command, "seed": self.seed, "synth": self.synth,
+               "family": self.family, "input": self.input, **(self.window or {}),
+               "examples": self.examples, "lookahead": self.lookaheads,
+               "model": self.spec and self.spec.config(), "folds": self.folds,
+               "partition": self.partition, "partition-attr": self.partition_attr,
+               "analysis": self.analyses, "error-kind": self.error_kind,
+               "thresholds": self.thresholds}
+        return {name: _sha256(value) if isinstance(value, Path) else value
+                for name, value in doc.items() if value is not None}
 
     @functools.cached_property
     def config_hash(self) -> str:
-        blob = json.dumps(self.settings, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        blob = json.dumps(self.settings, sort_keys=True, default=dataclasses.asdict)
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def meta(self) -> dict:
         return {"tool_version": __version__, "config_hash": self.config_hash,
@@ -242,10 +244,10 @@ class _Run:
                                                     self.comment()))
 
 
-def _input(run: _Run) -> tuple[str, Path, tuple | None]:
-    """The family, the input path and the HDD filter: the ``--models`` set
-    (None: every model) and the ``--from``/``--to`` window, or None when none
-    of them is given. SSDs take none of them."""
+def _input(run: _Run) -> tuple[str, Path, dict | None]:
+    """The family, the input path and the HDD filter: the ``--models`` sorted
+    (None: every model) and the ``--from``/``--to`` window as ISO dates, or
+    None when none of them is given. SSDs take none of them."""
     family = run.need("family")
     if family not in ("hdd", "ssd"):
         raise _fail("usage", f"unknown family {family!r}", EXIT_USAGE)
@@ -263,14 +265,15 @@ def _input(run: _Run) -> tuple[str, Path, tuple | None]:
         raise _fail("usage", f"bad --from/--to: {exc}", EXIT_USAGE)
     if lo > hi:
         raise _fail("usage", f"empty date window: --from {lo} > --to {hi}", EXIT_USAGE)
-    return family, path, (set(_list_opt(run, "models")) if models else None, lo, hi)
+    return family, path, {"models": sorted(set(_list_opt(run, "models"))) if models
+                          else None, "from": lo.isoformat(), "to": hi.isoformat()}
 
 
 def _dataset_key(run: _Run) -> dict:
     """What decides the dataset that parsing the input gives: the input's
-    sha256, the family, the filter options as given and the tool version."""
+    sha256, the family, the resolved filter and the tool version."""
     return {"input_sha256": run.settings["input"], "family": run.family,
-            "models": run.opt("models"), "from": run.opt("from"), "to": run.opt("to"),
+            **(run.window or dict.fromkeys(("models", "from", "to"))),
             "version": __version__}
 
 
@@ -301,8 +304,8 @@ def _parse(run: _Run) -> FleetDataset:
     parse = parse_hdd_csv if run.family == "hdd" else parse_ssd_log
     ds = _read_text(run.input, lambda handle: parse(handle, source=str(run.input)))
     if run.window is not None:
-        models, lo, hi = run.window
-        ds = filter_hdd(ds, models or set(ds.models()), lo, hi)
+        models, *window = run.window.values()
+        ds = filter_hdd(ds, set(models or ds.models()), *map(dt.date.fromisoformat, window))
     return ds
 
 
@@ -313,6 +316,19 @@ def _load_dataset(run: _Run) -> FleetDataset:
     ds = (read_dataset_npz(stored, _dataset_key(run), str(run.input))
           if stored.exists() else None)
     return _parse(run) if ds is None else ds
+
+
+def _synth_config(run: _Run) -> synth.SynthConfig:
+    """The config file as a fleet to generate, with the run's seed."""
+    raw = {key: value for key, value in run.config.items() if key != "seed"}
+    try:
+        bursts = tuple(synth.BurstSpec(**b) for b in raw.pop("bursts", [{}]))
+        confounders = tuple(synth.ConfounderSpec(**c)
+                            for c in raw.pop("confounders", []))
+        return synth.SynthConfig(**raw, bursts=bursts, confounders=confounders,
+                                 seed=run.seed)
+    except (TypeError, ValueError) as exc:
+        raise _fail("usage", f"bad synth config: {exc}", EXIT_USAGE)
 
 
 def _model_spec(run: _Run) -> evaluation.ModelSpec:
@@ -355,13 +371,14 @@ def _lookahead_list(run: _Run) -> list[int]:
     if len(days) > 1 and run.command not in ("featurize", "sweep"):
         raise _fail("usage", f"bad --lookahead {run.opt('lookahead')!r}; {run.command} "
                     "fits one lookahead, only featurize and sweep take a list", EXIT_USAGE)
-    return days
+    return sorted(set(days))
 
 
 def _fittable(run: _Run, examples: featurize.LabeledExamples
               ) -> featurize.LabeledExamples:
     """``examples``, when the run's model and ``--folds`` (if it reads them)
-    fit them; else a usage error, raised before any fit."""
+    fit them and, for ``train``'s one fit on every row, they hold both classes;
+    else a usage error, raised before any fit."""
     spec, k = run.spec, run.folds
     subset = {"rf": spec.forest.features_per_split,
               "tree": spec.tree.features_per_split}.get(spec.kind)
@@ -372,16 +389,20 @@ def _fittable(run: _Run, examples: featurize.LabeledExamples
     if k is not None and k > (n_drives := np.unique(examples.drive).size):
         raise _fail("usage", f"bad --folds {k}; expected at most {n_drives}, the "
                     "examples' drive count", EXIT_USAGE)
+    if k is None and (positive := examples.n_positive) in (0, examples.n):
+        raise _fail("usage", f"bad --lookahead {examples.lookahead}: its examples hold "
+                    f"{positive} positive and {examples.n - positive} negative rows; "
+                    f"{run.command} needs both classes", EXIT_USAGE)
     return examples
 
 
-def _partition_attr(run: _Run, attr: str | None) -> str | None:
-    """``attr``, when the ``--family`` fleet has that partition attribute."""
-    known = ("age", "hfh") if run.family == "hdd" else ("age",)
+def _partition_attr(run: _Run, attr: str | None) -> str:
+    """``attr``, or the default when None, if the ``--family`` fleet has it."""
+    known = ("hfh", "age") if run.family == "hdd" else ("age",)
     if attr not in (None, *known):
         raise _fail("usage", f"bad partition attribute {attr!r} for --family "
-                    f"{run.family}; expected {' or '.join(known)}", EXIT_USAGE)
-    return attr
+                    f"{run.family}; expected {' or '.join(sorted(known))}", EXIT_USAGE)
+    return attr or known[0]
 
 
 def _partition_rule(run: _Run) -> featurize.PartitionRule:
@@ -412,7 +433,7 @@ def _example_builder(ds: FleetDataset, partition_attr: str | None = None
 
 def _examples_for(run: _Run, lookahead: int) -> featurize.LabeledExamples:
     if run.examples:
-        return _read_text(Path(run.examples), lambda handle:
+        return _read_text(run.examples, lambda handle:
                           featurize.read_examples_csv(handle, lookahead))
     return _example_builder(_load_dataset(run))(lookahead)
 
@@ -426,21 +447,12 @@ def _write_dataset(run: _Run, name: str, ds: FleetDataset) -> None:
 
 
 def _cmd_synth(run: _Run) -> None:
-    raw = {key: value for key, value in run.config.items() if key != "seed"}
-    try:
-        bursts = tuple(synth.BurstSpec(**b) for b in raw.pop("bursts", [{}]))
-        confounders = tuple(synth.ConfounderSpec(**c)
-                            for c in raw.pop("confounders", []))
-        config = synth.SynthConfig(**raw, bursts=bursts, confounders=confounders,
-                                   seed=run.seed)
-    except (TypeError, ValueError) as exc:
-        raise _fail("usage", f"bad synth config: {exc}", EXIT_USAGE)
-    ds, truth = synth.generate_fleet(config)
-    name = f"{config.family}_telemetry.csv"
+    ds, truth = synth.generate_fleet(run.synth)
+    name = f"{run.synth.family}_telemetry.csv"
     _write_dataset(run, name, ds)
     run.write_csv("truth.csv", ["drive", "failure_day", "ordinal"],
                   [[ev.drive, ev.age_days, ev.ordinal] for ev in truth])
-    report = synth.verify_fleet(ds, truth, config)
+    report = synth.verify_fleet(ds, truth, run.synth)
     run.write_json("manifest.json", {
         "config": run.config | {"seed": run.seed},
         "telemetry": name,
@@ -537,36 +549,40 @@ _ANALYSES = {"correlations": ("hdd", "ssd"), "monthly-rate": ("hdd", "ssd"),
              "write-quartiles": ("ssd",)}
 
 
-def _characterize_options(run: _Run) -> tuple[str, list[float], set[str]]:
-    """The error kind, the HFH thresholds and the analyses to run. Each
-    analysis named applies to the ``--family``, and ``--error-kind`` or
-    ``--thresholds``, given by flag, is read by an analysis that runs."""
+def _characterize_options(run: _Run) -> tuple[str | None, list[float] | None, list[str]]:
+    """The error kind, the HFH thresholds and the analyses to run, each one the
+    ``--family`` has. The first two are None unless an analysis that runs
+    reads them, and one must when they are given by flag."""
     wanted = set(_list_opt(run, "analysis", "all"))
     applies = [name for name, families in _ANALYSES.items() if run.family in families]
     if bad := sorted(wanted - {"all", *applies}):
         raise _fail("usage", f"bad --analysis {', '.join(bad)} for --family {run.family}"
                     f"; expected a comma list of all, {', '.join(applies)}", EXIT_USAGE)
-    analyses = {name for name in applies if "all" in wanted or name in wanted}
+    analyses = [name for name in applies if "all" in wanted or name in wanted]
+    reads = {}
     for option, readers in (("error-kind", {"prefailure-prob", "prefailure-percentiles"}),
                             ("thresholds", {"hfh-sweep"})):
-        if getattr(run.args, option.replace("-", "_")) is not None \
-                and not analyses & readers:
+        reads[option] = bool(readers.intersection(analyses))
+        if getattr(run.args, option.replace("-", "_")) is not None and not reads[option]:
             raise _fail("usage", f"bad --{option} without {' or '.join(sorted(readers))}"
                         "; no other analysis reads it", EXIT_USAGE)
-    kind = str(run.opt("error-kind",
-                       "uncorrectable" if run.family == "ssd" else "smart_187"))
-    try:
-        charstats.check_error_kind(run.family, kind)
-    except ValueError as exc:
-        raise _fail("usage", f"bad --error-kind: {exc}", EXIT_USAGE)
-    try:
-        thresholds = [float(t) for t in _list_opt(
-            run, "thresholds", "10000,20000,30000,40000,50000,60000")]
-        if any(map(math.isnan, thresholds)):
-            raise ValueError("NaN threshold")
-    except ValueError:
-        raise _fail("usage", f"bad --thresholds {run.opt('thresholds')!r}; "
-                    "expected numbers, comma-separated", EXIT_USAGE)
+    kind = thresholds = None
+    if reads["error-kind"]:
+        kind = str(run.opt("error-kind",
+                           "uncorrectable" if run.family == "ssd" else "smart_187"))
+        try:
+            charstats.check_error_kind(run.family, kind)
+        except ValueError as exc:
+            raise _fail("usage", f"bad --error-kind: {exc}", EXIT_USAGE)
+    if reads["thresholds"]:
+        try:
+            thresholds = [float(t) for t in _list_opt(
+                run, "thresholds", "10000,20000,30000,40000,50000,60000")]
+            if any(map(math.isnan, thresholds)):
+                raise ValueError("NaN threshold")
+        except ValueError:
+            raise _fail("usage", f"bad --thresholds {run.opt('thresholds')!r}; "
+                        "expected numbers, comma-separated", EXIT_USAGE)
     return kind, thresholds, analyses
 
 
@@ -692,9 +708,8 @@ def _cmd_evaluate(run: _Run) -> None:
 
 def _cmd_sweep(run: _Run) -> None:
     build = _example_builder(_load_dataset(run))
-    lookaheads = sorted(run.lookaheads)
-    _fittable(run, build(lookaheads[0]))  # every N's table has the same rows
-    reports = evaluation.lookahead_sweep(build, lookaheads, run.spec, run.folds,
+    _fittable(run, build(run.lookaheads[0]))  # every N's table has the same rows
+    reports = evaluation.lookahead_sweep(build, run.lookaheads, run.spec, run.folds,
                                          run.seed, jobs=run.jobs)
     rows = []
     for n, report in reports.items():

@@ -991,8 +991,10 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
     Per-drive sequences are sorted by ``timestamp_us``. Drives violating the
     internal-consistency invariants (a decreasing cumulative counter, or
     conflicting rows at one timestamp) are quarantined: excluded from the
-    dataset and listed in ``provenance["quarantined"]`` with reasons.
-    Malformed rows are counted and skipped as in :func:`parse_hdd_csv`.
+    dataset and listed in ``provenance["quarantined"]`` with one reason each,
+    the conflict if the drive has one, else a decrease (the rule is
+    :func:`_ssd_dataset`'s). Malformed rows are counted and skipped as in
+    :func:`parse_hdd_csv`.
     """
     header, lines, line = _header(stream)
     if header != list(_SSD_COLUMNS):
@@ -1008,10 +1010,18 @@ def parse_ssd_log(stream: Iterable[str] | str, source: str = "<stream>") -> Flee
 
 
 def _ssd_dataset(table: _Table, source: str) -> FleetDataset:
-    """The parsed SSD table's dataset. Each drive's rows are walked in time
-    order. A row equal to the previous one at its timestamp is a rejected
-    duplicate; the first row that differs from it quarantines the drive and
-    ends the walk, and so does a decreasing cumulative counter."""
+    """The parsed SSD table's dataset, each drive's rows in time order.
+
+    A row equal to the previous one at its timestamp is a rejected duplicate,
+    up to the drive's first conflicting row: one that differs from the
+    previous row at its timestamp. That row quarantines the drive, and its
+    rows from there on are neither rejected nor checked. A cumulative
+    counter that decreases quarantines the drive as well, but the check of
+    its rows goes on, so a later duplicate is still rejected. The reason
+    kept is the conflict, when there is one; else the first decrease in time
+    of the first of ``pe_cycles_cum``, ``bad_blocks_factory_cum`` and
+    ``bad_blocks_new_cum``, in that order, that decreases at all.
+    """
     conflict = table.conflicts()
     drive = table.drive[table.order]
     seen = np.concatenate(([0], np.cumsum(conflict)))

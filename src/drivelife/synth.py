@@ -32,6 +32,7 @@ import numpy.random
 from . import charstats
 from .ingest import (HDD_SMART_IDS, SSD_ERROR_KINDS, US_PER_DAY, FleetDataset,
                      _SSD_COUNT_FIELDS, _SSD_FIELDS, _Table)
+from .learners import _check, _finite, _whole
 from .lifecycle import FailureTable, _DayWindows, drive_days
 
 __all__ = [
@@ -71,7 +72,17 @@ _MAX_PRESWAP_GAP = 14
 
 
 class _AgeClass:
-    """The age-class rule of BurstSpec and ConfounderSpec."""
+    """The age-class rule of BurstSpec and ConfounderSpec, and their checks."""
+
+    def _check_spec(self, what: str, probability: str) -> None:
+        """ValueError unless ``mean`` is a finite number >= 0, the field named
+        ``probability`` lies in [0, 1] and ``age_class`` is a known class."""
+        _check(_finite(self.mean) and self.mean >= 0, f"{what} mean", self.mean,
+               "a finite number >= 0")
+        p = getattr(self, probability)
+        _check(_finite(p) and 0 <= p <= 1, f"{what} {probability}", p, "a number in [0, 1]")
+        _check(self.age_class in ("young", "old", "all"), f"{what} age_class",
+               self.age_class, '"young", "old" or "all"')
 
     def applies(self, age, infant_days: int):
         """Whether ``age`` (a day or an array of days) is in ``age_class``:
@@ -93,6 +104,10 @@ class BurstSpec(_AgeClass):
     probability: float = 1.0
     age_class: str = "all"  # "young" | "old" | "all"
 
+    def __post_init__(self):
+        _check(_whole(self.days, 0), "burst days", self.days, "an integer >= 0")
+        self._check_spec("burst", "probability")
+
 
 @dataclass(frozen=True)
 class ConfounderSpec(_AgeClass):
@@ -102,6 +117,17 @@ class ConfounderSpec(_AgeClass):
     rate: float = 0.0           # per-day spike probability
     mean: float = 50.0          # added magnitude when a spike hits
     age_class: str = "all"
+
+    def __post_init__(self):
+        self._check_spec("confounder", "rate")
+
+
+#: The real-valued settings of a SynthConfig and the least value of each: a
+#: hazard multiplier, and the mean of a geometric draw's gap, are at least 1.
+_LEAST = {"infant_hazard_multiplier": 1, "hfh_effect": 1, "reentry_gap_mean_days": 1,
+          "hfh_threshold": 0, "read_ops_mean": 0, "write_ops_mean": 0,
+          "erase_ops_mean": 0, "pe_rate_per_day": 0, "inactivity_mean_days": 0,
+          "preswap_gap_mean_days": 0}
 
 
 @dataclass(frozen=True)
@@ -132,25 +158,27 @@ class SynthConfig:
     def __post_init__(self):
         if self.family not in ("ssd", "hdd"):
             raise ValueError(f"unknown family {self.family!r}")
-        if self.n_drives < 1:
-            raise ValueError("n_drives must be >= 1")
-        if self.horizon_days < 2:
-            raise ValueError("horizon_days must be >= 2")
-        if not self.models:
-            raise ValueError("at least one model is required")
+        for name, least in (("n_drives", 1), ("horizon_days", 2), ("infant_period_days", 0)):
+            value = getattr(self, name)
+            _check(_whole(value, least), name, value, f"an integer >= {least}")
+        for name, least in _LEAST.items():
+            value = getattr(self, name)
+            _check(_finite(value) and value >= least, name, value,
+                   f"a finite number >= {least}")
+        _check(isinstance(self.error_incidence, dict), "error_incidence",
+               self.error_incidence, "an object of daily incidences")
+        for name, p in (("reentry_probability", self.reentry_probability),
+                        ("hfh_high_fraction", self.hfh_high_fraction),
+                        *((f"incidence for {kind}", p)
+                          for kind, p in self.error_incidence.items())):
+            _check(_finite(p) and 0 <= p <= 1, name, p, "a number in [0, 1]")
+        _check(isinstance(self.models, dict) and self.models, "models", self.models,
+               "an object of one or more target failure fractions")
+        multiplier = self.infant_hazard_multiplier if self.family == "ssd" else 1.0
         for name, fraction in self.models.items():
-            if not 0.0 <= fraction < 1.0:
-                raise ValueError(
-                    f"target failure fraction for {name} must be in [0, 1): {fraction}")
-        if self.infant_hazard_multiplier < 1 or self.hfh_effect < 1:
-            raise ValueError("hazard multipliers must be >= 1")
-        for p, name in ((self.reentry_probability, "reentry_probability"),
-                        (self.hfh_high_fraction, "hfh_high_fraction")):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        for kind, p in self.error_incidence.items():
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"incidence for {kind} must be in [0, 1]")
+            _check(_finite(fraction) and 0 <= fraction < 1,
+                   f"target failure fraction for {name}", fraction, "a number in [0, 1)")
+            _hazard_cap(fraction, self.horizon_days, multiplier, self.infant_period_days)
         # An SSD error kind outside SSD_ERROR_KINDS would draw counts that no
         # column holds. HDD fleets skip non-SMART kinds on purpose: their
         # default incidence table and burst are the SSD ones.
@@ -165,22 +193,34 @@ class SynthConfig:
                                  f"; known: {', '.join(SSD_ERROR_KINDS)}")
 
 
+def _failed_share(h: float, horizon: int, multiplier: float, infant_days: int) -> float:
+    """The share of drives that fail within ``horizon`` days at daily base
+    hazard ``h``, times ``multiplier`` in the first ``infant_days``."""
+    infant = min(infant_days, horizon)
+    s = (1.0 - min(multiplier * h, 1.0)) ** infant * (1.0 - h) ** (horizon - infant)
+    return 1.0 - s
+
+
+def _hazard_cap(target: float, horizon: int, multiplier: float, infant_days: int) -> float:
+    """The largest base hazard ``multiplier`` allows; ValueError when even
+    that fails fewer than ``target`` of the drives within ``horizon`` days."""
+    hi = 1.0 / multiplier - 1e-12
+    if _failed_share(hi, horizon, multiplier, infant_days) - target < 0:
+        raise ValueError(f"target failure fraction {target} is infeasible "
+                         f"within {horizon} days")
+    return hi
+
+
 def _solve_hazard(target: float, horizon: int, multiplier: float,
                   infant_days: int) -> float:
     """Daily base hazard whose cumulative failure probability hits the target."""
     if target <= 0.0:
         return 0.0
-    infant = min(infant_days, horizon)
-    mature = horizon - infant
 
     def survival_gap(h: float) -> float:
-        s = (1.0 - min(multiplier * h, 1.0)) ** infant * (1.0 - h) ** mature
-        return (1.0 - s) - target
+        return _failed_share(h, horizon, multiplier, infant_days) - target
 
-    lo, hi = 0.0, 1.0 / multiplier - 1e-12
-    if survival_gap(hi) < 0:
-        raise ValueError(f"target failure fraction {target} is infeasible "
-                         f"within {horizon} days")
+    lo, hi = 0.0, _hazard_cap(target, horizon, multiplier, infant_days)
     # Bisect with survival_gap(lo) < 0 <= survival_gap(hi) until the two
     # are adjacent floats; hi is then the smallest float reaching the target.
     while True:

@@ -1,9 +1,11 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 import re
 import shutil
+import signal
 from pathlib import Path
 
 import pytest
@@ -382,6 +384,120 @@ class TestConfigHash:
         assert outs[0] == outs[1]
 
 
+#: For each option the guard below covers: its default spelled out (None when
+#: it has no spelling), a value that is not the default, and the flags given
+#: beside both. The runs read an HDD input: ``--family hdd``, ``--seed 2``
+#: where a seed is required and ``--partition age:90`` for ``partition-eval``.
+HASH_RULE = {
+    "seed": ("0", "1", {}),  # the default of a subcommand that draws no numbers
+    "family": (None, "ssd", {}),
+    "input": (None, "b.csv", {}),
+    "examples": (None, "b.csv", {}),
+    "models": (None, "ST-A", {}),
+    "from": ("0001-01-01", "2014-02-01", {"--models": "ST-B"}),
+    "to": ("9999-12-31", "2014-03-01", {"--models": "ST-B"}),
+    "lookahead": ("0", "7", {}),
+    "model": ("rf", "tree", {}),
+    "hyper": ("{}", '{"max_depth": 3}', {}),
+    "folds": ("5", "3", {}),
+    "partition": (None, "age:30", {}),
+    "partition-attr": ("hfh", "age", {}),
+    "analysis": ("all", "monthly-rate", {}),
+    "error-kind": ("smart_187", "smart_5", {}),
+    "thresholds": ("10000,20000,30000,40000,50000,60000", "10000", {}),
+}
+
+#: Every (subcommand, option) pair the table of options gives, but those that
+#: decide no result and ``partition-eval --examples``, which is refused.
+HASHED = [(command, option) for option, (commands, _) in cli._OPTIONS.items()
+          if option not in ("jobs", "out", "config") for command in commands
+          if (command, option) != ("partition-eval", "examples")]
+
+
+class TestHashRule:
+    """Spelling an option's default leaves ``config_hash`` as it is, and any
+    other value moves it, for every option a subcommand reads."""
+
+    @pytest.mark.parametrize("command, option", HASHED,
+                             ids=[f"{c}-{o}" for c, o in HASHED])
+    def test_the_default_keeps_the_hash_and_another_value_moves_it(
+            self, command, option, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name in ("a.csv", "b.csv"):
+            (tmp_path / name).write_text(name)
+        default, other, beside = HASH_RULE[option]
+        base = {"--out": "o"}
+        if command in cli._STOCHASTIC:
+            base["--seed"] = "2"
+            default = None if option == "seed" else default
+        if command in cli._READERS:
+            base |= ({"--examples": "a.csv"} if option == "examples"
+                     else {"--family": "hdd", "--input": "a.csv"})
+        if command == "partition-eval":
+            base["--partition"] = "age:90"
+
+        def config_hash(flags: dict) -> str:
+            argv = [command, *(item for flag in flags.items() for item in flag)]
+            return cli._Run(cli._build_parser().parse_args(argv)).config_hash
+        given = config_hash(base | beside)
+        if default is not None:
+            assert config_hash(base | beside | {f"--{option}": default}) == given
+        assert config_hash(base | beside | {f"--{option}": other}) != given
+
+
+MOTIVATION_FLEET = {"family": "hdd", "n_drives": 60, "horizon_days": 60,
+                    "models": {"ST-A": 0.3, "ST-B": 0.3}}
+
+
+class TestEqualSettings:
+    """Runs that decide the same results write the same bytes, hash included."""
+
+    @pytest.fixture(scope="class")
+    def source(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fleet")
+        (out / "fleet.json").write_text(json.dumps(MOTIVATION_FLEET))
+        assert run(["synth", "--config", str(out / "fleet.json"), "--seed", "3",
+                    "--out", str(out)]) == 0
+        return ["--family", "hdd", "--input", str(out / "hdd_telemetry.csv")]
+
+    @pytest.mark.parametrize("argv, spellings", [
+        (["evaluate", "--lookahead", "7", "--model", "logreg", "--seed", "7"],
+         [[], ["--folds", "5"], ["--hyper", "{}"], ["--hyper", '{"l2": 0.001}']]),
+        (["evaluate", "--lookahead", "7", "--model", "logreg", "--seed", "7"],
+         [["--hyper", '{"l2": 0.01, "tol": 1e-5}'],
+          ["--hyper", '{"tol": 1e-5, "l2": 0.01}']]),
+        (["featurize"], [["--lookahead", "0,7"], ["--lookahead", "7,0"],
+                         ["--lookahead", "0,0,7"]]),
+        (["characterize", "--seed", "1"], [[], ["--analysis", "all"]]),
+        (["featurize"], [[], ["--partition-attr", "hfh"]]),
+        (["ingest"], [["--models", "ST-A,ST-B"], ["--models", "ST-B,ST-A"]]),
+        (["lifecycle"], [[], ["--config", "{config}"]]),
+    ], ids=["evaluate_defaults", "hyper_key_order", "lookahead_lists", "analysis_all",
+            "partition_attr", "models_order", "unread_config_key"])
+    def test_equal_settings_write_equal_bytes(self, source, tmp_path, argv, spellings):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"partition": "age:90", "thresholds": "1,2"}))
+        written = []
+        for i, spelling in enumerate(spellings):
+            spelling = [flag.replace("{config}", str(config)) for flag in spelling]
+            assert run([*argv, *source, *spelling, "--out", str(tmp_path / str(i))]) == 0
+            written.append(dir_snapshot(tmp_path / str(i)))
+        assert written[0] and all(files == written[0] for files in written[1:])
+
+    def test_a_repeated_lookahead_is_swept_once(self, source, tmp_path, monkeypatch):
+        fits = []
+        train = evaluation.ModelSpec.train
+        monkeypatch.setattr(evaluation.ModelSpec, "train", lambda spec, *args, **kwargs:
+                            fits.append(spec.kind) or train(spec, *args, **kwargs))
+        written = []
+        for lookahead in ("0", "0,0"):
+            out = tmp_path / lookahead
+            assert run(["sweep", *source, "--lookahead", lookahead, "--model", "tree",
+                        "--folds", "3", "--seed", "1", "--out", str(out)]) == 0
+            written.append(dir_snapshot(out))
+        assert fits == ["tree"] * 6 and written[0] == written[1]
+
+
 _PAST_DRIVES = r"bad --folds 1000; expected at most (\d+), the examples' drive count"
 
 
@@ -473,6 +589,28 @@ class TestErrors:
         assert code == 2 and doc["error"] == "usage" and "traceback" not in doc
         limit = re.fullmatch(message, doc["message"])  # names the value and its limit
         assert limit and 1 < int(limit[1]) < int(re.search(r"\d+", doc["message"])[0])
+
+    @pytest.mark.parametrize("fleet, extra, counts", [
+        ({"family": "ssd", "n_drives": 30, "horizon_days": 20, "models": {"MLC-A": 0.0}},
+         [], "0 positive and 600 negative rows"),
+        ({"family": "hdd", "n_drives": 10, "horizon_days": 20, "models": {"ST-A": 0.2}},
+         ["--models", "ST-X"], "0 positive and 0 negative rows"),
+    ], ids=["no_failures", "no_drives"])
+    def test_train_on_one_class_is_usage_error_before_any_fit(
+            self, fleet, extra, counts, tmp_path, capsys, monkeypatch):
+        (tmp_path / "fleet.json").write_text(json.dumps(fleet))
+        assert run(["synth", "--config", str(tmp_path / "fleet.json"), "--seed", "1",
+                    "--out", str(tmp_path)]) == 0
+        fits = self._count_fits(monkeypatch)
+        out = tmp_path / "o"
+        code, doc = self._error(capsys, [
+            "train", "--family", fleet["family"], "--input",
+            str(tmp_path / f"{fleet['family']}_telemetry.csv"), *extra,
+            "--lookahead", "0", "--model", "tree", "--seed", "1", "--out", str(out)])
+        assert code == 2 and doc["error"] == "usage"
+        assert doc["message"] == (f"bad --lookahead 0: its examples hold {counts}; "
+                                  "train needs both classes")
+        assert fits == [] and not out.exists()
 
     def test_bad_error_kind_is_usage_error(self, synth_dir, tmp_path, capsys):
         code, doc = self._error(capsys, [
@@ -655,25 +793,24 @@ class TestErrors:
         assert "--examples" in doc["message"]
         assert fits == [] and not out.exists()
 
-    def test_unreadable_config_input_beside_examples_fails_before_any_fit(
-            self, tmp_path, capsys, monkeypatch):
-        # A config file may name an input for other subcommands; it is hashed,
-        # so a file that cannot be read stops the run before anything is fit.
+    def test_a_config_input_beside_examples_is_neither_read_nor_hashed(
+            self, tmp_path, monkeypatch):
+        # A config file may name an input for other subcommands. Beside
+        # --examples no run reads it, so a file that cannot be read does not
+        # stop the run, and no input enters the config hash.
         fits = self._count_fits(monkeypatch)
+        examples = self._examples(tmp_path)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"input": str(tmp_path / "missing.csv")}))
-        out = tmp_path / "o"
-        code, doc = self._error(capsys, [
-            "evaluate", "--config", str(config), "--examples",
-            self._examples(tmp_path), "--model", "tree", "--folds", "2",
-            "--seed", "1", "--out", str(out)])
-        assert code == 3 and doc["error"] == "io"
-        assert fits == [] and not out.exists()
-        config.write_text(json.dumps({"input": self._examples(tmp_path)}))
-        assert run(["evaluate", "--config", str(config), "--examples",
-                    self._examples(tmp_path), "--model", "tree", "--folds", "2",
-                    "--seed", "1", "--out", str(out)]) == 0
-        assert fits == ["tree"] * 2
+        written = []
+        for given in ({}, {"input": str(tmp_path / "missing.csv")}, {"input": examples}):
+            config.write_text(json.dumps(given))
+            out = tmp_path / f"o{len(written)}"
+            assert run(["evaluate", "--config", str(config), "--examples", examples,
+                        "--model", "tree", "--folds", "2", "--seed", "1",
+                        "--out", str(out)]) == 0, given
+            written.append(dir_snapshot(out))
+        assert written[0] == written[1] == written[2]
+        assert fits == ["tree"] * 6
 
     def test_invalid_config_json_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
@@ -914,6 +1051,42 @@ class TestOptionTable:
             "synth", "--config", str(tmp_path / "fleet.json"), "--seed", "1"],
             tmp_path / "o")
         assert message.startswith("bad synth config: ") and "bogus" in message
+
+    @pytest.mark.parametrize("fields", [
+        {"infant_hazard_multiplier": math.nan}, {"n_drives": 10.5},
+        {"horizon_days": 30.5}, {"read_ops_mean": -1}, {"pe_rate_per_day": -1},
+        {"family": "hdd", "hfh_threshold": "x"}, {"reentry_gap_mean_days": 0},
+        {"reentry_gap_mean_days": 0.5}, {"bursts": [{"mean": -1}]},
+        {"confounders": [{"mean": -4}]},
+        {"horizon_days": 2, "infant_period_days": 0, "infant_hazard_multiplier": 3,
+         "models": {"A": 0.9}},
+        {"n_drives": True}, {"infant_period_days": -5},
+        {"bursts": [{"age_class": "middle"}]}, {"bursts": [{"probability": 2}]},
+        {"bursts": [{"days": -2}]}, {"inactivity_mean_days": -3},
+        {"family": "hdd", "hfh_effect": math.nan},
+    ], ids=["nan_multiplier", "float_drives", "float_horizon", "negative_reads",
+            "negative_pe_rate", "text_hfh_threshold", "zero_reentry_gap",
+            "short_reentry_gap", "negative_burst_mean", "negative_confounder_mean",
+            "unreachable_target", "bool_drives", "negative_infant_period",
+            "unknown_age_class", "burst_probability_above_1", "negative_burst_days",
+            "negative_inactivity", "nan_hfh_effect"])
+    def test_a_config_the_generator_cannot_use_is_usage_error(self, fields, tmp_path,
+                                                              capsys):
+        fleet = {"n_drives": 10, "horizon_days": 30, "models": {"A": 0.1}} | fields
+        (tmp_path / "fleet.json").write_text(json.dumps(fleet))
+
+        def expire(signum, frame):
+            raise TimeoutError("synth did not return within 5 s")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        try:
+            message = self._usage_error(capsys, [
+                "synth", "--config", str(tmp_path / "fleet.json"), "--seed", "1"],
+                tmp_path / "o")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert message.startswith("bad synth config: ")
 
 
 class TestConfigLists:

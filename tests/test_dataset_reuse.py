@@ -157,6 +157,29 @@ class TestLoad:
         assert {"meta.npy", "starts.npy", "column.time.npy"} <= {i.filename for i in infos}
 
 
+class TestEqualFilter:
+    """A filter spelled another way is the same filter, and loads the dataset
+    that ``ingest`` stored for it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--models", "ST-B,ST-A"], ["--models", "ST-A, ST-B"],
+        ["--models", "ST-A,ST-B", "--from", "0001-01-01"]],
+        ids=["models_order", "models_spaced", "from_the_first_day"])
+    def test_loads_what_ingest_stored(self, hdd_input, tmp_path, seen, monkeypatch, argv):
+        out = str(tmp_path / "run")
+        assert run(["ingest", *_source(hdd_input), "--models", "ST-A,ST-B",
+                    "--out", out]) == 0
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("the input was parsed")
+        monkeypatch.setattr(cli, "parse_hdd_csv", no_parse)
+        assert run(["lifecycle", *_source(hdd_input), *argv, "--out", out]) == 0
+        parsed = filter_hdd(parse_hdd_csv(hdd_input.read_text(), source=str(hdd_input)),
+                            {"ST-A", "ST-B"}, dt.date.min, dt.date.max)
+        assert seen["datasets"][-1] == parsed
+        assert seen["datasets"][-1].provenance == parsed.provenance
+
+
 def _edit_one_byte(out: Path, path: Path) -> None:
     """The last digit of the first data row's timestamp_us, changed."""
     data = bytearray(path.read_bytes())

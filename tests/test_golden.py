@@ -71,7 +71,7 @@ GOLDEN = {
     "ssd/ssd_telemetry.csv":
         "50a88c9cf24910ae06fd38efe2cf791783c0ff5f997283dce885b1e65782cd30",
     "ssd/truth.csv":
-        "ea24415c446dd62e52e568701a5c22e3bd898c5a830385006fdd9f1ff302bf5c",
+        "c88b23cb15ec5b541fec14a0936ba0b000334679aac011741668968dd337019a",
     "ssd/ingest/ssd_dataset.csv":
         "50a88c9cf24910ae06fd38efe2cf791783c0ff5f997283dce885b1e65782cd30",
     "ssd/ingest/ingest_report.json":
@@ -79,7 +79,7 @@ GOLDEN = {
     "hdd/hdd_telemetry.csv":
         "e4f89c8962aaf95b98eaad2f1ccee15906817a3e13a8e9df3b24c34c4dcb0688",
     "hdd/truth.csv":
-        "324123c2592b2c191bc8184e6eaf3accd5e662ce28168757fbffba42716dcc33",
+        "a52744dd726ee57c377f36183bd733abd9f778b5941abb9cb4c0c032a7a05923",
     "hdd/ingest/hdd_dataset.csv":
         "e4f89c8962aaf95b98eaad2f1ccee15906817a3e13a8e9df3b24c34c4dcb0688",
     "hdd/ingest/ingest_report.json":
@@ -87,7 +87,7 @@ GOLDEN = {
     "hdd/filtered/hdd_dataset.csv":
         "bc5cd2540ef0ada535d96c7ec6a3bd04b3bacd4b995faf0e5ae4a6d8ec214e57",
     "hdd/filtered/ingest_report.json":
-        "eca16da7ece2914318239842fff239d6efb4aaa2120bad795f913fb5a93d605d",
+        "6d77151a0bf7b000ddb1f271fa06912da169aca178165b95c6003a109647d677",
     "ssd/failures.csv":
         "761bdf1e0c85071f8774f4ba5c775ee55c125b35a290082e423beb9dc655da34",
     "ssd/periods.csv":
@@ -95,15 +95,15 @@ GOLDEN = {
     "ssd/repairs.csv":
         "cc86861b515160c89fedc53e23a0dac0adf2e82f9273a9d19e62a699272e7199",
     "ssd/rates_monthly.csv":
-        "6afc86d7a33afa2f34ec5deb816d9ce6b9da190b0bfbda16a0fc5b970b8743ad",
+        "526307e00566f74f2ecc8cb895ebd097885ea9b22cc17f72420c4d7be83b28d6",
     "ssd/prefailure_prob.csv":
-        "f3c58e5428879bcec00321a18c376512a02a5d07e52631c3e453d3147fdc26f5",
+        "5ea157ab6239ab3927fd3dd368bdc3f0c62892650bab3ce005709a72331d2673",
     "ssd/prefailure_percentiles.csv":
-        "c3d57c1b5f83152dcdb23e1d057a79b1569f0a413402f98b21c2e7640f4675a0",
+        "8683a9e2eca488400eb186463e5325d11d4c3c6e25d7dc33e9be71740818e946",
     "ssd/examples_ssd_N0.csv":
-        "29d8800a2e7b59521c7b6b196795778f143a96be645f1bed4431d729d7f0fbe0",
+        "48fa6ce46f5c9e90d1da7053ef5cca4c4d687d20c3565910f03ff7c61512cd02",
     "ssd/examples_ssd_N7.csv":
-        "4a5b54c7bc0b3eb6634e4d70f12518cde52984d36aa1a62d0bc504897c0e43c1",
+        "b1f57a47a35a23738f70fb52a37a38a77d492923892ed8a2dd311d0491b0e6c1",
     "hdd/failures.csv":
         "eae98afe03bca5a32fb3937136134f4f9f6375109c4886c908cd72f8cda97511",
     "hdd/periods.csv":
@@ -111,27 +111,27 @@ GOLDEN = {
     "hdd/repairs.csv":
         "0b7c288fabf6271ff4f33b83b96dfba03ce2ceab886bbb6b312c9b49d2d418df",
     "hdd/rates_monthly.csv":
-        "8a6c662a9c0949f6461337b128271c899b6f056f23686c9df6e43b5afe1eb749",
+        "7d27ecdfc6923e073d5624278f73e8655a768c03064e34eaa9195b75423608cf",
     "hdd/prefailure_prob.csv":
-        "e4cb416c30ec5a1e523193d802506164cb0ccd74971f4399d13055439d9ce0fc",
+        "e9f9286ab85abca5528ff922f5a100aff5b66a9aafff5f5e51a83fcc52b9b605",
     "hdd/prefailure_percentiles.csv":
-        "a3c9823b2efc09910bc9a90298cf4d711333f6b90984a150a225c59c4826fe7d",
+        "03c09043a54a3c8ae2b0b290b02d4e50d4857802cf3260d0536f2e7b2e7b21a0",
     "hdd/examples_hdd_N0.csv":
-        "592c1c07171801b8ce860dda8db1574bf907f83af96cd2126ee5cf9311807643",
+        "5498b50a08f53f21c59abd3b671b52e3f3407bbf17c789def8694e7d6ab2730c",
     "hdd/examples_hdd_N7.csv":
-        "81ec9fd12c728e3876beecdc74071cf3f61141a06bf4c928cae01ec7a01ddc24",
+        "a5c9c0a6ec72468cfd65359cc62d6c6d90578d14beee480039a2604d90c2f2ab",
     "ssd/rates_pe.csv":
-        "8357551928f52c45a81060781424414d4b7c0db2132b2fc135bacb56dc49a7fe",
+        "2eeecd2811357f4d0428572eb9b01c995d4918db828bc226c23bed9410bb5a1b",
     "ssd/pe_failure_cdf.csv":
-        "03fd810ad11ec11b9ddefe3c5d0ee3631ea737ec3e5e5d6c3394e478142e2e96",
+        "32f85d96f7dbe63703559a048ab92c0edf0ed6905782b3cebb3d8115ca7a0025",
     "ssd/write_quartiles.csv":
-        "635f2aeaa99b967ae5cdd20b4722a623991bb27b394c34bec55f7ba569559c16",
+        "3e503e698704458e97cb032c017e54f600e532dd5530ce12c1089d5a444574f8",
     "ssd/manifest.json":
-        "d695ed1d935d74fa5d6829a9d59705619faa1b70cb1bbd93f81d5bd45d7b18ba",
+        "81749b82fce4a8a1cba29f79bb417e76cbc539ad6249301407e1e928820a75a1",
     "hdd/rates_hfh.csv":
-        "5a081e819e9c7fc78b0c58d65c77f12c104736e7e48216b280d564ae7946fcef",
+        "b6a19d035842e31c1b8d57a3cd65e91d8ab007471a0fab6a4ad0a6f70621213e",
     "hdd/manifest.json":
-        "8f5e357e83596105ffb7c44de59fea05bcadbe35e62ce84d8e76d9ab8fa1142a",
+        "aa7cc1c2c45bc46b01618d92c71009fbde0bf5f3a8373e12f1f199a65bc2d91f",
 }
 
 
@@ -173,15 +173,15 @@ SYNTH_GOLDEN = {
     "ssd-settings/ssd_telemetry.csv":
         "5574579e3cd4f3c8535e85a8fefc8f9ca0cc203c1332335789f9b3f80fa9d071",
     "ssd-settings/truth.csv":
-        "6ef70debba6d6e02bc6177152cdbc5cf63b36223ae08ae8a1144d7467b19bf27",
+        "1a96480848a2bb676e7f0394fd9d66f21ac95756f4ecbcf9552000b7611ce051",
     "hdd-settings/hdd_telemetry.csv":
         "b4bdc69576c20d8cc7d72370122877c6069ba25caa11b76255af7f43b884a06a",
     "hdd-settings/truth.csv":
-        "cc7d350a2fd97a5f29b12f02a8a28d5adec33a9add2de519817f50b079094f00",
+        "d240caaa77913a9d6aacc9fe1ae3fe9f68bdc5eddc07548bc2730a0e268e98d4",
     "ssd-few/ssd_telemetry.csv":
         "f9ebd4406a2ca2530233ca0965f6bad026c444036a7d271d283ab7019e188e6f",
     "ssd-few/truth.csv":
-        "56b002c7efde100a527d677375f05a4ea8466bb7b616f3f9abdd6e24d32187c2",
+        "6a70223a72c2f3ff041685863f55164561c88d0a0c73d85572d80f8ba90c8c3c",
 }
 
 #: ``--model tree`` runs on the SSD fleet, each into ``tree/<subcommand>``.
@@ -204,33 +204,33 @@ EXAMPLES_RUN = (["evaluate", "--examples", "ssd/examples_ssd_N7.csv",
 
 TREE_GOLDEN = {
     "tree/evaluate/eval_report.json":
-        "8a7f46a93087254b661eb32e21d67413c2603e322676b4d9df502b51f3fca928",
+        "3c5176d95f2024ae9ac8f98f46c86ba87f340199146b26041e97c3851760e040",
     "tree/evaluate/roc.csv":
-        "fa62cb293478acebe278f7b5ad7899ac3279cdf3244a669e2c066d9df82c160c",
+        "70c60a8421947230eedb919ad5f7f5c02b51d8969a6b256193c23e84a1dcfe78",
     "tree/sweep/sweep.csv":
-        "b4578585625610e5e7a856969b0ab533a39f942d23d7d150103466158a29f89d",
+        "f221b2fd08986404d71494ef8c4c0545916a41b465d866e28251ec0b2964e48c",
     "tree/sweep/eval_report_N0.json":
-        "90e36959555816a6cef412465938e22db2bedc6d4e14efe41c238dee62123556",
+        "10930051cb126b407b8f24d6320a28770222fd7c470a70627f2e3d93f4ab0d41",
     "tree/sweep/eval_report_N7.json":
-        "e69ab699952e6f80f196558a017a7e2cf33597ecf2860511de28be639d6aeac7",
+        "a39b4d87f50ffe0d21d7e729638add07e01d9508a576fac9fe95519ce7052267",
     "tree/sweep/roc_N0.csv":
-        "41183586e038291f208994a9eb4c57e50ae74026f13223dd70028695d07aa91e",
+        "c83561e363e6419a982465e1292ce37b7969fab51d6c2e6b8bd90345433077d2",
     "tree/sweep/roc_N7.csv":
-        "e470a8303f8b44e901b4dd0be9a5be57d254de2c9f45a0a2ec57b7dc5502d16e",
+        "d025f79b780ef1caba760dbd0d309566373ad430cc445c12dc21b592879da891",
     "tree/matrix/matrix.csv":
-        "c5a34cf8a361fd39eb66300442334dd0e475d9b9db964dec37c5ac20c6203bcd",
+        "4849b2ef94f0d63fa6b91bf88170c3f5dce93a17543d34eb24eff02ff8d1989b",
     "tree/partition-eval/partition_report.json":
-        "d1d9c817b6b65876bf5b5c7d66ae421685d6d0c2cc870d810c4385dc47a71c85",
+        "e92673abd982ddf0d2168c0c12f064bc70cf81f7f6d8b0eac6759514624443f1",
     "tree/partition-eval/roc_below.csv":
-        "7b97794eaa9ebac9296ec932b69caca2dac657f96987db704942889c2d48f733",
+        "a1e24398fe801e1543e8fd5d4783ba2877ad95b622c2b2a574a1957326364e37",
     "tree/partition-eval/roc_above.csv":
-        "8da74d148d8bf196c1133c4050682398cf9020757ea128f3af49dc6ec1265b55",
+        "2056170f12ee7b8e6382ff26b9dfce627ddfcad1d00668d0340976004df7d2f5",
     "tree/partition-eval/roc_unsplit.csv":
-        "dd68ad4229afa91c8638980344faf57916d8e0b7e8197a3ace64d05351604105",
+        "92301caf5ae5c0bfded7323d7e96961a840f21a1d59dd8dfef124d334f1881d7",
     "tree/evaluate-examples/eval_report.json":
-        "d62a2f1ec900b39f510a027ec17eafd93e2997e7f09b814b80d959384707a6fa",
+        "6aa53e8cb6cabfa3242abf0f136d05a68bf5b804adafb5958f95c6091c42a602",
     "tree/evaluate-examples/roc.csv":
-        "47b047191efdc032158eba7883f0ff82641509e4a520b3ab7de3df7b4a64e582",
+        "836934e5712db28f3778dbecfc0e2b8ed7a297140a9108c5cc1defd9b9744fdc",
 }
 
 

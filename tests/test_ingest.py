@@ -138,6 +138,28 @@ class TestParseSsd:
         assert ds.provenance["quarantined"] == [
             ("s1", "bad_blocks_factory_cum decreases (2 -> 1)")]
 
+    @pytest.mark.parametrize("days, reason", [
+        ([dict(pe=7, bbf=4), dict(pe=7, bbf=3), dict(pe=7, bbf=3), dict(pe=2, bbf=3)],
+         "pe_cycles_cum decreases (7 -> 2)"),
+        ([dict(pe=5), dict(pe=4), dict(pe=4), [dict(pe=4, reads=1), dict(pe=4, reads=2)]],
+         "conflicting rows at timestamp_us=259200000000"),
+    ], ids=["counter_order_not_time", "conflict_before_decrease"])
+    def test_the_quarantine_reason_kept(self, days, reason):
+        """A conflict is reported before any decrease, and the counters in
+        the fixed order P/E, factory, new bad blocks, whichever decreased
+        first in time."""
+        rows = [ssd_row(ts=day * 86400000000, **cells) for day, cell in enumerate(days)
+                for cells in (cell if isinstance(cell, list) else [cell])]
+        ds = parse_ssd_log(SSD_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert ds.provenance["quarantined"] == [("s1", reason)]
+
+    def test_a_duplicate_after_a_decrease_is_rejected(self):
+        rows = [ssd_row(ts=0, pe=5), ssd_row(ts=86400000000, pe=4),
+                ssd_row(ts=172800000000, pe=4), ssd_row(ts=172800000000, pe=4)]
+        ds = parse_ssd_log(SSD_HEADER + "\n" + "\n".join(rows) + "\n")
+        assert ds.provenance["quarantined"] == [("s1", "pe_cycles_cum decreases (5 -> 4)")]
+        assert ds.provenance["rejected"] == [(5, "duplicate row for (s1, ts=172800000000)")]
+
     def test_three_drive_fixture_day_counts(self):
         rows = []
         for drive, days in (("a", 4), ("b", 2), ("c", 7)):
